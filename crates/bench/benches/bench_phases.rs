@@ -1,17 +1,28 @@
 //! Phase split across the whole pipeline: the prepare phase (clique
-//! enumeration, index build, ω degrees), the peel, and the two
-//! post-peel passes (DFT traversal, FND hierarchy assembly) — so both
-//! the paper's "FND total ≈ DFT peeling" claim (Figure 6) and this
-//! repo's parallel-prepare work are directly measurable.
+//! enumeration, ω degrees, index and container-record builds), the
+//! peel, and the two post-peel passes (DFT traversal, FND hierarchy
+//! assembly) — so both the paper's "FND total ≈ DFT peeling" claim
+//! (Figure 6) and this repo's prepare work are directly measurable.
 //!
 //! Per input and space, the rows are:
 //!
 //! * `enumerate-serial/-tN` — the enumeration kernel feeding ω degrees:
 //!   `edge_supports` for (2,3), `TriangleList::build` for (3,4)
-//!   (`-tN` is the bit-identical two-pass parallel twin);
-//! * `index-build-serial/-tN` ((3,4) only) — the edge→thirds
+//!   (`-tN` is the bit-identical parallel twin);
+//! * `index-build-serial/-tN` — for (2,3) the container records, filled
+//!   from the oriented triangle listing ([`edge_companion_records`] over
+//!   a pre-built orientation and supports); for (3,4) the edge→thirds
 //!   [`TriangleIndex`] over a pre-built triangle list;
-//! * `degrees-serial/-tN` ((3,4) only) — per-triangle K4 degrees;
+//! * `degrees-serial/-tN` ((3,4) only) — the public per-triangle K4
+//!   degree entry points: `k4_degrees`, the three-way
+//!   full-neighbour-list reference, and `k4_degrees_parallel`, which
+//!   builds its own triangle index and orientation before listing K4s;
+//! * `degrees-oriented-serial/-tN` ((3,4) only) — the ω pass prepare
+//!   runs: [`k4_degrees_oriented`] (each K4 listed once) over the
+//!   orientation the triangle enumeration built and a pre-built
+//!   triangle index;
+//! * `records-serial/-tN` ((3,4) only) — the per-cell container-record
+//!   fill, over a space whose index and ω are already built;
 //! * `peel-only`, `dft-post-only`, `fnd-total` — the historical
 //!   Figure 6 rows, unchanged in meaning;
 //! * `hierarchy-assembly-serial/-tN` — `BuildHierarchy` (Alg. 9) alone,
@@ -24,10 +35,14 @@
 //!   (`Nucleus::builder(..).threads(t).prepare()`), the end-to-end
 //!   number users see.
 //!
-//! On a single-core host `-tN` still spawns 2 workers, so the committed
-//! JSONs from the build container honestly record spawn overhead as
-//! pure loss — same convention as `bench_peel_engine`. JSON results
-//! land in `results/BENCH_phases_*.json`.
+//! At one thread count the prepare sub-steps add up to
+//! `prepare-total`: `enumerate + index-build` for (2,3), and
+//! `enumerate + index-build + degrees-oriented + records` for (3,4).
+//!
+//! `-tN` uses every available CPU and at least 2, so on a single-core
+//! host it records spawn overhead as pure loss — same convention as
+//! `bench_peel_engine`. JSON results land in
+//! `results/BENCH_phases_*.json`.
 //!
 //! `NUCLEUS_BENCH_SMOKE=1` shrinks the inputs and sampling so CI can
 //! assert the bench target runs end to end and emits its JSON.
@@ -35,11 +50,15 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nucleus_cliques::parallel::edge_supports_parallel;
 use nucleus_cliques::triangles::edge_supports;
-use nucleus_cliques::{k4_degrees_parallel, TriangleIndex, TriangleList};
+use nucleus_cliques::{
+    edge_companion_records, k4_degrees_oriented, k4_degrees_parallel, OrientedAdjacency,
+    TriangleIndex, TriangleList,
+};
 use nucleus_core::algo::dft::dft;
 use nucleus_core::algo::fnd::{build_hierarchy, fnd, fnd_classify};
 use nucleus_core::prelude::*;
 use nucleus_core::space::MaterializedSpace;
+use nucleus_graph::flat::offsets_from_counts;
 use nucleus_graph::CsrGraph;
 
 fn smoke() -> bool {
@@ -149,8 +168,9 @@ fn bench_phases_truss(c: &mut Criterion) {
     configure(&mut group);
     let tn = all_threads();
     for (name, g) in &inputs() {
-        // Prepare phase: the (2,3) enumeration kernel is the support
-        // count (ω degrees) itself.
+        // Prepare phase, split into its two passes over one
+        // orientation: the support count (ω degrees) and the container
+        // records filled from the same triangle listing.
         group.bench_with_input(BenchmarkId::new("enumerate-serial", name), g, |b, g| {
             b.iter(|| edge_supports(g).len());
         });
@@ -159,6 +179,18 @@ fn bench_phases_truss(c: &mut Criterion) {
             g,
             |b, g| {
                 b.iter(|| edge_supports_parallel(g, tn).len());
+            },
+        );
+        let oriented = OrientedAdjacency::build(g);
+        let offsets = offsets_from_counts(&edge_supports(g));
+        group.bench_with_input(BenchmarkId::new("index-build-serial", name), g, |b, g| {
+            b.iter(|| edge_companion_records(g, &oriented, &offsets, 1).len());
+        });
+        group.bench_with_input(
+            BenchmarkId::new(format!("index-build-t{tn}"), name),
+            g,
+            |b, g| {
+                b.iter(|| edge_companion_records(g, &oriented, &offsets, tn).len());
             },
         );
         // Figure 6 rows: peel alone, DFT post alone, FND end-to-end.
@@ -191,8 +223,9 @@ fn bench_phases_nucleus34(c: &mut Criterion) {
     configure(&mut group);
     let tn = all_threads();
     for (name, g) in &inputs() {
-        // Prepare phase, split into its three passes: triangle
-        // enumeration, edge→thirds index, per-triangle K4 degrees.
+        // Prepare phase, split into its four passes: triangle
+        // enumeration, edge→thirds index, per-triangle K4 degrees and
+        // the container records.
         group.bench_with_input(BenchmarkId::new("enumerate-serial", name), g, |b, g| {
             b.iter(|| TriangleList::build(g).len());
         });
@@ -224,6 +257,39 @@ fn bench_phases_nucleus34(c: &mut Criterion) {
                 b.iter(|| k4_degrees_parallel(g, &tris, tn).len());
             },
         );
+        let oriented = OrientedAdjacency::build(g);
+        let index = TriangleIndex::build(g, &tris);
+        group.bench_with_input(
+            BenchmarkId::new("degrees-oriented-serial", name),
+            g,
+            |b, _| {
+                b.iter(|| k4_degrees_oriented(&oriented, &tris, &index, 1).len());
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new(format!("degrees-oriented-t{tn}"), name),
+            g,
+            |b, _| {
+                b.iter(|| k4_degrees_oriented(&oriented, &tris, &index, tn).len());
+            },
+        );
+        for threads in [1, tn] {
+            let label = if threads == 1 {
+                "records-serial".to_string()
+            } else {
+                format!("records-t{threads}")
+            };
+            // ω, and with it the index the fill reads, is built once
+            // outside the timer.
+            let ts = TriangleSpace::with_threads(g, threads);
+            let counts = ts.degrees();
+            group.bench_with_input(BenchmarkId::new(label, name), g, |b, _| {
+                b.iter(|| {
+                    ContainerIndex::build_with_counts(&ts, counts.clone(), threads)
+                        .container_count()
+                });
+            });
+        }
         // Figure 6 rows.
         group.bench_with_input(BenchmarkId::new("peel-only", name), g, |b, g| {
             b.iter(|| {

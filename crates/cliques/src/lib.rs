@@ -7,13 +7,16 @@
 //! provides:
 //!
 //! * [`triangles`] — oriented triangle enumeration (degeneracy-ordered,
-//!   the standard `O(m · degeneracy)` scheme), per-edge support counts,
-//!   and a materialized [`TriangleList`];
+//!   the standard `O(m · degeneracy)` scheme, over an
+//!   [`OrientedAdjacency`] that a caller listing the same cliques twice
+//!   builds once), per-edge support counts, and a materialized
+//!   [`TriangleList`];
 //! * [`triangle_index`] — [`TriangleIndex`], a per-edge CSR of
 //!   `(third-vertex, triangle-id)` pairs enabling `O(log deg)` triangle
 //!   id lookups without hash maps (hot-path requirement, see DESIGN.md);
 //! * [`four_cliques`] — per-triangle K4 degrees (the ω₄ values peeled by
-//!   the (3,4) decomposition);
+//!   the (3,4) decomposition; the serial three-way-intersection
+//!   reference) and per-edge ones for (2,4);
 //! * [`kclique`] — a simple recursive k-clique enumerator used as the
 //!   brute-force reference in tests and for Table 3 statistics;
 //! * [`parallel`] — scoped-thread parallel twins for every counting and
@@ -22,8 +25,13 @@
 //!   [`balanced_ranges`] work partitioner and the
 //!   [`fill_ranges_scoped`]/[`fill_ranges_pair_scoped`] disjoint-chunk
 //!   fill helpers they (and the materialized peeling backend in
-//!   `nucleus-core`) share. The materializing builders have parallel
-//!   constructors of their own ([`TriangleList::build_with_threads`],
+//!   `nucleus-core`) share. Two kernels list each clique exactly once
+//!   over the orientation and feed the fused prepare of `nucleus-core`:
+//!   [`k4_degrees_oriented`] (every K4 bumps its four triangles) and
+//!   [`edge_companion_records`] (every triangle scatters the (2,3)
+//!   container records of its three edges). The materializing builders
+//!   have parallel constructors of their own
+//!   ([`TriangleList::build_with_threads`],
 //!   [`TriangleIndex::build_with_threads`]) that are **bit-identical**
 //!   to their serial counterparts at any thread count.
 
@@ -35,8 +43,9 @@ pub mod triangles;
 
 pub use four_cliques::k4_edge_degrees;
 pub use parallel::{
-    balanced_ranges, fill_ranges_pair_scoped, fill_ranges_scoped, k4_degrees_parallel,
-    k4_edge_degrees_parallel, vertex_triangle_counts_parallel,
+    balanced_ranges, edge_companion_records, edge_supports_oriented, fill_ranges_pair_scoped,
+    fill_ranges_scoped, k4_degrees_oriented, k4_degrees_parallel, k4_edge_degrees_parallel,
+    vertex_triangle_counts_parallel,
 };
 pub use triangle_index::TriangleIndex;
-pub use triangles::{vertex_triangle_counts, TriangleList};
+pub use triangles::{vertex_triangle_counts, OrientedAdjacency, TriangleList};

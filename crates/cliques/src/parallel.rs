@@ -4,9 +4,12 @@
 //! clique-enumeration half of the peeling phase parallelizes trivially;
 //! this module provides it without any extra dependency.
 
+use std::ops::Range;
+use std::sync::atomic::{AtomicU32, Ordering};
+
 use nucleus_graph::CsrGraph;
 
-use crate::four_cliques::{intersect3_sorted, k4_degree_of_edge};
+use crate::four_cliques::k4_degree_of_edge;
 use crate::triangle_index::TriangleIndex;
 use crate::triangles::{for_each_triangle_from, OrientedAdjacency, TriangleList};
 
@@ -15,7 +18,7 @@ use crate::triangles::{for_each_triangle_from, OrientedAdjacency, TriangleList};
 /// are disjoint, in order, and cover every index; at most one range is
 /// returned for an empty input. Used to hand each worker thread a
 /// comparable share of enumeration work.
-pub fn balanced_ranges(weights: &[usize], parts: usize) -> Vec<std::ops::Range<usize>> {
+pub fn balanced_ranges(weights: &[usize], parts: usize) -> Vec<Range<usize>> {
     let parts = parts.max(1);
     let total: usize = weights.iter().sum();
     let per_part = total.div_ceil(parts).max(1);
@@ -42,6 +45,31 @@ pub fn balanced_ranges(weights: &[usize], parts: usize) -> Vec<std::ops::Range<u
     out
 }
 
+/// Splits the cells of a CSR into at most `parts` contiguous ranges of
+/// about equal record count, given its record `offsets` (the prefix
+/// sum, `cells + 1` entries). Like [`balanced_ranges`], the ranges are
+/// disjoint, in order, non-empty and cover every cell (one empty range
+/// for zero cells); the cuts are binary searches over the prefix sum,
+/// so no per-cell weight vector is allocated.
+pub(crate) fn offset_ranges(offsets: &[usize], parts: usize) -> Vec<Range<usize>> {
+    let cells = offsets.len() - 1;
+    let parts = parts.max(1);
+    let total = offsets[cells];
+    let mut out = Vec::with_capacity(parts);
+    let mut start = 0usize;
+    for i in 1..parts {
+        let cut = offsets.partition_point(|&o| o < total * i / parts);
+        if cut > start {
+            out.push(start..cut);
+            start = cut;
+        }
+    }
+    if start < cells || out.is_empty() {
+        out.push(start..cells);
+    }
+    out
+}
+
 /// Splits `out` into one disjoint chunk per range and runs
 /// `work(range, chunk)` on a scoped worker thread per chunk.
 ///
@@ -50,15 +78,11 @@ pub fn balanced_ranges(weights: &[usize], parts: usize) -> Vec<std::ops::Range<u
 /// range's share of `out` (the shares must tile `out` front to back).
 /// This keeps the `split_at_mut` cursor arithmetic every parallel fill
 /// needs in one audited place.
-pub fn fill_ranges_scoped<T, L, W>(
-    out: &mut [T],
-    ranges: Vec<std::ops::Range<usize>>,
-    chunk_len: L,
-    work: W,
-) where
+pub fn fill_ranges_scoped<T, L, W>(out: &mut [T], ranges: Vec<Range<usize>>, chunk_len: L, work: W)
+where
     T: Send,
-    L: Fn(&std::ops::Range<usize>) -> usize,
-    W: Fn(std::ops::Range<usize>, &mut [T]) + Sync,
+    L: Fn(&Range<usize>) -> usize,
+    W: Fn(Range<usize>, &mut [T]) + Sync,
 {
     std::thread::scope(|scope| {
         let mut rest: &mut [T] = out;
@@ -80,13 +104,13 @@ pub fn fill_ranges_scoped<T, L, W>(
 pub fn fill_ranges_pair_scoped<A, B, W>(
     out_a: &mut [A],
     out_b: &mut [B],
-    ranges: Vec<std::ops::Range<usize>>,
+    ranges: Vec<Range<usize>>,
     chunk_lens: &[usize],
     work: W,
 ) where
     A: Send,
     B: Send,
-    W: Fn(std::ops::Range<usize>, &mut [A], &mut [B]) + Sync,
+    W: Fn(Range<usize>, &mut [A], &mut [B]) + Sync,
 {
     assert_eq!(ranges.len(), chunk_lens.len(), "one chunk size per range");
     std::thread::scope(|scope| {
@@ -103,18 +127,58 @@ pub fn fill_ranges_pair_scoped<A, B, W>(
     });
 }
 
-/// Counts triangles using `threads` worker threads.
-pub fn triangle_count_parallel(g: &CsrGraph, threads: usize) -> u64 {
-    let oriented = OrientedAdjacency::build(g);
-    let weights: Vec<usize> = (0..g.n() as u32)
-        // enumeration cost at u is ~ Σ_{v ∈ out(u)} (|out(u)| + |out(v)|);
-        // |out(u)|² is a serviceable proxy
+/// Per-vertex weights for splitting a sweep over `oriented` with
+/// [`balanced_ranges`]: the listing cost at `u` is about
+/// Σ_{v ∈ out(u)} (|out(u)| + |out(v)|), for which |out(u)|² is a
+/// serviceable proxy.
+pub(crate) fn oriented_weights(oriented: &OrientedAdjacency) -> Vec<usize> {
+    (0..oriented.vertex_count() as u32)
         .map(|u| {
             let d = oriented.out(u).len();
             d * d + d
         })
-        .collect();
-    let ranges = balanced_ranges(&weights, threads);
+        .collect()
+}
+
+/// Runs `work(range, tally)` on one scoped worker per range, each
+/// counting into a private zeroed tally of `len` counters, and returns
+/// the element-wise sum of the tallies — so the counting kernels below
+/// need no atomics on their hot paths.
+fn sum_tallies<W>(ranges: Vec<Range<usize>>, len: usize, work: W) -> Vec<u32>
+where
+    W: Fn(Range<usize>, &mut [u32]) + Sync,
+{
+    let tallies: Vec<Vec<u32>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = ranges
+            .into_iter()
+            .map(|range| {
+                let work = &work;
+                scope.spawn(move || {
+                    let mut tally = vec![0u32; len];
+                    work(range, &mut tally);
+                    tally
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .collect()
+    });
+    let mut tallies = tallies.into_iter();
+    let mut total = tallies.next().unwrap_or_else(|| vec![0; len]);
+    for tally in tallies {
+        for (t, p) in total.iter_mut().zip(tally) {
+            *t += p;
+        }
+    }
+    total
+}
+
+/// Counts triangles using `threads` worker threads.
+pub fn triangle_count_parallel(g: &CsrGraph, threads: usize) -> u64 {
+    let oriented = OrientedAdjacency::build(g);
+    let ranges = balanced_ranges(&oriented_weights(&oriented), threads);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(ranges.len());
         for range in ranges {
@@ -138,86 +202,179 @@ pub fn triangle_count_parallel(g: &CsrGraph, threads: usize) -> u64 {
 /// Each worker accumulates into a private array; partials are summed at
 /// the end (no atomics on the hot path).
 pub fn edge_supports_parallel(g: &CsrGraph, threads: usize) -> Vec<u32> {
-    let oriented = OrientedAdjacency::build(g);
-    let weights: Vec<usize> = (0..g.n() as u32)
-        .map(|u| {
-            let d = oriented.out(u).len();
-            d * d + d
-        })
-        .collect();
-    let ranges = balanced_ranges(&weights, threads);
-    let m = g.m();
-    let partials: Vec<Vec<u32>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ranges.len());
-        for range in ranges {
-            let oriented = &oriented;
-            handles.push(scope.spawn(move || {
-                let mut support = vec![0u32; m];
-                for u in range {
-                    let out_u = oriented.out(u as u32);
-                    for &(v, e_uv) in out_u {
-                        let out_v = oriented.out(v);
-                        let (mut i, mut j) = (0usize, 0usize);
-                        while i < out_u.len() && j < out_v.len() {
-                            match out_u[i].0.cmp(&out_v[j].0) {
-                                std::cmp::Ordering::Less => i += 1,
-                                std::cmp::Ordering::Greater => j += 1,
-                                std::cmp::Ordering::Equal => {
-                                    support[e_uv as usize] += 1;
-                                    support[out_u[i].1 as usize] += 1;
-                                    support[out_v[j].1 as usize] += 1;
-                                    i += 1;
-                                    j += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                support
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    let mut total = vec![0u32; m];
-    for partial in partials {
-        for (t, p) in total.iter_mut().zip(partial) {
-            *t += p;
-        }
-    }
-    total
+    edge_supports_oriented(&OrientedAdjacency::build(g), threads)
 }
 
-/// Computes per-triangle K4 degrees using `threads` worker threads —
-/// the parallel twin of [`crate::four_cliques::k4_degrees`], behind the
-/// same thread-count knob as [`triangle_count_parallel`]. Triangles are
-/// independent, so each worker fills a disjoint slice of the output;
-/// ranges are balanced by the triangles' total endpoint degree (the
-/// three-way intersection cost).
-pub fn k4_degrees_parallel(g: &CsrGraph, tris: &TriangleList, threads: usize) -> Vec<u32> {
-    let n = tris.len();
-    let mut deg = vec![0u32; n];
-    let weights: Vec<usize> = tris
-        .vertices
-        .iter()
-        .map(|&[u, v, w]| g.degree(u) + g.degree(v) + g.degree(w) + 1)
-        .collect();
-    let ranges = balanced_ranges(&weights, threads);
+/// [`edge_supports_parallel`] over an orientation the caller already
+/// holds, so a caller that lists the same triangles again — the fused
+/// (2,3) record fill, [`edge_companion_records`] — orients the graph
+/// once.
+pub fn edge_supports_oriented(oriented: &OrientedAdjacency, threads: usize) -> Vec<u32> {
+    let ranges = balanced_ranges(&oriented_weights(oriented), threads);
+    sum_tallies(ranges, oriented.edge_count(), |range, support| {
+        for u in range {
+            for_each_triangle_from(oriented, u as u32, &mut |_, _, _, e1, e2, e3| {
+                support[e1 as usize] += 1;
+                support[e2 as usize] += 1;
+                support[e3 as usize] += 1;
+            });
+        }
+    })
+}
+
+/// The (2,3) container records of every edge, filled from one oriented
+/// triangle listing: for edge `e = {u, v}` with `u < v`, one
+/// `[id(u, w), id(v, w)]` pair per triangle `{u, v, w}`, ascending in
+/// `w`, edges back to back over `offsets` (the prefix sum of the edge
+/// supports, counted in pairs). That is the order a merge of the full
+/// neighbour lists of `u` and `v` emits, at O(m · degeneracy) for all
+/// edges instead of O(Σ deg²).
+///
+/// Each listed triangle writes its three pairs through per-edge atomic
+/// cursors straight into the result, in whatever order the workers
+/// interleave; sorting each edge's pairs by third vertex (unique within
+/// an edge) then makes the result independent of `threads`. The scope
+/// join publishes the relaxed stores before the sort reads them.
+///
+/// # Panics
+/// When `offsets` is not the prefix sum of `g`'s edge supports, or
+/// `oriented` does not orient `g`.
+pub fn edge_companion_records(
+    g: &CsrGraph,
+    oriented: &OrientedAdjacency,
+    offsets: &[usize],
+    threads: usize,
+) -> Vec<u32> {
+    let m = g.m();
+    assert_eq!(offsets.len(), m + 1, "one offset per edge, plus the total");
+    let cursor: Vec<AtomicU32> = (0..m).map(|_| AtomicU32::new(0)).collect();
+    let slots: Vec<AtomicU32> = (0..2 * offsets[m]).map(|_| AtomicU32::new(0)).collect();
+    let ranges = balanced_ranges(&oriented_weights(oriented), threads);
+    std::thread::scope(|scope| {
+        for range in ranges {
+            let (cursor, slots) = (&cursor, &slots);
+            scope.spawn(move || {
+                // The pair of edge {x, y} in triangle {x, y, z}: its two
+                // edges to z, the one from min(x, y) first.
+                let put = |e_xy: u32, x: u32, y: u32, e_xz: u32, e_yz: u32| {
+                    let (first, second) = if x < y { (e_xz, e_yz) } else { (e_yz, e_xz) };
+                    let e = e_xy as usize;
+                    let slot = offsets[e] + cursor[e].fetch_add(1, Ordering::Relaxed) as usize;
+                    slots[2 * slot].store(first, Ordering::Relaxed);
+                    slots[2 * slot + 1].store(second, Ordering::Relaxed);
+                };
+                for u in range {
+                    for_each_triangle_from(oriented, u as u32, &mut |a, b, c, e_ab, e_ac, e_bc| {
+                        put(e_ab, a, b, e_ac, e_bc);
+                        put(e_ac, a, c, e_ab, e_bc);
+                        put(e_bc, b, c, e_ab, e_ac);
+                    });
+                }
+            });
+        }
+    });
+    // A cursor short of its edge's count would leave zeroed pairs, one
+    // past it spilled into the next edge's slots: either way `offsets`
+    // was not the supports.
+    assert!(
+        cursor
+            .iter()
+            .zip(offsets.windows(2))
+            .all(|(c, w)| c.load(Ordering::Relaxed) as usize == w[1] - w[0]),
+        "offsets must be the edge supports"
+    );
+    drop(cursor);
+    let mut records: Vec<u32> = slots.into_iter().map(AtomicU32::into_inner).collect();
     fill_ranges_scoped(
-        &mut deg,
-        ranges,
-        |range| range.len(),
+        &mut records,
+        offset_ranges(offsets, threads),
+        |range| 2 * (offsets[range.end] - offsets[range.start]),
         |range, chunk| {
-            for (slot, &[u, v, w]) in chunk.iter_mut().zip(&tris.vertices[range]) {
-                let mut c = 0u32;
-                intersect3_sorted(g.neighbors(u), g.neighbors(v), g.neighbors(w), |_| c += 1);
-                *slot = c;
+            let base = offsets[range.start];
+            for e in range {
+                let (u, _) = g.endpoints(e as u32);
+                let pairs = &mut chunk[2 * (offsets[e] - base)..2 * (offsets[e + 1] - base)];
+                // id(u, w) joins u and w, so xor-ing u out of its
+                // endpoints leaves the third vertex w.
+                pairs
+                    .as_chunks_mut::<2>()
+                    .0
+                    .sort_unstable_by_key(|&[e_uw, _]| {
+                        let (x, y) = g.endpoints(e_uw);
+                        x ^ y ^ u
+                    });
             }
         },
     );
-    deg
+    records
+}
+
+/// Per-triangle K4 degrees (the (3,4) ω) from one pass that lists every
+/// K4 exactly once over the degeneracy orientation (the ordering the
+/// paper's Alg. 1 cost model assumes): a K4 is found only from the
+/// triangle of its three lowest-rank vertices, as an apex every one of
+/// them points to — a three-way intersection of out-lists bounded by
+/// the degeneracy, where [`crate::four_cliques::k4_degrees`] intersects
+/// full neighbour lists and meets each K4 four times. The find bumps
+/// all four triangles, the other three looked up in `index` (the
+/// [`TriangleIndex`] of `tris`). Equal to `k4_degrees` at any thread
+/// count; workers count into private tallies.
+pub fn k4_degrees_oriented(
+    oriented: &OrientedAdjacency,
+    tris: &TriangleList,
+    index: &TriangleIndex,
+    threads: usize,
+) -> Vec<u32> {
+    let tid = |e: u32, w: u32| {
+        index
+            .tid(e, w)
+            .expect("every face of a K4 is an indexed triangle")
+    };
+    let weights: Vec<usize> = tris
+        .vertices
+        .iter()
+        .map(|&[u, v, w]| oriented.out(u).len() + oriented.out(v).len() + oriented.out(w).len() + 1)
+        .collect();
+    sum_tallies(
+        balanced_ranges(&weights, threads),
+        tris.len(),
+        |range, deg| {
+            let first = range.start;
+            let cells = tris.vertices[range.clone()].iter().zip(&tris.edges[range]);
+            for (n, (&[u, v, w], &[e_uv, e_uw, e_vw])) in cells.enumerate() {
+                let (a, b, c) = (oriented.out(u), oriented.out(v), oriented.out(w));
+                let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
+                while i < a.len() && j < b.len() && k < c.len() {
+                    let (x, y, z) = (a[i].0, b[j].0, c[k].0);
+                    if x == y && y == z {
+                        let t = (first + n) as u32;
+                        for t in [t, tid(e_uv, x), tid(e_uw, x), tid(e_vw, x)] {
+                            deg[t as usize] += 1;
+                        }
+                        i += 1;
+                        j += 1;
+                        k += 1;
+                    } else {
+                        let max = x.max(y).max(z);
+                        i += usize::from(x < max);
+                        j += usize::from(y < max);
+                        k += usize::from(z < max);
+                    }
+                }
+            }
+        },
+    )
+}
+
+/// Computes per-triangle K4 degrees using `threads` worker threads:
+/// builds the [`TriangleIndex`] of `tris` and the degeneracy
+/// orientation, then runs [`k4_degrees_oriented`], which lists each K4
+/// once instead of intersecting three full neighbour lists per
+/// triangle. Equal to [`crate::four_cliques::k4_degrees`], the serial
+/// reference.
+pub fn k4_degrees_parallel(g: &CsrGraph, tris: &TriangleList, threads: usize) -> Vec<u32> {
+    let index = TriangleIndex::build_with_threads(g, tris, threads);
+    k4_degrees_oriented(&OrientedAdjacency::build(g), tris, &index, threads)
 }
 
 /// Computes per-vertex triangle counts using `threads` worker threads —
@@ -225,44 +382,16 @@ pub fn k4_degrees_parallel(g: &CsrGraph, tris: &TriangleList, threads: usize) ->
 /// Same private-partials-then-sum scheme as [`edge_supports_parallel`].
 pub fn vertex_triangle_counts_parallel(g: &CsrGraph, threads: usize) -> Vec<u32> {
     let oriented = OrientedAdjacency::build(g);
-    let weights: Vec<usize> = (0..g.n() as u32)
-        .map(|u| {
-            let d = oriented.out(u).len();
-            d * d + d
-        })
-        .collect();
-    let ranges = balanced_ranges(&weights, threads);
-    let n = g.n();
-    let partials: Vec<Vec<u32>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let oriented = &oriented;
-                scope.spawn(move || {
-                    let mut deg = vec![0u32; n];
-                    for u in range {
-                        for_each_triangle_from(oriented, u as u32, &mut |a, b, c, _, _, _| {
-                            deg[a as usize] += 1;
-                            deg[b as usize] += 1;
-                            deg[c as usize] += 1;
-                        });
-                    }
-                    deg
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    let mut total = vec![0u32; n];
-    for partial in partials {
-        for (t, p) in total.iter_mut().zip(partial) {
-            *t += p;
+    let ranges = balanced_ranges(&oriented_weights(&oriented), threads);
+    sum_tallies(ranges, g.n(), |range, deg| {
+        for u in range {
+            for_each_triangle_from(&oriented, u as u32, &mut |a, b, c, _, _, _| {
+                deg[a as usize] += 1;
+                deg[b as usize] += 1;
+                deg[c as usize] += 1;
+            });
         }
-    }
-    total
+    })
 }
 
 /// Computes per-edge K4 degrees using `threads` worker threads — the
@@ -298,6 +427,7 @@ mod tests {
     use super::*;
     use crate::four_cliques::{k4_degrees, k4_edge_degrees};
     use crate::triangles::{edge_supports, triangle_count, vertex_triangle_counts};
+    use nucleus_graph::flat::offsets_from_counts;
 
     fn complete(n: u32) -> CsrGraph {
         let mut edges = vec![];
@@ -342,7 +472,7 @@ mod tests {
 
     /// Asserts the ranges are disjoint, ordered, cover `len` items, and
     /// respect the `parts` cap.
-    fn check_cover(ranges: &[std::ops::Range<usize>], len: usize, parts: usize) {
+    fn check_cover(ranges: &[Range<usize>], len: usize, parts: usize) {
         assert!(ranges.len() <= parts.max(1), "{ranges:?} exceeds {parts}");
         let mut covered = vec![false; len];
         for r in ranges {
@@ -401,6 +531,22 @@ mod tests {
         }
         // parts = 0 is clamped to 1
         assert_eq!(balanced_ranges(&w, 0), vec![0..2]);
+    }
+
+    #[test]
+    fn offset_ranges_cover_everything() {
+        // per-cell record counts, including empty cells and a heavy one
+        for counts in [vec![], vec![0, 0, 0], vec![3], vec![2, 0, 5, 1, 0, 0, 9, 1]] {
+            let offsets = offsets_from_counts(&counts);
+            for parts in [0, 1, 2, 3, 8, 20] {
+                let ranges = offset_ranges(&offsets, parts);
+                check_cover(&ranges, counts.len(), parts);
+                if !counts.is_empty() {
+                    assert!(ranges.iter().all(|r| !r.is_empty()), "{ranges:?}");
+                }
+            }
+        }
+        assert_eq!(offset_ranges(&[0], 4), vec![0..0]);
     }
 
     #[test]
@@ -478,5 +624,59 @@ mod tests {
         let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let tl = TriangleList::build(&g);
         assert_eq!(k4_degrees_parallel(&g, &tl, 4), Vec::<u32>::new());
+    }
+
+    /// The (2,3) records of `g` by the definition: per edge `{u, v}`
+    /// with `u < v`, `[id(u, w), id(v, w)]` for each common neighbour
+    /// `w` in ascending order.
+    fn companion_records_by_merge(g: &CsrGraph) -> Vec<u32> {
+        let mut out = vec![];
+        for (_, u, v) in g.edges() {
+            for (w, e_uw) in g.arcs(u) {
+                if let Some(e_vw) = g.edge_id(v, w) {
+                    out.extend([e_uw, e_vw]);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn edge_companion_records_match_the_merge() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(37);
+        let edges: Vec<(u32, u32)> = (0..1500)
+            .map(|_| (rng.gen_range(0..160u32), rng.gen_range(0..160u32)))
+            .collect();
+        for g in [
+            complete(9),
+            CsrGraph::from_edges(160, &edges),
+            CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]),
+            CsrGraph::from_edges(0, &[]),
+        ] {
+            let oriented = OrientedAdjacency::build(&g);
+            let offsets = offsets_from_counts(&edge_supports(&g));
+            let want = companion_records_by_merge(&g);
+            for threads in [1, 2, 4, 7] {
+                assert_eq!(
+                    edge_companion_records(&g, &oriented, &offsets, threads),
+                    want,
+                    "t={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "edge supports")]
+    fn edge_companion_records_reject_wrong_offsets() {
+        // every edge of K4 lies in 2 triangles; move one count over
+        let g = complete(4);
+        let mut counts = edge_supports(&g);
+        counts[0] -= 1;
+        counts[1] += 1;
+        let offsets = offsets_from_counts(&counts);
+        edge_companion_records(&g, &OrientedAdjacency::build(&g), &offsets, 2);
     }
 }

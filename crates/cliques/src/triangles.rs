@@ -6,15 +6,21 @@ use nucleus_graph::CsrGraph;
 /// Adjacency oriented by degeneracy rank: for every vertex, the
 /// `(neighbor, edge_id)` pairs of neighbors with *higher* rank, sorted by
 /// neighbor id. Orienting by a degeneracy order bounds out-degrees by the
-/// degeneracy, which caps triangle enumeration at `O(m · degeneracy)`.
-pub(crate) struct OrientedAdjacency {
+/// degeneracy, which caps triangle enumeration at `O(m · degeneracy)`
+/// and lists every clique exactly once, from its lowest-rank vertex.
+///
+/// Building one costs a degeneracy ordering, so a caller that lists the
+/// same cliques twice (a count pass, then a fill pass) builds it once
+/// and hands it to both kernels.
+pub struct OrientedAdjacency {
     offsets: Vec<usize>,
     /// (neighbor, undirected edge id), sorted by neighbor within a vertex.
     arcs: Vec<(u32, u32)>,
 }
 
 impl OrientedAdjacency {
-    pub(crate) fn build(g: &CsrGraph) -> Self {
+    /// Orients `g` by its degeneracy order.
+    pub fn build(g: &CsrGraph) -> Self {
         let (order, _) = degeneracy_order(g);
         let rank = &order.rank;
         let n = g.n();
@@ -47,9 +53,21 @@ impl OrientedAdjacency {
         OrientedAdjacency { offsets, arcs }
     }
 
+    /// The `(neighbor, edge_id)` arcs out of `v`, sorted by neighbor.
     #[inline]
     pub(crate) fn out(&self, v: u32) -> &[(u32, u32)] {
         &self.arcs[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+    }
+
+    /// Number of vertices oriented.
+    pub(crate) fn vertex_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Number of arcs, which is the graph's edge count: every edge is
+    /// oriented exactly once.
+    pub(crate) fn edge_count(&self) -> usize {
+        self.arcs.len()
     }
 }
 
@@ -173,14 +191,7 @@ pub struct TriangleList {
 impl TriangleList {
     /// Enumerates and stores all triangles of `g`.
     pub fn build(g: &CsrGraph) -> Self {
-        let mut vertices = Vec::new();
-        let mut edges = Vec::new();
-        for_each_triangle(g, |a, b, c, e_ab, e_ac, e_bc| {
-            let (vs, es) = canonical_triangle(a, b, c, e_ab, e_ac, e_bc);
-            vertices.push(vs);
-            edges.push(es);
-        });
-        TriangleList { vertices, edges }
+        Self::build_oriented(&OrientedAdjacency::build(g), 1)
     }
 
     /// Enumerates and stores all triangles of `g` using `threads` worker
@@ -197,13 +208,29 @@ impl TriangleList {
         if threads <= 1 {
             return Self::build(g);
         }
-        let oriented = OrientedAdjacency::build(g);
-        let weights: Vec<usize> = (0..g.n() as u32)
-            .map(|u| {
-                let d = oriented.out(u).len();
-                d * d + d
-            })
-            .collect();
+        Self::build_oriented(&OrientedAdjacency::build(g), threads)
+    }
+
+    /// [`TriangleList::build_with_threads`] over an orientation the
+    /// caller already holds, so a caller that lists the graph's K4s next
+    /// ([`crate::parallel::k4_degrees_oriented`]) orients it once. The
+    /// output equals [`TriangleList::build`] at any thread count.
+    pub fn build_oriented(oriented: &OrientedAdjacency, threads: usize) -> Self {
+        if threads <= 1 {
+            let mut tris = TriangleList {
+                vertices: Vec::new(),
+                edges: Vec::new(),
+            };
+            for u in 0..oriented.vertex_count() as u32 {
+                for_each_triangle_from(oriented, u, &mut |a, b, c, e_ab, e_ac, e_bc| {
+                    let (vs, es) = canonical_triangle(a, b, c, e_ab, e_ac, e_bc);
+                    tris.vertices.push(vs);
+                    tris.edges.push(es);
+                });
+            }
+            return tris;
+        }
+        let weights = crate::parallel::oriented_weights(oriented);
         let ranges = crate::parallel::balanced_ranges(&weights, threads);
         // Pass 1: triangles per range.
         let counts: Vec<usize> = std::thread::scope(|scope| {
@@ -211,7 +238,6 @@ impl TriangleList {
                 .iter()
                 .cloned()
                 .map(|range| {
-                    let oriented = &oriented;
                     scope.spawn(move || {
                         let mut c = 0usize;
                         for u in range {
@@ -241,16 +267,12 @@ impl TriangleList {
             |range, vs_chunk, es_chunk| {
                 let mut pos = 0usize;
                 for u in range {
-                    for_each_triangle_from(
-                        &oriented,
-                        u as u32,
-                        &mut |a, b, c, e_ab, e_ac, e_bc| {
-                            let (vs, es) = canonical_triangle(a, b, c, e_ab, e_ac, e_bc);
-                            vs_chunk[pos] = vs;
-                            es_chunk[pos] = es;
-                            pos += 1;
-                        },
-                    );
+                    for_each_triangle_from(oriented, u as u32, &mut |a, b, c, e_ab, e_ac, e_bc| {
+                        let (vs, es) = canonical_triangle(a, b, c, e_ab, e_ac, e_bc);
+                        vs_chunk[pos] = vs;
+                        es_chunk[pos] = es;
+                        pos += 1;
+                    });
                 }
                 assert_eq!(pos, vs_chunk.len(), "count pass must match fill pass");
             },

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use nucleus_cliques::four_cliques::{k4_count, k4_degrees};
 use nucleus_cliques::kclique::{count_cliques, for_each_clique};
 use nucleus_cliques::triangles::{edge_supports, triangle_count};
-use nucleus_cliques::{TriangleIndex, TriangleList};
+use nucleus_cliques::{k4_degrees_parallel, TriangleIndex, TriangleList};
 use nucleus_graph::CsrGraph;
 
 fn graph_strategy(n: u32, m_max: usize) -> impl Strategy<Value = CsrGraph> {
@@ -61,6 +61,8 @@ proptest! {
         // degrees sum to 4 × K4 count
         let deg_sum: u64 = k4_degrees(&g, &tl).iter().map(|&d| d as u64).sum();
         prop_assert_eq!(deg_sum, 4 * count_cliques(&g, 4));
+        // listing each K4 once gives the same per-triangle degrees
+        prop_assert_eq!(k4_degrees_parallel(&g, &tl, 2), k4_degrees(&g, &tl));
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub fn nucleus_vertices<S: PeelSpace>(space: &S, h: &Hierarchy, node: u32) -> Ve
 }
 
 /// Builds a [`NucleusSummary`] for `node`. Density is computed only when
-/// the nucleus spans at most `density_limit` vertices (it costs
-/// O(|V|² log deg)).
+/// the nucleus spans at most `density_limit` vertices (an induced-edge
+/// count, O(Σ_{v ∈ V} min(deg v, |V|) · log) over its vertex set V).
 pub fn summarize_nucleus<S: PeelSpace>(
     g: &CsrGraph,
     space: &S,

@@ -26,7 +26,10 @@
 //!   co-cell ids. Peeling and traversal then touch only two contiguous
 //!   arrays — no intersections, no pointer chasing — at the cost of
 //!   `containers × (C(s,r) − 1) × 4` bytes (e.g. two words per triangle
-//!   per edge for (2,3), three words per K4 per triangle for (3,4)).
+//!   per edge for (2,3), three words per K4 per triangle for (3,4)). A
+//!   space may fill the whole index in one pass instead of cell by cell
+//!   ([`PeelSpace::fused_records`]): (2,3) scatters it from the oriented
+//!   triangle listing that also counts its ω.
 //!
 //! Both backends produce bit-identical results (the proptests in
 //! `tests/proptests.rs` pin λ, peeling order and FND hierarchies);
@@ -83,6 +86,17 @@ pub trait PeelSpace: PeelBackend {
     /// Human-readable space name, e.g. `"(2,3)"`.
     fn name(&self) -> String {
         format!("({},{})", self.r(), self.s())
+    }
+
+    /// Every cell's container records from one whole-space pass, for a
+    /// space that has one cheaper than enumerating cell by cell: the
+    /// records [`PeelBackend::for_each_container`] yields, in its order,
+    /// cells back to back over `offsets` (the prefix sum of
+    /// [`PeelBackend::degrees`], in records). The default `None` makes
+    /// [`ContainerIndex::build_with_counts`] fill cell by cell.
+    fn fused_records(&self, offsets: &[usize], threads: usize) -> Option<Vec<u32>> {
+        let _ = (offsets, threads);
+        None
     }
 }
 

@@ -1,10 +1,9 @@
 //! (2,3) space: cells are edges, containers are triangles → k-truss
 //! community / k-(2,3) nucleus.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use nucleus_cliques::parallel::edge_supports_parallel;
-use nucleus_cliques::triangles::edge_supports;
+use nucleus_cliques::{edge_companion_records, edge_supports_oriented, OrientedAdjacency};
 use nucleus_graph::CsrGraph;
 
 use super::{PeelBackend, PeelSpace};
@@ -12,10 +11,18 @@ use super::{PeelBackend, PeelSpace};
 /// The triangle peeling space over a graph: `ω₃(e)` = number of
 /// triangles through edge `e`. Containers of `e = {u, v}` are found by
 /// intersecting the sorted adjacency lists of `u` and `v`, yielding the
-/// two companion edge ids per triangle without hashing.
+/// two companion edge ids per triangle without hashing. The materialized
+/// backend instead fills every edge's containers at once, from the
+/// oriented triangle listing that counted the supports
+/// ([`PeelSpace::fused_records`]).
 pub struct EdgeSpace<'g> {
     g: &'g CsrGraph,
     supports: OnceLock<Vec<u32>>,
+    /// The degeneracy orientation the support count listed triangles
+    /// over, parked until the fused record fill lists them again (so a
+    /// prepare orients the graph once); the fill takes and frees it. A
+    /// space that never materializes keeps it until it is dropped.
+    oriented: Mutex<Option<OrientedAdjacency>>,
     threads: usize,
 }
 
@@ -35,6 +42,7 @@ impl<'g> EdgeSpace<'g> {
         EdgeSpace {
             g,
             supports: OnceLock::new(),
+            oriented: Mutex::new(None),
             threads,
         }
     }
@@ -42,6 +50,12 @@ impl<'g> EdgeSpace<'g> {
     /// The underlying graph.
     pub fn graph(&self) -> &CsrGraph {
         self.g
+    }
+
+    fn parked(&self) -> MutexGuard<'_, Option<OrientedAdjacency>> {
+        self.oriented
+            .lock()
+            .expect("no thread panics while holding the parked orientation")
     }
 }
 
@@ -53,11 +67,10 @@ impl PeelBackend for EdgeSpace<'_> {
     fn degrees(&self) -> Vec<u32> {
         self.supports
             .get_or_init(|| {
-                if self.threads <= 1 {
-                    edge_supports(self.g)
-                } else {
-                    edge_supports_parallel(self.g, self.threads)
-                }
+                let oriented = OrientedAdjacency::build(self.g);
+                let supports = edge_supports_oriented(&oriented, self.threads);
+                *self.parked() = Some(oriented);
+                supports
             })
             .clone()
     }
@@ -97,6 +110,12 @@ impl PeelSpace for EdgeSpace<'_> {
         let (u, v) = self.g.endpoints(cell);
         out.push(u);
         out.push(v);
+    }
+
+    fn fused_records(&self, offsets: &[usize], threads: usize) -> Option<Vec<u32>> {
+        let parked = self.parked().take();
+        let oriented = parked.unwrap_or_else(|| OrientedAdjacency::build(self.g));
+        Some(edge_companion_records(self.g, &oriented, offsets, threads))
     }
 }
 

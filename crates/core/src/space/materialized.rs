@@ -4,7 +4,8 @@
 //! Every lazy space answers [`PeelBackend::for_each_container`] by
 //! re-running a sorted-list intersection — work that peeling repeats for
 //! a cell each time one of its containers dies. [`ContainerIndex`]
-//! performs that enumeration exactly once per cell, storing each
+//! performs that enumeration exactly once per cell (or once for the
+//! whole space, when the space has a fused fill), storing each
 //! container as a fixed-width record of co-cell ids in a
 //! [`FlatRecords`] buffer; [`MaterializedSpace`] then serves the whole
 //! [`PeelSpace`] interface from the flat index, so `peel`, `dft`,
@@ -217,11 +218,48 @@ pub struct ContainerIndex {
     store: FlatStore,
 }
 
+/// Every cell's records from [`PeelBackend::for_each_container`], laid
+/// out over `offsets`: each worker fills a disjoint slice, over ranges
+/// balanced by per-cell container count.
+fn fill_per_cell<S: PeelSpace + Sync>(
+    space: &S,
+    offsets: &[usize],
+    arity: usize,
+    threads: usize,
+) -> Vec<u32> {
+    let mut data = vec![0u32; offsets[offsets.len() - 1] * arity];
+    let weights: Vec<usize> = offsets.windows(2).map(|w| w[1] - w[0] + 1).collect();
+    fill_ranges_scoped(
+        &mut data,
+        balanced_ranges(&weights, threads),
+        |range| (offsets[range.end] - offsets[range.start]) * arity,
+        |range, chunk| {
+            let mut pos = 0usize;
+            for cell in range {
+                space.for_each_container(cell as u32, |others| {
+                    debug_assert_eq!(others.len(), arity, "record arity");
+                    chunk[pos..pos + arity].copy_from_slice(others);
+                    pos += arity;
+                });
+            }
+            // Hard assert: a space whose degrees() overstates its
+            // enumeration would otherwise leave zero-filled records
+            // (co-cell id 0) and corrupt results silently in
+            // release builds. O(1) per worker range.
+            assert_eq!(pos, chunk.len(), "degrees must match enumeration");
+        },
+    );
+    data
+}
+
 impl ContainerIndex {
     /// Builds the index from a lazy space using up to `threads` worker
     /// threads. ω degrees give exact record counts, so the buffer is
-    /// allocated once and each worker fills a disjoint slice (ranges
-    /// balanced by per-cell container count; no locks, no atomics).
+    /// allocated once: a space with a whole-space fill
+    /// ([`PeelSpace::fused_records`]) writes it in one pass, any other
+    /// is filled cell by cell, each worker taking a disjoint slice
+    /// (ranges balanced by per-cell container count; no locks, no
+    /// atomics).
     pub fn build<S: PeelSpace + Sync>(space: &S, threads: usize) -> Self {
         Self::build_with_counts(space, space.degrees(), threads)
     }
@@ -234,33 +272,19 @@ impl ContainerIndex {
         counts: Vec<u32>,
         threads: usize,
     ) -> Self {
-        let n = space.cell_count();
-        debug_assert_eq!(counts.len(), n, "counts must cover every cell");
+        debug_assert_eq!(
+            counts.len(),
+            space.cell_count(),
+            "counts must cover every cell"
+        );
         let arity = record_arity(space.r(), space.s());
         let offsets = offsets_from_counts(&counts);
-        let mut data = vec![0u32; offsets[n] * arity];
-        let weights: Vec<usize> = counts.iter().map(|&c| c as usize + 1).collect();
-        let ranges = balanced_ranges(&weights, threads.max(1));
-        fill_ranges_scoped(
-            &mut data,
-            ranges,
-            |range| (offsets[range.end] - offsets[range.start]) * arity,
-            |range, chunk| {
-                let mut pos = 0usize;
-                for cell in range {
-                    space.for_each_container(cell as u32, |others| {
-                        debug_assert_eq!(others.len(), arity, "record arity");
-                        chunk[pos..pos + arity].copy_from_slice(others);
-                        pos += arity;
-                    });
-                }
-                // Hard assert: a space whose degrees() overstates its
-                // enumeration would otherwise leave zero-filled records
-                // (co-cell id 0) and corrupt results silently in
-                // release builds. O(1) per worker range.
-                assert_eq!(pos, chunk.len(), "degrees must match enumeration");
-            },
-        );
+        drop(counts);
+        let threads = threads.max(1);
+        let data = match space.fused_records(&offsets, threads) {
+            Some(data) => data,
+            None => fill_per_cell(space, &offsets, arity, threads),
+        };
         ContainerIndex {
             store: FlatStore::Owned(FlatRecords::from_parts(offsets, data, arity)),
         }

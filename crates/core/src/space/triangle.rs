@@ -1,10 +1,9 @@
 //! (3,4) space: cells are triangles, containers are four-cliques →
 //! k-(3,4) nucleus, the paper's densest/most-detailed decomposition.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
-use nucleus_cliques::four_cliques::k4_degrees;
-use nucleus_cliques::{k4_degrees_parallel, TriangleIndex, TriangleList};
+use nucleus_cliques::{k4_degrees_oriented, OrientedAdjacency, TriangleIndex, TriangleList};
 use nucleus_graph::CsrGraph;
 
 use super::{PeelBackend, PeelSpace};
@@ -15,14 +14,20 @@ use super::{PeelBackend, PeelSpace};
 /// lists; companion triangle ids come from the [`TriangleIndex`].
 ///
 /// Only the triangle list itself — the cell identities — is built
-/// eagerly. The per-edge index (consulted by container enumeration) and
-/// the K4 counts (`ω`) are deferred to first use: a session loading a
-/// persisted (3,4) index needs neither and pays for neither.
+/// eagerly. The per-edge index (consulted by container enumeration and
+/// by the K4 count) and the K4 counts (`ω`) are deferred to first use: a
+/// session loading a persisted (3,4) index needs neither and pays for
+/// neither.
 pub struct TriangleSpace<'g> {
     g: &'g CsrGraph,
     tris: TriangleList,
     index: OnceLock<TriangleIndex>,
     k4deg: OnceLock<Vec<u32>>,
+    /// The degeneracy orientation the triangle listing ran over, parked
+    /// until the K4 count lists K4s over it (so a prepare orients the
+    /// graph once); the count takes and frees it. A space that never
+    /// counts ω keeps it until it is dropped.
+    oriented: Mutex<Option<OrientedAdjacency>>,
     threads: usize,
 }
 
@@ -42,11 +47,13 @@ impl<'g> TriangleSpace<'g> {
     /// three parallel builders are bit-identical to their serial twins,
     /// so the space's observable state never depends on `threads`.
     pub fn with_threads(g: &'g CsrGraph, threads: usize) -> Self {
+        let oriented = OrientedAdjacency::build(g);
         TriangleSpace {
             g,
-            tris: TriangleList::build_with_threads(g, threads),
+            tris: TriangleList::build_oriented(&oriented, threads),
             index: OnceLock::new(),
             k4deg: OnceLock::new(),
+            oriented: Mutex::new(Some(oriented)),
             threads,
         }
     }
@@ -58,11 +65,15 @@ impl<'g> TriangleSpace<'g> {
 
     fn k4deg(&self) -> &[u32] {
         self.k4deg.get_or_init(|| {
-            if self.threads <= 1 {
-                k4_degrees(self.g, &self.tris)
-            } else {
-                k4_degrees_parallel(self.g, &self.tris, self.threads)
-            }
+            // Each K4 is listed once; its triangles' ids come from the
+            // index container enumeration needs anyway.
+            let parked = self
+                .oriented
+                .lock()
+                .expect("no thread panics while holding the parked orientation")
+                .take();
+            let oriented = parked.unwrap_or_else(|| OrientedAdjacency::build(self.g));
+            k4_degrees_oriented(&oriented, &self.tris, self.index(), self.threads)
         })
     }
 

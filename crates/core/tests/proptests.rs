@@ -15,12 +15,63 @@ use nucleus_core::decompose::{
 use nucleus_core::peel::{peel, peel_parallel_with, peel_reference, FrontierOptions};
 use nucleus_core::persist::PreparedIndex;
 use nucleus_core::session::Nucleus;
+use nucleus_core::space::materialized::record_arity;
 use nucleus_core::space::{
     EdgeK4Space, EdgeSpace, MaterializedSpace, PeelBackend, PeelSpace, TriangleSpace, VertexSpace,
     VertexTriangleSpace,
 };
 use nucleus_core::validate::check_semantics;
+use nucleus_graph::flat::{offsets_from_counts, FlatRecords};
+use nucleus_graph::persist_io::{encode_index, graph_fingerprint};
 use nucleus_graph::CsrGraph;
+
+/// A fresh path under the system temp dir for one persisted index.
+fn temp_index_path(tag: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static COUNTER: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join("nucleus-persist-proptests");
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(format!(
+        "{}-{}-{tag}.nidx",
+        std::process::id(),
+        COUNTER.fetch_add(1, Ordering::Relaxed),
+    ))
+}
+
+/// A space's container records as its `for_each_container` enumerates
+/// them, cell by cell: the reference every index fill must reproduce
+/// record for record.
+fn per_cell_records<S: PeelSpace>(space: &S) -> FlatRecords {
+    let mut counts = Vec::with_capacity(space.cell_count());
+    let mut data = Vec::new();
+    for cell in 0..space.cell_count() as u32 {
+        let mut count = 0u32;
+        space.for_each_container(cell, |others| {
+            data.extend_from_slice(others);
+            count += 1;
+        });
+        counts.push(count);
+    }
+    let arity = record_arity(space.r(), space.s());
+    FlatRecords::from_parts(offsets_from_counts(&counts), data, arity)
+}
+
+/// The bytes `Prepared::save` writes for a materialized `kind` session
+/// prepared on `threads` threads.
+fn saved_index_bytes(g: &CsrGraph, kind: Kind, threads: usize) -> Vec<u8> {
+    let path = temp_index_path(kind.name());
+    Nucleus::builder(g)
+        .kind(kind)
+        .backend(Backend::Materialized)
+        .threads(threads)
+        .prepare()
+        .expect("prepare")
+        .save(&path)
+        .expect("save");
+    let bytes = std::fs::read(&path).expect("read back");
+    std::fs::remove_file(&path).ok();
+    bytes
+}
 
 /// Pins every parallel prepare-phase builder to its serial twin,
 /// bit-for-bit, at 1, 2 and 8 worker threads:
@@ -29,7 +80,13 @@ use nucleus_graph::CsrGraph;
 ///   edge→thirds index ([`TriangleIndex::build_with_threads`]) — the
 ///   shared substrate of the (1,3), (2,3), (2,4) and (3,4) spaces;
 /// * the per-family ω-degree kernels (edge supports, per-vertex triangle
-///   counts, per-edge K4 degrees) that feed the peeling engines;
+///   counts, per-edge K4 degrees, and the per-triangle K4 count that
+///   lists each K4 once, against serial `k4_degrees`) that feed the
+///   peeling engines;
+/// * the fused container-record fills — (2,3) scattered from the
+///   oriented triangle listing, (3,4) from the space's index — against
+///   the lazy per-cell enumeration, record for record, and the bytes
+///   `Prepared::save` writes against an image encoded from it;
 /// * the whole prepared pipeline: `prepare` → FND at every thread count
 ///   must produce identical λ and an identical hierarchy for all five
 ///   kinds (the frontier engine is pinned so the peel itself is the
@@ -37,17 +94,51 @@ use nucleus_graph::CsrGraph;
 ///   forces the parallel `build_hierarchy` path via
 ///   `min_parallel_work: 0`).
 fn check_prepare_equivalence(g: &CsrGraph) {
+    use nucleus_cliques::four_cliques::k4_degrees;
     use nucleus_cliques::triangles::edge_supports;
     use nucleus_cliques::{
-        k4_edge_degrees, k4_edge_degrees_parallel, vertex_triangle_counts,
+        k4_degrees_parallel, k4_edge_degrees, k4_edge_degrees_parallel, vertex_triangle_counts,
         vertex_triangle_counts_parallel, TriangleIndex, TriangleList,
     };
     let tris = TriangleList::build(g);
     let index = TriangleIndex::build(g, &tris);
     let vtc = vertex_triangle_counts(g);
     let k4d = k4_edge_degrees(g, &index);
+    let k4t = k4_degrees(g, &tris);
     let supports = edge_supports(g);
+    let truss_records = per_cell_records(&EdgeSpace::new(g));
+    let n34_records = per_cell_records(&TriangleSpace::new(g));
+    let fingerprint = graph_fingerprint(g);
     for threads in [1usize, 2, 8] {
+        assert_eq!(
+            k4t,
+            k4_degrees_parallel(g, &tris, threads),
+            "K4 triangle degrees at t={threads}"
+        );
+        let es = EdgeSpace::with_threads(g, threads);
+        assert_eq!(supports, es.degrees(), "(2,3) ω at t={threads}");
+        assert_eq!(
+            truss_records,
+            per_cell_records(&MaterializedSpace::with_threads(&es, threads)),
+            "(2,3) records at t={threads}"
+        );
+        let ts = TriangleSpace::with_threads(g, threads);
+        assert_eq!(k4t, ts.degrees(), "(3,4) ω at t={threads}");
+        assert_eq!(
+            n34_records,
+            per_cell_records(&MaterializedSpace::with_threads(&ts, threads)),
+            "(3,4) records at t={threads}"
+        );
+        for (kind, records) in [
+            (Kind::Truss, &truss_records),
+            (Kind::Nucleus34, &n34_records),
+        ] {
+            let (r, s) = kind.rs();
+            assert!(
+                saved_index_bytes(g, kind, threads) == encode_index(r, s, fingerprint, records),
+                "{kind} saved image at t={threads}"
+            );
+        }
         assert_eq!(
             tris,
             TriangleList::build_with_threads(g, threads),
@@ -281,16 +372,7 @@ fn check_session_equivalence(g: &CsrGraph, kind: Kind) {
 /// equality flows through the on-disk format, so any encode/decode
 /// asymmetry fails loudly here.
 fn check_persist_round_trip(g: &CsrGraph, kind: Kind) {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join("nucleus-persist-proptests");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!(
-        "{}-{}-{}.nidx",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed),
-        kind.name(),
-    ));
+    let path = temp_index_path(kind.name());
     let prepared = Nucleus::builder(g)
         .kind(kind)
         .backend(Backend::Materialized)
@@ -351,6 +433,19 @@ fn prepare_equivalence_on_er_and_ba_models() {
     let er = nucleus_gen::er::gnp(80, 0.1, 7);
     let ba = nucleus_gen::ba::barabasi_albert(100, 4, 7);
     for g in [&er, &ba] {
+        check_prepare_equivalence(g);
+    }
+}
+
+/// Deterministic prepare-phase coverage beyond the random models: a
+/// hub-heavy R-MAT graph (skewed degrees, so a few hub edges carry most
+/// of the triangles and K4s), a triangle-free cycle and the empty graph.
+#[test]
+fn prepare_equivalence_on_rmat_and_degenerate_graphs() {
+    let rmat = nucleus_gen::rmat::rmat(7, 8, nucleus_gen::rmat::RmatParams::skewed(), 7);
+    let cycle = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
+    let empty = CsrGraph::from_edges(0, &[]);
+    for g in [&rmat, &cycle, &empty] {
         check_prepare_equivalence(g);
     }
 }

@@ -217,18 +217,41 @@ impl CsrGraph {
             .sum()
     }
 
-    /// Induced edge count among `set` (must be small; O(|set|·log·deg)).
-    /// Used for density reports on extracted nuclei.
+    /// Number of edges with both endpoints in `set`, a set of distinct
+    /// vertices in any order; used for density reports on nuclei. Each
+    /// edge is counted once, from its smaller endpoint `u`: the shorter
+    /// of `N(u) ∩ (u, ∞)` and `set ∩ (u, ∞)` is binary-searched in the
+    /// other, so the cost is O(Σ_{u ∈ set} min(deg u, |set|) · log).
+    /// Sorted sets (what nucleus vertex listings return) are read in
+    /// place; others are sorted into a copy first.
     pub fn induced_edge_count(&self, set: &[u32]) -> usize {
-        let mut count = 0usize;
-        for (i, &u) in set.iter().enumerate() {
-            for &v in &set[i + 1..] {
-                if self.has_edge(u.min(v), u.max(v)) || self.has_edge(u.max(v), u.min(v)) {
-                    count += 1;
-                }
-            }
-        }
-        count
+        let sorted;
+        let set = if set.windows(2).all(|w| w[0] < w[1]) {
+            set
+        } else {
+            let mut copy = set.to_vec();
+            copy.sort_unstable();
+            copy.dedup();
+            sorted = copy;
+            &sorted
+        };
+        set.iter()
+            .enumerate()
+            .map(|(i, &u)| {
+                let later = &set[i + 1..];
+                let nu = self.neighbors(u);
+                let up = &nu[nu.partition_point(|&w| w <= u)..];
+                let (short, long) = if up.len() <= later.len() {
+                    (up, later)
+                } else {
+                    (later, up)
+                };
+                short
+                    .iter()
+                    .filter(|w| long.binary_search(w).is_ok())
+                    .count()
+            })
+            .sum()
     }
 
     /// Density `2m / (n (n-1))` of the subgraph induced by `set`.
@@ -301,6 +324,48 @@ mod tests {
         assert_eq!(g.induced_edge_count(&[0, 1, 2]), 3);
         assert!((g.induced_density(&[0, 1, 2]) - 1.0).abs() < 1e-12);
         assert_eq!(g.induced_edge_count(&[0, 3]), 0);
+    }
+
+    /// Pairwise reference for [`CsrGraph::induced_edge_count`].
+    fn induced_by_pairs(g: &CsrGraph, set: &[u32]) -> usize {
+        let mut count = 0;
+        for (i, &u) in set.iter().enumerate() {
+            for &v in &set[i + 1..] {
+                if g.has_edge(u, v) {
+                    count += 1;
+                }
+            }
+        }
+        count
+    }
+
+    #[test]
+    fn induced_edge_count_matches_pairwise() {
+        // xorshift64: deterministic graphs and subsets, no rand dependency
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as u32
+        };
+        for n in [1u32, 2, 7, 40, 150] {
+            let mut edges: Vec<(u32, u32)> = (0..3 * n).map(|_| (next(n), next(n))).collect();
+            // a hub adjacent to everything: its neighbour list outgrows
+            // small sets, so both probe directions run
+            edges.extend((1..n).map(|v| (0, v)));
+            let g = CsrGraph::from_edges(n as usize, &edges);
+            for _ in 0..25 {
+                let mut set: Vec<u32> = (0..n).filter(|_| next(3) == 0).collect();
+                let want = induced_by_pairs(&g, &set);
+                assert_eq!(g.induced_edge_count(&set), want, "sorted {set:?}");
+                set.reverse();
+                assert_eq!(g.induced_edge_count(&set), want, "unsorted {set:?}");
+            }
+            let all: Vec<u32> = (0..n).collect();
+            assert_eq!(g.induced_edge_count(&all), g.m());
+        }
+        assert_eq!(CsrGraph::from_edges(0, &[]).induced_edge_count(&[]), 0);
     }
 
     #[test]

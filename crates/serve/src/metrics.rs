@@ -5,7 +5,8 @@
 //! lock, and a `stats` query (or the shutdown dump) reads a consistent-
 //! enough snapshot. The histogram uses power-of-two nanosecond buckets
 //! (bucket *i* holds latencies in `[2^i, 2^(i+1))` ns), so p99 is exact
-//! to within a factor of two and `min`/`mean`/`max` are exact.
+//! to within a factor of two (and clamped to the observed `[min, max]`)
+//! and `min`/`mean`/`max` are exact.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -65,13 +66,16 @@ impl Histogram {
         let count = self.count.load(Ordering::Relaxed);
         let sum = self.sum_ns.load(Ordering::Relaxed);
         let min = self.min_ns.load(Ordering::Relaxed);
+        let max = self.max_ns.load(Ordering::Relaxed);
         let buckets: Vec<u64> = self
             .buckets
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
         // p99 = upper bound of the first bucket whose cumulative count
-        // reaches 99% of the total (exact to within 2×).
+        // reaches 99% of the total (exact to within 2×), clamped to the
+        // observed [min, max]: a bucket's bound can lie above every
+        // observation in it, and p99 must never read above max.
         let p99_ns = if count == 0 {
             0
         } else {
@@ -89,14 +93,14 @@ impl Histogram {
                     break;
                 }
             }
-            bound
+            bound.max(min).min(max)
         };
         HistogramSnapshot {
             count,
             min_ns: if count == 0 { 0 } else { min },
             mean_ns: sum.checked_div(count).unwrap_or(0),
             p99_ns,
-            max_ns: self.max_ns.load(Ordering::Relaxed),
+            max_ns: max,
         }
     }
 }
@@ -110,7 +114,8 @@ pub struct HistogramSnapshot {
     pub min_ns: u64,
     /// Mean observation, ns (0 when empty).
     pub mean_ns: u64,
-    /// 99th-percentile upper bound, ns (bucket-quantized, ≤ 2× exact).
+    /// 99th-percentile upper bound, ns (bucket-quantized, ≤ 2× exact,
+    /// clamped to `[min_ns, max_ns]`).
     pub p99_ns: u64,
     /// Slowest observation, ns.
     pub max_ns: u64,
@@ -262,6 +267,16 @@ mod tests {
         assert_eq!(s.mean_ns, (100 + 200 + 300 + 400 + 1_000_000) / 5);
         // p99 must cover the slowest observation's bucket.
         assert!(s.p99_ns >= 1_000_000 && s.p99_ns < 2_097_152);
+    }
+
+    #[test]
+    fn p99_is_clamped_to_the_observed_range() {
+        // 58 µs lands in the [32768, 65535] ns bucket, whose upper
+        // bound lies above the only observation.
+        let h = Histogram::new();
+        h.record(58_000);
+        let s = h.snapshot();
+        assert_eq!((s.min_ns, s.p99_ns, s.max_ns), (58_000, 58_000, 58_000));
     }
 
     #[test]
