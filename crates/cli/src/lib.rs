@@ -24,7 +24,9 @@
 //!   locally or against a running server (`--connect`).
 //!
 //! Argument parsing is hand-rolled (no external CLI dependency): flags
-//! are `--name value` pairs, collected into [`Args`].
+//! are `--name value` pairs, collected into [`Args`]. Each subcommand
+//! accepts exactly the flags it reads; any other flag is an error
+//! before the command does any work.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -94,6 +96,53 @@ impl Args {
     }
 }
 
+/// Every flag each subcommand reads. [`run`] rejects any other flag
+/// before the command starts, so a typo cannot run silently with
+/// defaults; [`USAGE`] lists each of them.
+const COMMAND_FLAGS: &[(&str, &str)] = &[
+    (
+        "generate",
+        "model out seed n m p k scale blocks block-size p-in p-out count",
+    ),
+    ("prepare", "input kind out threads"),
+    (
+        "decompose",
+        "input kind index algo backend engine threads explain json dot depth",
+    ),
+    ("stats", "input"),
+    ("update", "input ops kind batch out json verify"),
+    (
+        "serve",
+        "graph input index kind mutable bind port workers algo queue-depth timeout-ms \
+         max-line-bytes signal-file addr-file threads",
+    ),
+    (
+        "query",
+        "input u v k type request cell node limit algo id index kind threads connect",
+    ),
+];
+
+/// Rejects any flag `args.command` does not read, naming the flag and
+/// the subcommand. Commands without an entry in [`COMMAND_FLAGS`]
+/// (help, unknown commands) take no flags worth checking.
+fn check_flags(args: &Args) -> Result<(), String> {
+    let Some((_, known)) = COMMAND_FLAGS.iter().find(|(c, _)| *c == args.command) else {
+        return Ok(());
+    };
+    // `min` picks the same offender on every run (the map is unordered).
+    let unknown = args
+        .flags
+        .keys()
+        .filter(|f| !known.split_whitespace().any(|k| k == f.as_str()));
+    match unknown.min() {
+        None => Ok(()),
+        Some(flag) => Err(format!(
+            "unknown flag --{flag} for `nucleus {}` (see `nucleus help`)",
+            args.command
+        )),
+    }
+}
+
 /// Usage text.
 pub const USAGE: &str = "\
 nucleus — dense-subgraph hierarchies (Sariyuce & Pinar, VLDB 2016)
@@ -106,25 +155,28 @@ USAGE:
                            (or the (r,s) pair: 1,2 | 1,3 | 2,3 | 2,4 | 3,4)
                     [--index INDEX] [--algo <naive|dft|fnd|lcps>]
                     [--backend <auto|lazy|materialized>]
-                    [--engine <auto|serial|frontier>] [--threads N]
-                    [--frontier-serial-below N] [--explain]
+                    [--engine <auto|serial|frontier>] [--threads N] [--explain]
                     [--json FILE] [--dot FILE] [--depth N]
   nucleus stats     --input FILE
   nucleus update    --input FILE --ops OPS
                     [--kind KIND] [--batch N] [--out FILE]
                     [--json FILE] [--verify]
   nucleus serve     --graph FILE [--index INDEX | --kind KIND]
-                    [--mutable] [--port P] [--workers N] [--algo A]
-                    [--timeout-ms MS] [--max-line-bytes B]
+                    [--mutable] [--bind ADDR] [--port P] [--workers N] [--algo A]
+                    [--queue-depth N] [--timeout-ms MS] [--max-line-bytes B]
                     [--signal-file FILE] [--addr-file FILE] [--threads N]
   nucleus query     --input FILE --u U --v V --k K        (k-truss edge lookup)
-  nucleus query     --type <lambda|nuclei-of|members|subtree|density|
-                            densest|level-profile|stats>
-                    [--cell C] [--node N] [--limit L] [--algo A] [--id I]
-                    ( --input FILE [--index INDEX | --kind KIND]
+  nucleus query     ( --type <lambda|nuclei-of|members|subtree|density|
+                              densest|level-profile|stats>
+                      [--cell C] [--node N] [--limit L] [--algo A] [--id I]
+                    | --request JSON )
+                    ( --input FILE [--index INDEX | --kind KIND] [--threads N]
                     | --connect HOST:PORT )
 
-generate flags: --n N --m M --p P --seed S --blocks B --block-size Z
+model flags (every model also takes --seed S):
+  er --n N --p P    ba --n N --m M    hk --n N --m M --p P    ws --n N --k K --p P
+  rmat --scale S --m M    planted --blocks B --block-size Z --p-in P --p-out P
+  cliques --count C
 examples:
   nucleus generate --model ba --n 10000 --m 5 --out web.txt
   nucleus decompose --input web.txt --kind truss --algo fnd --depth 3
@@ -136,12 +188,6 @@ With --index, --kind is optional (the index file stores the family) and
 must agree with the file when given; the index is rejected if the graph
 changed since `prepare`.
 
---frontier-serial-below N tunes the frontier engine's hybrid rounds:
-mid-level frontiers with fewer than N cells drain their λ-level
-serially, and a λ-level opening with under 1/8 of the remaining cells
-hands the whole residual to the serial bucket queue
-(default 64; 0 disables both fallbacks).
-
 `update` reads OPS as one op per line (`+ U V`, `- U V`, `#` comments),
 applies it in `--batch`-sized batches (0 = one batch) with exact
 incremental maintenance for core/truss and scoped recompute for the
@@ -150,9 +196,12 @@ maintained lambdas against a full recompute, `--out` writes the mutated
 edge list.
 
 `serve` speaks line-delimited JSON (one request object per line, one
-response per line); `--port 0` binds an ephemeral port, written to
---addr-file for scripts. Stop it with a {\"query\":\"shutdown\"} request
-or by creating the --signal-file; request metrics are dumped on exit.
+response per line) on --bind (default 127.0.0.1); `--port 0` binds an
+ephemeral port, written to --addr-file for scripts. --input is an alias
+of --graph, and --queue-depth sizes the hand-off queue between the
+accept loop and the workers. Stop it with a {\"query\":\"shutdown\"}
+request or by creating the --signal-file; request metrics are dumped on
+exit.
 With --mutable (requires --kind, not --index), `mutate` requests apply
 edge ops and atomically swap in a freshly prepared epoch; the epoch
 counter is surfaced in `stats`.
@@ -161,6 +210,7 @@ counter is surfaced in `stats`.
 /// Runs the CLI; returns the process exit code.
 pub fn run<W: Write>(argv: Vec<String>, out: &mut W) -> Result<(), String> {
     let args = Args::parse(argv)?;
+    check_flags(&args)?;
     match args.command.as_str() {
         "generate" => cmd_generate(&args, out),
         "prepare" => cmd_prepare(&args, out),
@@ -273,10 +323,6 @@ fn cmd_decompose<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let backend = parse_backend(args.get_or("backend", "auto"))?;
     let engine = parse_engine(args.get_or("engine", "auto"))?;
     let threads = args.num("threads", 0usize)?;
-    let frontier_serial_below = args.num(
-        "frontier-serial-below",
-        FrontierOptions::DEFAULT_SERIAL_ROUND_THRESHOLD,
-    )?;
     let prepared = if let Some(index_path) = args.flags.get("index") {
         let index = PreparedIndex::load(index_path).map_err(|e| e.to_string())?;
         // --kind is optional here (the file stores the family) but must
@@ -298,7 +344,6 @@ fn cmd_decompose<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
             .backend(backend)
             .engine(engine)
             .threads(threads)
-            .frontier_serial_below(frontier_serial_below)
             .prepare_from_index(index)
             .map_err(|e| e.to_string())?
     } else {
@@ -312,7 +357,6 @@ fn cmd_decompose<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
             .backend(backend)
             .engine(engine)
             .threads(threads)
-            .frontier_serial_below(frontier_serial_below)
             .prepare()
             .map_err(|e| e.to_string())?
     };
@@ -825,8 +869,8 @@ mod tests {
         // identical hierarchies → identical renderings after the timing line
         let tree = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
         assert_eq!(tree(&serial), tree(&frontier));
-        // FND rides the frontier engine too (with a tuned hybrid
-        // threshold), producing the same hierarchy
+        // FND rides the frontier engine too, producing the same
+        // hierarchy
         let fnd_frontier = run_to_string(&[
             "decompose",
             "--input",
@@ -839,8 +883,6 @@ mod tests {
             "frontier",
             "--threads",
             "2",
-            "--frontier-serial-below",
-            "4",
         ])
         .unwrap();
         assert!(
@@ -1185,7 +1227,7 @@ mod tests {
     }
 
     #[test]
-    fn prepare_then_decompose_with_index() {
+    fn prepare_then_decompose_from_index() {
         let path = tmp("persist-src.txt");
         run_to_string(&["generate", "--model", "karate", "--out", &path]).unwrap();
         let idx = tmp("persist.nidx");
@@ -1289,5 +1331,68 @@ mod tests {
         assert!(run_to_string(&["decompose", "badflag"]).is_err());
         let out = run_to_string(&["decompose", "--kind", "core"]);
         assert!(out.is_err()); // missing --input
+    }
+
+    /// The command lines the CI smoke steps run (shell variables stand
+    /// in as plain values).
+    const CI_SMOKE_LINES: &[&str] = &[
+        "generate --model cliques --count 6 --out /tmp/ci-smoke.txt",
+        "decompose --input /tmp/ci-smoke.txt --kind truss --explain --depth 2",
+        "prepare --input /tmp/ci-smoke.txt --kind truss --out /tmp/ci-smoke.nidx",
+        "decompose --input /tmp/ci-smoke.txt --index /tmp/ci-smoke.nidx --explain --depth 2",
+        "generate --model er --n 100 --p 0.05 --out /tmp/ci-other.txt",
+        "decompose --input /tmp/ci-other.txt --index /tmp/ci-smoke.nidx",
+        "serve --graph /tmp/ci-smoke.txt --index /tmp/ci-smoke.nidx --port 0 --workers 2 \
+         --addr-file /tmp/ci-serve.addr",
+        "query --connect 127.0.0.1:7077 --request {}",
+        "query --input /tmp/ci-smoke.txt --kind truss --type densest",
+        "update --input /tmp/ci-smoke.txt --ops /tmp/ci-ops.txt --kind truss --batch 2 --verify \
+         --json /tmp/ci-update.json",
+        "serve --graph /tmp/ci-smoke.txt --kind truss --mutable --port 0 --workers 2 \
+         --addr-file /tmp/ci-mutserve.addr",
+    ];
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        // A typo and the hybrid-threshold flag `decompose` no longer
+        // has both fail, naming the flag and the subcommand, before any
+        // work: the input file does not exist, yet the error is about
+        // the flag.
+        let removed = concat!("--frontier-serial", "-below");
+        for (flag, value) in [("--thread", "2"), (removed, "0")] {
+            let err = run_to_string(&[
+                "decompose",
+                "--input",
+                "no-such-graph.txt",
+                "--kind",
+                "truss",
+                flag,
+                value,
+            ])
+            .unwrap_err();
+            assert!(
+                err.contains(&format!("unknown flag {flag} for `nucleus decompose`")),
+                "{err}"
+            );
+        }
+        // A flag another subcommand reads is still unknown here.
+        let err = run_to_string(&["stats", "--input", "g.txt", "--kind", "core"]).unwrap_err();
+        assert!(err.contains("--kind") && err.contains("stats"), "{err}");
+        // Every CI smoke command line passes the check.
+        for line in CI_SMOKE_LINES {
+            let args = Args::parse(line.split_whitespace().map(str::to_string)).unwrap();
+            check_flags(&args).unwrap_or_else(|e| panic!("{line}: {e}"));
+        }
+        // USAGE lists every flag a subcommand reads.
+        for (command, flags) in COMMAND_FLAGS {
+            for flag in flags.split_whitespace() {
+                let needle = format!("--{flag}");
+                let listed = USAGE.match_indices(&needle).any(|(i, _)| {
+                    !USAGE[i + needle.len()..]
+                        .starts_with(|c: char| c.is_alphanumeric() || c == '-')
+                });
+                assert!(listed, "USAGE does not list {needle} (read by {command})");
+            }
+        }
     }
 }

@@ -1,13 +1,14 @@
-//! The one-shot decomposition API: pick a family and an algorithm, get
-//! a hierarchy plus phase timings and statistics.
+//! The vocabulary of a decomposition run — family ([`Kind`]), hierarchy
+//! algorithm, [`Backend`] and [`PeelEngine`] — and its result
+//! ([`Decomposition`]).
 //!
-//! Since the prepared-pipeline redesign, [`decompose`] and
-//! [`decompose_with`] are thin wrappers over
-//! [`crate::session::Nucleus`]: they prepare a space, run once, and
-//! drop it. Callers that run *several* algorithms (or repeated queries)
-//! over one graph should hold a [`crate::session::Prepared`] instead —
-//! same results, bit for bit, without re-enumerating cliques and
-//! rebuilding the container index per call.
+//! Runs are configured in one place, [`crate::session::Nucleus::builder`].
+//! [`decompose`] and [`hypo_baseline`] are default-settings shorthands
+//! over it: they prepare a space, run once, and drop it. Callers that
+//! run *several* algorithms (or repeated queries) over one graph should
+//! hold a [`crate::session::Prepared`] instead — same results, bit for
+//! bit, without re-enumerating cliques and rebuilding the container
+//! index per call.
 
 use std::time::Duration;
 
@@ -16,7 +17,6 @@ use nucleus_graph::CsrGraph;
 use crate::error::CoreError;
 use crate::hierarchy::Hierarchy;
 use crate::peel::Peeling;
-use crate::plan;
 use crate::session::Nucleus;
 use crate::space::{ContainerIndex, PeelSpace};
 
@@ -320,50 +320,6 @@ impl std::fmt::Display for PeelEngine {
     }
 }
 
-/// Tuning for [`decompose_with`]. [`Default`] selects the backend
-/// automatically and uses every available CPU for index construction;
-/// [`decompose`] runs with these defaults.
-#[derive(Clone, Copy, Debug)]
-pub struct DecomposeOptions {
-    /// Backend selection policy.
-    pub backend: Backend,
-    /// Peeling engine selection policy. [`PeelEngine::Frontier`]
-    /// requires a materialized run; see the variant docs for the exact
-    /// interaction with `backend`.
-    pub engine: PeelEngine,
-    /// Worker threads for index construction, frontier peeling rounds,
-    /// and parallel ω counting where a space supports it. `0` means
-    /// "all available CPUs".
-    pub threads: usize,
-    /// Hybrid-round threshold for the frontier engine: frontiers
-    /// smaller than this drain the rest of their λ-level serially
-    /// ([`crate::peel::FrontierOptions::serial_round_threshold`]).
-    /// `0` disables the fallback; ignored by the serial engine.
-    pub frontier_serial_below: usize,
-}
-
-impl Default for DecomposeOptions {
-    fn default() -> Self {
-        DecomposeOptions {
-            backend: Backend::Auto,
-            engine: PeelEngine::Auto,
-            threads: 0,
-            frontier_serial_below: crate::peel::FrontierOptions::DEFAULT_SERIAL_ROUND_THRESHOLD,
-        }
-    }
-}
-
-impl DecomposeOptions {
-    /// The thread count with `0` resolved to the CPU count.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        }
-    }
-}
-
 /// Wall-clock phase split, matching Figure 6's peeling/post-processing
 /// decomposition. For FND "peeling" is the extended loop of Alg. 8; for
 /// the others it is space construction + `Set-λ`.
@@ -414,8 +370,12 @@ pub struct Decomposition {
     pub stats: SkeletonStats,
 }
 
-/// Runs the chosen `algorithm` for `kind` on `g` with
-/// [`DecomposeOptions::default`] (automatic backend selection).
+/// Runs the chosen `algorithm` for `kind` on `g` with the default
+/// [`Nucleus::builder`] settings (automatic backend and engine, all
+/// CPUs). Shorthand for
+/// `Nucleus::builder(g).kind(kind).prepare()?.run(algorithm)`; build a
+/// [`crate::session::Prepared`] directly to choose the backend, engine
+/// or thread count, or to run several algorithms over one space.
 ///
 /// # Errors
 /// [`CoreError::UnsupportedAlgorithm`] when `algorithm` is
@@ -425,80 +385,19 @@ pub fn decompose(
     kind: Kind,
     algorithm: Algorithm,
 ) -> Result<Decomposition, CoreError> {
-    decompose_with(g, kind, algorithm, DecomposeOptions::default())
+    Nucleus::builder(g).kind(kind).prepare()?.run(algorithm)
 }
 
-/// Runs the chosen `algorithm` for `kind` on `g` with explicit
-/// [`DecomposeOptions`] — in particular the peeling [`Backend`] and
-/// [`PeelEngine`]. Index construction (materialized backend) is
-/// accounted to the peeling phase, like clique enumeration. LCPS walks
-/// the graph directly and ignores the backend choice.
-///
-/// This is a thin wrapper: it prepares a [`crate::session::Prepared`]
-/// for `g` and runs it exactly once, producing bit-identical results to
-/// the prepared pipeline (and to the pre-session implementation).
-///
-/// # Errors
-/// * [`CoreError::UnsupportedAlgorithm`] when `algorithm` is
-///   [`Algorithm::Lcps`] and `kind` is not [`Kind::Core`];
-/// * [`CoreError::InvalidOptions`] when [`PeelEngine::Frontier`] is
-///   requested together with [`Algorithm::Lcps`] (which never runs
-///   `Set-λ`) or with an explicit [`Backend::Lazy`].
-pub fn decompose_with(
-    g: &CsrGraph,
-    kind: Kind,
-    algorithm: Algorithm,
-    options: DecomposeOptions,
-) -> Result<Decomposition, CoreError> {
-    // Validate up front (not at `run`) so the constraint-check order —
-    // and therefore which error a doubly-invalid request reports — is
-    // exactly the pre-session one.
-    plan::validate(kind, algorithm, options.backend, options.engine)?;
-    // LCPS ignores the backend (it walks the graph directly): prepare
-    // lazily, as the single-shot path always has, so no index is built
-    // only to be bypassed.
-    let backend = if algorithm == Algorithm::Lcps {
-        Backend::Lazy
-    } else {
-        options.backend
-    };
-    Nucleus::builder(g)
-        .kind(kind)
-        .backend(backend)
-        .engine(options.engine)
-        .threads(options.threads)
-        .frontier_serial_below(options.frontier_serial_below)
-        .prepare()?
-        .run(algorithm)
-}
-
-/// Runs the *Hypo* baseline for `kind` with default options: peeling
-/// plus one full sweep. Returns the phase times and the number of
-/// s-connectivity components; no hierarchy is produced (that is the
-/// point of the baseline).
+/// Runs the *Hypo* baseline for `kind` with the default
+/// [`Nucleus::builder`] settings: peeling plus one full sweep
+/// ([`crate::session::Prepared::hypo_baseline`]). Returns the phase
+/// times and the number of s-connectivity components; no hierarchy is
+/// produced (that is the point of the baseline).
 pub fn hypo_baseline(g: &CsrGraph, kind: Kind) -> (PhaseTimes, usize) {
-    hypo_baseline_with(g, kind, DecomposeOptions::default())
-}
-
-/// [`hypo_baseline`] with an explicit backend choice, so the baseline
-/// stays comparable when the other algorithms run materialized. The
-/// [`DecomposeOptions::engine`] field is ignored: the baseline always
-/// peels serially (it exists to reproduce the paper's sequential cost
-/// model, not to be fast).
-pub fn hypo_baseline_with(
-    g: &CsrGraph,
-    kind: Kind,
-    options: DecomposeOptions,
-) -> (PhaseTimes, usize) {
     Nucleus::builder(g)
         .kind(kind)
-        .backend(options.backend)
-        // the baseline never uses the frontier engine, and `Serial`
-        // composes with every backend, so `prepare` cannot fail
-        .engine(PeelEngine::Serial)
-        .threads(options.threads)
         .prepare()
-        .expect("serial engine composes with every backend")
+        .expect("the default backend and engine compose")
         .hypo_baseline()
 }
 
@@ -507,6 +406,24 @@ mod tests {
     use super::*;
     use crate::space::VertexSpace;
     use crate::test_graphs;
+
+    /// One builder session over `g`, run once.
+    fn run_with(
+        g: &CsrGraph,
+        kind: Kind,
+        algo: Algorithm,
+        backend: Backend,
+        engine: PeelEngine,
+        threads: usize,
+    ) -> Result<Decomposition, CoreError> {
+        Nucleus::builder(g)
+            .kind(kind)
+            .backend(backend)
+            .engine(engine)
+            .threads(threads)
+            .prepare()?
+            .run(algo)
+    }
 
     #[test]
     fn all_algorithms_agree_on_all_kinds() {
@@ -554,32 +471,12 @@ mod tests {
                 if algo == Algorithm::Lcps {
                     continue;
                 }
-                let lazy = decompose_with(
-                    &g,
-                    kind,
-                    algo,
-                    DecomposeOptions {
-                        backend: Backend::Lazy,
-                        // pinned: this test isolates backend equivalence
-                        // (strict order equality needs one engine)
-                        engine: PeelEngine::Serial,
-                        threads: 2,
-                        ..DecomposeOptions::default()
-                    },
-                )
-                .expect("lazy");
-                let mat = decompose_with(
-                    &g,
-                    kind,
-                    algo,
-                    DecomposeOptions {
-                        backend: Backend::Materialized,
-                        engine: PeelEngine::Serial,
-                        threads: 2,
-                        ..DecomposeOptions::default()
-                    },
-                )
-                .expect("materialized");
+                // the engine is pinned: this test isolates backend
+                // equivalence (strict order equality needs one engine)
+                let lazy =
+                    run_with(&g, kind, algo, Backend::Lazy, PeelEngine::Serial, 2).expect("lazy");
+                let mat = run_with(&g, kind, algo, Backend::Materialized, PeelEngine::Serial, 2)
+                    .expect("materialized");
                 assert_eq!(lazy.peeling.lambda, mat.peeling.lambda, "{kind}/{algo} λ");
                 assert_eq!(lazy.peeling.order, mat.peeling.order, "{kind}/{algo} order");
                 assert_eq!(lazy.hierarchy, mat.hierarchy, "{kind}/{algo} hierarchy");
@@ -602,24 +499,17 @@ mod tests {
     fn hypo_baseline_backends_agree_on_components() {
         let g = test_graphs::nested_cores();
         for kind in Kind::all() {
-            let (_, lazy) = hypo_baseline_with(
-                &g,
-                kind,
-                DecomposeOptions {
-                    backend: Backend::Lazy,
-                    threads: 1,
-                    ..DecomposeOptions::default()
-                },
-            );
-            let (_, mat) = hypo_baseline_with(
-                &g,
-                kind,
-                DecomposeOptions {
-                    backend: Backend::Materialized,
-                    threads: 3,
-                    ..DecomposeOptions::default()
-                },
-            );
+            let hypo = |backend, threads| {
+                Nucleus::builder(&g)
+                    .kind(kind)
+                    .backend(backend)
+                    .threads(threads)
+                    .prepare()
+                    .expect("prepare")
+                    .hypo_baseline()
+                    .1
+            };
+            let (lazy, mat) = (hypo(Backend::Lazy, 1), hypo(Backend::Materialized, 3));
             assert_eq!(lazy, mat, "{kind}");
         }
     }
@@ -629,28 +519,10 @@ mod tests {
         let g = test_graphs::nested_cores();
         for kind in Kind::all() {
             for &algo in &[Algorithm::Naive, Algorithm::Dft, Algorithm::Fnd] {
-                let serial = decompose_with(
-                    &g,
-                    kind,
-                    algo,
-                    DecomposeOptions {
-                        engine: PeelEngine::Serial,
-                        threads: 2,
-                        ..DecomposeOptions::default()
-                    },
-                )
-                .expect("serial");
-                let frontier = decompose_with(
-                    &g,
-                    kind,
-                    algo,
-                    DecomposeOptions {
-                        engine: PeelEngine::Frontier,
-                        threads: 2,
-                        ..DecomposeOptions::default()
-                    },
-                )
-                .expect("frontier");
+                let serial =
+                    run_with(&g, kind, algo, Backend::Auto, PeelEngine::Serial, 2).expect("serial");
+                let frontier = run_with(&g, kind, algo, Backend::Auto, PeelEngine::Frontier, 2)
+                    .expect("frontier");
                 assert_eq!(frontier.engine, PeelEngine::Frontier);
                 assert_eq!(
                     frontier.backend,
@@ -669,22 +541,16 @@ mod tests {
     #[test]
     fn frontier_engine_rejects_incompatible_options() {
         let g = test_graphs::nested_cores();
-        let frontier = |backend| DecomposeOptions {
-            backend,
-            engine: PeelEngine::Frontier,
-            threads: 2,
-            ..DecomposeOptions::default()
-        };
+        let frontier =
+            |kind, algo, backend| run_with(&g, kind, algo, backend, PeelEngine::Frontier, 2);
         // FND now rides the frontier engine; only LCPS and the lazy
         // backend remain genuinely incompatible.
-        decompose_with(&g, Kind::Core, Algorithm::Fnd, frontier(Backend::Auto))
+        frontier(Kind::Core, Algorithm::Fnd, Backend::Auto)
             .expect("frontier FND is a supported combination");
-        let err =
-            decompose_with(&g, Kind::Core, Algorithm::Lcps, frontier(Backend::Auto)).unwrap_err();
+        let err = frontier(Kind::Core, Algorithm::Lcps, Backend::Auto).unwrap_err();
         assert!(matches!(err, CoreError::InvalidOptions { .. }), "{err}");
         assert!(format!("{err}").contains("LCPS"), "{err}");
-        let err =
-            decompose_with(&g, Kind::Truss, Algorithm::Dft, frontier(Backend::Lazy)).unwrap_err();
+        let err = frontier(Kind::Truss, Algorithm::Dft, Backend::Lazy).unwrap_err();
         assert!(format!("{err}").contains("materialized"), "{err}");
     }
 
@@ -741,27 +607,16 @@ mod tests {
         // the decomposition reports the resolved engine
         let g = test_graphs::nested_cores();
         for algo in [Algorithm::Dft, Algorithm::Fnd] {
-            let d = decompose_with(
-                &g,
-                Kind::Core,
-                algo,
-                DecomposeOptions {
-                    engine: PeelEngine::Auto,
-                    threads: 2,
-                    ..DecomposeOptions::default()
-                },
-            )
-            .unwrap();
+            let d = run_with(&g, Kind::Core, algo, Backend::Auto, PeelEngine::Auto, 2).unwrap();
             assert_eq!(d.engine, PeelEngine::Frontier, "{algo}");
         }
-        let d = decompose_with(
+        let d = run_with(
             &g,
             Kind::Core,
             Algorithm::Fnd,
-            DecomposeOptions {
-                threads: 1,
-                ..DecomposeOptions::default()
-            },
+            Backend::Auto,
+            PeelEngine::Auto,
+            1,
         )
         .unwrap();
         assert_eq!(d.engine, PeelEngine::Serial);

@@ -2,7 +2,9 @@
 
 use std::fmt;
 
-/// Errors produced by [`crate::decompose::decompose`] and friends.
+/// Errors produced by the session API ([`crate::session::Nucleus`]),
+/// the [`crate::decompose::decompose`] shorthand, and the persisted-index
+/// loader.
 #[derive(Debug)]
 pub enum CoreError {
     /// The requested algorithm cannot run on the requested family
@@ -13,10 +15,11 @@ pub enum CoreError {
         /// Family it was requested for.
         kind: String,
     },
-    /// The requested [`crate::decompose::DecomposeOptions`] combination
-    /// is contradictory (e.g. the frontier peeling engine with the lazy
-    /// backend, or with LCPS, which walks the graph directly and never
-    /// peels).
+    /// The backend and engine set on a
+    /// [`crate::session::NucleusBuilder`] contradict each other or the
+    /// requested algorithm (e.g. the frontier peeling engine with the
+    /// lazy backend, or with LCPS, which walks the graph directly and
+    /// never peels).
     InvalidOptions {
         /// Human-readable explanation of the conflict.
         reason: String,

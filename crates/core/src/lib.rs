@@ -36,6 +36,11 @@
 //! assert_eq!(d.hierarchy.nuclei_at(1).len(), 1);
 //! assert_eq!(d.hierarchy.nuclei_at(2).len(), 1);
 //! ```
+//!
+//! [`decompose()`] runs with the default settings. [`Nucleus::builder`]
+//! is the one place to choose the backend, peeling engine and thread
+//! count, and its [`Prepared`] session runs any number of algorithms
+//! over one prepared space (see [`session`]).
 
 pub mod algo;
 pub mod analytics;
@@ -43,7 +48,6 @@ pub mod decompose;
 pub mod error;
 pub mod export;
 pub mod hierarchy;
-pub mod maintenance;
 pub mod peel;
 pub mod persist;
 pub mod plan;
@@ -58,8 +62,7 @@ pub mod weighted;
 pub(crate) mod test_graphs;
 
 pub use decompose::{
-    decompose, decompose_with, hypo_baseline, hypo_baseline_with, Algorithm, Backend,
-    DecomposeOptions, Decomposition, Kind, PeelEngine, PhaseTimes,
+    decompose, hypo_baseline, Algorithm, Backend, Decomposition, Kind, PeelEngine, PhaseTimes,
 };
 pub use error::CoreError;
 pub use hierarchy::{Hierarchy, HierarchyNode};
@@ -80,13 +83,10 @@ pub mod prelude {
     pub use crate::algo::tcp::{tcp_query, TcpIndex};
     pub use crate::analytics::{skeleton_profile, SkeletonProfile};
     pub use crate::decompose::{
-        decompose, decompose_with, hypo_baseline, hypo_baseline_with, Algorithm, Backend,
-        DecomposeOptions, Decomposition, Kind, PeelEngine, PhaseTimes,
+        decompose, hypo_baseline, Algorithm, Backend, Decomposition, Kind, PeelEngine, PhaseTimes,
     };
     pub use crate::export::{extract_nucleus, hierarchy_to_dot, ExtractedSubgraph};
     pub use crate::hierarchy::{Hierarchy, HierarchyNode};
-    #[allow(deprecated)]
-    pub use crate::maintenance::DynamicCores;
     pub use crate::peel::{
         peel, peel_parallel, peel_parallel_with, peel_with_sink, FrontierOptions, PeelSink, Peeling,
     };

@@ -52,16 +52,18 @@
 //!   the peel is a long ladder of small levels, where both the rounds
 //!   *and* the per-level `alive` compaction scan (O(alive) per level)
 //!   cost more than the serial loop. The engine then abandons rounds
-//!   entirely and **drains the whole residual** through the same
-//!   bucket queue the serial engine uses — on R-MAT-style inputs this
+//!   entirely and **drains the whole residual** through one serial
+//!   bucket queue (the serial engine's layout, built over the residual
+//!   cells only), for every sink alike — on R-MAT-style inputs this
 //!   fires on the very first level (which opens with ~10% of cells,
 //!   vs. 74–99% for ER/BA), while wide-opening inputs never trigger it
 //!   and keep the full frontier win. When the *first* level already
-//!   opens that narrow, non-classifying sinks (the plain peel) don't
-//!   even build the engine's per-cell state: the first frontier's size
-//!   falls out of the initial degree-partition scan, and the run is
-//!   handed to the serial engine wholesale, making the heavy-tail worst
-//!   case cost within a few percent of [`peel`] itself.
+//!   opens that narrow, non-classifying sinks (the plain peel,
+//!   [`PeelSink::CLASSIFIES`] `= false`) don't even build the engine's
+//!   per-cell state: the first frontier's size falls out of the initial
+//!   degree-partition scan, and the run is handed to the serial engine
+//!   wholesale, making the heavy-tail worst case cost within a few
+//!   percent of [`peel`] itself.
 //!
 //! Both decisions depend only on frontier sizes, never thread timing,
 //! so determinism across thread counts is preserved.
@@ -209,7 +211,10 @@ pub struct FrontierOptions {
     /// is otherwise relative to the remaining cell count rather than
     /// sized by this threshold. The default (64) is sized so the
     /// drained levels are the ones whose whole cascade is cheaper than
-    /// one round's sort-and-restamp machinery.
+    /// one round's sort-and-restamp machinery; sessions
+    /// ([`crate::session::Prepared::run`]) always run it, and only the
+    /// equivalence tests and `bench_peel_engine`'s historical rows set
+    /// other values.
     pub serial_round_threshold: usize,
 }
 
@@ -234,17 +239,17 @@ impl Default for FrontierOptions {
 pub const RESIDUAL_OPENING_FRACTION: usize = 8;
 
 impl FrontierOptions {
-    /// Default [`FrontierOptions::serial_round_threshold`], shared with
-    /// [`crate::decompose::DecomposeOptions`] and the CLI flag default.
+    /// Default [`FrontierOptions::serial_round_threshold`]: the hybrid
+    /// policy every session run uses and `--explain` reports.
     pub const DEFAULT_SERIAL_ROUND_THRESHOLD: usize = 64;
+}
 
-    /// The thread count with `0` resolved to the CPU count.
-    fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        }
+/// A worker-thread setting with `0` resolved to the CPU count.
+pub(crate) fn effective_threads(threads: usize) -> usize {
+    if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
     }
 }
 
@@ -306,9 +311,10 @@ pub trait PeelSink<B: PeelBackend + ?Sized>: Sync {
     /// anything else beyond the `dec` calls and `next` pushes). `true`
     /// for classifying sinks like FND. A sink may set this to `false`
     /// only if `scan_cell`'s entire observable effect is applying
-    /// container decrements — the whole-residual hybrid drain then
-    /// skips the sink and runs the serial engine's plain bucket loop,
-    /// with no stamp maintenance at all.
+    /// container decrements — then, when the very first λ level opens
+    /// narrow, [`peel_with_sink`] hands the whole run to the serial engine
+    /// before the first round (see the module docs). It gates nothing
+    /// else: every later drain goes through the sink.
     ///
     /// [`scan_cell`]: PeelSink::scan_cell
     const CLASSIFIES: bool = true;
@@ -394,7 +400,7 @@ pub fn peel_with_sink<B: PeelBackend + Sync, S: PeelSink<B>>(
     sink: &mut S,
 ) -> Peeling {
     let n = space.cell_count();
-    let threads = options.effective_threads();
+    let threads = effective_threads(options.threads);
     let degrees = space.degrees();
     let mut lambda = vec![0u32; n];
     let mut order: Vec<u32> = Vec::with_capacity(n);
@@ -722,13 +728,13 @@ impl ResidualBuckets {
 /// costs more than every remaining frontier is worth, so one
 /// O(residual) queue build replaces all of them.
 ///
-/// Sinks that classify ([`PeelSink::CLASSIFIES`]) get the generic loop:
-/// each pop is stamped with a fresh, unique round before its container
+/// Each pop is stamped with a fresh, unique round before its container
 /// scan, so `(stamp, id)` remains a total processed-before order and
 /// the sink contract is identical to [`drain_level`]'s (the packed ω
 /// halves go stale — the queue keys schedule the pops — but no sink
-/// reads ω, only stamps). The plain sink instead takes
-/// [`drain_residual_plain`], which is bit-for-bit the serial engine.
+/// reads ω, only stamps). For the plain sink the stamp checks replay
+/// the serial engine's popped-cell checks, so the λ values and the
+/// emitted order equal a serial bucket-queue peel of the residual.
 #[allow(clippy::too_many_arguments)] // internal: single call site
 fn drain_residual<B: PeelBackend + Sync, S: PeelSink<B>>(
     space: &B,
@@ -743,10 +749,6 @@ fn drain_residual<B: PeelBackend + Sync, S: PeelSink<B>>(
     sink: &mut S,
 ) {
     let n = lambda.len();
-    if !S::CLASSIFIES {
-        drain_residual_plain(space, cells, lambda, order, max_lambda, seed, alive, k);
-        return;
-    }
     let q = ResidualBuckets::new(n, alive, cells, k);
     let floor = Cell::new(k);
     let dec = |v: u32| {
@@ -783,67 +785,6 @@ fn drain_residual<B: PeelBackend + Sync, S: PeelSink<B>>(
         next_stamp += 1;
     }
     sink.absorb_part(part);
-}
-
-/// [`drain_residual`] for the plain sink: the serial engine's exact
-/// loop — popped-bitmap dead-container checks, bucket-queue decrements,
-/// no stamp maintenance (nothing reads stamps once the plain peel is
-/// over). A subset [`PeelBuckets`] starts with every non-residual cell
-/// already popped, then the seeds mark themselves popped in ascending
-/// id before scanning — which encodes precisely the `(stamp, id)`
-/// processed-before relation the stamped engines use. Unlike
-/// [`ResidualBuckets`] this queue is driven through `&mut` (the plain
-/// path needs no interior mutability), which is worth ~20% on the
-/// drain: exclusive access lets the compiler keep the queue's cursors
-/// out of memory in the decrement-heavy inner loop.
-#[allow(clippy::too_many_arguments)] // internal: single call site
-fn drain_residual_plain<B: PeelBackend + Sync>(
-    space: &B,
-    cells: &PeelCells,
-    lambda: &mut [u32],
-    order: &mut Vec<u32>,
-    max_lambda: &mut u32,
-    seed: &[u32],
-    alive: &[u32],
-    k: u32,
-) {
-    let n = lambda.len();
-    let mut q = PeelBuckets::over_subset(n, alive, |u| cells.load(u).1, k);
-    for &u in seed {
-        q.clear_popped(u);
-    }
-    for &u in seed {
-        q.mark_popped(u);
-        space.for_each_container(u, |others| {
-            if others.iter().any(|&v| q.is_popped(v)) {
-                return;
-            }
-            for &v in others {
-                if q.key(v) > k {
-                    q.decrement(v);
-                }
-            }
-        });
-    }
-    let mut ord = std::mem::take(order);
-    let mut ml = *max_lambda;
-    while let Some((u, ku)) = q.pop_min() {
-        lambda[u as usize] = ku;
-        ml = ml.max(ku);
-        ord.push(u);
-        space.for_each_container(u, |others| {
-            if others.iter().any(|&v| q.is_popped(v)) {
-                return;
-            }
-            for &v in others {
-                if q.key(v) > ku {
-                    q.decrement(v);
-                }
-            }
-        });
-    }
-    *order = ord;
-    *max_lambda = ml;
 }
 
 /// Applies one round's container decrements, appending the cells whose

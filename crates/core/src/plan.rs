@@ -2,20 +2,19 @@
 //! will actually execute, whether the requested combination is legal at
 //! all, and a human-readable explanation of both decisions.
 //!
-//! Historically the cross-constraint checks (frontier × lazy, frontier ×
-//! LCPS, LCPS × non-core) were scattered through `decompose_with`'s
-//! dispatch; this module is their single home. [`validate`] rejects
-//! contradictory combinations with structured [`CoreError`]s, and
-//! [`Plan`] records the *resolved* choices ([`Backend::Auto`] and
+//! This module is the single home of the cross-constraint checks
+//! (frontier × lazy, frontier × LCPS, LCPS × non-core). [`validate`]
+//! rejects contradictory combinations with structured [`CoreError`]s,
+//! and [`Plan`] records the *resolved* choices ([`Backend::Auto`] and
 //! [`PeelEngine::Auto`] pinned to what will really run) together with
 //! the size facts that drove them, so a caller — or the `nucleus
 //! decompose --explain` CLI flag — can see what a run will do before
 //! paying for it.
 //!
-//! Plans are produced by [`crate::session::Prepared::plan`]; the
-//! [`crate::decompose::decompose_with`] wrapper funnels through the same
-//! [`validate`] so the one-shot and prepared APIs reject exactly the
-//! same combinations.
+//! Plans are produced by [`crate::session::Prepared::plan`];
+//! [`crate::session::Prepared::run`] funnels through the same
+//! [`validate`], so planning and running reject exactly the same
+//! combinations.
 
 use std::fmt;
 
@@ -38,8 +37,7 @@ use crate::error::CoreError;
 ///    ([`CoreError::UnsupportedAlgorithm`]).
 ///
 /// The check order is observable (a request can violate several rules
-/// at once) and is kept exactly as the pre-session `decompose_with`
-/// reported it: engine × algorithm first, then engine × backend, then
+/// at once): engine × algorithm first, then engine × backend, then
 /// algorithm × kind.
 pub fn validate(
     kind: Kind,

@@ -9,7 +9,8 @@
 //! [`ContainerIndex`]. The one-shot [`crate::decompose::decompose`]
 //! rebuilds all of that per call; a serving system that answers many
 //! queries — or a comparison workload that runs Naive, DFT *and* FND on
-//! one graph — should pay for it once:
+//! one graph — should pay for it once. The builder is also the one place
+//! a run is configured:
 //!
 //! ```
 //! use nucleus_core::prelude::*;
@@ -28,8 +29,8 @@
 //!
 //! # Stages
 //!
-//! 1. **[`Nucleus::builder`]** collects the choices of
-//!    [`crate::decompose::DecomposeOptions`] plus the [`Kind`].
+//! 1. **[`Nucleus::builder`]** collects the [`Kind`], the [`Backend`]
+//!    and [`PeelEngine`] policies and the worker-thread cap.
 //! 2. **[`NucleusBuilder::prepare`]** does the expensive, run-invariant
 //!    work: builds the space (clique enumeration, ω counts), resolves
 //!    the [`Backend`] policy (including the `Auto` size estimate) and,
@@ -37,7 +38,7 @@
 //!    on option combinations that no run could ever satisfy
 //!    (frontier engine × explicit lazy backend).
 //! 3. **[`Prepared::run`]** executes one algorithm over the cached
-//!    space/index — bit-identical to the one-shot API — and can be
+//!    space/index — bit-identical to a fresh session's run — and can be
 //!    called any number of times; runs never mutate the prepared state.
 //!    [`Prepared::plan`] returns the same decision as a [`Plan`]
 //!    without running, and [`Prepared::hypo_baseline`] runs the Hypo
@@ -59,11 +60,10 @@ use crate::algo::hypo::hypo_sweep;
 use crate::algo::lcps::lcps;
 use crate::algo::naive::naive;
 use crate::decompose::{
-    Algorithm, Backend, DecomposeOptions, Decomposition, Kind, PeelEngine, PhaseTimes,
-    SkeletonStats,
+    Algorithm, Backend, Decomposition, Kind, PeelEngine, PhaseTimes, SkeletonStats,
 };
 use crate::error::CoreError;
-use crate::peel::{peel, peel_parallel_with, FrontierOptions};
+use crate::peel::{effective_threads, peel, peel_parallel_with, FrontierOptions};
 use crate::plan::{self, format_bytes, Plan};
 use crate::space::{
     ContainerIndex, EdgeK4Space, EdgeSpace, IndexedSpace, PeelBackend, PeelSpace, TriangleSpace,
@@ -108,8 +108,8 @@ fn enumeration_mode(kind: Kind, threads: usize) -> String {
 }
 
 /// Dispatches `$body` with `$s` bound to the concrete lazy space.
-/// A macro rather than a visitor so `$body` monomorphizes per space —
-/// the same zero-overhead dispatch the one-shot API had.
+/// A macro rather than a visitor so `$body` monomorphizes per space
+/// (zero-overhead dispatch).
 macro_rules! with_space {
     ($space:expr, $s:ident => $body:expr) => {
         match &$space {
@@ -133,18 +133,22 @@ impl Nucleus {
         NucleusBuilder {
             g,
             kind: Kind::Core,
-            options: DecomposeOptions::default(),
+            backend: Backend::Auto,
+            engine: PeelEngine::Auto,
+            threads: 0,
         }
     }
 }
 
-/// Builder for a [`Prepared`] session: the same knobs as
-/// [`DecomposeOptions`] plus the [`Kind`], applied fluently.
+/// Builder for a [`Prepared`] session: the family, the backend and
+/// engine policies, and the worker-thread cap, applied fluently.
 #[derive(Clone, Copy, Debug)]
 pub struct NucleusBuilder<'g> {
     g: &'g CsrGraph,
     kind: Kind,
-    options: DecomposeOptions,
+    backend: Backend,
+    engine: PeelEngine,
+    threads: usize,
 }
 
 impl<'g> NucleusBuilder<'g> {
@@ -156,34 +160,20 @@ impl<'g> NucleusBuilder<'g> {
 
     /// Selects the backend policy (default [`Backend::Auto`]).
     pub fn backend(mut self, backend: Backend) -> Self {
-        self.options.backend = backend;
+        self.backend = backend;
         self
     }
 
     /// Selects the engine policy (default [`PeelEngine::Auto`]).
     pub fn engine(mut self, engine: PeelEngine) -> Self {
-        self.options.engine = engine;
+        self.engine = engine;
         self
     }
 
-    /// Caps worker threads (default `0` = all CPUs).
+    /// Caps worker threads for index construction, frontier peeling
+    /// rounds and parallel ω counting (default `0` = all CPUs).
     pub fn threads(mut self, threads: usize) -> Self {
-        self.options.threads = threads;
-        self
-    }
-
-    /// Sets the hybrid-round threshold for the frontier engine: λ-levels
-    /// whose opening frontier has fewer cells than this drain serially
-    /// (default [`FrontierOptions::DEFAULT_SERIAL_ROUND_THRESHOLD`];
-    /// `0` disables the hybrid drain entirely).
-    pub fn frontier_serial_below(mut self, cells: usize) -> Self {
-        self.options.frontier_serial_below = cells;
-        self
-    }
-
-    /// Applies a whole [`DecomposeOptions`] at once (keeps the kind).
-    pub fn options(mut self, options: DecomposeOptions) -> Self {
-        self.options = options;
+        self.threads = threads;
         self
     }
 
@@ -197,28 +187,32 @@ impl<'g> NucleusBuilder<'g> {
     /// that no later `run` could resolve. Algorithm-dependent conflicts
     /// surface from [`Prepared::run`] / [`Prepared::plan`].
     pub fn prepare(self) -> Result<Prepared<'g>, CoreError> {
-        let NucleusBuilder { g, kind, options } = self;
-        if options.engine == PeelEngine::Frontier && options.backend == Backend::Lazy {
+        let NucleusBuilder {
+            g,
+            kind,
+            backend,
+            engine,
+            threads,
+        } = self;
+        if engine == PeelEngine::Frontier && backend == Backend::Lazy {
             return Err(plan::frontier_lazy_conflict());
         }
-        let threads = options.effective_threads();
+        let threads = effective_threads(threads);
         let t0 = Instant::now();
         let space = AnySpace::build(g, kind, threads);
         let cells = with_space!(space, s => s.cell_count());
-        // Explicit-lazy sessions never touch `degrees()` here: the
-        // one-shot lazy path never did (peeling computes ω itself per
-        // run), so doing it eagerly would double the setup cost the
-        // wrappers promise to preserve. The space facts defer to first
-        // use instead (`Prepared::facts`).
-        let (facts, backend_reason, index) = if options.backend == Backend::Lazy {
+        // Explicit-lazy sessions never touch `degrees()` here: peeling
+        // computes ω itself per run, so doing it eagerly would double a
+        // lazy run's setup cost. The space facts defer to first use
+        // instead (`Prepared::facts`).
+        let (facts, backend_reason, index) = if backend == Backend::Lazy {
             (OnceLock::new(), "explicitly requested".to_string(), None)
         } else {
             with_space!(space, s => {
                 let counts = s.degrees();
                 let containers: u64 = counts.iter().map(|&c| c as u64).sum();
                 let est = ContainerIndex::estimate_bytes_from(s.r(), s.s(), &counts);
-                let (materialize, reason) =
-                    resolve_backend(options.backend, options.engine, est);
+                let (materialize, reason) = resolve_backend(backend, engine, est);
                 let index =
                     materialize.then(|| ContainerIndex::build_with_counts(s, counts, threads));
                 let facts = OnceLock::new();
@@ -234,9 +228,8 @@ impl<'g> NucleusBuilder<'g> {
             } else {
                 Backend::Lazy
             },
-            engine: options.engine,
+            engine,
             threads,
-            frontier_serial_below: options.frontier_serial_below,
             space,
             index,
             cells,
@@ -272,9 +265,11 @@ impl<'g> NucleusBuilder<'g> {
         let NucleusBuilder {
             g,
             kind: _,
-            options,
+            backend,
+            engine,
+            threads,
         } = self;
-        if options.backend == Backend::Lazy {
+        if backend == Backend::Lazy {
             return Err(CoreError::InvalidOptions {
                 reason: "the lazy backend contradicts loading a persisted index; \
                          drop the explicit Backend::Lazy"
@@ -283,7 +278,7 @@ impl<'g> NucleusBuilder<'g> {
         }
         index.matches(g)?;
         let kind = index.kind();
-        let threads = options.effective_threads();
+        let threads = effective_threads(threads);
         let t0 = Instant::now();
         let space = AnySpace::build(g, kind, threads);
         let cells = with_space!(space, s => s.cell_count());
@@ -312,9 +307,8 @@ impl<'g> NucleusBuilder<'g> {
             g,
             kind,
             backend: Backend::Materialized,
-            engine: options.engine,
+            engine,
             threads,
-            frontier_serial_below: options.frontier_serial_below,
             space,
             index: Some(container_index),
             cells,
@@ -330,7 +324,7 @@ impl<'g> NucleusBuilder<'g> {
 /// decision plus the human-readable "why" that [`Plan::explain`]
 /// reports. An explicit frontier-engine request forces materialization
 /// (the engine is defined over the flat index), even past the `Auto`
-/// size cap — mirroring the one-shot API.
+/// size cap.
 fn resolve_backend(backend: Backend, engine: PeelEngine, est_bytes: usize) -> (bool, String) {
     if engine == PeelEngine::Frontier {
         return (
@@ -368,9 +362,6 @@ pub struct Prepared<'g> {
     /// because it depends on the algorithm.
     engine: PeelEngine,
     threads: usize,
-    /// Hybrid-round threshold handed to every frontier-engine run
-    /// (see [`FrontierOptions::serial_round_threshold`]).
-    frontier_serial_below: usize,
     space: AnySpace<'g>,
     index: Option<ContainerIndex>,
     cells: usize,
@@ -465,11 +456,10 @@ impl<'g> Prepared<'g> {
         let materialized = self.index.is_some();
         // Whenever the run will actually use the frontier engine, the
         // reason also reports the hybrid-round policy it runs under.
-        let hybrid = if self.frontier_serial_below > 0 {
-            format!("hybrid, serial below {}", self.frontier_serial_below)
-        } else {
-            "hybrid drain disabled".to_string()
-        };
+        let hybrid = format!(
+            "hybrid, serial below {}",
+            self.frontier_options().serial_round_threshold
+        );
         let engine_reason = match self.engine {
             PeelEngine::Serial => "explicitly requested".to_string(),
             PeelEngine::Frontier => format!("explicitly requested ({hybrid})"),
@@ -515,6 +505,15 @@ impl<'g> Prepared<'g> {
         Ok(self
             .engine
             .resolve(algorithm, self.index.is_some(), self.threads))
+    }
+
+    /// What every frontier-engine run of this session uses: its worker
+    /// threads and the default hybrid-round policy.
+    fn frontier_options(&self) -> FrontierOptions {
+        FrontierOptions {
+            threads: self.threads,
+            ..FrontierOptions::default()
+        }
     }
 
     /// Runs one algorithm over the cached space, producing the same
@@ -567,9 +566,8 @@ impl<'g> Prepared<'g> {
         }
     }
 
-    /// The algorithm dispatch, monomorphized per space *and* backend —
-    /// the exact hot path the pre-session `decompose_with` ran, now fed
-    /// from the cached space. `engine` is already resolved (never
+    /// The algorithm dispatch, monomorphized per space *and* backend,
+    /// fed from the cached space. `engine` is already resolved (never
     /// `Auto`).
     fn run_algo<S: PeelSpace + Sync>(
         &self,
@@ -583,15 +581,9 @@ impl<'g> Prepared<'g> {
             Algorithm::Lcps => unreachable!("LCPS never reaches backend dispatch"),
             Algorithm::Fnd => {
                 let out = match engine {
-                    PeelEngine::Frontier => fnd_parallel_with(
-                        space,
-                        FndOptions::default(),
-                        FrontierOptions {
-                            threads: self.threads,
-                            serial_round_threshold: self.frontier_serial_below,
-                            ..FrontierOptions::default()
-                        },
-                    ),
+                    PeelEngine::Frontier => {
+                        fnd_parallel_with(space, FndOptions::default(), self.frontier_options())
+                    }
                     _ => fnd(space),
                 };
                 Decomposition {
@@ -614,14 +606,7 @@ impl<'g> Prepared<'g> {
             Algorithm::Naive | Algorithm::Dft => {
                 let t0 = Instant::now();
                 let peeling = match engine {
-                    PeelEngine::Frontier => peel_parallel_with(
-                        space,
-                        FrontierOptions {
-                            threads: self.threads,
-                            serial_round_threshold: self.frontier_serial_below,
-                            ..FrontierOptions::default()
-                        },
-                    ),
+                    PeelEngine::Frontier => peel_parallel_with(space, self.frontier_options()),
                     _ => peel(space),
                 };
                 let peel_t = self.prep_time + t0.elapsed();
@@ -697,7 +682,7 @@ impl<'g> Prepared<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decompose::{decompose_with, hypo_baseline_with};
+    use crate::decompose::hypo_baseline;
     use crate::test_graphs;
 
     #[test]
@@ -710,16 +695,13 @@ mod tests {
                 .prepare()
                 .unwrap();
             for &algo in Algorithm::for_kind(kind) {
-                let one_shot = decompose_with(
-                    &g,
-                    kind,
-                    algo,
-                    DecomposeOptions {
-                        threads: 2,
-                        ..DecomposeOptions::default()
-                    },
-                )
-                .unwrap();
+                let one_shot = Nucleus::builder(&g)
+                    .kind(kind)
+                    .threads(2)
+                    .prepare()
+                    .unwrap()
+                    .run(algo)
+                    .unwrap();
                 let run = prepared.run(algo).unwrap();
                 assert_eq!(
                     run.peeling.lambda, one_shot.peeling.lambda,
@@ -730,12 +712,8 @@ mod tests {
                     "{kind}/{algo} order"
                 );
                 assert_eq!(run.hierarchy, one_shot.hierarchy, "{kind}/{algo} hierarchy");
-                if algo != Algorithm::Lcps {
-                    // LCPS one-shots prepare lazily by design; other
-                    // algorithms must resolve identically
-                    assert_eq!(run.backend, one_shot.backend, "{kind}/{algo} backend");
-                    assert_eq!(run.engine, one_shot.engine, "{kind}/{algo} engine");
-                }
+                assert_eq!(run.backend, one_shot.backend, "{kind}/{algo} backend");
+                assert_eq!(run.engine, one_shot.engine, "{kind}/{algo} engine");
             }
         }
     }
@@ -839,12 +817,16 @@ mod tests {
             .unwrap();
         let via_session = prepared.run(Algorithm::Lcps).unwrap();
         assert_eq!(via_session.backend, Backend::Materialized);
-        let one_shot =
-            decompose_with(&g, Kind::Core, Algorithm::Lcps, DecomposeOptions::default()).unwrap();
-        // the wrapper path stays lazy (old behavior), results agree
-        assert_eq!(one_shot.backend, Backend::Lazy);
-        assert_eq!(via_session.peeling.lambda, one_shot.peeling.lambda);
-        assert_eq!(via_session.hierarchy, one_shot.hierarchy);
+        let lazy = Nucleus::builder(&g)
+            .backend(Backend::Lazy)
+            .prepare()
+            .unwrap()
+            .run(Algorithm::Lcps)
+            .unwrap();
+        // each session reports its own backend; results agree
+        assert_eq!(lazy.backend, Backend::Lazy);
+        assert_eq!(via_session.peeling.lambda, lazy.peeling.lambda);
+        assert_eq!(via_session.hierarchy, lazy.hierarchy);
     }
 
     #[test]
@@ -853,7 +835,7 @@ mod tests {
         for kind in Kind::all() {
             let prepared = Nucleus::builder(&g).kind(kind).prepare().unwrap();
             let (_, comps) = prepared.hypo_baseline();
-            let (_, one_shot) = hypo_baseline_with(&g, kind, DecomposeOptions::default());
+            let (_, one_shot) = hypo_baseline(&g, kind);
             assert_eq!(comps, one_shot, "{kind}");
         }
     }

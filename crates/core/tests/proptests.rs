@@ -9,11 +9,10 @@ use nucleus_core::algo::fnd::{fnd, fnd_parallel_with, FndOptions};
 use nucleus_core::algo::lcps::lcps;
 use nucleus_core::algo::naive::naive;
 use nucleus_core::algo::tcp::{tcp_query, TcpIndex};
-use nucleus_core::decompose::{
-    decompose_with, Algorithm, Backend, DecomposeOptions, Kind, PeelEngine,
-};
+use nucleus_core::decompose::{Algorithm, Backend, Decomposition, Kind, PeelEngine};
 use nucleus_core::peel::{peel, peel_parallel_with, peel_reference, FrontierOptions};
 use nucleus_core::persist::PreparedIndex;
+use nucleus_core::plan;
 use nucleus_core::session::Nucleus;
 use nucleus_core::space::materialized::record_arity;
 use nucleus_core::space::{
@@ -168,23 +167,17 @@ fn check_prepare_equivalence(g: &CsrGraph) {
         }
     }
     for kind in Kind::all() {
-        let options = DecomposeOptions {
-            engine: PeelEngine::Frontier,
-            threads: 1,
-            ..DecomposeOptions::default()
+        let session = |threads| {
+            Nucleus::builder(g)
+                .kind(kind)
+                .engine(PeelEngine::Frontier)
+                .threads(threads)
+                .prepare()
         };
-        let base = Nucleus::builder(g)
-            .kind(kind)
-            .options(options)
-            .prepare()
-            .expect("prepare t=1");
+        let base = session(1).expect("prepare t=1");
         let fnd_base = base.run(Algorithm::Fnd).expect("FND t=1");
         for threads in [2usize, 8] {
-            let p = Nucleus::builder(g)
-                .kind(kind)
-                .options(DecomposeOptions { threads, ..options })
-                .prepare()
-                .unwrap_or_else(|e| panic!("prepare {kind} t={threads}: {e}"));
+            let p = session(threads).unwrap_or_else(|e| panic!("prepare {kind} t={threads}: {e}"));
             let out = p.run(Algorithm::Fnd).expect("FND");
             let label = format!("{kind} t={threads}");
             assert_eq!(fnd_base.peeling.lambda, out.peeling.lambda, "λ at {label}");
@@ -293,73 +286,86 @@ fn check_engine_equivalence<S: PeelSpace + Sync>(space: &S) {
     }
 }
 
-/// Pins the prepared-pipeline API to the one-shot `decompose_with` for
-/// one kind, across every backend × engine × algorithm combination:
+/// Pins every builder session to the lazy + serial reference session
+/// for one kind, across every backend × engine × algorithm combination:
 ///
-/// * when the one-shot call succeeds, the session produces bit-identical
-///   λ, peeling order and hierarchy, and resolves the same backend and
-///   engine (exception: LCPS one-shots always prepare lazily by design,
-///   so only the results are compared there);
+/// * when [`plan::validate`] accepts the combination, the session
+///   produces the reference's λ and hierarchy — and its peeling order
+///   whenever the serial engine ran (frontier rounds emit each level in
+///   id order instead) — and reports the backend and engine its `plan`
+///   resolved;
 /// * a **second** `run` on the same `Prepared` reproduces the first one
 ///   exactly — reuse does not corrupt the cached space or index;
-/// * when the one-shot call rejects the combination, the session
-///   rejects it too, with the same `CoreError` variant (at `prepare`
-///   for algorithm-independent conflicts, at `run` otherwise).
+/// * when [`plan::validate`] rejects the combination, the session fails
+///   with the same `CoreError` variant (at `prepare` for the
+///   algorithm-independent frontier × lazy conflict, at `run`
+///   otherwise);
+/// * the Hypo baseline agrees on component counts.
 fn check_session_equivalence(g: &CsrGraph, kind: Kind) {
+    let reference = Nucleus::builder(g)
+        .kind(kind)
+        .backend(Backend::Lazy)
+        .engine(PeelEngine::Serial)
+        .prepare()
+        .expect("lazy + serial composes with every kind");
+    let algos = Algorithm::for_kind(kind);
+    let want: Vec<Decomposition> = algos
+        .iter()
+        .map(|&algo| reference.run(algo).expect("reference run"))
+        .collect();
+    let (_, want_comps) = reference.hypo_baseline();
     for backend in [Backend::Lazy, Backend::Materialized, Backend::Auto] {
         for engine in [PeelEngine::Serial, PeelEngine::Frontier] {
-            let options = DecomposeOptions {
-                backend,
-                engine,
-                threads: 2,
-                ..DecomposeOptions::default()
-            };
-            let prepared = Nucleus::builder(g).kind(kind).options(options).prepare();
-            for &algo in Algorithm::for_kind(kind) {
+            let prepared = Nucleus::builder(g)
+                .kind(kind)
+                .backend(backend)
+                .engine(engine)
+                .threads(2)
+                .prepare();
+            for (&algo, want) in algos.iter().zip(&want) {
                 let label = format!("{kind}/{algo}/{backend}/{engine}");
-                let one_shot = decompose_with(g, kind, algo, options);
-                match (&one_shot, &prepared) {
-                    (Ok(old), Ok(p)) => {
-                        let new = p.run(algo).expect(&label);
-                        assert_eq!(old.peeling.lambda, new.peeling.lambda, "{label} λ");
-                        assert_eq!(old.peeling.order, new.peeling.order, "{label} order");
-                        assert_eq!(old.hierarchy, new.hierarchy, "{label} hierarchy");
-                        if algo != Algorithm::Lcps {
-                            assert_eq!(old.backend, new.backend, "{label} backend");
-                            assert_eq!(old.engine, new.engine, "{label} engine");
-                        }
-                        // rerun on the same session: identical again
-                        let again = p.run(algo).expect(&label);
-                        assert_eq!(new.peeling.lambda, again.peeling.lambda, "{label} reuse λ");
-                        assert_eq!(
-                            new.peeling.order, again.peeling.order,
-                            "{label} reuse order"
-                        );
-                        assert_eq!(new.hierarchy, again.hierarchy, "{label} reuse hierarchy");
-                    }
-                    (Err(old), Ok(p)) => {
-                        // algorithm-dependent conflict: surfaces at run,
-                        // same error variant as the one-shot path
-                        let new = p.run(algo).expect_err(&label);
-                        assert_eq!(
-                            std::mem::discriminant(old),
-                            std::mem::discriminant(&new),
-                            "{label}: one-shot {old} vs session {new}"
-                        );
-                    }
-                    (old, Err(_)) => {
-                        // prepare-time conflict (frontier × lazy): the
-                        // one-shot path must reject every algorithm too
-                        assert!(old.is_err(), "{label}: session rejected, one-shot ran");
-                    }
+                if let Err(rejected) = plan::validate(kind, algo, backend, engine) {
+                    let got = match &prepared {
+                        Ok(p) => std::mem::discriminant(&p.run(algo).expect_err(&label)),
+                        Err(e) => std::mem::discriminant(e),
+                    };
+                    assert_eq!(
+                        std::mem::discriminant(&rejected),
+                        got,
+                        "{label}: validate says {rejected}"
+                    );
+                    continue;
                 }
+                let p = prepared
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("{label}: prepare failed: {e}"));
+                let new = p.run(algo).expect(&label);
+                assert_eq!(want.peeling.lambda, new.peeling.lambda, "{label} λ");
+                assert_eq!(want.hierarchy, new.hierarchy, "{label} hierarchy");
+                if new.engine == PeelEngine::Serial {
+                    assert_eq!(want.peeling.order, new.peeling.order, "{label} order");
+                }
+                let planned = p.plan(algo).expect(&label);
+                assert_eq!(
+                    (new.backend, new.engine),
+                    (planned.backend, planned.engine),
+                    "{label} resolution"
+                );
+                // rerun on the same session: identical again
+                let again = p.run(algo).expect(&label);
+                assert_eq!(new.peeling.lambda, again.peeling.lambda, "{label} reuse λ");
+                assert_eq!(
+                    new.peeling.order, again.peeling.order,
+                    "{label} reuse order"
+                );
+                assert_eq!(new.hierarchy, again.hierarchy, "{label} reuse hierarchy");
             }
-            // the Hypo baseline agrees on component counts whenever the
-            // backend combination is expressible at all
             if let Ok(p) = &prepared {
                 let (_, comps) = p.hypo_baseline();
-                let (_, old) = nucleus_core::decompose::hypo_baseline_with(g, kind, options);
-                assert_eq!(comps, old, "{kind}/{backend}/{engine} hypo components");
+                assert_eq!(
+                    comps, want_comps,
+                    "{kind}/{backend}/{engine} hypo components"
+                );
             }
         }
     }
@@ -626,26 +632,6 @@ proptest! {
             }
         }
         prop_assert!(seen.iter().all(|&s| s == 1));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn dynamic_cores_track_recompute(
-        n in 4u32..20,
-        ops in proptest::collection::vec((0u32..20, 0u32..20, prop::bool::ANY), 1..60),
-    ) {
-        let mut dc = nucleus_core::maintenance::DynamicCores::with_vertices(n as usize);
-        for (a, b, insert) in ops {
-            let (a, b) = (a % n, b % n);
-            if insert {
-                dc.insert_edge(a, b);
-            } else {
-                dc.remove_edge(a, b);
-            }
-            let g = dc.to_graph();
-            let expect = peel(&VertexSpace::new(&g)).lambda;
-            prop_assert_eq!(dc.core_numbers(), expect.as_slice());
-        }
     }
 
     #[test]

@@ -47,10 +47,3 @@ mod truss;
 
 pub use graph::DynamicGraph;
 pub use ops::{EdgeOp, Strategy, UpdateReport};
-
-/// The original streaming k-core sketch, re-exported from its
-/// deprecated home in `nucleus_core::maintenance`. New code should use
-/// [`DynamicGraph`] with [`Kind::Core`](nucleus_core::Kind::Core),
-/// which adds batching, reports, and the other families.
-#[allow(deprecated)]
-pub use nucleus_core::maintenance::DynamicCores;

@@ -101,7 +101,9 @@ fn ba_graph(n: u32, seed: u64) -> CsrGraph {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// (1,2) exact maintenance ≡ recompute on ER streams.
+    /// (1,2) exact maintenance ≡ recompute on ER streams, and on the
+    /// same stream replayed twice from an empty graph behind a
+    /// self-loop: a build-up from nothing where every op repeats.
     #[test]
     fn dynamic_equivalence_core_er(
         n in 6u32..28,
@@ -117,8 +119,13 @@ proptest! {
                 if op.is_insert() { EdgeOp::Insert(u, v) } else { EdgeOp::Delete(u, v) }
             })
             .collect();
+        let empty = CsrGraph::from_edges(n as usize, &[]);
+        let mut churn = vec![EdgeOp::Insert(0, 0)];
+        churn.extend_from_slice(&ops);
+        churn.extend_from_slice(&ops);
         for batch in [1usize, 2, 8] {
             run_stream(&g, Kind::Core, &ops, batch)?;
+            run_stream(&empty, Kind::Core, &churn, batch)?;
         }
     }
 

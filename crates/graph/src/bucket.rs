@@ -79,93 +79,6 @@ impl PeelBuckets {
         }
     }
 
-    /// Builds the structure over a *subset* of the id space `0..n`:
-    /// only `members` enter the queue (with `key_of` their initial
-    /// keys), every non-member starts out already popped, and the pop
-    /// floor starts at `floor` instead of 0 — the layout a peeling
-    /// engine needs to hand a partially peeled run to the bucket queue
-    /// mid-flight. Costs O(members) queue work plus three zero-filled
-    /// `n`-sized arrays; no per-non-member queue operations.
-    ///
-    /// Keys of non-members read as 0, so with `floor > 0` the peeling
-    /// guard `key(x) > floor` never lets a non-member reach
-    /// [`PeelBuckets::decrement`].
-    pub fn over_subset(
-        n: usize,
-        members: &[u32],
-        mut key_of: impl FnMut(u32) -> u32,
-        floor: u32,
-    ) -> Self {
-        let mut key = vec![0u32; n];
-        let mut max_key = 0u32;
-        for &x in members {
-            let k = key_of(x);
-            key[x as usize] = k;
-            max_key = max_key.max(k);
-        }
-        let mut bin = vec![0usize; max_key as usize + 2];
-        for &x in members {
-            bin[key[x as usize] as usize + 1] += 1;
-        }
-        for d in 1..bin.len() {
-            bin[d] += bin[d - 1];
-        }
-        let mut vert = vec![0u32; members.len()];
-        let mut pos = vec![0usize; n];
-        let mut cursor_per_key = bin.clone();
-        for &x in members {
-            let k = key[x as usize] as usize;
-            let p = cursor_per_key[k];
-            vert[p] = x;
-            pos[x as usize] = p;
-            cursor_per_key[k] += 1;
-        }
-        let mut popped = vec![u64::MAX; n.div_ceil(64)];
-        for &x in members {
-            popped[x as usize / 64] &= !(1u64 << (x % 64));
-        }
-        PeelBuckets {
-            bin,
-            pos,
-            vert,
-            key,
-            popped,
-            cursor: 0,
-            floor,
-        }
-    }
-
-    /// Marks a non-member of a subset queue (see
-    /// [`PeelBuckets::over_subset`]) as popped without it ever having
-    /// been queued — how a mid-flight hand-off records the cells it
-    /// processed outside the queue, so [`PeelBuckets::is_popped`]
-    /// dead-checks see them.
-    #[inline]
-    pub fn mark_popped(&mut self, x: u32) {
-        // Members keep `vert[pos[x]] == x` for their whole life, and
-        // `vert` holds members only — so a non-member never matches.
-        debug_assert!(
-            self.is_popped(x) || self.vert.get(self.pos[x as usize]).is_none_or(|&v| v != x),
-            "mark_popped on a queued member {x}"
-        );
-        self.popped[x as usize / 64] |= 1 << (x % 64);
-    }
-
-    /// Clears the popped bit of a non-member of a subset queue: the
-    /// complement of [`PeelBuckets::mark_popped`] for cells whose
-    /// processing the caller is about to *replay* — they must start
-    /// unpopped so dead-container checks don't see them as done before
-    /// their replay turn, then [`PeelBuckets::mark_popped`] re-marks
-    /// each one as it is processed.
-    #[inline]
-    pub fn clear_popped(&mut self, x: u32) {
-        debug_assert!(
-            self.vert.get(self.pos[x as usize]).is_none_or(|&v| v != x),
-            "clear_popped on a queued member {x}"
-        );
-        self.popped[x as usize / 64] &= !(1u64 << (x % 64));
-    }
-
     /// Number of elements (popped or not).
     pub fn len(&self) -> usize {
         self.vert.len()

@@ -20,7 +20,9 @@
 //!
 //! A no-op batch (every op skipped or coalesced away) answers without
 //! rebuilding and leaves the epoch unchanged, mirroring how
-//! [`DynamicGraph::apply`] skips its generation bump.
+//! [`DynamicGraph::apply`] skips its generation bump. The default
+//! algorithm lives on the epoch: each new epoch inherits the current
+//! one's.
 
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -58,7 +60,6 @@ impl Epoch {
         epoch: u64,
         kind: Kind,
         default_algo: Option<Algorithm>,
-        density_cap: Option<usize>,
     ) -> Result<Epoch, ProtocolError> {
         let boxed = Box::new(graph);
         let gref: &'static CsrGraph = unsafe { &*(boxed.as_ref() as *const CsrGraph) };
@@ -69,9 +70,6 @@ impl Epoch {
         let mut state = ServeState::new(prepared);
         if let Some(algo) = default_algo {
             state = state.with_default_algo(algo);
-        }
-        if let Some(cap) = density_cap {
-            state = state.with_density_cap(cap);
         }
         Ok(Epoch {
             state,
@@ -86,8 +84,6 @@ impl Epoch {
 /// prepared epochs.
 pub struct DynamicServeState {
     kind: Kind,
-    default_algo: Option<Algorithm>,
-    density_cap: Option<usize>,
     /// Source of truth for topology; also serializes mutations.
     source: Mutex<DynamicGraph>,
     current: RwLock<Arc<Epoch>>,
@@ -100,39 +96,24 @@ impl DynamicServeState {
     /// [`ProtocolError`] with [`ErrorCode::Internal`] when the initial
     /// prepare fails.
     pub fn new(g: &CsrGraph, kind: Kind) -> Result<DynamicServeState, ProtocolError> {
-        let epoch = Epoch::build(g.clone(), 0, kind, None, None)?;
+        let epoch = Epoch::build(g.clone(), 0, kind, None)?;
         Ok(DynamicServeState {
             kind,
-            default_algo: None,
-            density_cap: None,
             source: Mutex::new(DynamicGraph::topology(g)),
             current: RwLock::new(Arc::new(epoch)),
         })
     }
 
-    /// Overrides the algorithm used when a request names none (applies
-    /// from the next epoch on; call before serving).
+    /// Overrides the algorithm used when a request names none. Sets it
+    /// in place on the current epoch, keeping every hierarchy that epoch
+    /// has already built; later epochs inherit it.
     pub fn with_default_algo(mut self, algo: Algorithm) -> Self {
-        self.default_algo = Some(algo);
-        self.rebuild_current();
+        let current = self.current.get_mut().expect("epoch lock poisoned");
+        Arc::get_mut(current)
+            .expect("epoch handles never outlive a request, so only the state holds one")
+            .state
+            .default_algo = algo;
         self
-    }
-
-    /// Overrides the density vertex cap, as
-    /// [`ServeState::with_density_cap`].
-    pub fn with_density_cap(mut self, cap: usize) -> Self {
-        self.density_cap = Some(cap);
-        self.rebuild_current();
-        self
-    }
-
-    /// Re-prepares epoch 0 after a builder-style option change.
-    fn rebuild_current(&mut self) {
-        let g = self.source.lock().expect("source lock poisoned").to_graph();
-        let epoch = self.current.read().expect("epoch lock poisoned").epoch;
-        if let Ok(fresh) = Epoch::build(g, epoch, self.kind, self.default_algo, self.density_cap) {
-            *self.current.write().expect("epoch lock poisoned") = Arc::new(fresh);
-        }
     }
 
     /// The served family.
@@ -161,14 +142,11 @@ impl DynamicServeState {
         let rebuilt = report.applied > 0;
         let t0 = Instant::now();
         let epoch = if rebuilt {
-            let next = self.epoch_handle().epoch + 1;
-            let fresh = Epoch::build(
-                source.to_graph(),
-                next,
-                self.kind,
-                self.default_algo,
-                self.density_cap,
-            )?;
+            let (next, default_algo) = {
+                let current = self.epoch_handle();
+                (current.epoch + 1, current.state.default_algo())
+            };
+            let fresh = Epoch::build(source.to_graph(), next, self.kind, Some(default_algo))?;
             *self.current.write().expect("epoch lock poisoned") = Arc::new(fresh);
             next
         } else {
@@ -327,6 +305,25 @@ mod tests {
             &Value::U64(g.m() as u64 - 1),
             "stats must reflect the mutated snapshot"
         );
+    }
+
+    /// Setting the default keeps epoch 0 (and the hierarchies it has
+    /// built) instead of preparing it again, and later epochs inherit
+    /// the default.
+    #[test]
+    fn default_algo_is_set_in_place_and_inherited() {
+        let g = nucleus_gen::karate::karate_club();
+        let state = DynamicServeState::new(&g, Kind::Truss).unwrap();
+        answers_on(&state, r#"{"query":"lambda","cell":0}"#).unwrap();
+        let state = state.with_default_algo(Algorithm::Dft);
+        let stats =
+            serde_json::to_string(&answers_on(&state, r#"{"query":"stats"}"#).unwrap()).unwrap();
+        assert!(stats.contains(r#""hierarchies_built":["fnd"]"#), "{stats}");
+        assert!(stats.contains(r#""default_algo":"dft""#), "{stats}");
+        answers_on(&state, r#"{"query":"mutate","ops":[["-",0,1]]}"#).unwrap();
+        let v = answers_on(&state, r#"{"query":"stats"}"#).unwrap();
+        assert_eq!(field(&v, "epoch"), &Value::U64(1));
+        assert_eq!(field(&v, "default_algo"), &Value::Str("dft".to_string()));
     }
 
     #[test]

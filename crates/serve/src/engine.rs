@@ -18,9 +18,9 @@ use serde::Value;
 
 use crate::protocol::{ErrorCode, ProtocolError, Query, Request};
 
-/// Default cap on how many vertices a `density`/`densest` computation
-/// will touch per node; nuclei above it answer `too_large` rather than
-/// stall a worker.
+/// Cap on how many vertices a `density`/`densest` computation will
+/// touch per node; nuclei above it answer `too_large` rather than stall
+/// a worker.
 pub const DEFAULT_DENSITY_VERTEX_CAP: usize = 250_000;
 
 /// What the server needs from a query engine: answer a parsed request,
@@ -75,8 +75,9 @@ type DensestSlot = OnceLock<Result<DensestAnswer, ProtocolError>>;
 /// hierarchy and densest-node caches.
 pub struct ServeState<'g> {
     prepared: Prepared<'g>,
-    default_algo: Algorithm,
-    density_vertex_cap: usize,
+    /// Set in place by [`crate::DynamicServeState::with_default_algo`]
+    /// on an epoch nothing shares yet.
+    pub(crate) default_algo: Algorithm,
     hierarchies: [HierarchySlot; Algorithm::ALL.len()],
     densest: [DensestSlot; Algorithm::ALL.len()],
 }
@@ -88,7 +89,6 @@ impl<'g> ServeState<'g> {
         ServeState {
             prepared,
             default_algo: Algorithm::Fnd,
-            density_vertex_cap: DEFAULT_DENSITY_VERTEX_CAP,
             hierarchies: std::array::from_fn(|_| OnceLock::new()),
             densest: std::array::from_fn(|_| OnceLock::new()),
         }
@@ -97,12 +97,6 @@ impl<'g> ServeState<'g> {
     /// Overrides the algorithm used when a request names none.
     pub fn with_default_algo(mut self, algo: Algorithm) -> Self {
         self.default_algo = algo;
-        self
-    }
-
-    /// Overrides [`DEFAULT_DENSITY_VERTEX_CAP`].
-    pub fn with_density_cap(mut self, cap: usize) -> Self {
-        self.density_vertex_cap = cap.max(2);
         self
     }
 
@@ -297,13 +291,12 @@ impl<'g> ServeState<'g> {
     /// of the induced subgraph, `2e / (n (n - 1))`.
     fn density_of(&self, h: &Hierarchy, node: u32) -> Result<(usize, usize, f64), ProtocolError> {
         let vertices = self.prepared.nucleus_vertices(h, node);
-        if vertices.len() > self.density_vertex_cap {
+        if vertices.len() > DEFAULT_DENSITY_VERTEX_CAP {
             return Err(ProtocolError::new(
                 ErrorCode::TooLarge,
                 format!(
-                    "nucleus spans {} vertices, over the density cap {}",
+                    "nucleus spans {} vertices, over the density cap {DEFAULT_DENSITY_VERTEX_CAP}",
                     vertices.len(),
-                    self.density_vertex_cap
                 ),
             ));
         }

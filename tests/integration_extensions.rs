@@ -5,8 +5,6 @@
 
 use nucleus_hierarchy::core::algo::variants;
 use nucleus_hierarchy::core::analytics::skeleton_profile;
-#[allow(deprecated)]
-use nucleus_hierarchy::core::maintenance::DynamicCores;
 use nucleus_hierarchy::core::space::{EdgeK4Space, VertexTriangleSpace};
 use nucleus_hierarchy::core::weighted::weighted_core_decomposition;
 use nucleus_hierarchy::gen::{dataset, Scale};
@@ -31,25 +29,23 @@ fn weighted_decomposition_on_surrogate() {
     }
 }
 
-// Keeps the deprecated shim honest: the legacy single-op surface must
-// stay consistent with the batch decomposition until it is removed.
+// Replaying a graph one edge at a time through the (1,2) maintainer
+// must reach the batch decomposition, and tearing it down must reach 0.
 #[test]
-#[allow(deprecated)]
 fn dynamic_cores_replay_matches_batch() {
     let g = dataset("uk2005-s", Scale::Small);
-    let mut dc = DynamicCores::with_vertices(g.n());
+    let mut dg = DynamicGraph::with_vertices(g.n(), Kind::Core);
     for (_, u, v) in g.edges() {
-        dc.insert_edge(u, v);
+        assert_eq!(dg.apply(&[EdgeOp::Insert(u, v)]).applied, 1);
     }
     let expect = decompose(&g, Kind::Core, Algorithm::Fnd).unwrap();
-    let got: Vec<u32> = dc.core_numbers().to_vec();
-    assert_eq!(got, expect.peeling.lambda);
+    assert_eq!(dg.core_numbers(), Some(expect.peeling.lambda.as_slice()));
     // and removal back to empty
     for (_, u, v) in g.edges() {
-        assert!(dc.remove_edge(u, v));
+        assert_eq!(dg.apply(&[EdgeOp::Delete(u, v)]).applied, 1);
     }
-    assert!(dc.core_numbers().iter().all(|&l| l == 0));
-    assert_eq!(dc.m(), 0);
+    assert!(dg.core_numbers().unwrap().iter().all(|&l| l == 0));
+    assert_eq!(dg.m(), 0);
 }
 
 #[test]

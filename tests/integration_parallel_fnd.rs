@@ -1,8 +1,7 @@
 //! End-to-end parallel-FND flow through the CLI: `decompose --algo fnd
 //! --engine frontier` must produce the same hierarchy rendering as the
-//! serial engine on every peeling family, at every hybrid-drain
-//! setting, and `--explain` must name the frontier engine and its
-//! hybrid-round policy.
+//! serial engine on every peeling family, and `--explain` must name the
+//! frontier engine and its hybrid-round policy.
 
 use std::path::PathBuf;
 
@@ -49,37 +48,31 @@ fn frontier_fnd_matches_serial_on_every_kind() {
         ])
         .unwrap();
         assert!(serial.contains("[serial]"), "{kind}: {serial}");
-        // hybrid drain disabled (0), aggressive (8) and default: all
-        // must agree with the serial hierarchy exactly
-        for threshold in ["0", "8", "256"] {
-            let frontier = cli(&[
-                "decompose",
-                "--input",
-                graph_s,
-                "--kind",
-                kind,
-                "--algo",
-                "fnd",
-                "--engine",
-                "frontier",
-                "--threads",
-                "2",
-                "--frontier-serial-below",
-                threshold,
-                "--depth",
-                "4",
-            ])
-            .unwrap();
-            assert!(
-                frontier.contains("[materialized][frontier]"),
-                "{kind}/{threshold}: {frontier}"
-            );
-            assert_eq!(
-                body(&serial),
-                body(&frontier),
-                "{kind}/{threshold}: hierarchies diverge"
-            );
-        }
+        let frontier = cli(&[
+            "decompose",
+            "--input",
+            graph_s,
+            "--kind",
+            kind,
+            "--algo",
+            "fnd",
+            "--engine",
+            "frontier",
+            "--threads",
+            "2",
+            "--depth",
+            "4",
+        ])
+        .unwrap();
+        assert!(
+            frontier.contains("[materialized][frontier]"),
+            "{kind}: {frontier}"
+        );
+        assert_eq!(
+            body(&serial),
+            body(&frontier),
+            "{kind}: hierarchies diverge"
+        );
     }
     std::fs::remove_file(&graph).ok();
 }
@@ -102,47 +95,12 @@ fn explain_names_the_hybrid_round_policy() {
         "frontier",
         "--threads",
         "2",
-        "--frontier-serial-below",
-        "64",
         "--explain",
     ])
     .unwrap();
     assert!(explained.contains("plan:"), "{explained}");
     assert!(explained.contains("frontier"), "{explained}");
     assert!(explained.contains("hybrid, serial below 64"), "{explained}");
-
-    // disabling the drain is reported too
-    let explained = cli(&[
-        "decompose",
-        "--input",
-        graph_s,
-        "--kind",
-        "truss",
-        "--algo",
-        "fnd",
-        "--engine",
-        "frontier",
-        "--threads",
-        "2",
-        "--frontier-serial-below",
-        "0",
-        "--explain",
-    ])
-    .unwrap();
-    assert!(explained.contains("hybrid drain disabled"), "{explained}");
-
-    // a malformed threshold is a flag error, not a panic
-    let err = cli(&[
-        "decompose",
-        "--input",
-        graph_s,
-        "--kind",
-        "truss",
-        "--frontier-serial-below",
-        "many",
-    ])
-    .unwrap_err();
-    assert!(err.contains("frontier-serial-below"), "{err}");
 
     std::fs::remove_file(&graph).ok();
 }
