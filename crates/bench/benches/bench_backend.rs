@@ -5,8 +5,8 @@
 //!
 //! * `lazy/…` — `Set-λ` peeling through on-the-fly container
 //!   enumeration (sorted-list intersections per visit);
-//! * `materialized/…` — the same peeling through a pre-built
-//!   [`MaterializedSpace`] (flat index scans only);
+//! * `materialized/…` — the same peeling through an [`IndexedSpace`]
+//!   over a pre-built index (flat index scans only);
 //! * `build-index/…` — the one-time parallel [`ContainerIndex`]
 //!   construction the materialized rows amortize.
 //!
@@ -17,7 +17,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nucleus_core::peel::peel;
-use nucleus_core::space::{EdgeSpace, MaterializedSpace, PeelSpace, TriangleSpace};
+use nucleus_core::space::{ContainerIndex, EdgeSpace, IndexedSpace, PeelSpace, TriangleSpace};
 use nucleus_graph::CsrGraph;
 
 /// Deterministic inputs, smallest to largest (by edge count).
@@ -40,12 +40,14 @@ fn bench_space<S: PeelSpace + Sync>(
     group.bench_with_input(BenchmarkId::new("lazy", name), space, |b, s| {
         b.iter(|| peel(s).max_lambda);
     });
-    let mat = MaterializedSpace::new(space);
+    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let index = ContainerIndex::build(space, threads);
+    let mat = IndexedSpace::new(space, &index);
     group.bench_with_input(BenchmarkId::new("materialized", name), &mat, |b, m| {
         b.iter(|| peel(m).max_lambda);
     });
     group.bench_with_input(BenchmarkId::new("build-index", name), space, |b, s| {
-        b.iter(|| MaterializedSpace::new(s).index().container_count());
+        b.iter(|| ContainerIndex::build(s, threads).container_count());
     });
 }
 

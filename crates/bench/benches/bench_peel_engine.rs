@@ -6,8 +6,8 @@
 //!
 //! * `serial-lazy/…` — bucket-queue `Set-λ` over on-the-fly container
 //!   enumeration (the paper's sequential baseline);
-//! * `serial-materialized/…` — the same loop over a pre-built
-//!   [`MaterializedSpace`] (PR 2's fast path);
+//! * `serial-materialized/…` — the same loop over an [`IndexedSpace`]
+//!   on a pre-built index (PR 2's fast path);
 //! * `frontier-lazy/…` — frontier rounds over on-the-fly enumeration
 //!   (quantifies how much the engine needs the flat index);
 //! * `frontier-materialized-t1/…` — frontier rounds over the index on
@@ -40,7 +40,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nucleus_core::algo::fnd::{fnd, fnd_parallel};
 use nucleus_core::peel::{peel, peel_parallel_with, FrontierOptions};
-use nucleus_core::space::{EdgeSpace, MaterializedSpace, PeelSpace, TriangleSpace};
+use nucleus_core::space::{ContainerIndex, EdgeSpace, IndexedSpace, PeelSpace, TriangleSpace};
 use nucleus_graph::CsrGraph;
 
 /// Deterministic inputs, smallest to largest (by edge count); same
@@ -89,7 +89,8 @@ fn bench_space<S: PeelSpace + Sync>(
     group.bench_with_input(BenchmarkId::new("frontier-lazy", name), space, |b, s| {
         b.iter(|| peel_parallel_with(s, pure(1)).max_lambda);
     });
-    let mat = MaterializedSpace::new(space);
+    let index = ContainerIndex::build(space, all_threads);
+    let mat = IndexedSpace::new(space, &index);
     group.bench_with_input(
         BenchmarkId::new("serial-materialized", name),
         &mat,

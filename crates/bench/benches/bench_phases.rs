@@ -57,7 +57,6 @@ use nucleus_cliques::{
 use nucleus_core::algo::dft::dft;
 use nucleus_core::algo::fnd::{build_hierarchy, fnd, fnd_classify};
 use nucleus_core::prelude::*;
-use nucleus_core::space::MaterializedSpace;
 use nucleus_graph::flat::offsets_from_counts;
 use nucleus_graph::CsrGraph;
 
@@ -109,7 +108,7 @@ fn configure(group: &mut criterion::BenchmarkGroup<'_>) {
 fn bench_assembly<S: nucleus_core::space::PeelSpace + Sync>(
     group: &mut criterion::BenchmarkGroup<'_>,
     name: &str,
-    mat: &MaterializedSpace<'_, S>,
+    mat: &IndexedSpace<'_, S>,
 ) {
     let tn = all_threads();
     let classified = fnd_classify(mat, FndOptions::default(), FrontierOptions::default());
@@ -211,8 +210,8 @@ fn bench_phases_truss(c: &mut Criterion) {
                 fnd(&es).hierarchy.nucleus_count()
             });
         });
-        let mat = MaterializedSpace::new(&es);
-        bench_assembly(&mut group, name, &mat);
+        let containers = ContainerIndex::build(&es, all_threads());
+        bench_assembly(&mut group, name, &IndexedSpace::new(&es, &containers));
         bench_prepare_total(&mut group, name, g, Kind::Truss);
     }
     group.finish();
@@ -308,8 +307,8 @@ fn bench_phases_nucleus34(c: &mut Criterion) {
                 fnd(&ts).hierarchy.nucleus_count()
             });
         });
-        let mat = MaterializedSpace::new(&ts);
-        bench_assembly(&mut group, name, &mat);
+        let containers = ContainerIndex::build(&ts, all_threads());
+        bench_assembly(&mut group, name, &IndexedSpace::new(&ts, &containers));
         bench_prepare_total(&mut group, name, g, Kind::Nucleus34);
     }
     group.finish();

@@ -320,11 +320,12 @@ pub fn fnd_parallel<S: PeelSpace + Sync>(space: &S, threads: usize) -> FndOutcom
 ///
 /// ```
 /// use nucleus_core::algo::fnd::{fnd, fnd_parallel};
-/// use nucleus_core::space::{EdgeSpace, MaterializedSpace};
+/// use nucleus_core::space::{ContainerIndex, EdgeSpace, IndexedSpace};
 ///
 /// let g = nucleus_gen::paper::fig3_bowtie();
 /// let es = EdgeSpace::new(&g);
-/// let m = MaterializedSpace::new(&es);
+/// let index = ContainerIndex::build(&es, 2);
+/// let m = IndexedSpace::new(&es, &index);
 /// assert_eq!(fnd_parallel(&m, 2).hierarchy, fnd(&es).hierarchy);
 /// ```
 pub fn fnd_parallel_with<S: PeelSpace + Sync>(
@@ -703,7 +704,8 @@ mod tests {
     fn check_parallel_matches_serial(g: &nucleus_graph::CsrGraph) {
         fn check<S: crate::space::PeelSpace + Sync>(space: &S) {
             let serial = fnd(space);
-            let m = crate::space::MaterializedSpace::new(space);
+            let index = crate::space::ContainerIndex::build(space, 2);
+            let m = crate::space::IndexedSpace::new(space, &index);
             for serial_round_threshold in [0, 3, usize::MAX] {
                 for threads in [1, 2, 8] {
                     let fopts = crate::peel::FrontierOptions {
@@ -737,7 +739,8 @@ mod tests {
     fn parallel_fnd_dedup_preserves_hierarchy() {
         let g = nucleus_gen::karate::karate_club();
         let es = EdgeSpace::new(&g);
-        let m = crate::space::MaterializedSpace::new(&es);
+        let index = crate::space::ContainerIndex::build(&es, 2);
+        let m = crate::space::IndexedSpace::new(&es, &index);
         let fopts = crate::peel::FrontierOptions {
             threads: 2,
             min_parallel_work: 0,

@@ -18,7 +18,6 @@ use crate::error::CoreError;
 use crate::hierarchy::Hierarchy;
 use crate::peel::Peeling;
 use crate::session::Nucleus;
-use crate::space::{ContainerIndex, PeelSpace};
 
 /// Which decomposition family to run — all five (r, s) instances of the
 /// paper's generic framework, in (r, s)-lexicographic order.
@@ -178,7 +177,8 @@ impl std::fmt::Display for Algorithm {
 pub enum Backend {
     /// Re-enumerate containers on every visit (no extra memory).
     Lazy,
-    /// Build a [`ContainerIndex`] once, then peel/traverse flat arrays.
+    /// Build a [`ContainerIndex`](crate::space::ContainerIndex) once,
+    /// then peel/traverse flat arrays.
     Materialized,
     /// Materialize when the estimated index fits
     /// [`Backend::AUTO_BYTE_CAP`]; fall back to lazy otherwise.
@@ -191,11 +191,6 @@ impl Backend {
     /// cap (1 GiB): past it the index's build cost and memory traffic
     /// start competing with the peeling it is meant to accelerate.
     pub const AUTO_BYTE_CAP: usize = 1 << 30;
-
-    /// Resolves the choice for a concrete space: should it materialize?
-    pub fn materialize<S: PeelSpace>(self, space: &S) -> bool {
-        self.wants_index(|| ContainerIndex::estimate_bytes(space))
-    }
 
     /// The single home of the policy: `Lazy` never materializes,
     /// `Materialized` always does, `Auto` iff the estimated index fits
@@ -404,7 +399,7 @@ pub fn hypo_baseline(g: &CsrGraph, kind: Kind) -> (PhaseTimes, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::VertexSpace;
+    use crate::space::{ContainerIndex, PeelBackend, PeelSpace, VertexSpace};
     use crate::test_graphs;
 
     /// One builder session over `g`, run once.
@@ -488,9 +483,11 @@ mod tests {
     fn auto_backend_materializes_small_spaces() {
         let g = test_graphs::nested_cores();
         let vs = VertexSpace::new(&g);
-        assert!(Backend::Auto.materialize(&vs));
-        assert!(!Backend::Lazy.materialize(&vs));
-        assert!(Backend::Materialized.materialize(&vs));
+        let est = || ContainerIndex::estimate_bytes_from(vs.r(), vs.s(), &vs.degrees());
+        assert!(Backend::Auto.wants_index(est));
+        assert!(!Backend::Lazy.wants_index(est));
+        assert!(Backend::Materialized.wants_index(est));
+        assert!(!Backend::Auto.wants_index(|| Backend::AUTO_BYTE_CAP + 1));
         assert_eq!(format!("{}", Backend::Auto), "auto");
         assert_eq!(Backend::default(), Backend::Auto);
     }

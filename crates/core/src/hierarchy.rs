@@ -74,6 +74,7 @@ pub struct Hierarchy {
 ///   observe bit-identical output, just without the walk.
 /// * `level_nodes[level_start[k] .. level_start[k+1]]` — the k-(r,s)
 ///   nuclei for each `k`, ascending node id, same as the old full scan.
+///   The run lengths are [`Hierarchy::level_profile`].
 #[derive(Clone, Debug)]
 struct HierarchyIndex {
     /// Per node: offset of its subtree's cell run in `subtree_cells`.
@@ -160,11 +161,13 @@ impl Hierarchy {
             // Level CSR: counting sort over the k-spans (parent.λ, λ]
             // of every non-root node, filled in ascending node id so
             // each per-k list matches the old full-scan order.
+            let span = |node: &HierarchyNode| {
+                self.nodes[node.parent as usize].lambda as usize + 1..=node.lambda as usize
+            };
             let levels = self.max_lambda as usize + 1;
             let mut level_start = vec![0usize; levels + 1];
             for node in self.nodes.iter().skip(1) {
-                let lo = self.nodes[node.parent as usize].lambda as usize + 1;
-                for k in lo..=node.lambda as usize {
+                for k in span(node) {
                     level_start[k + 1] += 1;
                 }
             }
@@ -174,8 +177,7 @@ impl Hierarchy {
             let mut fill = level_start.clone();
             let mut level_nodes = vec![0u32; level_start[levels]];
             for (id, node) in self.nodes.iter().enumerate().skip(1) {
-                let lo = self.nodes[node.parent as usize].lambda as usize + 1;
-                for k in lo..=node.lambda as usize {
+                for k in span(node) {
                     level_nodes[fill[k]] = id as u32;
                     fill[k] += 1;
                 }
@@ -254,18 +256,14 @@ impl Hierarchy {
     }
 
     /// Per-level nucleus counts: `profile()[k]` = number of k-(r,s)
-    /// nuclei (index 0 is unused; the root is not a nucleus).
+    /// nuclei (index 0 is unused; the root is not a nucleus). Read off
+    /// the memoized level CSR in O(max λ).
     pub fn level_profile(&self) -> Vec<usize> {
-        let mut out = vec![0usize; self.max_lambda as usize + 1];
-        for (id, node) in self.nodes.iter().enumerate().skip(1) {
-            // node represents the k-nuclei for k in (parent.λ, node.λ]
-            let lo = self.nodes[node.parent as usize].lambda + 1;
-            let _ = id;
-            for k in lo..=node.lambda {
-                out[k as usize] += 1;
-            }
-        }
-        out
+        self.index()
+            .level_start
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .collect()
     }
 
     /// Walks from `id` to the root, yielding the chain of enclosing
@@ -752,8 +750,10 @@ mod tests {
         for k in 1..=h.max_lambda() {
             assert_eq!(h.nuclei_at(k), scan_nuclei_at(&h, k), "k={k}");
             assert_eq!(h.nuclei_at_slice(k), &scan_nuclei_at(&h, k)[..], "k={k}");
-            assert_eq!(h.level_profile()[k as usize], h.nuclei_at_slice(k).len());
+            assert_eq!(h.level_profile()[k as usize], scan_nuclei_at(&h, k).len());
         }
+        assert_eq!(h.level_profile().len(), h.max_lambda() as usize + 1);
+        assert_eq!(h.level_profile()[0], 0);
         // Past the deepest level: empty, no panic.
         assert!(h.nuclei_at_slice(h.max_lambda() + 1).is_empty());
         assert!(h.nuclei_at(h.max_lambda() + 7).is_empty());
@@ -765,10 +765,12 @@ mod tests {
         let h = RawHierarchy::default().into_hierarchy(1, 2, vec![0, 0, 0], 0);
         assert_eq!(h.nucleus_cells(Hierarchy::ROOT), vec![0, 1, 2]);
         assert!(h.nuclei_at_slice(1).is_empty());
+        assert_eq!(h.level_profile(), vec![0]);
         // Zero cells entirely.
         let h = RawHierarchy::default().into_hierarchy(1, 2, vec![], 0);
         assert!(h.nucleus_cells(Hierarchy::ROOT).is_empty());
         assert!(h.nucleus_cells_slice(Hierarchy::ROOT).is_empty());
+        assert_eq!(h.level_profile(), vec![0]);
     }
 
     #[test]

@@ -95,8 +95,8 @@ pub mod prelude {
     pub use crate::report::{describe, nucleus_vertices, render_tree, summarize_nucleus};
     pub use crate::session::{Nucleus, NucleusBuilder, Prepared};
     pub use crate::space::{
-        ContainerIndex, EdgeK4Space, EdgeSpace, IndexedSpace, MaterializedSpace, PeelBackend,
-        PeelCells, PeelSpace, TriangleSpace, VertexSpace, VertexTriangleSpace,
+        ContainerIndex, EdgeK4Space, EdgeSpace, IndexedSpace, PeelBackend, PeelCells, PeelSpace,
+        TriangleSpace, VertexSpace, VertexTriangleSpace,
     };
     pub use crate::weighted::{weighted_core_decomposition, weighted_core_numbers};
 }

@@ -86,8 +86,8 @@
 //! serial engine's.
 //!
 //! The frontier engine assumes container enumeration is cheap enough to
-//! repeat per round participant — run it over a
-//! [`crate::space::MaterializedSpace`] (flat [`ContainerIndex`] scans),
+//! repeat per round participant — run it over an
+//! [`crate::space::IndexedSpace`] (flat [`ContainerIndex`] scans),
 //! which is how [`crate::decompose::PeelEngine::Frontier`] wires it.
 //!
 //! [`ContainerIndex`]: crate::space::ContainerIndex
@@ -260,19 +260,19 @@ pub(crate) fn effective_threads(threads: usize) -> usize {
 /// order differs from the serial engine's within λ levels: rounds emit
 /// in ascending cell id, the bucket queue in counting-sort position).
 ///
-/// `threads = 0` uses every available CPU. Drive it through a
-/// [`crate::space::MaterializedSpace`] so each round's container scans
-/// are flat-array reads:
+/// `threads = 0` uses every available CPU. Drive it through an
+/// [`crate::space::IndexedSpace`] so each round's container scans are
+/// flat-array reads:
 ///
 /// ```
 /// use nucleus_core::peel::{peel, peel_parallel};
-/// use nucleus_core::space::{MaterializedSpace, VertexSpace};
+/// use nucleus_core::space::{ContainerIndex, IndexedSpace, VertexSpace};
 /// use nucleus_graph::CsrGraph;
 ///
 /// let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
 /// let vs = VertexSpace::new(&g);
-/// let m = MaterializedSpace::new(&vs);
-/// let p = peel_parallel(&m, 2);
+/// let index = ContainerIndex::build(&vs, 2);
+/// let p = peel_parallel(&IndexedSpace::new(&vs, &index), 2);
 /// assert_eq!(p.lambda, peel(&vs).lambda);
 /// ```
 pub fn peel_parallel<B: PeelBackend + Sync>(space: &B, threads: usize) -> Peeling {
@@ -1015,7 +1015,8 @@ mod tests {
         let ts = TriangleSpace::new(g);
         fn check<S: crate::space::PeelSpace + Sync>(space: &S) {
             let serial = peel(space);
-            let m = crate::space::MaterializedSpace::new(space);
+            let index = crate::space::ContainerIndex::build(space, 2);
+            let m = crate::space::IndexedSpace::new(space, &index);
             for serial_round_threshold in [0, 3, usize::MAX] {
                 for threads in [1, 2, 8] {
                     let opts = FrontierOptions {

@@ -18,9 +18,9 @@ pub struct NucleusSummary {
     pub cells: u64,
     /// Number of distinct vertices spanned by the member cells.
     pub vertices: usize,
-    /// Edge density of the induced subgraph (only computed when the
-    /// vertex set is small enough; `None` otherwise).
-    pub density: Option<f64>,
+    /// Edge density `2e / (n (n - 1))` of the induced subgraph (0 below
+    /// two vertices).
+    pub density: f64,
 }
 
 /// Distinct vertices spanned by the member cells of `node`.
@@ -34,25 +34,22 @@ pub fn nucleus_vertices<S: PeelSpace>(space: &S, h: &Hierarchy, node: u32) -> Ve
     out
 }
 
-/// Builds a [`NucleusSummary`] for `node`. Density is computed only when
-/// the nucleus spans at most `density_limit` vertices (an induced-edge
-/// count, O(Σ_{v ∈ V} min(deg v, |V|) · log) over its vertex set V).
+/// Builds a [`NucleusSummary`] for `node`, whatever its size. The
+/// density is [`CsrGraph::induced_density`] of the nucleus's vertex
+/// set V: an induced-edge count, O(Σ_{v ∈ V} min(deg v, |V|) · log).
 pub fn summarize_nucleus<S: PeelSpace>(
     g: &CsrGraph,
     space: &S,
     h: &Hierarchy,
     node: u32,
-    density_limit: usize,
 ) -> NucleusSummary {
     let verts = nucleus_vertices(space, h, node);
-    let density =
-        (verts.len() <= density_limit && verts.len() >= 2).then(|| g.induced_density(&verts));
     NucleusSummary {
         node,
         lambda: h.node(node).lambda,
         cells: h.node(node).subtree_cells,
         vertices: verts.len(),
-        density,
+        density: g.induced_density(&verts),
     }
 }
 
@@ -143,9 +140,9 @@ mod tests {
         let deep = h.nuclei_at(4)[0];
         let verts = nucleus_vertices(&vs, &h, deep);
         assert_eq!(verts.len(), 5);
-        let s = summarize_nucleus(&g, &vs, &h, deep, 100);
+        let s = summarize_nucleus(&g, &vs, &h, deep);
         assert_eq!(s.vertices, 5);
-        assert!((s.density.unwrap() - 1.0).abs() < 1e-12);
+        assert!((s.density - 1.0).abs() < 1e-12);
     }
 
     #[test]

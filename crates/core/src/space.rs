@@ -20,7 +20,7 @@
 //!   by intersecting sorted neighbor lists. No memory beyond the ω
 //!   values, but peeling revisits each cell once per surviving
 //!   container, so the same intersections are recomputed many times.
-//! * **Materialized** — [`MaterializedSpace`] wraps any lazy space with
+//! * **Materialized** — [`IndexedSpace`] serves any lazy space from
 //!   a [`ContainerIndex`]: a flat CSR built **once** (in parallel) that
 //!   stores, per cell, one fixed-width record per container holding the
 //!   co-cell ids. Peeling and traversal then touch only two contiguous
@@ -52,7 +52,7 @@
 /// [`crate::algo::hypo::hypo_sweep`], the traversals and
 /// [`crate::validate::check_semantics`] need nothing else. Implemented
 /// by the lazy spaces (recomputing containers per call) and by
-/// [`MaterializedSpace`] (serving them from a flat [`ContainerIndex`]).
+/// [`IndexedSpace`] (serving them from a flat [`ContainerIndex`]).
 pub trait PeelBackend {
     /// Number of cells.
     fn cell_count(&self) -> usize;
@@ -109,7 +109,7 @@ pub mod vertex_triangle;
 
 pub use edge::EdgeSpace;
 pub use edge_k4::EdgeK4Space;
-pub use materialized::{ContainerIndex, IndexedSpace, MaterializedSpace, PeelCells};
+pub use materialized::{ContainerIndex, IndexedSpace, PeelCells};
 pub use triangle::TriangleSpace;
 pub use vertex::VertexSpace;
 pub use vertex_triangle::VertexTriangleSpace;

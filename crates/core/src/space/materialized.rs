@@ -7,7 +7,7 @@
 //! performs that enumeration exactly once per cell (or once for the
 //! whole space, when the space has a fused fill), storing each
 //! container as a fixed-width record of co-cell ids in a
-//! [`FlatRecords`] buffer; [`MaterializedSpace`] then serves the whole
+//! [`FlatRecords`] buffer; [`IndexedSpace`] then serves the whole
 //! [`PeelSpace`] interface from the flat index, so `peel`, `dft`,
 //! `fnd`, `naive`, `hypo_sweep` and `check_semantics` monomorphize over
 //! it unchanged.
@@ -377,15 +377,10 @@ impl ContainerIndex {
         }
     }
 
-    /// Estimated index footprint for a space **without building it**:
-    /// record storage plus the offset array. Drives the `Auto` backend
-    /// heuristic in [`crate::decompose::Backend`].
-    pub fn estimate_bytes<S: PeelSpace>(space: &S) -> usize {
-        Self::estimate_bytes_from(space.r(), space.s(), &space.degrees())
-    }
-
-    /// [`ContainerIndex::estimate_bytes`] from already-computed ω
-    /// degrees, sparing the `degrees()` clone.
+    /// Estimated index footprint for an (r, s) space with ω degrees
+    /// `counts`, **without building it**: record storage plus the
+    /// offset array. Drives the `Auto` backend heuristic in
+    /// [`crate::decompose::Backend`].
     pub fn estimate_bytes_from(r: u32, s: u32, counts: &[u32]) -> usize {
         let arity = record_arity(r, s);
         let records: usize = counts.iter().map(|&d| d as usize).sum();
@@ -408,57 +403,12 @@ impl ContainerIndex {
 }
 
 /// A [`PeelSpace`] whose container enumeration is served from a
-/// [`ContainerIndex`] instead of recomputed — the *materialized*
-/// backend. Identity queries (`r`, `s`, `cell_vertices`) delegate to
-/// the wrapped lazy space.
-pub struct MaterializedSpace<'s, S> {
-    inner: &'s S,
-    index: ContainerIndex,
-}
-
-impl<'s, S: PeelSpace + Sync> MaterializedSpace<'s, S> {
-    /// Materializes `inner` using all available CPUs.
-    pub fn new(inner: &'s S) -> Self {
-        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-        Self::with_threads(inner, threads)
-    }
-
-    /// Materializes `inner` with an explicit build thread count.
-    pub fn with_threads(inner: &'s S, threads: usize) -> Self {
-        MaterializedSpace {
-            index: ContainerIndex::build(inner, threads),
-            inner,
-        }
-    }
-
-    /// Materializes `inner` reusing already-computed ω degrees
-    /// (`counts` must be `inner.degrees()`).
-    pub fn with_counts(inner: &'s S, counts: Vec<u32>, threads: usize) -> Self {
-        MaterializedSpace {
-            index: ContainerIndex::build_with_counts(inner, counts, threads),
-            inner,
-        }
-    }
-}
-
-impl<'s, S> MaterializedSpace<'s, S> {
-    /// The wrapped lazy space.
-    pub fn inner(&self) -> &'s S {
-        self.inner
-    }
-
-    /// The flat index backing this space.
-    pub fn index(&self) -> &ContainerIndex {
-        &self.index
-    }
-}
-
-/// A [`PeelSpace`] served from a **borrowed** [`ContainerIndex`] over a
-/// borrowed lazy space. This is the view [`crate::session::Prepared`]
-/// peels through: the session owns the space and the index once, and
-/// every `run` constructs this two-pointer view for free — no index
-/// move, no clone. [`MaterializedSpace`] is the owning analogue for
-/// single-shot use.
+/// **borrowed** [`ContainerIndex`] instead of recomputed — the
+/// *materialized* backend. Identity queries (`r`, `s`,
+/// `cell_vertices`) delegate to the borrowed lazy space. This is the
+/// view [`crate::session::Prepared`] peels through: the session owns
+/// the space and the index once, and every `run` constructs this
+/// two-pointer view for free — no index move, no clone.
 pub struct IndexedSpace<'a, S> {
     inner: &'a S,
     index: &'a ContainerIndex,
@@ -505,35 +455,6 @@ impl<S: PeelSpace> PeelSpace for IndexedSpace<'_, S> {
     }
 }
 
-impl<S: PeelSpace> PeelBackend for MaterializedSpace<'_, S> {
-    fn cell_count(&self) -> usize {
-        self.index.cell_count()
-    }
-
-    fn degrees(&self) -> Vec<u32> {
-        self.index.counts()
-    }
-
-    #[inline]
-    fn for_each_container<F: FnMut(&[u32])>(&self, cell: u32, f: F) {
-        self.index.for_each_container(cell, f);
-    }
-}
-
-impl<S: PeelSpace> PeelSpace for MaterializedSpace<'_, S> {
-    fn r(&self) -> u32 {
-        self.inner.r()
-    }
-
-    fn s(&self) -> u32 {
-        self.inner.s()
-    }
-
-    fn cell_vertices(&self, cell: u32, out: &mut Vec<u32>) {
-        self.inner.cell_vertices(cell, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,35 +475,24 @@ mod tests {
     /// exactly — same containers, same order.
     fn check_mirrors_lazy<S: PeelSpace + Sync>(space: &S) {
         for threads in [1, 4] {
-            let m = MaterializedSpace::with_threads(space, threads);
+            let index = ContainerIndex::build(space, threads);
+            let m = IndexedSpace::new(space, &index);
             assert_eq!(m.cell_count(), space.cell_count());
             assert_eq!(m.degrees(), space.degrees());
             assert_eq!(m.r(), space.r());
             assert_eq!(m.s(), space.s());
             assert_eq!(m.name(), space.name());
-            // the borrowed view must be indistinguishable from the
-            // owning wrapper
-            let view = IndexedSpace::new(space, m.index());
-            assert_eq!(view.cell_count(), m.cell_count());
-            assert_eq!(view.degrees(), m.degrees());
-            assert_eq!((view.r(), view.s()), (m.r(), m.s()));
             for cell in 0..space.cell_count() as u32 {
                 let mut lazy: Vec<Vec<u32>> = vec![];
                 space.for_each_container(cell, |o| lazy.push(o.to_vec()));
                 let mut mat: Vec<Vec<u32>> = vec![];
                 m.for_each_container(cell, |o| mat.push(o.to_vec()));
                 assert_eq!(lazy, mat, "cell {cell}");
-                let mut viewed: Vec<Vec<u32>> = vec![];
-                view.for_each_container(cell, |o| viewed.push(o.to_vec()));
-                assert_eq!(lazy, viewed, "cell {cell} via IndexedSpace");
                 let mut a = vec![];
                 let mut b = vec![];
-                let mut c = vec![];
                 space.cell_vertices(cell, &mut a);
                 m.cell_vertices(cell, &mut b);
-                view.cell_vertices(cell, &mut c);
                 assert_eq!(a, b);
-                assert_eq!(a, c);
             }
         }
     }
@@ -607,7 +517,10 @@ mod tests {
         // each of the 10 edges lies in 3 triangles
         assert_eq!(idx.container_count(), 30);
         assert!(idx.bytes() > 0);
-        assert_eq!(ContainerIndex::estimate_bytes(&es), idx.bytes());
+        assert_eq!(
+            ContainerIndex::estimate_bytes_from(es.r(), es.s(), &es.degrees()),
+            idx.bytes()
+        );
     }
 
     #[test]
@@ -624,7 +537,8 @@ mod tests {
         let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         // the 4-cycle is triangle-free: every edge has zero containers
         let es = EdgeSpace::new(&g);
-        let m = MaterializedSpace::new(&es);
+        let index = ContainerIndex::build(&es, 2);
+        let m = IndexedSpace::new(&es, &index);
         assert_eq!(m.degrees(), vec![0; 4]);
         let mut called = false;
         m.for_each_container(0, |_| called = true);
@@ -632,8 +546,8 @@ mod tests {
 
         let g = CsrGraph::from_edges(0, &[]);
         let vs = VertexSpace::new(&g);
-        let m = MaterializedSpace::new(&vs);
-        assert_eq!(m.cell_count(), 0);
+        let index = ContainerIndex::build(&vs, 2);
+        assert_eq!(IndexedSpace::new(&vs, &index).cell_count(), 0);
     }
 
     #[test]
@@ -678,8 +592,8 @@ mod tests {
     fn peeling_through_materialized_backend() {
         let g = complete(6);
         let ts = TriangleSpace::new(&g);
-        let m = MaterializedSpace::new(&ts);
-        let p = crate::peel::peel(&m);
+        let index = ContainerIndex::build(&ts, 2);
+        let p = crate::peel::peel(&IndexedSpace::new(&ts, &index));
         assert!(p.lambda.iter().all(|&l| l == 3));
         assert_eq!(p.lambda, crate::peel::peel(&ts).lambda);
     }

@@ -16,8 +16,8 @@ use nucleus_core::plan;
 use nucleus_core::session::Nucleus;
 use nucleus_core::space::materialized::record_arity;
 use nucleus_core::space::{
-    EdgeK4Space, EdgeSpace, MaterializedSpace, PeelBackend, PeelSpace, TriangleSpace, VertexSpace,
-    VertexTriangleSpace,
+    ContainerIndex, EdgeK4Space, EdgeSpace, IndexedSpace, PeelBackend, PeelSpace, TriangleSpace,
+    VertexSpace, VertexTriangleSpace,
 };
 use nucleus_core::validate::check_semantics;
 use nucleus_graph::flat::{offsets_from_counts, FlatRecords};
@@ -118,14 +118,20 @@ fn check_prepare_equivalence(g: &CsrGraph) {
         assert_eq!(supports, es.degrees(), "(2,3) ω at t={threads}");
         assert_eq!(
             truss_records,
-            per_cell_records(&MaterializedSpace::with_threads(&es, threads)),
+            per_cell_records(&IndexedSpace::new(
+                &es,
+                &ContainerIndex::build(&es, threads)
+            )),
             "(2,3) records at t={threads}"
         );
         let ts = TriangleSpace::with_threads(g, threads);
         assert_eq!(k4t, ts.degrees(), "(3,4) ω at t={threads}");
         assert_eq!(
             n34_records,
-            per_cell_records(&MaterializedSpace::with_threads(&ts, threads)),
+            per_cell_records(&IndexedSpace::new(
+                &ts,
+                &ContainerIndex::build(&ts, threads)
+            )),
             "(3,4) records at t={threads}"
         );
         for (kind, records) in [
@@ -220,7 +226,8 @@ fn check_space_agreement<S: PeelSpace>(space: &S) {
 /// hierarchies, for any space.
 fn check_backend_equivalence<S: PeelSpace + Sync>(space: &S) {
     for threads in [1, 3] {
-        let mat = MaterializedSpace::with_threads(space, threads);
+        let index = ContainerIndex::build(space, threads);
+        let mat = IndexedSpace::new(space, &index);
         assert_eq!(space.degrees(), mat.degrees(), "ω degrees");
         let lazy_peel = peel(space);
         let mat_peel = peel(&mat);
@@ -242,7 +249,8 @@ fn check_backend_equivalence<S: PeelSpace + Sync>(space: &S) {
 /// identical DFT *and* parallel-FND hierarchies built on top.
 fn check_engine_equivalence<S: PeelSpace + Sync>(space: &S) {
     let serial = peel(space);
-    let mat = MaterializedSpace::with_threads(space, 2);
+    let index = ContainerIndex::build(space, 2);
+    let mat = IndexedSpace::new(space, &index);
     // thread-count-invariant references, computed once
     let (h_serial, _) = dft(&mat, &serial);
     let h_fnd = fnd(space).hierarchy;

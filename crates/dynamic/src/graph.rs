@@ -255,80 +255,39 @@ impl DynamicGraph {
         report.needs_reindex = true;
         self.generation += 1;
         let adj = &mut self.adj;
-        match &mut self.state {
-            State::Topology => {
-                for &op in &batch.net {
-                    let (u, v) = op.endpoints();
-                    if op.is_insert() {
-                        adj_insert(adj, u, v);
-                        report.inserted += 1;
-                        self.m += 1;
-                    } else {
-                        adj_remove(adj, u, v);
-                        report.deleted += 1;
-                        self.m -= 1;
-                    }
+        let mut witnesses = Vec::new();
+        let mut touched = Vec::new();
+        for &op in &batch.net {
+            let (u, v) = op.endpoints();
+            if op.is_insert() {
+                adj_insert(adj, u, v);
+                report.inserted += 1;
+                self.m += 1;
+            } else {
+                if let State::Truss(_) = self.state {
+                    common_neighbors(adj, u, v, &mut witnesses);
                 }
+                adj_remove(adj, u, v);
+                report.deleted += 1;
+                self.m -= 1;
             }
-            State::Core(cs) => {
-                for &op in &batch.net {
-                    let (u, v) = op.endpoints();
-                    let stats = if op.is_insert() {
-                        adj_insert(adj, u, v);
-                        report.inserted += 1;
-                        self.m += 1;
-                        cs.after_insert(adj, u, v)
-                    } else {
-                        adj_remove(adj, u, v);
-                        report.deleted += 1;
-                        self.m -= 1;
-                        cs.after_delete(adj, u, v)
-                    };
-                    report.cells_changed += stats.changed;
-                    report.scope_cells += stats.scope;
+            let stats = match &mut self.state {
+                State::Core(cs) if op.is_insert() => cs.after_insert(adj, u, v),
+                State::Core(cs) => cs.after_delete(adj, u, v),
+                State::Truss(ts) if op.is_insert() => ts.after_insert(adj, u, v),
+                State::Truss(ts) => ts.after_delete(adj, u, v, &witnesses),
+                State::Scoped(_) => {
+                    touched.extend([u, v]);
+                    continue;
                 }
-            }
-            State::Truss(ts) => {
-                let mut witnesses = Vec::new();
-                for &op in &batch.net {
-                    let (u, v) = op.endpoints();
-                    let stats = if op.is_insert() {
-                        adj_insert(adj, u, v);
-                        report.inserted += 1;
-                        self.m += 1;
-                        ts.after_insert(adj, u, v)
-                    } else {
-                        common_neighbors(adj, u, v, &mut witnesses);
-                        adj_remove(adj, u, v);
-                        report.deleted += 1;
-                        self.m -= 1;
-                        ts.after_delete(adj, u, v, &witnesses)
-                    };
-                    report.cells_changed += stats.changed;
-                    report.scope_cells += stats.scope;
-                }
-            }
-            State::Scoped(ss) => {
-                let mut touched = Vec::new();
-                for &op in &batch.net {
-                    let (u, v) = op.endpoints();
-                    if op.is_insert() {
-                        adj_insert(adj, u, v);
-                        report.inserted += 1;
-                        self.m += 1;
-                    } else {
-                        adj_remove(adj, u, v);
-                        report.deleted += 1;
-                        self.m -= 1;
-                    }
-                    touched.push(u);
-                    touched.push(v);
-                }
-                let snapshot = snapshot_of(adj, self.m);
-                let (changed, scope) = ss.repair(&snapshot, &touched);
-                report.cells_changed = changed;
-                report.scope_cells = scope;
-            }
+                State::Topology => continue,
+            };
+            report.cells_changed += stats.changed;
+            report.scope_cells += stats.scope;
+        }
+        if let State::Scoped(ss) = &mut self.state {
+            let snapshot = snapshot_of(adj, self.m);
+            (report.cells_changed, report.scope_cells) = ss.repair(&snapshot, &touched);
         }
         report
     }

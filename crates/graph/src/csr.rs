@@ -220,10 +220,13 @@ impl CsrGraph {
     /// Number of edges with both endpoints in `set`, a set of distinct
     /// vertices in any order; used for density reports on nuclei. Each
     /// edge is counted once, from its smaller endpoint `u`: the shorter
-    /// of `N(u) ∩ (u, ∞)` and `set ∩ (u, ∞)` is binary-searched in the
+    /// of `N(u) ∩ (u, ∞)` and `set ∩ (u, ∞)` is probed against the
     /// other, so the cost is O(Σ_{u ∈ set} min(deg u, |set|) · log).
-    /// Sorted sets (what nucleus vertex listings return) are read in
-    /// place; others are sorted into a copy first.
+    /// When the set holds at least 1/64 of the vertices, probes into it
+    /// test a membership bitmap (at most one word per set vertex)
+    /// instead of binary-searching it. Sorted sets (what nucleus vertex
+    /// listings return) are read in place; others are sorted into a
+    /// copy first.
     pub fn induced_edge_count(&self, set: &[u32]) -> usize {
         let sorted;
         let set = if set.windows(2).all(|w| w[0] < w[1]) {
@@ -235,21 +238,28 @@ impl CsrGraph {
             sorted = copy;
             &sorted
         };
+        let bits = (set.len() * 64 >= self.n()).then(|| {
+            let mut bits = vec![0u64; self.n().div_ceil(64)];
+            for &v in set {
+                bits[v as usize / 64] |= 1 << (v % 64);
+            }
+            bits
+        });
+        let in_set = |w: u32| match &bits {
+            Some(bits) => bits[w as usize / 64] >> (w % 64) & 1 == 1,
+            None => set.binary_search(&w).is_ok(),
+        };
         set.iter()
             .enumerate()
             .map(|(i, &u)| {
                 let later = &set[i + 1..];
                 let nu = self.neighbors(u);
                 let up = &nu[nu.partition_point(|&w| w <= u)..];
-                let (short, long) = if up.len() <= later.len() {
-                    (up, later)
+                if up.len() <= later.len() {
+                    up.iter().filter(|&&w| in_set(w)).count()
                 } else {
-                    (later, up)
-                };
-                short
-                    .iter()
-                    .filter(|w| long.binary_search(w).is_ok())
-                    .count()
+                    later.iter().filter(|w| up.binary_search(w).is_ok()).count()
+                }
             })
             .sum()
     }
@@ -349,14 +359,16 @@ mod tests {
             state ^= state << 17;
             (state % bound as u64) as u32
         };
-        for n in [1u32, 2, 7, 40, 150] {
+        // n = 1000 with sparse subsets runs the binary-search probe;
+        // every other case here is dense enough for the bitmap.
+        for (n, rate) in [(1u32, 3), (2, 3), (7, 3), (40, 3), (150, 3), (1000, 200)] {
             let mut edges: Vec<(u32, u32)> = (0..3 * n).map(|_| (next(n), next(n))).collect();
             // a hub adjacent to everything: its neighbour list outgrows
             // small sets, so both probe directions run
             edges.extend((1..n).map(|v| (0, v)));
             let g = CsrGraph::from_edges(n as usize, &edges);
             for _ in 0..25 {
-                let mut set: Vec<u32> = (0..n).filter(|_| next(3) == 0).collect();
+                let mut set: Vec<u32> = (0..n).filter(|_| next(rate) == 0).collect();
                 let want = induced_by_pairs(&g, &set);
                 assert_eq!(g.induced_edge_count(&set), want, "sorted {set:?}");
                 set.reverse();
@@ -366,6 +378,11 @@ mod tests {
             assert_eq!(g.induced_edge_count(&all), g.m());
         }
         assert_eq!(CsrGraph::from_edges(0, &[]).induced_edge_count(&[]), 0);
+        // A K4 among 1000 vertices: too sparse for the bitmap, and each
+        // up-list fits its set suffix, so the set's binary search probes.
+        let k4 = CsrGraph::from_edges(1000, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
+        assert_eq!(k4.induced_edge_count(&[0, 1, 2, 3]), 6);
+        assert_eq!(k4.induced_edge_count(&[0, 2, 999]), 1);
     }
 
     #[test]

@@ -18,11 +18,6 @@ use serde::Value;
 
 use crate::protocol::{ErrorCode, ProtocolError, Query, Request};
 
-/// Cap on how many vertices a `density`/`densest` computation will
-/// touch per node; nuclei above it answer `too_large` rather than stall
-/// a worker.
-pub const DEFAULT_DENSITY_VERTEX_CAP: usize = 250_000;
-
 /// What the server needs from a query engine: answer a parsed request,
 /// and render the engine half of the `stats` payload. Implemented by
 /// the immutable [`ServeState`] and the mutable
@@ -64,8 +59,6 @@ pub struct DensestAnswer {
     pub edges: usize,
     /// Edge density `2e / (n (n - 1))` of the spanned subgraph.
     pub density: f64,
-    /// Nodes skipped because they span more than the vertex cap.
-    pub skipped_over_cap: usize,
 }
 
 type HierarchySlot = OnceLock<Result<Arc<Hierarchy>, ProtocolError>>;
@@ -289,17 +282,8 @@ impl<'g> ServeState<'g> {
 
     /// Density of one node: vertices spanned by its member cells, edges
     /// of the induced subgraph, `2e / (n (n - 1))`.
-    fn density_of(&self, h: &Hierarchy, node: u32) -> Result<(usize, usize, f64), ProtocolError> {
+    fn density_of(&self, h: &Hierarchy, node: u32) -> (usize, usize, f64) {
         let vertices = self.prepared.nucleus_vertices(h, node);
-        if vertices.len() > DEFAULT_DENSITY_VERTEX_CAP {
-            return Err(ProtocolError::new(
-                ErrorCode::TooLarge,
-                format!(
-                    "nucleus spans {} vertices, over the density cap {DEFAULT_DENSITY_VERTEX_CAP}",
-                    vertices.len(),
-                ),
-            ));
-        }
         let edges = self.prepared.graph().induced_edge_count(&vertices);
         let n = vertices.len();
         let density = if n < 2 {
@@ -307,12 +291,12 @@ impl<'g> ServeState<'g> {
         } else {
             (2.0 * edges as f64) / (n as f64 * (n as f64 - 1.0))
         };
-        Ok((n, edges, density))
+        (n, edges, density)
     }
 
     fn answer_density(&self, h: &Hierarchy, node: u32) -> Result<Value, ProtocolError> {
         self.check_node(h, node)?;
-        let (n, e, d) = self.density_of(h, node)?;
+        let (n, e, d) = self.density_of(h, node);
         Ok(Value::Object(vec![
             ("node".to_string(), u(node)),
             ("lambda".to_string(), u(h.node(node).lambda)),
@@ -323,40 +307,25 @@ impl<'g> ServeState<'g> {
     }
 
     /// The (cached) best-density node for `algo`'s hierarchy: scanned
-    /// once over every non-root node, skipping nuclei above the vertex
-    /// cap; ties keep the first (lowest-id) node.
+    /// once over every non-root node; ties keep the first (lowest-id)
+    /// node.
     pub fn densest(&self, algo: Algorithm) -> Result<DensestAnswer, ProtocolError> {
         let res = self.densest[Self::slot_of(algo)].get_or_init(|| {
             let h = self.hierarchy(algo)?;
             let mut best: Option<DensestAnswer> = None;
-            let mut skipped = 0usize;
             for id in 1..h.len() as u32 {
-                match self.density_of(h, id) {
-                    Ok((n, e, d)) => {
-                        if best.is_none_or(|b| d > b.density) {
-                            best = Some(DensestAnswer {
-                                node: id,
-                                lambda: h.node(id).lambda,
-                                vertices: n,
-                                edges: e,
-                                density: d,
-                                skipped_over_cap: 0,
-                            });
-                        }
-                    }
-                    Err(e) if e.code == ErrorCode::TooLarge => skipped += 1,
-                    Err(e) => return Err(e),
+                let (n, e, d) = self.density_of(h, id);
+                if best.is_none_or(|b| d > b.density) {
+                    best = Some(DensestAnswer {
+                        node: id,
+                        lambda: h.node(id).lambda,
+                        vertices: n,
+                        edges: e,
+                        density: d,
+                    });
                 }
             }
-            match best {
-                Some(mut b) => {
-                    b.skipped_over_cap = skipped;
-                    Ok(b)
-                }
-                None => Err(ProtocolError::bad_request(
-                    "hierarchy has no non-root nuclei under the density cap",
-                )),
-            }
+            best.ok_or_else(|| ProtocolError::bad_request("hierarchy has no non-root nuclei"))
         });
         res.clone()
     }
@@ -369,7 +338,6 @@ impl<'g> ServeState<'g> {
             ("vertices".to_string(), u(b.vertices as u64)),
             ("edges".to_string(), u(b.edges as u64)),
             ("density".to_string(), Value::F64(b.density)),
-            ("skipped_over_cap".to_string(), u(b.skipped_over_cap as u64)),
         ]))
     }
 
@@ -434,5 +402,136 @@ impl std::fmt::Debug for ServeState<'_> {
             .field("cells", &self.prepared.cells())
             .field("default_algo", &self.default_algo)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nucleus_core::{Kind, Nucleus};
+    use nucleus_graph::CsrGraph;
+
+    fn ask(state: &ServeState<'_>, line: &str) -> Value {
+        state
+            .answer(&Request::parse(line).unwrap())
+            .unwrap_or_else(|e| panic!("{line}: {} {}", e.code.as_str(), e.message))
+    }
+
+    fn num(v: &Value, name: &str) -> u64 {
+        match v.field(name).unwrap() {
+            Value::U64(n) => *n,
+            other => panic!("{name}: {other:?}"),
+        }
+    }
+
+    fn real(v: &Value, name: &str) -> f64 {
+        match v.field(name).unwrap() {
+            Value::F64(x) => *x,
+            other => panic!("{name}: {other:?}"),
+        }
+    }
+
+    /// Vertices, pairwise-counted induced edges and density of a vertex
+    /// set, independent of `induced_edge_count`.
+    fn pairwise(g: &CsrGraph, verts: &[u32]) -> (usize, usize, f64) {
+        let mut edges = 0;
+        for (i, &a) in verts.iter().enumerate() {
+            edges += verts[i + 1..].iter().filter(|&&b| g.has_edge(a, b)).count();
+        }
+        let n = verts.len();
+        let density = if n < 2 {
+            0.0
+        } else {
+            (2.0 * edges as f64) / (n as f64 * (n as f64 - 1.0))
+        };
+        (n, edges, density)
+    }
+
+    #[test]
+    fn density_answers_have_no_size_cap() {
+        // One 2-core of 250 001 vertices: more than any former cap.
+        let g = nucleus_gen::classic::cycle(250_001);
+        let state = ServeState::new(Nucleus::builder(&g).kind(Kind::Core).prepare().unwrap());
+        let v = ask(&state, r#"{"query":"density","node":1}"#);
+        assert_eq!(num(&v, "vertices"), 250_001);
+        assert_eq!(num(&v, "edges"), 250_001);
+        let v = ask(&state, r#"{"query":"densest"}"#);
+        assert_eq!(num(&v, "node"), 1);
+        assert_eq!(num(&v, "vertices"), 250_001);
+    }
+
+    /// Every node's `density`, the `densest` node and the
+    /// `level_profile` of one algorithm's hierarchy, checked against
+    /// references computed from the hierarchy's nodes and the graph
+    /// alone.
+    fn check_against_references(g: &CsrGraph, kind: Kind, state: &ServeState<'_>, algo: Algorithm) {
+        let a = algo.name();
+        let h = state.hierarchy(algo).unwrap();
+        let endpoints: Vec<[u32; 2]> = g.edges().map(|(_, u, v)| [u, v]).collect();
+        let mut best: Option<(u32, f64)> = None;
+        for id in 0..h.len() as u32 {
+            let mut verts: Vec<u32> = h
+                .nucleus_cells(id)
+                .into_iter()
+                .flat_map(|c| match kind {
+                    Kind::Core => vec![c],
+                    _ => endpoints[c as usize].to_vec(),
+                })
+                .collect();
+            verts.sort_unstable();
+            verts.dedup();
+            let (n, e, d) = pairwise(g, &verts);
+            let v = ask(
+                state,
+                &format!(r#"{{"query":"density","node":{id},"algo":"{a}"}}"#),
+            );
+            let tag = format!("{kind:?} {a} node {id}");
+            assert_eq!(num(&v, "vertices"), n as u64, "{tag}");
+            assert_eq!(num(&v, "edges"), e as u64, "{tag}");
+            assert_eq!(real(&v, "density"), d, "{tag}");
+            if id > 0 && best.is_none_or(|(_, b)| d > b) {
+                best = Some((id, d));
+            }
+        }
+
+        let v = ask(state, &format!(r#"{{"query":"densest","algo":"{a}"}}"#));
+        let Value::Object(fields) = &v else {
+            panic!("densest: {v:?}")
+        };
+        let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, ["node", "lambda", "vertices", "edges", "density"]);
+        let (node, density) = best.expect("every graph here has a nucleus");
+        assert_eq!(num(&v, "node"), node as u64, "{kind:?} {a}");
+        assert_eq!(real(&v, "density"), density, "{kind:?} {a}");
+
+        let mut profile = vec![0u64; h.max_lambda() as usize + 1];
+        for node in &h.nodes()[1..] {
+            for k in h.node(node.parent).lambda + 1..=node.lambda {
+                profile[k as usize] += 1;
+            }
+        }
+        let want = Value::Array(profile.into_iter().map(Value::U64).collect());
+        let v = ask(
+            state,
+            &format!(r#"{{"query":"level_profile","algo":"{a}"}}"#),
+        );
+        assert_eq!(v.field("profile").unwrap(), &want, "{kind:?} {a}");
+        assert_eq!(num(&v, "nuclei"), h.nucleus_count() as u64, "{kind:?} {a}");
+    }
+
+    #[test]
+    fn density_densest_and_level_profile_match_references() {
+        let graphs = [
+            nucleus_gen::planted::planted_cliques(6, &[8, 7, 6, 5], 42),
+            nucleus_gen::karate::karate_club(),
+        ];
+        for g in &graphs {
+            for kind in [Kind::Core, Kind::Truss] {
+                let state = ServeState::new(Nucleus::builder(g).kind(kind).prepare().unwrap());
+                for &algo in Algorithm::for_kind(kind) {
+                    check_against_references(g, kind, &state, algo);
+                }
+            }
+        }
     }
 }

@@ -57,7 +57,7 @@ pub mod server;
 
 pub use client::Client;
 pub use dynamic::DynamicServeState;
-pub use engine::{DensestAnswer, QueryAnswerer, ServeState, DEFAULT_DENSITY_VERTEX_CAP};
+pub use engine::{DensestAnswer, QueryAnswerer, ServeState};
 pub use metrics::{Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use protocol::{
     err_response, ok_response, ErrorCode, ProtocolError, Query, Request, QUERY_NAMES,

@@ -39,7 +39,8 @@ pub enum ErrorCode {
     /// The request was valid but this server cannot answer it (e.g. an
     /// algorithm the prepared kind does not support).
     Unsupported,
-    /// The request or its answer exceeds a configured size cap.
+    /// The request line exceeds the server's
+    /// [`max_line_bytes`](crate::ServeConfig::max_line_bytes) cap.
     TooLarge,
     /// The request stalled past the per-request timeout.
     Timeout,

@@ -70,7 +70,7 @@ fn main() {
     println!("\npredicted complexes (top (3,4) nuclei):");
     let mut hits = 0;
     for &leaf in leaves.iter().take(8) {
-        let s = summarize_nucleus(&g, &ts, &d.hierarchy, leaf, 200);
+        let s = summarize_nucleus(&g, &ts, &d.hierarchy, leaf);
         let verts = nucleus_vertices(&ts, &d.hierarchy, leaf);
         // does it match a planted complex? (≥ 60% overlap both ways)
         let matched = planted.iter().position(|p| {
@@ -81,11 +81,8 @@ fn main() {
             hits += 1;
         }
         println!(
-            "  k={:<2} proteins={:<3} density={:<5} planted_match={:?}",
-            s.lambda,
-            s.vertices,
-            s.density.map(|x| format!("{x:.2}")).unwrap_or_default(),
-            matched
+            "  k={:<2} proteins={:<3} density={:<5.2} planted_match={:?}",
+            s.lambda, s.vertices, s.density, matched
         );
     }
     println!(

@@ -62,17 +62,11 @@ fn main() {
     chain.reverse();
     chain.push(deepest);
     for id in chain {
-        let s = summarize_nucleus(&g, &vs, &d.hierarchy, id, 600);
-        match s.density {
-            Some(dens) => println!(
-                "  k={:<3} vertices={:<6} density={dens:.4}",
-                s.lambda, s.vertices
-            ),
-            None => println!(
-                "  k={:<3} vertices={:<6} density=(too large)",
-                s.lambda, s.vertices
-            ),
-        }
+        let s = summarize_nucleus(&g, &vs, &d.hierarchy, id);
+        println!(
+            "  k={:<3} vertices={:<6} density={:.4}",
+            s.lambda, s.vertices, s.density
+        );
     }
 
     // Sanity: LCPS output equals DFT output.
