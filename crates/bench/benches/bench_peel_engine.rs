@@ -7,16 +7,15 @@
 //! * `serial-lazy/…` — bucket-queue `Set-λ` over on-the-fly container
 //!   enumeration (the paper's sequential baseline);
 //! * `serial-materialized/…` — the same loop over an [`IndexedSpace`]
-//!   on a pre-built index (PR 2's fast path);
+//!   on a pre-built index: the engine every session runs by default;
 //! * `frontier-lazy/…` — frontier rounds over on-the-fly enumeration
 //!   (quantifies how much the engine needs the flat index);
 //! * `frontier-materialized-t1/…` — frontier rounds over the index on
 //!   one thread: the engine's algorithmic constants, isolated from
 //!   parallelism (plain load/store decrements, no bucket maintenance);
 //! * `frontier-materialized-tN/…` — the same with N = all available
-//!   CPUs (equals t1 on a single-core host, where spawn overhead is
-//!   pure loss — the committed JSONs from the build container record
-//!   exactly that).
+//!   CPUs, at least 2 (on a single-core host spawn overhead is pure
+//!   loss; the committed JSONs come from a 2-CPU host).
 //!
 //! The `frontier-*` rows above run with the hybrid drain *disabled*
 //! (`serial_round_threshold: 0`) so their meaning stays fixed across

@@ -155,7 +155,7 @@ USAGE:
                            (or the (r,s) pair: 1,2 | 1,3 | 2,3 | 2,4 | 3,4)
                     [--index INDEX] [--algo <naive|dft|fnd|lcps>]
                     [--backend <auto|lazy|materialized>]
-                    [--engine <auto|serial|frontier>] [--threads N] [--explain]
+                    [--engine <serial|frontier>] [--threads N] [--explain]
                     [--json FILE] [--dot FILE] [--depth N]
   nucleus stats     --input FILE
   nucleus update    --input FILE --ops OPS
@@ -321,7 +321,7 @@ fn cmd_decompose<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let g = load_graph(args)?;
     let algo = parse_algo(args.get_or("algo", "fnd"))?;
     let backend = parse_backend(args.get_or("backend", "auto"))?;
-    let engine = parse_engine(args.get_or("engine", "auto"))?;
+    let engine = parse_engine(args.get_or("engine", "serial"))?;
     let threads = args.num("threads", 0usize)?;
     let prepared = if let Some(index_path) = args.flags.get("index") {
         let index = PreparedIndex::load(index_path).map_err(|e| e.to_string())?;
@@ -919,16 +919,20 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("materialized"), "got: {err}");
-        assert!(run_to_string(&[
-            "decompose",
-            "--input",
-            &path,
-            "--kind",
-            "truss",
-            "--engine",
-            "bogus",
-        ])
-        .is_err());
+        // the error names both engines; `auto` is not one
+        for bad in ["bogus", "auto"] {
+            let err = run_to_string(&[
+                "decompose",
+                "--input",
+                &path,
+                "--kind",
+                "truss",
+                "--engine",
+                bad,
+            ])
+            .unwrap_err();
+            assert!(err.contains("serial|frontier"), "{bad}: {err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -948,6 +952,8 @@ mod tests {
             assert!(out.contains("plan:"), "{name}: {out}");
             assert!(out.contains(rs), "{name}: {out}");
             assert!(out.contains("backend:"), "{name}: {out}");
+            // the default engine is serial at any thread count
+            assert!(out.contains("\n  engine:  serial\n"), "{name}: {out}");
         }
         // the bare (r,s) spellings select the same families
         let by_name = run_to_string(&["decompose", "--input", &path, "--kind", "edge-k4"]).unwrap();

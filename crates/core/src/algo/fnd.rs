@@ -9,9 +9,15 @@
 //! components are unioned) or has a smaller λ (the pair of sub-nuclei is
 //! appended to the `ADJ` list, ordered later by `BuildHierarchy`).
 //!
+//! [`fnd`] is the path every session runs by default. Its loop starts
+//! like [`crate::peel::peel`]'s, with the ω₀ = 0 bypass: cells in no
+//! container take λ = 0 and lead the order without entering the queue,
+//! and own no sub-nucleus.
+//!
 //! # The parallel path
 //!
-//! [`fnd_parallel_with`] rides the frontier engine
+//! [`fnd_parallel_with`], an explicit opt-in
+//! ([`crate::decompose::PeelEngine::Frontier`]), rides the frontier engine
 //! ([`crate::peel::peel_with_sink`]) by fusing the classification above
 //! into the per-cell container scan, with the engine's `(stamp, id)`
 //! order as the processed-before relation. The key observation making
@@ -58,10 +64,9 @@ use std::time::{Duration, Instant};
 
 use nucleus_cliques::{balanced_ranges, fill_ranges_scoped};
 use nucleus_dsf::ConcurrentSets;
-use nucleus_graph::bucket::PeelBuckets;
 
 use crate::hierarchy::{Hierarchy, NO_NODE};
-use crate::peel::{peel_with_sink, FrontierOptions, PeelSink, Peeling};
+use crate::peel::{peel_with_sink, serial_start, FrontierOptions, PeelSink, Peeling};
 use crate::skeleton::Skeleton;
 use crate::space::{PeelBackend, PeelCells, PeelSpace};
 
@@ -124,9 +129,9 @@ pub fn fnd<S: PeelSpace>(space: &S) -> FndOutcome {
 pub fn fnd_with_options<S: PeelSpace>(space: &S, options: FndOptions) -> FndOutcome {
     let t0 = Instant::now();
     let n = space.cell_count();
-    let mut q = PeelBuckets::new(space.degrees());
-    let mut lambda = vec![0u32; n];
-    let mut order = Vec::with_capacity(n);
+    // λ = 0 cells are in the order already (the ω₀ = 0 bypass) and own
+    // no sub-nucleus; every cell the queue pops has λ ≥ 1.
+    let (mut q, mut lambda, mut order) = serial_start(space.degrees());
     let mut max_lambda = 0u32;
     let mut sk = Skeleton::new(n);
     // `(higher-λ sub-nucleus, lower-λ sub-nucleus)` pairs; the first
@@ -135,6 +140,7 @@ pub fn fnd_with_options<S: PeelSpace>(space: &S, options: FndOptions) -> FndOutc
     let mut adj: Vec<(u32, u32)> = Vec::new();
 
     while let Some((u, k)) = q.pop_min() {
+        debug_assert!(k > 0, "ω₀ = 0 cells bypass the queue");
         lambda[u as usize] = k;
         max_lambda = max_lambda.max(k);
         order.push(u);
@@ -183,17 +189,15 @@ pub fn fnd_with_options<S: PeelSpace>(space: &S, options: FndOptions) -> FndOutc
                 }
             }
         });
-        if k > 0 {
-            // Line 19: ensure u owns a sub-nucleus, patch pending pairs.
-            if sk.comp[u as usize] == NO_NODE {
-                let sn = sk.new_subnucleus(k);
-                sk.comp[u as usize] = sn;
-            }
-            let cu = sk.comp[u as usize];
-            for pair in &mut adj[adj_start..] {
-                if pair.0 == NO_NODE {
-                    pair.0 = cu;
-                }
+        // Line 19: ensure u owns a sub-nucleus, patch pending pairs.
+        if sk.comp[u as usize] == NO_NODE {
+            let sn = sk.new_subnucleus(k);
+            sk.comp[u as usize] = sn;
+        }
+        let cu = sk.comp[u as usize];
+        for pair in &mut adj[adj_start..] {
+            if pair.0 == NO_NODE {
+                pair.0 = cu;
             }
         }
     }

@@ -233,26 +233,24 @@ impl std::fmt::Display for Backend {
 /// frontier-round scheme and its invariants).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum PeelEngine {
-    /// The classic sequential bucket-queue loop ([`crate::peel::peel`]).
+    /// The classic sequential bucket-queue loop ([`crate::peel::peel`];
+    /// FND peels inside it, as in Alg. 8). The default: with the
+    /// ω₀ = 0 bypass it is the fastest engine on every input measured.
+    #[default]
     Serial,
     /// Frontier-parallel `Set-λ` ([`crate::peel::peel_parallel`]) with
     /// hybrid serial drains for sub-threshold levels: whole λ-level
-    /// rounds, decrements applied concurrently. Requires the
-    /// materialized backend (selecting it with [`Backend::Auto`]
-    /// forces materialization regardless of the size cap; combining it
-    /// with an explicit [`Backend::Lazy`] is an error). Drives every
-    /// peeling-based algorithm — [`Algorithm::Naive`] and
-    /// [`Algorithm::Dft`] consume the finished peeling, and
+    /// rounds, decrements applied concurrently. An explicit opt-in.
+    /// Requires the materialized backend (selecting it with
+    /// [`Backend::Auto`] forces materialization regardless of the size
+    /// cap; combining it with an explicit [`Backend::Lazy`] is an
+    /// error). Drives every peeling-based algorithm — [`Algorithm::Naive`]
+    /// and [`Algorithm::Dft`] consume the finished peeling, and
     /// [`Algorithm::Fnd`] classifies containers inside the rounds
     /// ([`crate::algo::fnd::fnd_parallel_with`]) — only
     /// [`Algorithm::Lcps`] rejects it (it walks the graph directly and
     /// never runs `Set-λ`).
     Frontier,
-    /// Pick automatically: `Frontier` when the run is materialized,
-    /// more than one worker thread is available and the algorithm runs
-    /// `Set-λ` at all (Naive, DFT, FND); `Serial` otherwise.
-    #[default]
-    Auto,
 }
 
 impl PeelEngine {
@@ -263,42 +261,15 @@ impl PeelEngine {
         self != PeelEngine::Frontier || algorithm != Algorithm::Lcps
     }
 
-    /// Resolves `Auto` for a concrete run. `materialized` is the
-    /// already-resolved backend decision.
-    pub(crate) fn resolve(
-        self,
-        algorithm: Algorithm,
-        materialized: bool,
-        threads: usize,
-    ) -> PeelEngine {
-        match self {
-            PeelEngine::Auto => {
-                if materialized
-                    && threads > 1
-                    && matches!(
-                        algorithm,
-                        Algorithm::Naive | Algorithm::Dft | Algorithm::Fnd
-                    )
-                {
-                    PeelEngine::Frontier
-                } else {
-                    PeelEngine::Serial
-                }
-            }
-            explicit => explicit,
-        }
-    }
-
-    /// Parses a CLI spelling (`auto|serial|frontier`).
+    /// Parses a CLI spelling (`serial|frontier`).
     pub fn parse(token: &str) -> Result<PeelEngine, CoreError> {
         match token {
-            "auto" => Ok(PeelEngine::Auto),
             "serial" => Ok(PeelEngine::Serial),
             "frontier" => Ok(PeelEngine::Frontier),
             other => Err(CoreError::UnknownName {
                 what: "engine",
                 token: other.to_string(),
-                expected: "auto|serial|frontier".to_string(),
+                expected: "serial|frontier".to_string(),
             }),
         }
     }
@@ -309,7 +280,6 @@ impl std::fmt::Display for PeelEngine {
         let name = match self {
             PeelEngine::Serial => "serial",
             PeelEngine::Frontier => "frontier",
-            PeelEngine::Auto => "auto",
         };
         write!(f, "{name}")
     }
@@ -352,8 +322,7 @@ pub struct Decomposition {
     /// The backend that actually ran ([`Backend::Auto`] resolved to
     /// [`Backend::Lazy`] or [`Backend::Materialized`]).
     pub backend: Backend,
-    /// The peeling engine that actually ran ([`PeelEngine::Auto`]
-    /// resolved to [`PeelEngine::Serial`] or [`PeelEngine::Frontier`]).
+    /// The peeling engine that ran.
     pub engine: PeelEngine,
     /// λ per cell + peeling order.
     pub peeling: Peeling,
@@ -366,7 +335,7 @@ pub struct Decomposition {
 }
 
 /// Runs the chosen `algorithm` for `kind` on `g` with the default
-/// [`Nucleus::builder`] settings (automatic backend and engine, all
+/// [`Nucleus::builder`] settings (automatic backend, serial engine, all
 /// CPUs). Shorthand for
 /// `Nucleus::builder(g).kind(kind).prepare()?.run(algorithm)`; build a
 /// [`crate::session::Prepared`] directly to choose the backend, engine
@@ -551,77 +520,6 @@ mod tests {
         assert!(format!("{err}").contains("materialized"), "{err}");
     }
 
-    /// Pins Auto's full resolution matrix (algorithm × backend ×
-    /// threads) so a future engine can't silently change defaults.
-    #[test]
-    fn auto_engine_resolution_matrix() {
-        use PeelEngine::{Frontier, Serial};
-        for algo in Algorithm::ALL {
-            for materialized in [false, true] {
-                for threads in [1, 2, 8] {
-                    let expected = if materialized && threads > 1 && algo != Algorithm::Lcps {
-                        Frontier
-                    } else {
-                        Serial
-                    };
-                    assert_eq!(
-                        PeelEngine::Auto.resolve(algo, materialized, threads),
-                        expected,
-                        "auto({algo}, materialized={materialized}, threads={threads})"
-                    );
-                    // explicit choices always resolve to themselves
-                    assert_eq!(Serial.resolve(algo, materialized, threads), Serial);
-                    assert_eq!(Frontier.resolve(algo, materialized, threads), Frontier);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn auto_engine_resolution_policy() {
-        // Auto picks Frontier only for materialized multi-thread
-        // Set-λ runs (Naive/DFT/FND), Serial everywhere else.
-        let auto = PeelEngine::Auto;
-        assert_eq!(auto.resolve(Algorithm::Dft, true, 4), PeelEngine::Frontier);
-        assert_eq!(
-            auto.resolve(Algorithm::Naive, true, 2),
-            PeelEngine::Frontier
-        );
-        assert_eq!(auto.resolve(Algorithm::Dft, true, 1), PeelEngine::Serial);
-        assert_eq!(auto.resolve(Algorithm::Dft, false, 4), PeelEngine::Serial);
-        assert_eq!(auto.resolve(Algorithm::Fnd, true, 4), PeelEngine::Frontier);
-        assert_eq!(auto.resolve(Algorithm::Fnd, true, 1), PeelEngine::Serial);
-        assert_eq!(auto.resolve(Algorithm::Lcps, true, 4), PeelEngine::Serial);
-        // explicit choices resolve to themselves
-        assert_eq!(
-            PeelEngine::Frontier.resolve(Algorithm::Dft, true, 1),
-            PeelEngine::Frontier
-        );
-        assert_eq!(
-            PeelEngine::Serial.resolve(Algorithm::Dft, true, 8),
-            PeelEngine::Serial
-        );
-        // the decomposition reports the resolved engine
-        let g = test_graphs::nested_cores();
-        for algo in [Algorithm::Dft, Algorithm::Fnd] {
-            let d = run_with(&g, Kind::Core, algo, Backend::Auto, PeelEngine::Auto, 2).unwrap();
-            assert_eq!(d.engine, PeelEngine::Frontier, "{algo}");
-        }
-        let d = run_with(
-            &g,
-            Kind::Core,
-            Algorithm::Fnd,
-            Backend::Auto,
-            PeelEngine::Auto,
-            1,
-        )
-        .unwrap();
-        assert_eq!(d.engine, PeelEngine::Serial);
-        assert_eq!(format!("{}", PeelEngine::Auto), "auto");
-        assert_eq!(format!("{}", PeelEngine::Frontier), "frontier");
-        assert_eq!(PeelEngine::default(), PeelEngine::Auto);
-    }
-
     #[test]
     fn kind_display_and_rs() {
         assert_eq!(Kind::Core.rs(), (1, 2));
@@ -674,6 +572,8 @@ mod tests {
         );
         assert!(Backend::parse("bogus").is_err());
         assert_eq!(PeelEngine::parse("frontier").unwrap(), PeelEngine::Frontier);
-        assert!(PeelEngine::parse("bogus").is_err());
+        assert_eq!(format!("{}", PeelEngine::Frontier), "frontier");
+        let err = PeelEngine::parse("auto").unwrap_err();
+        assert!(format!("{err}").contains("serial|frontier"), "{err}");
     }
 }

@@ -2,6 +2,18 @@
 //! engines: the classic sequential bucket-queue loop ([`peel`]) and a
 //! frontier-parallel variant ([`peel_parallel`]).
 //!
+//! # The serial loop
+//!
+//! [`peel`] — and [`crate::algo::fnd::fnd`], which peels the same way —
+//! is what every session runs unless it asks for
+//! [`crate::decompose::PeelEngine::Frontier`]. Both start with the
+//! ω₀ = 0 bypass: a cell in no container has λ = 0 and decrements
+//! nothing, so one pass over ω₀ puts every such cell first in the order,
+//! in ascending id (exactly where the bucket queue would pop them), and
+//! the queue holds the remaining cells only. On sparse inputs most edges
+//! lie in no triangle, so this skips most of the queue work and every
+//! empty container scan.
+//!
 //! # The frontier-round invariant
 //!
 //! Serial `Set-λ` pops one minimum-ω cell at a time. The frontier
@@ -160,10 +172,7 @@ pub fn peel<B: PeelBackend>(space: &B) -> Peeling {
 /// engine hand over a `degrees` vector it has computed anyway when it
 /// bails to the serial engine wholesale (see [`peel_with_sink`]).
 fn peel_serial_with_degrees<B: PeelBackend>(space: &B, degrees: Vec<u32>) -> Peeling {
-    let n = space.cell_count();
-    let mut q = PeelBuckets::new(degrees);
-    let mut lambda = vec![0u32; n];
-    let mut order = Vec::with_capacity(n);
+    let (mut q, mut lambda, mut order) = serial_start(degrees);
     let mut max_lambda = 0u32;
     while let Some((u, k)) = q.pop_min() {
         lambda[u as usize] = k;
@@ -189,6 +198,17 @@ fn peel_serial_with_degrees<B: PeelBackend>(space: &B, degrees: Vec<u32>) -> Pee
     }
 }
 
+/// The start both serial loops ([`peel`] and [`crate::algo::fnd::fnd`])
+/// share, given the initial ω: the bucket queue, λ and the order so far,
+/// after the ω₀ = 0 bypass (see the module docs). No loop ever asks
+/// whether a bypassed cell was popped, because it lies in no container.
+pub(crate) fn serial_start(degrees: Vec<u32>) -> (PeelBuckets, Vec<u32>, Vec<u32>) {
+    let n = degrees.len();
+    let mut order = Vec::with_capacity(n);
+    let q = PeelBuckets::skipping_zeros(degrees, &mut order);
+    (q, vec![0u32; n], order)
+}
+
 /// Tuning for [`peel_parallel_with`].
 #[derive(Clone, Copy, Debug)]
 pub struct FrontierOptions {
@@ -211,7 +231,7 @@ pub struct FrontierOptions {
     /// is otherwise relative to the remaining cell count rather than
     /// sized by this threshold. The default (64) is sized so the
     /// drained levels are the ones whose whole cascade is cheaper than
-    /// one round's sort-and-restamp machinery; sessions
+    /// one round's sort-and-restamp machinery; frontier-engine sessions
     /// ([`crate::session::Prepared::run`]) always run it, and only the
     /// equivalence tests and `bench_peel_engine`'s historical rows set
     /// other values.
@@ -240,7 +260,8 @@ pub const RESIDUAL_OPENING_FRACTION: usize = 8;
 
 impl FrontierOptions {
     /// Default [`FrontierOptions::serial_round_threshold`]: the hybrid
-    /// policy every session run uses and `--explain` reports.
+    /// policy every frontier-engine session runs and `--explain`
+    /// reports.
     pub const DEFAULT_SERIAL_ROUND_THRESHOLD: usize = 64;
 }
 
@@ -1003,6 +1024,93 @@ mod tests {
         let g = complete(5);
         let p = peel(&VertexSpace::new(&g));
         assert_eq!(p.lambda_histogram().iter().sum::<usize>(), 5);
+    }
+
+    /// The serial loop without the ω₀ = 0 bypass: every cell goes
+    /// through one all-cells bucket queue. The reference for [`peel`]
+    /// and [`crate::algo::fnd::fnd`].
+    fn all_cells_peel<B: PeelBackend>(space: &B) -> Peeling {
+        let n = space.cell_count();
+        let mut q = PeelBuckets::new(space.degrees());
+        let mut lambda = vec![0u32; n];
+        let mut order = Vec::with_capacity(n);
+        let mut max_lambda = 0u32;
+        while let Some((u, k)) = q.pop_min() {
+            lambda[u as usize] = k;
+            max_lambda = max_lambda.max(k);
+            order.push(u);
+            space.for_each_container(u, |others| {
+                if others.iter().any(|&v| q.is_popped(v)) {
+                    return;
+                }
+                for &v in others {
+                    if q.key(v) > k {
+                        q.decrement(v);
+                    }
+                }
+            });
+        }
+        Peeling {
+            lambda,
+            max_lambda,
+            order,
+        }
+    }
+
+    /// Serial `peel` and `fnd`, over the lazy and the indexed backend,
+    /// give the reference loop's λ and order (with the ω₀ = 0 cells
+    /// leading it in ascending id) and the hierarchy DFT builds from
+    /// it. Returns how many ω₀ = 0 cells the space has.
+    fn check_bypass<S: crate::space::PeelSpace + Sync>(space: &S) -> usize {
+        let reference = all_cells_peel(space);
+        let (hierarchy, _) = crate::algo::dft::dft(space, &reference);
+        let degrees = space.degrees();
+        let zeros: Vec<u32> = (0..space.cell_count() as u32)
+            .filter(|&c| degrees[c as usize] == 0)
+            .collect();
+        assert_eq!(&reference.order[..zeros.len()], &zeros[..]);
+        let index = crate::space::ContainerIndex::build(space, 2);
+        let indexed = crate::space::IndexedSpace::new(space, &index);
+        fn check<S: crate::space::PeelSpace>(
+            space: &S,
+            reference: &Peeling,
+            hierarchy: &crate::hierarchy::Hierarchy,
+            backend: &str,
+        ) {
+            let fnd = crate::algo::fnd::fnd(space);
+            for (name, p) in [("peel", &peel(space)), ("fnd", &fnd.peeling)] {
+                assert_eq!(p.lambda, reference.lambda, "{backend} {name} λ");
+                assert_eq!(p.order, reference.order, "{backend} {name} order");
+                assert_eq!(p.max_lambda, reference.max_lambda, "{backend} {name}");
+            }
+            assert_eq!(&fnd.hierarchy, hierarchy, "{backend} fnd hierarchy");
+        }
+        check(space, &reference, &hierarchy, "lazy");
+        check(&indexed, &reference, &hierarchy, "indexed");
+        zeros.len()
+    }
+
+    #[test]
+    fn serial_loops_bypass_containerless_cells() {
+        // a star with one triangle among its first leaves, plus two
+        // isolated vertices
+        let mut edges: Vec<(u32, u32)> = (1..=8).map(|v| (0, v)).collect();
+        edges.push((1, 2));
+        let star = CsrGraph::from_edges(11, &edges);
+        let graphs = [
+            nucleus_gen::ba::barabasi_albert(2000, 3, 7),
+            star,
+            nucleus_gen::karate::karate_club(),
+        ];
+        let mut zeros = 0;
+        for g in &graphs {
+            zeros += check_bypass(&VertexSpace::new(g));
+            zeros += check_bypass(&crate::space::VertexTriangleSpace::new(g));
+            zeros += check_bypass(&EdgeSpace::new(g));
+            zeros += check_bypass(&crate::space::EdgeK4Space::new(g));
+            zeros += check_bypass(&TriangleSpace::new(g));
+        }
+        assert!(zeros > 1000, "the inputs must be rich in ω₀ = 0 cells");
     }
 
     /// λ from the frontier engine equals the serial engine on every

@@ -1,15 +1,15 @@
 //! Up-front resolution of a decomposition run: which backend and engine
 //! will actually execute, whether the requested combination is legal at
-//! all, and a human-readable explanation of both decisions.
+//! all, and a human-readable explanation.
 //!
 //! This module is the single home of the cross-constraint checks
 //! (frontier × lazy, frontier × LCPS, LCPS × non-core). [`validate`]
 //! rejects contradictory combinations with structured [`CoreError`]s,
-//! and [`Plan`] records the *resolved* choices ([`Backend::Auto`] and
-//! [`PeelEngine::Auto`] pinned to what will really run) together with
-//! the size facts that drove them, so a caller — or the `nucleus
-//! decompose --explain` CLI flag — can see what a run will do before
-//! paying for it.
+//! and [`Plan`] records the *resolved* choices ([`Backend::Auto`]
+//! pinned to what will really run, and the engine) together with the
+//! size facts that drove them, so a caller — or the `nucleus decompose
+//! --explain` CLI flag — can see what a run will do before paying for
+//! it.
 //!
 //! Plans are produced by [`crate::session::Prepared::plan`];
 //! [`crate::session::Prepared::run`] funnels through the same
@@ -20,6 +20,7 @@ use std::fmt;
 
 use crate::decompose::{Algorithm, Backend, Kind, PeelEngine};
 use crate::error::CoreError;
+use crate::peel::FrontierOptions;
 
 /// Checks every cross-constraint between a family, an algorithm, a
 /// backend policy and an engine policy — the single home of the rules:
@@ -77,9 +78,9 @@ pub(crate) fn frontier_lazy_conflict() -> CoreError {
     }
 }
 
-/// The fully resolved description of one decomposition run: every
-/// `Auto` pinned to the concrete choice, plus the space facts the
-/// decisions were based on. Built by
+/// The fully resolved description of one decomposition run: the
+/// backend pinned to the concrete choice, plus the space facts the
+/// decision was based on. Built by
 /// [`crate::session::Prepared::plan`]; rendered by [`Plan::explain`]
 /// (also the [`fmt::Display`] impl).
 #[derive(Clone, Debug)]
@@ -91,8 +92,7 @@ pub struct Plan {
     /// Resolved backend: [`Backend::Lazy`] or [`Backend::Materialized`],
     /// never `Auto`.
     pub backend: Backend,
-    /// Resolved engine: [`PeelEngine::Serial`] or
-    /// [`PeelEngine::Frontier`], never `Auto`.
+    /// The peeling engine.
     pub engine: PeelEngine,
     /// Effective worker threads (`0` already resolved to the CPU count).
     pub threads: usize,
@@ -107,8 +107,6 @@ pub struct Plan {
     /// Why the backend came out as it did (e.g. "auto: estimated index
     /// 1.2 MiB ≤ 1 GiB cap").
     pub backend_reason: String,
-    /// Why the engine came out as it did.
-    pub engine_reason: String,
     /// How the prepare phase ran (or will run) its cell enumeration —
     /// e.g. `"parallel (t=4)"`, `"serial"`, or
     /// `"skipped (persisted index)"`.
@@ -116,11 +114,19 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Multi-line human-readable rendering: what will run, and why each
-    /// `Auto` resolved the way it did.
+    /// Multi-line human-readable rendering: what will run, and why the
+    /// backend resolved the way it did. A frontier run also names the
+    /// hybrid-round policy it runs under.
     pub fn explain(&self) -> String {
+        let engine = match self.engine {
+            PeelEngine::Serial => "serial".to_string(),
+            PeelEngine::Frontier => format!(
+                "frontier (hybrid, serial below {})",
+                FrontierOptions::DEFAULT_SERIAL_ROUND_THRESHOLD
+            ),
+        };
         format!(
-            "plan: {} {} via {}\n  backend: {} — {}\n  engine:  {} — {}\n  threads: {}\n  \
+            "plan: {} {} via {}\n  backend: {} — {}\n  engine:  {engine}\n  threads: {}\n  \
              enumeration: {}\n  \
              space:   {} cells, {} containers, estimated index {}",
             self.kind.name(),
@@ -128,8 +134,6 @@ impl Plan {
             self.algorithm,
             self.backend,
             self.backend_reason,
-            self.engine,
-            self.engine_reason,
             self.threads,
             self.enumeration,
             self.cells,
@@ -200,7 +204,7 @@ mod tests {
             Kind::Truss,
             Algorithm::Lcps,
             Backend::Auto,
-            PeelEngine::Auto,
+            PeelEngine::Serial,
         )
         .unwrap_err();
         assert!(
@@ -219,7 +223,7 @@ mod tests {
         // every legal combination passes
         for kind in Kind::all() {
             for &algo in Algorithm::for_kind(kind) {
-                validate(kind, algo, Backend::Auto, PeelEngine::Auto).unwrap();
+                validate(kind, algo, Backend::Auto, PeelEngine::Serial).unwrap();
             }
         }
     }

@@ -30,7 +30,8 @@
 //! # Stages
 //!
 //! 1. **[`Nucleus::builder`]** collects the [`Kind`], the [`Backend`]
-//!    and [`PeelEngine`] policies and the worker-thread cap.
+//!    policy, the [`PeelEngine`] (serial unless a caller asks for the
+//!    frontier engine) and the worker-thread cap.
 //! 2. **[`NucleusBuilder::prepare`]** does the expensive, run-invariant
 //!    work: builds the space (clique enumeration, ω counts), resolves
 //!    the [`Backend`] policy (including the `Auto` size estimate) and,
@@ -128,13 +129,13 @@ pub struct Nucleus;
 
 impl Nucleus {
     /// Starts configuring a decomposition session over `g`. Defaults:
-    /// [`Kind::Core`], automatic backend and engine, all CPUs.
+    /// [`Kind::Core`], automatic backend, serial engine, all CPUs.
     pub fn builder(g: &CsrGraph) -> NucleusBuilder<'_> {
         NucleusBuilder {
             g,
             kind: Kind::Core,
             backend: Backend::Auto,
-            engine: PeelEngine::Auto,
+            engine: PeelEngine::default(),
             threads: 0,
         }
     }
@@ -164,7 +165,7 @@ impl<'g> NucleusBuilder<'g> {
         self
     }
 
-    /// Selects the engine policy (default [`PeelEngine::Auto`]).
+    /// Selects the peeling engine (default [`PeelEngine::Serial`]).
     pub fn engine(mut self, engine: PeelEngine) -> Self {
         self.engine = engine;
         self
@@ -358,8 +359,6 @@ pub struct Prepared<'g> {
     kind: Kind,
     /// Resolved: `Lazy` or `Materialized`, never `Auto`.
     backend: Backend,
-    /// As requested (possibly `Auto`): the engine resolves per run,
-    /// because it depends on the algorithm.
     engine: PeelEngine,
     threads: usize,
     space: AnySpace<'g>,
@@ -444,67 +443,34 @@ impl<'g> Prepared<'g> {
     }
 
     /// Resolves — without running — exactly what [`Prepared::run`]
-    /// would do for `algorithm`: the concrete backend/engine, thread
-    /// count, space sizes, and the reasons behind both `Auto`
-    /// decisions.
+    /// would do for `algorithm`: the concrete backend and why, the
+    /// engine, thread count and space sizes.
     ///
     /// # Errors
     /// The same [`crate::plan::validate`] rejections `run` would
     /// report.
     pub fn plan(&self, algorithm: Algorithm) -> Result<Plan, CoreError> {
-        let engine = self.resolve_engine(algorithm)?;
-        let materialized = self.index.is_some();
-        // Whenever the run will actually use the frontier engine, the
-        // reason also reports the hybrid-round policy it runs under.
-        let hybrid = format!(
-            "hybrid, serial below {}",
-            self.frontier_options().serial_round_threshold
-        );
-        let engine_reason = match self.engine {
-            PeelEngine::Serial => "explicitly requested".to_string(),
-            PeelEngine::Frontier => format!("explicitly requested ({hybrid})"),
-            PeelEngine::Auto => {
-                if engine == PeelEngine::Frontier {
-                    format!(
-                        "auto: frontier ({hybrid}) — materialized run, {} threads, {algorithm} \
-                         rides the peel",
-                        self.threads
-                    )
-                } else if !materialized {
-                    "auto: serial (lazy backend re-enumerates containers per visit)".to_string()
-                } else if self.threads <= 1 {
-                    "auto: serial (single worker thread)".to_string()
-                } else {
-                    // Only LCPS lands here now: it walks the graph
-                    // directly and never runs Set-λ.
-                    format!("auto: serial (the frontier engine does not drive {algorithm})")
-                }
-            }
-        };
+        self.validate(algorithm)?;
         Ok(Plan {
             kind: self.kind,
             algorithm,
             backend: self.backend,
-            engine,
+            engine: self.engine,
             threads: self.threads,
             cells: self.cells,
             containers: self.containers(),
             index_bytes: self.estimated_index_bytes(),
             backend_reason: self.backend_reason.clone(),
-            engine_reason,
             enumeration: self.enumeration.clone(),
         })
     }
 
-    /// Validates `algorithm` against this session and resolves the
-    /// engine for it — the decision core shared by [`Prepared::plan`]
-    /// and [`Prepared::run`] (the latter skips the [`Plan`] facts,
-    /// which may cost a container enumeration on lazy sessions).
-    fn resolve_engine(&self, algorithm: Algorithm) -> Result<PeelEngine, CoreError> {
-        plan::validate(self.kind, algorithm, self.backend, self.engine)?;
-        Ok(self
-            .engine
-            .resolve(algorithm, self.index.is_some(), self.threads))
+    /// Validates `algorithm` against this session — the check shared by
+    /// [`Prepared::plan`] and [`Prepared::run`] (the latter skips the
+    /// [`Plan`] facts, which may cost a container enumeration on lazy
+    /// sessions).
+    fn validate(&self, algorithm: Algorithm) -> Result<(), CoreError> {
+        plan::validate(self.kind, algorithm, self.backend, self.engine)
     }
 
     /// What every frontier-engine run of this session uses: its worker
@@ -525,20 +491,20 @@ impl<'g> Prepared<'g> {
     /// # Errors
     /// See [`crate::plan::validate`].
     pub fn run(&self, algorithm: Algorithm) -> Result<Decomposition, CoreError> {
-        let engine = self.resolve_engine(algorithm)?;
+        self.validate(algorithm)?;
         if algorithm == Algorithm::Lcps {
-            return Ok(self.run_lcps(engine));
+            return Ok(self.run_lcps());
         }
         Ok(with_space!(self.space, s => match &self.index {
-            Some(index) => self.run_algo(&IndexedSpace::new(s, index), algorithm, engine),
-            None => self.run_algo(s, algorithm, engine),
+            Some(index) => self.run_algo(&IndexedSpace::new(s, index), algorithm),
+            None => self.run_algo(s, algorithm),
         }))
     }
 
     /// LCPS: peel over the cached backend, then the Matula–Beck
-    /// priority search directly on the graph. [`Prepared::resolve_engine`]
-    /// already proved `kind == Core`.
-    fn run_lcps(&self, engine: PeelEngine) -> Decomposition {
+    /// priority search directly on the graph. [`Prepared::validate`]
+    /// already proved `kind == Core` and a serial engine.
+    fn run_lcps(&self) -> Decomposition {
         let t0 = Instant::now();
         let peeling = with_space!(self.space, s => match &self.index {
             Some(index) => peel(&IndexedSpace::new(s, index)),
@@ -552,7 +518,7 @@ impl<'g> Prepared<'g> {
             kind: self.kind,
             algorithm: Algorithm::Lcps,
             backend: self.backend,
-            engine,
+            engine: self.engine,
             stats: SkeletonStats {
                 subnuclei: hierarchy.nucleus_count(),
                 adj_connections: 0,
@@ -567,24 +533,19 @@ impl<'g> Prepared<'g> {
     }
 
     /// The algorithm dispatch, monomorphized per space *and* backend,
-    /// fed from the cached space. `engine` is already resolved (never
-    /// `Auto`).
-    fn run_algo<S: PeelSpace + Sync>(
-        &self,
-        space: &S,
-        algorithm: Algorithm,
-        engine: PeelEngine,
-    ) -> Decomposition {
+    /// fed from the cached space.
+    fn run_algo<S: PeelSpace + Sync>(&self, space: &S, algorithm: Algorithm) -> Decomposition {
+        let engine = self.engine;
         match algorithm {
-            // `resolve_engine` rejects LCPS×non-core and `run` branches
-            // LCPS off before dispatching to a backend.
+            // `validate` rejects LCPS×non-core and `run` branches LCPS
+            // off before dispatching to a backend.
             Algorithm::Lcps => unreachable!("LCPS never reaches backend dispatch"),
             Algorithm::Fnd => {
                 let out = match engine {
                     PeelEngine::Frontier => {
                         fnd_parallel_with(space, FndOptions::default(), self.frontier_options())
                     }
-                    _ => fnd(space),
+                    PeelEngine::Serial => fnd(space),
                 };
                 Decomposition {
                     kind: self.kind,
@@ -607,7 +568,7 @@ impl<'g> Prepared<'g> {
                 let t0 = Instant::now();
                 let peeling = match engine {
                     PeelEngine::Frontier => peel_parallel_with(space, self.frontier_options()),
-                    _ => peel(space),
+                    PeelEngine::Serial => peel(space),
                 };
                 let peel_t = self.prep_time + t0.elapsed();
                 let t1 = Instant::now();
@@ -655,8 +616,7 @@ impl<'g> Prepared<'g> {
     /// plus one full sweep. Returns the phase times (peel includes
     /// [`Prepared::prep_time`]) and the number of s-connectivity
     /// components; no hierarchy is produced (that is the point of the
-    /// baseline). Always peels serially, whatever the session's engine
-    /// policy.
+    /// baseline). Always peels serially, whatever the session's engine.
     pub fn hypo_baseline(&self) -> (PhaseTimes, usize) {
         fn run_on<B: crate::space::PeelBackend>(space: &B, prep: Duration) -> (PhaseTimes, usize) {
             let t0 = Instant::now();
@@ -748,32 +708,77 @@ mod tests {
             .threads(4)
             .prepare()
             .unwrap();
-        // small graph + auto → materialized; DFT + 4 threads → frontier
+        // small graph + auto → materialized; the engine is serial
         assert_eq!(prepared.backend(), Backend::Materialized);
         let plan = prepared.plan(Algorithm::Dft).unwrap();
         assert_eq!(plan.backend, Backend::Materialized);
-        assert_eq!(plan.engine, PeelEngine::Frontier);
+        assert_eq!(plan.engine, PeelEngine::Serial);
         assert_eq!(plan.threads, 4);
         assert!(plan.cells > 0);
         let text = plan.explain();
         assert!(text.contains("truss"), "{text}");
         assert!(text.contains("(2,3)"), "{text}");
-        assert!(text.contains("materialized"), "{text}");
-        assert!(text.contains("frontier"), "{text}");
-        assert!(text.contains("auto"), "{text}");
+        assert!(text.contains("backend: materialized — auto:"), "{text}");
+        assert!(text.contains("\n  engine:  serial\n"), "{text}");
         // prepared with 4 threads → the enumeration ran parallel
         assert!(text.contains("enumeration: parallel (t=4)"), "{text}");
-        // FND on the same session rides the frontier engine too, and
-        // the reason names the hybrid-round policy it runs under
-        let plan = prepared.plan(Algorithm::Fnd).unwrap();
+        // an explicit frontier session names the hybrid-round policy
+        // it runs under
+        let frontier = Nucleus::builder(&g)
+            .kind(Kind::Truss)
+            .engine(PeelEngine::Frontier)
+            .threads(4)
+            .prepare()
+            .unwrap();
+        let plan = frontier.plan(Algorithm::Fnd).unwrap();
         assert_eq!(plan.engine, PeelEngine::Frontier);
+        let text = plan.explain();
         assert!(
-            plan.engine_reason.contains("hybrid, serial below 64"),
-            "{}",
-            plan.engine_reason
+            text.contains("\n  engine:  frontier (hybrid, serial below 64)\n"),
+            "{text}"
         );
         // Display goes through explain
-        assert_eq!(format!("{plan}"), plan.explain());
+        assert_eq!(format!("{plan}"), text);
+    }
+
+    /// A builder with no `.engine` call plans and runs the serial
+    /// engine for every kind × algorithm at 1, 2 and 8 threads, and its
+    /// runs equal an explicit serial session's, order included.
+    #[test]
+    fn default_sessions_plan_and_run_serial() {
+        assert_eq!(PeelEngine::default(), PeelEngine::Serial);
+        for g in [
+            test_graphs::nested_cores(),
+            nucleus_gen::karate::karate_club(),
+        ] {
+            for kind in Kind::all() {
+                for threads in [1, 2, 8] {
+                    let session = |engine: Option<PeelEngine>| {
+                        let builder = Nucleus::builder(&g).kind(kind).threads(threads);
+                        match engine {
+                            Some(engine) => builder.engine(engine),
+                            None => builder,
+                        }
+                        .prepare()
+                        .unwrap()
+                    };
+                    let (default, serial) = (session(None), session(Some(PeelEngine::Serial)));
+                    for &algo in Algorithm::for_kind(kind) {
+                        let tag = format!("{kind}/{algo}/t{threads}");
+                        assert_eq!(
+                            default.plan(algo).unwrap().engine,
+                            PeelEngine::Serial,
+                            "{tag}"
+                        );
+                        let (d, s) = (default.run(algo).unwrap(), serial.run(algo).unwrap());
+                        assert_eq!(d.engine, PeelEngine::Serial, "{tag}");
+                        assert_eq!(d.peeling.lambda, s.peeling.lambda, "{tag}");
+                        assert_eq!(d.peeling.order, s.peeling.order, "{tag}");
+                        assert_eq!(d.hierarchy, s.hierarchy, "{tag}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

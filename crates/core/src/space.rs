@@ -40,8 +40,8 @@
 //!
 //! The materialized backend is also the substrate of the
 //! **frontier-parallel peeling engine**
-//! ([`crate::peel::peel_parallel`], selected through
-//! [`crate::decompose::PeelEngine`]): processing a whole λ-level per
+//! ([`crate::peel::peel_parallel`], an explicit opt-in through
+//! [`crate::decompose::PeelEngine::Frontier`]): processing a whole λ-level per
 //! round only pays off when each participant's container scan is a flat
 //! [`ContainerIndex`] read, and the engine's container-liveness
 //! accounting lives in [`PeelCells`] alongside the index.

@@ -29,10 +29,11 @@ pub struct PeelBuckets {
     /// bucket with key `d`. Length `max_key + 2`. Exact for `d > floor`;
     /// entries for drained buckets go stale and are never read (see the
     /// laziness invariant above).
-    bin: Vec<usize>,
+    bin: Vec<u32>,
     /// `pos[x]` = current index of element `x` in `vert`.
-    pos: Vec<usize>,
-    /// Elements sorted by current key; `vert[cursor..]` are unpopped.
+    pos: Vec<u32>,
+    /// Queued elements sorted by current key; `vert[cursor..]` are
+    /// unpopped.
     vert: Vec<u32>,
     /// Current key of every element.
     key: Vec<u32>,
@@ -40,7 +41,7 @@ pub struct PeelBuckets {
     /// `pos`-vs-cursor comparison, so the peeling loop's dead-container
     /// scans stay in cache on large inputs.
     popped: Vec<u64>,
-    cursor: usize,
+    cursor: u32,
     /// Key of the most recently popped element (monotone non-decreasing).
     floor: u32,
 }
@@ -48,25 +49,52 @@ pub struct PeelBuckets {
 impl PeelBuckets {
     /// Builds the structure from initial keys (one per element `0..n`).
     pub fn new(keys: Vec<u32>) -> Self {
+        let n = keys.len() as u32;
+        Self::over(keys, 0..n)
+    }
+
+    /// Builds the structure over the elements with a nonzero key only,
+    /// appending the zero-key elements to `zeros` in ascending order —
+    /// the order [`PeelBuckets::new`] would pop them in, first. Peeling
+    /// gives such an element λ = 0 and it decrements nothing, so the
+    /// serial peeling loops emit them here instead of queueing them;
+    /// everything else pops exactly as from `new`. A zero-key element
+    /// is never popped: [`PeelBuckets::is_popped`] stays `false` for
+    /// it, and [`PeelBuckets::len`] does not count it.
+    pub fn skipping_zeros(keys: Vec<u32>, zeros: &mut Vec<u32>) -> Self {
+        let mut members = Vec::new();
+        for (x, &k) in keys.iter().enumerate() {
+            if k == 0 {
+                zeros.push(x as u32);
+            } else {
+                members.push(x as u32);
+            }
+        }
+        Self::over(keys, members.iter().copied())
+    }
+
+    /// Counting-sorts `members` (ascending ids) into `vert` by key; the
+    /// work besides the three per-element arrays is O(members).
+    fn over(keys: Vec<u32>, members: impl Iterator<Item = u32> + Clone) -> Self {
         let n = keys.len();
-        let max_key = keys.iter().copied().max().unwrap_or(0) as usize;
-        // Counting sort into `vert`.
-        let mut bin = vec![0usize; max_key + 2];
-        for &k in &keys {
-            bin[k as usize + 1] += 1;
+        assert!(n < u32::MAX as usize, "at most u32::MAX - 1 elements");
+        let key = |x: u32| keys[x as usize] as usize;
+        let max_key = members.clone().map(key).max().unwrap_or(0);
+        let mut bin = vec![0u32; max_key + 2];
+        for x in members.clone() {
+            bin[key(x) + 1] += 1;
         }
         for d in 1..bin.len() {
             bin[d] += bin[d - 1];
         }
-        let mut vert = vec![0u32; n];
-        let mut pos = vec![0usize; n];
-        let mut cursor_per_key = bin.clone();
-        for x in 0..n {
-            let k = keys[x] as usize;
-            let p = cursor_per_key[k];
-            vert[p] = x as u32;
-            pos[x] = p;
-            cursor_per_key[k] += 1;
+        let mut vert = vec![0u32; bin[max_key + 1] as usize];
+        let mut pos = vec![0u32; n];
+        let mut next = bin.clone();
+        for x in members {
+            let p = &mut next[key(x)];
+            vert[*p as usize] = x;
+            pos[x as usize] = *p;
+            *p += 1;
         }
         PeelBuckets {
             bin,
@@ -79,14 +107,14 @@ impl PeelBuckets {
         }
     }
 
-    /// Number of elements (popped or not).
+    /// Number of queued elements (popped or not).
     pub fn len(&self) -> usize {
         self.vert.len()
     }
 
-    /// True when every element has been popped.
+    /// True when every queued element has been popped.
     pub fn is_empty(&self) -> bool {
-        self.cursor >= self.vert.len()
+        self.cursor as usize >= self.vert.len()
     }
 
     /// Current key of element `x`.
@@ -107,10 +135,10 @@ impl PeelBuckets {
     /// non-decreasing — this is the monotonicity the peeling process
     /// guarantees and the hierarchy algorithms exploit.
     pub fn pop_min(&mut self) -> Option<(u32, u32)> {
-        if self.cursor >= self.vert.len() {
+        if self.is_empty() {
             return None;
         }
-        let x = self.vert[self.cursor];
+        let x = self.vert[self.cursor as usize];
         let k = self.key[x as usize];
         debug_assert!(
             k >= self.floor,
@@ -148,12 +176,12 @@ impl PeelBuckets {
         // `bin` is exact (see the laziness invariant on the struct); the
         // clamp is defensive normalization for the cursor boundary only.
         let start = self.bin[d].max(self.cursor);
-        debug_assert!(self.key[self.vert[start] as usize] == self.key[xi]);
+        debug_assert!(self.key[self.vert[start as usize] as usize] == self.key[xi]);
         self.bin[d] = start;
-        let w = self.vert[start];
+        let w = self.vert[start as usize];
         if w != x {
-            self.vert[p] = w;
-            self.vert[start] = x;
+            self.vert[p as usize] = w;
+            self.vert[start as usize] = x;
             self.pos[w as usize] = p;
             self.pos[xi] = start;
         }
@@ -366,6 +394,35 @@ mod tests {
             }
             assert!(q.pop_min().is_none());
         }
+    }
+
+    /// `skipping_zeros` hands back the zero keys in ascending order,
+    /// then pops exactly what `new` pops after them under the same
+    /// decrements.
+    #[test]
+    fn skipping_zeros_pops_like_new_after_the_zeros() {
+        let keys = vec![2, 0, 3, 1, 0, 2, 0, 4];
+        let mut zeros = vec![];
+        let mut skip = PeelBuckets::skipping_zeros(keys.clone(), &mut zeros);
+        assert_eq!(zeros, [1, 4, 6]);
+        assert_eq!(skip.len(), 5);
+        let mut all = PeelBuckets::new(keys);
+        for &z in &zeros {
+            assert_eq!(all.pop_min(), Some((z, 0)));
+        }
+        loop {
+            let popped = all.pop_min();
+            assert_eq!(skip.pop_min(), popped);
+            let Some((_, k)) = popped else { break };
+            for x in [0, 2, 7] {
+                if !all.is_popped(x) && all.key(x) > k {
+                    all.decrement(x);
+                    skip.decrement(x);
+                }
+            }
+        }
+        assert!(skip.is_empty());
+        assert!(zeros.iter().all(|&z| !skip.is_popped(z)));
     }
 
     #[test]

@@ -14,7 +14,8 @@ pub enum GraphError {
         /// Offending content (truncated).
         content: String,
     },
-    /// A binary graph file had an invalid header or truncated body.
+    /// A persisted index image had an invalid header, section or
+    /// checksum ([`crate::persist_io`]).
     Format(String),
     /// Flat-record invariants were violated (non-monotone offsets, a
     /// mis-sized data buffer, …). Produced by the fallible record

@@ -1,5 +1,4 @@
-//! Graph serialization: whitespace edge-list text and a compact binary
-//! format.
+//! Graph serialization: whitespace edge-list text.
 //!
 //! The text format accepts the conventions of SNAP / Network Repository /
 //! Matrix Market-ish exports that the paper's datasets ship in: one edge
@@ -12,10 +11,6 @@ use std::path::Path;
 
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
-
-/// Magic bytes of the binary format (`NUCG` + version 1).
-const MAGIC: [u8; 4] = *b"NUCG";
-const VERSION: u32 = 1;
 
 /// Reads an edge-list from any reader.
 ///
@@ -73,57 +68,6 @@ pub fn write_edge_list<W: Write>(g: &CsrGraph, writer: W) -> Result<(), GraphErr
     Ok(())
 }
 
-/// Writes `g` in the compact binary format (little-endian u32s).
-pub fn write_binary<W: Write>(g: &CsrGraph, writer: W) -> Result<(), GraphError> {
-    let mut w = BufWriter::new(writer);
-    w.write_all(&MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(g.n() as u64).to_le_bytes())?;
-    w.write_all(&(g.m() as u64).to_le_bytes())?;
-    for (_, u, v) in g.edges() {
-        w.write_all(&u.to_le_bytes())?;
-        w.write_all(&v.to_le_bytes())?;
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads a graph produced by [`write_binary`].
-pub fn read_binary<R: Read>(reader: R) -> Result<CsrGraph, GraphError> {
-    let mut r = BufReader::new(reader);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if magic != MAGIC {
-        return Err(GraphError::Format("bad magic".into()));
-    }
-    let mut buf4 = [0u8; 4];
-    r.read_exact(&mut buf4)?;
-    if u32::from_le_bytes(buf4) != VERSION {
-        return Err(GraphError::Format("unsupported version".into()));
-    }
-    let mut buf8 = [0u8; 8];
-    r.read_exact(&mut buf8)?;
-    let n = u64::from_le_bytes(buf8) as usize;
-    r.read_exact(&mut buf8)?;
-    let m = u64::from_le_bytes(buf8) as usize;
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
-        r.read_exact(&mut buf4)?;
-        let u = u32::from_le_bytes(buf4);
-        r.read_exact(&mut buf4)?;
-        let v = u32::from_le_bytes(buf4);
-        edges.push((u, v));
-    }
-    if n > 0
-        && edges
-            .iter()
-            .any(|&(u, v)| u as usize >= n || v as usize >= n)
-    {
-        return Err(GraphError::Format("edge endpoint out of range".into()));
-    }
-    Ok(CsrGraph::from_edges(n, &edges))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,31 +97,5 @@ mod tests {
         let g2 = read_edge_list(buf.as_slice()).unwrap();
         assert_eq!(g2.n(), g.n());
         assert_eq!(g2.m(), g.m());
-    }
-
-    #[test]
-    fn binary_round_trip() {
-        let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let g2 = read_binary(buf.as_slice()).unwrap();
-        assert_eq!(g2.n(), g.n());
-        assert_eq!(g2.m(), g.m());
-        for (_, u, v) in g.edges() {
-            assert!(g2.has_edge(u, v));
-        }
-    }
-
-    #[test]
-    fn binary_rejects_corruption() {
-        let g = CsrGraph::from_edges(2, &[(0, 1)]);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        buf[0] = b'X';
-        assert!(read_binary(buf.as_slice()).is_err());
-        let mut short = Vec::new();
-        write_binary(&g, &mut short).unwrap();
-        short.truncate(short.len() - 2);
-        assert!(read_binary(short.as_slice()).is_err());
     }
 }

@@ -21,7 +21,7 @@
 //!   flat record store plus the graph fingerprint that invalidates it;
 //! * [`traversal`] — BFS and connected components;
 //! * [`order`] — degree and degeneracy orderings;
-//! * [`io`] — whitespace edge-list text format and a fast binary format.
+//! * [`io`] — whitespace edge-list text format.
 //!
 //! Vertices and edges are identified by `u32`, which bounds graphs at
 //! ~4.2 billion vertices/edges — far beyond what a single-node in-memory

@@ -1,13 +1,12 @@
-//! Property tests for the graph substrate: CSR construction invariants,
-//! bucket-queue model checking against naive priority structures, and
-//! I/O round trips.
+//! Property tests for the graph substrate: CSR construction invariants
+//! and bucket-queue model checking against naive priority structures.
 
 use proptest::prelude::*;
 
 use nucleus_graph::bucket::{MaxBuckets, PeelBuckets};
 use nucleus_graph::order::degeneracy_order;
 use nucleus_graph::traversal::connected_components;
-use nucleus_graph::{io, CsrGraph};
+use nucleus_graph::CsrGraph;
 
 fn edges_strategy(n: u32, m_max: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
     proptest::collection::vec((0..n, 0..n), 0..=m_max)
@@ -107,15 +106,5 @@ proptest! {
         for (_, u, v) in g.edges() {
             prop_assert_eq!(labels[u as usize], labels[v as usize]);
         }
-    }
-
-    #[test]
-    fn binary_io_round_trips(edges in edges_strategy(32, 100)) {
-        let g = CsrGraph::from_edges(32, &edges);
-        let mut buf = Vec::new();
-        io::write_binary(&g, &mut buf).unwrap();
-        let g2 = io::read_binary(buf.as_slice()).unwrap();
-        prop_assert_eq!(g.n(), g2.n());
-        prop_assert_eq!(g.edge_endpoints(), g2.edge_endpoints());
     }
 }

@@ -1,14 +1,16 @@
 //! The query engine: answers typed requests over a shared, immutable
-//! [`Prepared`] session and its lazily-built hierarchies.
+//! [`Prepared`] session and its lazily-built hierarchy.
 //!
-//! [`ServeState`] owns the prepared space and one [`OnceLock`] slot per
-//! hierarchy algorithm. The first query that needs an algorithm's
-//! hierarchy runs it (`Prepared::run`) and caches the result as an
-//! `Arc<Hierarchy>`; every later query — from any thread — is a
-//! lock-free read of the same tree, whose own point-lookup index is
-//! also memoized (see `Hierarchy::nucleus_cells_slice`). The engine has
-//! no interior mutability beyond those once-cells, which is what makes
-//! it safe to share by reference across a worker pool.
+//! [`ServeState`] owns the prepared space, one [`OnceLock`] slot for the
+//! hierarchy and one for the densest node. Every algorithm builds the
+//! identical canonical hierarchy, so a request's `algo` only picks which
+//! one runs (`Prepared::run`) on first use; the result is cached as an
+//! `Arc<Hierarchy>`, and every later query — from any thread, naming any
+//! algorithm the kind supports — is a lock-free read of the same tree,
+//! whose own point-lookup index is also memoized (see
+//! `Hierarchy::nucleus_cells_slice`). The engine has no interior
+//! mutability beyond those once-cells, which is what makes it safe to
+//! share by reference across a worker pool.
 
 use std::sync::{Arc, OnceLock};
 
@@ -45,8 +47,7 @@ fn node_value(id: u32) -> Value {
     }
 }
 
-/// Best-density hierarchy node of one algorithm's hierarchy, cached
-/// after the first `densest` query.
+/// Best-density hierarchy node, cached after the first `densest` query.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DensestAnswer {
     /// Hierarchy node id.
@@ -61,18 +62,16 @@ pub struct DensestAnswer {
     pub density: f64,
 }
 
-type HierarchySlot = OnceLock<Result<Arc<Hierarchy>, ProtocolError>>;
-type DensestSlot = OnceLock<Result<DensestAnswer, ProtocolError>>;
-
-/// Shared immutable query state: a prepared space plus per-algorithm
-/// hierarchy and densest-node caches.
+/// Shared immutable query state: a prepared space plus its hierarchy
+/// and densest node, each built once on first use.
 pub struct ServeState<'g> {
     prepared: Prepared<'g>,
     /// Set in place by [`crate::DynamicServeState::with_default_algo`]
     /// on an epoch nothing shares yet.
     pub(crate) default_algo: Algorithm,
-    hierarchies: [HierarchySlot; Algorithm::ALL.len()],
-    densest: [DensestSlot; Algorithm::ALL.len()],
+    /// The hierarchy, with the algorithm that built it.
+    hierarchy: OnceLock<Result<(Algorithm, Arc<Hierarchy>), ProtocolError>>,
+    densest: OnceLock<Result<DensestAnswer, ProtocolError>>,
 }
 
 impl<'g> ServeState<'g> {
@@ -82,8 +81,8 @@ impl<'g> ServeState<'g> {
         ServeState {
             prepared,
             default_algo: Algorithm::Fnd,
-            hierarchies: std::array::from_fn(|_| OnceLock::new()),
-            densest: std::array::from_fn(|_| OnceLock::new()),
+            hierarchy: OnceLock::new(),
+            densest: OnceLock::new(),
         }
     }
 
@@ -103,13 +102,6 @@ impl<'g> ServeState<'g> {
         self.default_algo
     }
 
-    fn slot_of(algo: Algorithm) -> usize {
-        Algorithm::ALL
-            .iter()
-            .position(|a| *a == algo)
-            .expect("Algorithm::ALL is exhaustive")
-    }
-
     /// Resolves a request's algorithm field against the prepared kind.
     pub fn resolve_algo(&self, requested: Option<Algorithm>) -> Result<Algorithm, ProtocolError> {
         let algo = requested.unwrap_or(self.default_algo);
@@ -127,15 +119,18 @@ impl<'g> ServeState<'g> {
         }
     }
 
-    /// The (lazily built, then cached) hierarchy for `algo`.
+    /// The hierarchy, built by `algo` if no request built it before.
+    /// An algorithm the kind does not support is rejected before the
+    /// cache is touched, so it never leaves an error there.
     pub fn hierarchy(&self, algo: Algorithm) -> Result<&Arc<Hierarchy>, ProtocolError> {
-        let res = self.hierarchies[Self::slot_of(algo)].get_or_init(|| {
+        self.resolve_algo(Some(algo))?;
+        let res = self.hierarchy.get_or_init(|| {
             self.prepared
                 .run(algo)
-                .map(|d| Arc::new(d.hierarchy))
+                .map(|d| (algo, Arc::new(d.hierarchy)))
                 .map_err(|e| ProtocolError::new(ErrorCode::Internal, e.to_string()))
         });
-        res.as_ref().map_err(Clone::clone)
+        res.as_ref().map(|(_, h)| h).map_err(Clone::clone)
     }
 
     /// Answers one parsed request. `Stats` reports engine state only
@@ -158,7 +153,7 @@ impl<'g> ServeState<'g> {
             }
             _ => {}
         }
-        let algo = self.resolve_algo(req.algo)?;
+        let algo = req.algo.unwrap_or(self.default_algo);
         let h = self.hierarchy(algo)?;
         match *query {
             Query::Lambda { cell } => self.answer_lambda(h, cell),
@@ -306,11 +301,12 @@ impl<'g> ServeState<'g> {
         ]))
     }
 
-    /// The (cached) best-density node for `algo`'s hierarchy: scanned
-    /// once over every non-root node; ties keep the first (lowest-id)
-    /// node.
+    /// The (cached) best-density node of the hierarchy, which `algo`
+    /// builds if no request built it before: scanned once over every
+    /// non-root node; ties keep the first (lowest-id) node.
     pub fn densest(&self, algo: Algorithm) -> Result<DensestAnswer, ProtocolError> {
-        let res = self.densest[Self::slot_of(algo)].get_or_init(|| {
+        self.resolve_algo(Some(algo))?;
+        let res = self.densest.get_or_init(|| {
             let h = self.hierarchy(algo)?;
             let mut best: Option<DensestAnswer> = None;
             for id in 1..h.len() as u32 {
@@ -354,11 +350,10 @@ impl<'g> ServeState<'g> {
     /// snapshot as `metrics`; the one-shot CLI passes `None`.
     pub fn stats_value(&self, metrics: Option<Value>) -> Value {
         let (r, s) = self.prepared.kind().rs();
-        let built: Vec<Value> = Algorithm::ALL
-            .iter()
-            .filter(|a| matches!(self.hierarchies[Self::slot_of(**a)].get(), Some(Ok(_))))
-            .map(|a| Value::Str(a.name().to_string()))
-            .collect();
+        let built: Vec<Value> = match self.hierarchy.get() {
+            Some(Ok((algo, _))) => vec![Value::Str(algo.name().to_string())],
+            _ => Vec::new(),
+        };
         Value::Object(vec![
             (
                 "kind".to_string(),
@@ -517,6 +512,109 @@ mod tests {
         );
         assert_eq!(v.field("profile").unwrap(), &want, "{kind:?} {a}");
         assert_eq!(num(&v, "nuclei"), h.nucleus_count() as u64, "{kind:?} {a}");
+    }
+
+    /// Every query type over every cell and node (and one past each
+    /// end), once per algorithm in [`Algorithm::ALL`]; `stats` is left
+    /// out, since `hierarchies_built` names the builder.
+    fn request_list(cells: usize, nodes: usize) -> Vec<String> {
+        let mut list = Vec::new();
+        for algo in Algorithm::ALL {
+            let a = algo.name();
+            for cell in 0..=cells {
+                for query in ["lambda", "nuclei_of"] {
+                    list.push(format!(
+                        r#"{{"query":"{query}","cell":{cell},"algo":"{a}"}}"#
+                    ));
+                }
+            }
+            for node in 0..=nodes {
+                list.push(format!(
+                    r#"{{"query":"members","node":{node},"limit":8,"algo":"{a}"}}"#
+                ));
+                for query in ["subtree", "density"] {
+                    list.push(format!(
+                        r#"{{"query":"{query}","node":{node},"algo":"{a}"}}"#
+                    ));
+                }
+            }
+            for query in ["densest", "level_profile"] {
+                list.push(format!(r#"{{"query":"{query}","algo":"{a}"}}"#));
+            }
+        }
+        list
+    }
+
+    fn answer_bytes(state: &ServeState<'_>, line: &str) -> String {
+        match state.answer(&Request::parse(line).unwrap()) {
+            Ok(v) => serde_json::to_string(&v).unwrap(),
+            Err(e) => format!("{} {}", e.code.as_str(), e.message),
+        }
+    }
+
+    /// One hierarchy per state: the fixed request list answers
+    /// byte-identically whichever algorithm builds the hierarchy, and
+    /// `stats` names that one algorithm.
+    #[test]
+    fn answers_do_not_depend_on_the_first_algorithm() {
+        let graphs = [
+            nucleus_gen::planted::planted_cliques(6, &[8, 7, 6, 5], 42),
+            nucleus_gen::karate::karate_club(),
+        ];
+        for g in &graphs {
+            for kind in [Kind::Core, Kind::Truss] {
+                let fresh = || ServeState::new(Nucleus::builder(g).kind(kind).prepare().unwrap());
+                let reference = fresh();
+                let nodes = reference.hierarchy(Algorithm::Fnd).unwrap().len();
+                let list = request_list(reference.prepared().cells(), nodes);
+                let want: Vec<String> = list.iter().map(|l| answer_bytes(&reference, l)).collect();
+                for &first in Algorithm::for_kind(kind) {
+                    let state = fresh();
+                    let a = first.name();
+                    answer_bytes(
+                        &state,
+                        &format!(r#"{{"query":"lambda","cell":0,"algo":"{a}"}}"#),
+                    );
+                    let stats = answer_bytes(&state, r#"{"query":"stats"}"#);
+                    assert!(
+                        stats.contains(&format!(r#""hierarchies_built":["{a}"]"#)),
+                        "{stats}"
+                    );
+                    for (line, want) in list.iter().zip(&want) {
+                        assert_eq!(
+                            &answer_bytes(&state, line),
+                            want,
+                            "{kind:?} first {a}: {line}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// An algorithm the kind does not support is rejected before the
+    /// one hierarchy slot is touched, so it cannot poison it.
+    #[test]
+    fn unsupported_algorithms_leave_the_cache_empty() {
+        let g = nucleus_gen::karate::karate_club();
+        let state = ServeState::new(Nucleus::builder(&g).kind(Kind::Truss).prepare().unwrap());
+        let err = state.hierarchy(Algorithm::Lcps).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Unsupported);
+        let err = state.densest(Algorithm::Lcps).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Unsupported);
+        let err = state
+            .answer(&Request::parse(r#"{"query":"densest","algo":"lcps"}"#).unwrap())
+            .unwrap_err();
+        assert_eq!(err.code, ErrorCode::Unsupported);
+        assert!(answer_bytes(&state, r#"{"query":"stats"}"#).contains(r#""hierarchies_built":[]"#));
+        assert!(state.hierarchy(Algorithm::Fnd).is_ok());
+        assert!(state.densest(Algorithm::Fnd).is_ok());
+        assert!(
+            answer_bytes(&state, r#"{"query":"stats"}"#).contains(r#""hierarchies_built":["fnd"]"#)
+        );
+        // later LCPS requests are still rejected, not served
+        let err = state.hierarchy(Algorithm::Lcps).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Unsupported);
     }
 
     #[test]

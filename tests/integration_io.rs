@@ -1,4 +1,4 @@
-//! Persistence round-trips: graphs through text and binary formats,
+//! Persistence round-trips: graphs through the text format,
 //! hierarchies through serde JSON — decomposition results must survive.
 
 use nucleus_hierarchy::gen::{dataset, Scale};
@@ -19,19 +19,6 @@ fn graph_text_round_trip_preserves_decomposition() {
     assert_eq!(d1.hierarchy.nucleus_count(), d2.hierarchy.nucleus_count());
     assert_eq!(d1.hierarchy.max_lambda(), d2.hierarchy.max_lambda());
     assert_eq!(d1.hierarchy.depth(), d2.hierarchy.depth());
-}
-
-#[test]
-fn graph_binary_round_trip_preserves_decomposition() {
-    let g = dataset("google-s", Scale::Small);
-    let mut buf = Vec::new();
-    io::write_binary(&g, &mut buf).expect("write");
-    let g2 = io::read_binary(buf.as_slice()).expect("read");
-    assert_eq!(g.n(), g2.n());
-    assert_eq!(g.m(), g2.m());
-    let d1 = decompose(&g, Kind::Truss, Algorithm::Fnd).unwrap();
-    let d2 = decompose(&g2, Kind::Truss, Algorithm::Fnd).unwrap();
-    assert!(d1.hierarchy == d2.hierarchy);
 }
 
 #[test]
