@@ -465,11 +465,14 @@ impl<'g> Prepared<'g> {
         })
     }
 
-    /// Validates `algorithm` against this session — the check shared by
-    /// [`Prepared::plan`] and [`Prepared::run`] (the latter skips the
-    /// [`Plan`] facts, which may cost a container enumeration on lazy
-    /// sessions).
-    fn validate(&self, algorithm: Algorithm) -> Result<(), CoreError> {
+    /// Validates `algorithm` against this session without running it —
+    /// the check [`Prepared::plan`] and [`Prepared::run`] make first,
+    /// minus the [`Plan`] facts (which may cost a container enumeration
+    /// on lazy sessions).
+    ///
+    /// # Errors
+    /// See [`crate::plan::validate`].
+    pub fn validate(&self, algorithm: Algorithm) -> Result<(), CoreError> {
         plan::validate(self.kind, algorithm, self.backend, self.engine)
     }
 

@@ -105,8 +105,8 @@ impl DynamicServeState {
     }
 
     /// Overrides the algorithm used when a request names none. Sets it
-    /// in place on the current epoch, keeping every hierarchy that epoch
-    /// has already built; later epochs inherit it.
+    /// in place on the current epoch, keeping the hierarchy that epoch
+    /// may have built already; later epochs inherit it.
     pub fn with_default_algo(mut self, algo: Algorithm) -> Self {
         let current = self.current.get_mut().expect("epoch lock poisoned");
         Arc::get_mut(current)

@@ -102,25 +102,29 @@ impl<'g> ServeState<'g> {
         self.default_algo
     }
 
-    /// Resolves a request's algorithm field against the prepared kind.
+    /// Resolves a request's algorithm field against the prepared
+    /// session: the kind must support it, and so must the session's
+    /// engine ([`Prepared::validate`]).
     pub fn resolve_algo(&self, requested: Option<Algorithm>) -> Result<Algorithm, ProtocolError> {
         let algo = requested.unwrap_or(self.default_algo);
-        if Algorithm::for_kind(self.prepared.kind()).contains(&algo) {
-            Ok(algo)
-        } else {
-            Err(ProtocolError::new(
+        if !Algorithm::for_kind(self.prepared.kind()).contains(&algo) {
+            return Err(ProtocolError::new(
                 ErrorCode::Unsupported,
                 format!(
                     "algorithm {} does not apply to kind {}",
                     algo.name(),
                     self.prepared.kind().name()
                 ),
-            ))
+            ));
         }
+        self.prepared
+            .validate(algo)
+            .map_err(|e| ProtocolError::new(ErrorCode::Unsupported, e.to_string()))?;
+        Ok(algo)
     }
 
     /// The hierarchy, built by `algo` if no request built it before.
-    /// An algorithm the kind does not support is rejected before the
+    /// An algorithm the session cannot run is rejected before the
     /// cache is touched, so it never leaves an error there.
     pub fn hierarchy(&self, algo: Algorithm) -> Result<&Arc<Hierarchy>, ProtocolError> {
         self.resolve_algo(Some(algo))?;
@@ -403,7 +407,7 @@ impl std::fmt::Debug for ServeState<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nucleus_core::{Kind, Nucleus};
+    use nucleus_core::{Kind, Nucleus, PeelEngine};
     use nucleus_graph::CsrGraph;
 
     fn ask(state: &ServeState<'_>, line: &str) -> Value {
@@ -592,8 +596,9 @@ mod tests {
         }
     }
 
-    /// An algorithm the kind does not support is rejected before the
-    /// one hierarchy slot is touched, so it cannot poison it.
+    /// An algorithm the session cannot run — LCPS on a truss state, or
+    /// LCPS under the frontier engine — is rejected before the one
+    /// hierarchy slot is touched, so it cannot poison it.
     #[test]
     fn unsupported_algorithms_leave_the_cache_empty() {
         let g = nucleus_gen::karate::karate_club();
@@ -615,6 +620,27 @@ mod tests {
         // later LCPS requests are still rejected, not served
         let err = state.hierarchy(Algorithm::Lcps).unwrap_err();
         assert_eq!(err.code, ErrorCode::Unsupported);
+
+        // the frontier engine cannot drive LCPS, even on a core state
+        let state = ServeState::new(
+            Nucleus::builder(&g)
+                .kind(Kind::Core)
+                .engine(PeelEngine::Frontier)
+                .prepare()
+                .unwrap(),
+        );
+        let err = state.hierarchy(Algorithm::Lcps).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Unsupported);
+        assert!(err.message.contains("frontier"), "{}", err.message);
+        let err = state
+            .answer(&Request::parse(r#"{"query":"lambda","cell":0,"algo":"lcps"}"#).unwrap())
+            .unwrap_err();
+        assert_eq!(err.code, ErrorCode::Unsupported);
+        assert!(answer_bytes(&state, r#"{"query":"stats"}"#).contains(r#""hierarchies_built":[]"#));
+        assert!(state.hierarchy(Algorithm::Fnd).is_ok());
+        assert!(
+            answer_bytes(&state, r#"{"query":"stats"}"#).contains(r#""hierarchies_built":["fnd"]"#)
+        );
     }
 
     #[test]
