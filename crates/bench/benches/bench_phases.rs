@@ -6,6 +6,9 @@
 //!
 //! Per input and space, the rows are:
 //!
+//! * `read-edge-list` — the graph layer: [`read_edge_list`] over the
+//!   input written with [`write_edge_list`] to memory (parse, relabel,
+//!   CSR build), the step before any prepare;
 //! * `enumerate-serial/-tN` — the enumeration kernel feeding ω degrees:
 //!   `edge_supports` for (2,3), `TriangleList::build` for (3,4)
 //!   (`-tN` is the bit-identical parallel twin);
@@ -58,6 +61,7 @@ use nucleus_core::algo::dft::dft;
 use nucleus_core::algo::fnd::{build_hierarchy, fnd, fnd_classify};
 use nucleus_core::prelude::*;
 use nucleus_graph::flat::offsets_from_counts;
+use nucleus_graph::io::{read_edge_list, write_edge_list};
 use nucleus_graph::CsrGraph;
 
 fn smoke() -> bool {
@@ -137,6 +141,19 @@ fn bench_assembly<S: nucleus_core::space::PeelSpace + Sync>(
     );
 }
 
+/// The graph-read row: `g` as edge-list text in memory, read back.
+fn bench_read(group: &mut criterion::BenchmarkGroup<'_>, name: &str, g: &CsrGraph) {
+    let mut text = Vec::new();
+    write_edge_list(g, &mut text).expect("write to memory");
+    group.bench_with_input(
+        BenchmarkId::new("read-edge-list", name),
+        &text,
+        |b, text| {
+            b.iter(|| read_edge_list(text.as_slice()).expect("read back").m());
+        },
+    );
+}
+
 /// The session-prepare rows: everything between the input graph and a
 /// runnable `Prepared` (space build, enumeration, ω degrees, backend
 /// resolution, index materialization).
@@ -167,6 +184,7 @@ fn bench_phases_truss(c: &mut Criterion) {
     configure(&mut group);
     let tn = all_threads();
     for (name, g) in &inputs() {
+        bench_read(&mut group, name, g);
         // Prepare phase, split into its two passes over one
         // orientation: the support count (ω degrees) and the container
         // records filled from the same triangle listing.
@@ -222,6 +240,7 @@ fn bench_phases_nucleus34(c: &mut Criterion) {
     configure(&mut group);
     let tn = all_threads();
     for (name, g) in &inputs() {
+        bench_read(&mut group, name, g);
         // Prepare phase, split into its four passes: triangle
         // enumeration, edge→thirds index, per-triangle K4 degrees and
         // the container records.

@@ -18,16 +18,16 @@
 //! bounds, record-structure invariants, and that the stored (r, s) pair
 //! names a supported [`Kind`] whose record arity matches. Binding the
 //! index to a graph additionally checks the stored *fingerprint*
-//! (vertex count, edge count, degree-sequence hash) against the live
-//! graph. Each failure mode maps to a typed error:
+//! (vertex count, edge count, hash of the canonical edge list) against
+//! the live graph. Each failure mode maps to a typed error:
 //!
 //! * [`CoreError::IndexCorrupt`] — the bytes are structurally bad;
 //! * [`CoreError::IndexMismatch`] — valid bytes, wrong graph or kind;
 //! * [`CoreError::IndexIo`] — the file could not be read or written.
 //!
-//! The fingerprint catches any change to n, m or a degree, but a
-//! degree-preserving rewire is invisible to it — callers needing a
-//! stronger guarantee should hash the graph file itself.
+//! The fingerprint catches any change to the edge set, degree-preserving
+//! rewires included (up to a 64-bit hash collision). It hashes vertex
+//! ids, so the same graph relabeled is a different graph to it.
 //!
 //! ```no_run
 //! use nucleus_core::prelude::*;
@@ -163,7 +163,7 @@ impl PreparedIndex {
     ///
     /// # Errors
     /// [`CoreError::IndexMismatch`] naming the first disagreeing
-    /// component (n, m, or the degree-sequence hash).
+    /// component (n, m, or the edge-list hash).
     pub fn matches(&self, g: &CsrGraph) -> Result<(), CoreError> {
         self.matches_fingerprint(&graph_fingerprint(g))
     }
@@ -190,8 +190,8 @@ impl PreparedIndex {
                 "index was built for m = {}, graph has m = {}",
                 stored.m, live.m
             )
-        } else if stored.degree_hash != live.degree_hash {
-            "degree sequence changed since the index was built".to_string()
+        } else if stored.edge_hash != live.edge_hash {
+            "edge list changed since the index was built".to_string()
         } else {
             return Ok(());
         };
@@ -373,7 +373,7 @@ mod tests {
             .unwrap();
         let index = PreparedIndex::load(&path).unwrap();
         index.matches_fingerprint(&graph_fingerprint(&g)).unwrap();
-        // A same-n, same-m rewiring still fails: the degree hash drifts.
+        // A same-n, same-m rewiring still fails: the edge hash drifts.
         let mut edges: Vec<(u32, u32)> = g.edges().map(|(_, u, v)| (u, v)).collect();
         let swap = edges
             .iter()
@@ -387,7 +387,7 @@ mod tests {
             .matches_fingerprint(&graph_fingerprint(&rewired))
             .unwrap_err();
         assert!(matches!(err, CoreError::IndexMismatch { .. }), "{err}");
-        assert!(err.to_string().contains("degree sequence"), "{err}");
+        assert!(err.to_string().contains("edge list changed"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

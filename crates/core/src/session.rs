@@ -283,10 +283,9 @@ impl<'g> NucleusBuilder<'g> {
         let t0 = Instant::now();
         let space = AnySpace::build(g, kind, threads);
         let cells = with_space!(space, s => s.cell_count());
-        // The fingerprint pins n, m and the degree sequence, which
-        // determines the cell count for every kind except the
-        // triangle-celled ones — so cross-check the cell count too
-        // rather than trusting the file.
+        // The fingerprint pins the edge list only up to a hash
+        // collision, so cross-check the cell count too rather than
+        // trusting the file.
         if cells != index.cells() {
             return Err(CoreError::IndexMismatch {
                 path: index.path().to_string(),

@@ -8,7 +8,7 @@ use nucleus_core::decompose::{Algorithm, Backend, Kind};
 use nucleus_core::error::CoreError;
 use nucleus_core::persist::PreparedIndex;
 use nucleus_core::session::Nucleus;
-use nucleus_graph::persist_io::{hash64, FILE_HASH_RANGE};
+use nucleus_graph::persist_io::{hash64, FILE_HASH_RANGE, FORMAT_VERSION};
 use nucleus_graph::CsrGraph;
 use rand::{Rng, SeedableRng};
 
@@ -71,13 +71,28 @@ fn wrong_magic_is_corrupt() {
 #[test]
 fn future_version_is_corrupt_and_names_the_version() {
     let (_, mut bytes) = valid_image(Kind::Truss);
-    bytes[16..20].copy_from_slice(&2u32.to_le_bytes());
+    bytes[16..20].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
     reseal(&mut bytes);
     match PreparedIndex::from_bytes(bytes, "future") {
         Err(CoreError::IndexCorrupt { reason, .. }) => {
             assert!(reason.contains("version"), "{reason}");
         }
         other => panic!("expected IndexCorrupt naming the version, got {other:?}"),
+    }
+}
+
+/// Version 1 stamped a degree-sequence hash, which cannot vouch for
+/// the edge list: such files are refused, not reinterpreted.
+#[test]
+fn version_one_files_are_rejected() {
+    let (_, mut bytes) = valid_image(Kind::Truss);
+    bytes[16..20].copy_from_slice(&1u32.to_le_bytes());
+    reseal(&mut bytes);
+    match PreparedIndex::from_bytes(bytes, "version 1") {
+        Err(CoreError::IndexCorrupt { reason, .. }) => {
+            assert!(reason.contains("unsupported index version 1"), "{reason}");
+        }
+        other => panic!("expected IndexCorrupt naming version 1, got {other:?}"),
     }
 }
 
@@ -128,7 +143,7 @@ fn fingerprint_mismatch_is_typed_not_silent() {
     let err = index.matches(&grown).unwrap_err();
     assert!(matches!(err, CoreError::IndexMismatch { .. }), "{err}");
 
-    // Same n and m, different degree sequence: a rewired edge.
+    // Same n and m, one edge moved elsewhere.
     let mut rewired: Vec<(u32, u32)> = g.edges().map(|(_, u, v)| (u, v)).collect();
     let pos = rewired
         .iter()
@@ -141,9 +156,33 @@ fn fingerprint_mismatch_is_typed_not_silent() {
     let err = index.matches(&moved).unwrap_err();
     match err {
         CoreError::IndexMismatch { reason, .. } => {
-            assert!(reason.contains("degree"), "{reason}");
+            assert!(reason.contains("edge list changed"), "{reason}");
         }
-        other => panic!("expected IndexMismatch on the degree hash, got {other}"),
+        other => panic!("expected IndexMismatch on the edge hash, got {other}"),
+    }
+
+    // A degree-preserving rewire: `- a b`, `- c d`, `+ a d`, `+ c b`.
+    let (a, b, c, d) = g
+        .edges()
+        .flat_map(|(_, a, b)| g.edges().map(move |(_, c, d)| (a, b, c, d)))
+        .find(|&(a, b, c, d)| {
+            a != c && a != d && b != c && b != d && !g.has_edge(a, d) && !g.has_edge(c, b)
+        })
+        .expect("karate has two rewirable edges");
+    let mut edges: Vec<(u32, u32)> = g
+        .edges()
+        .map(|(_, u, v)| (u, v))
+        .filter(|&e| e != (a, b) && e != (c, d))
+        .collect();
+    edges.extend([(a, d), (c, b)]);
+    let rewired = CsrGraph::from_edges(g.n(), &edges);
+    assert_eq!((rewired.n(), rewired.m()), (g.n(), g.m()));
+    assert!(g.vertices().all(|v| rewired.degree(v) == g.degree(v)));
+    match index.matches(&rewired).unwrap_err() {
+        CoreError::IndexMismatch { reason, .. } => {
+            assert!(reason.contains("edge list changed"), "{reason}");
+        }
+        other => panic!("expected IndexMismatch for the rewire, got {other}"),
     }
 
     let err = Nucleus::builder(&grown)

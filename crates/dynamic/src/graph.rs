@@ -2,7 +2,7 @@
 //! in batches by [`DynamicGraph::apply`].
 
 use nucleus_core::Kind;
-use nucleus_graph::persist_io::{graph_fingerprint, hash64, GraphFingerprint};
+use nucleus_graph::persist_io::{edge_list_hash, graph_fingerprint, GraphFingerprint};
 use nucleus_graph::CsrGraph;
 
 use crate::cores::CoreState;
@@ -74,16 +74,21 @@ fn adj_remove(adj: &mut [Vec<u32>], u: u32, v: u32) {
     adj[v as usize].remove(pv);
 }
 
+/// The edges `(u, v)`, `u < v`, in ascending order: the canonical edge
+/// list of the snapshot, read off the sorted adjacency.
+fn canonical_edges(adj: &[Vec<u32>]) -> impl Iterator<Item = (u32, u32)> + '_ {
+    adj.iter().enumerate().flat_map(|(u, ns)| {
+        let u = u as u32;
+        ns[ns.partition_point(|&v| v <= u)..]
+            .iter()
+            .map(move |&v| (u, v))
+    })
+}
+
 fn snapshot_of(adj: &[Vec<u32>], m: usize) -> CsrGraph {
     let mut edges = Vec::with_capacity(m);
-    for (u, ns) in adj.iter().enumerate() {
-        for &v in ns {
-            if (u as u32) < v {
-                edges.push((u as u32, v));
-            }
-        }
-    }
-    CsrGraph::from_edges(adj.len(), &edges)
+    edges.extend(canonical_edges(adj));
+    CsrGraph::from_sorted_unique_edges(adj.len(), edges)
 }
 
 impl DynamicGraph {
@@ -178,14 +183,10 @@ impl DynamicGraph {
     /// (and [`matches_fingerprint`](nucleus_core::PreparedIndex::matches_fingerprint))
     /// fail closed on indexes built for the pre-mutation graph.
     pub fn fingerprint(&self) -> GraphFingerprint {
-        let mut bytes = Vec::with_capacity(self.n() * 4);
-        for ns in &self.adj {
-            bytes.extend_from_slice(&(ns.len() as u32).to_le_bytes());
-        }
         GraphFingerprint {
             n: self.n() as u64,
             m: self.m as u64,
-            degree_hash: hash64(&bytes),
+            edge_hash: edge_list_hash(canonical_edges(&self.adj)),
         }
     }
 
@@ -420,6 +421,25 @@ mod tests {
         assert!(!r.needs_reindex);
         assert_eq!(dg.generation(), 1);
         assert_eq!(dg.fingerprint(), after);
+    }
+
+    #[test]
+    fn degree_preserving_rewire_changes_the_fingerprint() {
+        // The 4-cycle 0-1-2-3 rewired into 0-2-1-3: same n, m and
+        // degrees, a different edge set.
+        let g = nucleus_gen::classic::cycle(4);
+        let mut dg = DynamicGraph::topology(&g);
+        let before = dg.fingerprint();
+        let r = dg.apply(&[
+            EdgeOp::Delete(0, 1),
+            EdgeOp::Delete(2, 3),
+            EdgeOp::Insert(0, 2),
+            EdgeOp::Insert(1, 3),
+        ]);
+        assert_eq!(r.applied, 4);
+        assert!((0..4).all(|v| dg.neighbors(v).len() == g.degree(v)));
+        assert_ne!(dg.fingerprint(), before);
+        assert_eq!(dg.fingerprint(), graph_fingerprint(&dg.to_graph()));
     }
 
     #[test]

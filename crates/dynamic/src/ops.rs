@@ -252,6 +252,47 @@ mod tests {
         assert!(err.starts_with("line 2:"), "{err}");
     }
 
+    /// Byte-level fuzz over a valid `--ops` stream: flips, truncations,
+    /// random extensions and zeroed ranges give ops or a `line N:`
+    /// error, never a panic, and whatever parses applies without one.
+    #[test]
+    fn fuzzed_op_streams_never_panic() {
+        use rand::{Rng, SeedableRng};
+        let stream = b"# churn\n+ 0 5\n- 0 1\n+ 2 3\n\n- 2 3\n+ 4294967295 1\n- 7 7\n";
+        let g = nucleus_graph::CsrGraph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4)]);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        for iter in 0..2_000 {
+            let mut bytes = stream.to_vec();
+            for _ in 0..rng.gen_range(1..4u32) {
+                match rng.gen_range(0..4u32) {
+                    0 if !bytes.is_empty() => {
+                        let i = rng.gen_range(0..bytes.len());
+                        bytes[i] ^= rng.gen_range(1..=255u8);
+                    }
+                    1 => bytes.truncate(rng.gen_range(0..=bytes.len())),
+                    2 => {
+                        let extra = rng.gen_range(1..64usize);
+                        bytes.extend((0..extra).map(|_| rng.gen_range(0..=255u8)));
+                    }
+                    _ if !bytes.is_empty() => {
+                        let start = rng.gen_range(0..bytes.len());
+                        let end = (start + rng.gen_range(1..32usize)).min(bytes.len());
+                        bytes[start..end].fill(0);
+                    }
+                    _ => {}
+                }
+            }
+            match EdgeOp::parse_stream(&String::from_utf8_lossy(&bytes)) {
+                Ok(ops) => {
+                    let mut dg = crate::DynamicGraph::new(&g, nucleus_core::Kind::Core);
+                    let r = dg.apply(&ops);
+                    assert_eq!(r.applied + r.skipped + r.coalesced, ops.len(), "{iter}");
+                }
+                Err(e) => assert!(e.starts_with("line "), "iteration {iter}: {e}"),
+            }
+        }
+    }
+
     #[test]
     fn coalescing_cancels_churn() {
         // Edge {0,1} exists; {2,3} does not.

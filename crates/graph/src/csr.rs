@@ -36,18 +36,35 @@ impl CsrGraph {
     /// # Panics
     /// Panics if an endpoint is `>= n`.
     pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        let mut canon: Vec<(u32, u32)> = Vec::with_capacity(edges.len());
+        // Counting sort of the canonical pairs by smaller endpoint, then
+        // a sort per bucket.
+        let mut start = vec![0usize; n + 1];
         for &(a, b) in edges {
             assert!(
                 (a as usize) < n && (b as usize) < n,
                 "edge ({a},{b}) out of range for n={n}"
             );
-            if a == b {
-                continue; // self-loop
+            if a != b {
+                start[a.min(b) as usize + 1] += 1;
             }
-            canon.push(if a < b { (a, b) } else { (b, a) });
         }
-        canon.sort_unstable();
+        for u in 0..n {
+            start[u + 1] += start[u];
+        }
+        let mut canon = vec![(0u32, 0u32); start[n]];
+        let mut cursor = start.clone();
+        for &(a, b) in edges {
+            if a != b {
+                let (u, v) = (a.min(b), a.max(b));
+                canon[cursor[u as usize]] = (u, v);
+                cursor[u as usize] += 1;
+            }
+        }
+        drop(cursor);
+        for u in 0..n {
+            canon[start[u]..start[u + 1]].sort_unstable_by_key(|&(_, v)| v);
+        }
+        drop(start);
         canon.dedup();
         Self::from_sorted_unique_edges(n, canon)
     }
@@ -383,6 +400,36 @@ mod tests {
         let k4 = CsrGraph::from_edges(1000, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
         assert_eq!(k4.induced_edge_count(&[0, 1, 2, 3]), 6);
         assert_eq!(k4.induced_edge_count(&[0, 2, 999]), 1);
+    }
+
+    #[test]
+    fn from_edges_matches_sort_and_dedup() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as u32
+        };
+        for (n, m) in [(1u32, 4), (2, 6), (5, 40), (60, 200), (500, 3000)] {
+            // few distinct endpoints: self-loops, duplicates and
+            // reversed copies all occur
+            let mut edges: Vec<(u32, u32)> = (0..m).map(|_| (next(n), next(n))).collect();
+            edges.extend(edges.clone().iter().map(|&(a, b)| (b, a)));
+            let mut canon: Vec<(u32, u32)> = edges
+                .iter()
+                .filter(|&&(a, b)| a != b)
+                .map(|&(a, b)| (a.min(b), a.max(b)))
+                .collect();
+            canon.sort_unstable();
+            canon.dedup();
+            let got = CsrGraph::from_edges(n as usize, &edges);
+            let want = CsrGraph::from_sorted_unique_edges(n as usize, canon);
+            assert_eq!(got.offsets, want.offsets, "n={n}");
+            assert_eq!(got.neighbors, want.neighbors, "n={n}");
+            assert_eq!(got.edge_ids, want.edge_ids, "n={n}");
+            assert_eq!(got.endpoints, want.endpoints, "n={n}");
+        }
     }
 
     #[test]

@@ -9,20 +9,20 @@
 //! the same layout works for a heap buffer today and an mmap'd file
 //! later.
 //!
-//! # Layout (version 1)
+//! # Layout (version 2)
 //!
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"NUCINDX1"
 //!      8     8  file hash: [`hash64`] over the whole file with these
 //!               8 bytes zeroed (detects any single flipped byte)
-//!     16     4  format version (u32, currently 1)
+//!     16     4  format version (u32, currently 2)
 //!     20     4  r (u32)        — nucleus family parameter
 //!     24     4  s (u32)        — nucleus family parameter
 //!     28     4  arity (u32)    — words per record, C(s,r) - 1
 //!     32     8  n (u64)        — graph vertex count   ┐
 //!     40     8  m (u64)        — graph edge count     │ fingerprint
-//!     48     8  degree hash    — [`hash64`] of degrees┘
+//!     48     8  edge hash      — [`edge_list_hash`]   ┘
 //!     56     8  cells (u64)    — number of peeling cells
 //!     64     8  records (u64)  — total container records
 //!     72     4  section count (u32, currently 3)
@@ -45,10 +45,11 @@
 //! Adding a *new* section tag also bumps the version, because the
 //! section count is validated exactly.
 //!
-//! The fingerprint intentionally hashes only `(n, m, degree sequence)` —
-//! it catches vertex/edge count changes and any degree change, but a
-//! degree-preserving rewire produces the same fingerprint. Callers that
-//! need stronger guarantees should compare the graph files themselves.
+//! The fingerprint hashes `n`, `m` and the canonical edge list, so any
+//! change to the edge set, a degree-preserving rewire included, gives a
+//! different fingerprint (up to a 64-bit hash collision). Version 1
+//! hashed the degree sequence instead and missed such rewires; its
+//! files are rejected as an unsupported version.
 
 use std::io::Write;
 use std::path::Path;
@@ -60,7 +61,7 @@ use crate::flat::{FlatRecords, FlatRecordsRef, MAX_ARITY};
 /// Magic bytes opening every persisted index file.
 pub const MAGIC: [u8; 8] = *b"NUCINDX1";
 /// Current format version; see the module docs for the bump rule.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 /// Fixed header length in bytes (magic through the section table).
 pub const HEADER_LEN: usize = 176;
 /// Byte range of the whole-file hash, zeroed while hashing.
@@ -74,6 +75,9 @@ pub const SEC_OFFSETS: u32 = 2;
 pub const SEC_DATA: u32 = 3;
 const SECTION_COUNT: usize = 3;
 const SECTION_ENTRY_LEN: usize = 32;
+
+const HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+const HASH_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// The dependency-free checksum this format uses for both the whole
 /// file and each section: FNV-style multiply-xor over 8-byte
@@ -89,19 +93,32 @@ const SECTION_ENTRY_LEN: usize = 32;
 /// section). Changing this function is a format break: bump
 /// [`FORMAT_VERSION`].
 pub fn hash64(bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = HASH_SEED;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
-        h = (h ^ u64::from_le_bytes(c.try_into().unwrap())).wrapping_mul(PRIME);
+        h = (h ^ u64::from_le_bytes(c.try_into().unwrap())).wrapping_mul(HASH_PRIME);
     }
     let rem = chunks.remainder();
     if !rem.is_empty() {
         let mut tail = [0u8; 8];
         tail[..rem.len()].copy_from_slice(rem);
-        h = (h ^ u64::from_le_bytes(tail)).wrapping_mul(PRIME);
+        h = (h ^ u64::from_le_bytes(tail)).wrapping_mul(HASH_PRIME);
     }
-    (h ^ bytes.len() as u64).wrapping_mul(PRIME)
+    (h ^ bytes.len() as u64).wrapping_mul(HASH_PRIME)
+}
+
+/// [`hash64`] of a canonical edge list (`u < v`, ascending), streamed:
+/// each edge is the little-endian word `u | v << 32`, so the result
+/// equals `hash64` over the list's `(u32, u32)` bytes without building
+/// them. Changing this function is a format break, as for `hash64`.
+pub fn edge_list_hash(edges: impl IntoIterator<Item = (u32, u32)>) -> u64 {
+    let mut h = HASH_SEED;
+    let mut len = 0u64;
+    for (u, v) in edges {
+        h = (h ^ (u64::from(u) | u64::from(v) << 32)).wrapping_mul(HASH_PRIME);
+        len += 8;
+    }
+    (h ^ len).wrapping_mul(HASH_PRIME)
 }
 
 /// Identity of the graph an index was built from: enough to reject an
@@ -112,20 +129,16 @@ pub struct GraphFingerprint {
     pub n: u64,
     /// Undirected edge count.
     pub m: u64,
-    /// [`hash64`] over the little-endian `u32` degree sequence.
-    pub degree_hash: u64,
+    /// [`edge_list_hash`] of the canonical edge list.
+    pub edge_hash: u64,
 }
 
 /// Fingerprints `g` for index validation; see [`GraphFingerprint`].
 pub fn graph_fingerprint(g: &CsrGraph) -> GraphFingerprint {
-    let mut bytes = Vec::with_capacity(g.n() * 4);
-    for v in 0..g.n() as u32 {
-        bytes.extend_from_slice(&(g.degree(v) as u32).to_le_bytes());
-    }
     GraphFingerprint {
         n: g.n() as u64,
         m: g.m() as u64,
-        degree_hash: hash64(&bytes),
+        edge_hash: edge_list_hash(g.edge_endpoints().iter().copied()),
     }
 }
 
@@ -152,7 +165,7 @@ fn pad8(len: usize) -> usize {
     len.div_ceil(8) * 8
 }
 
-/// Encodes `flat` (plus its per-cell counts) into the version-1 byte
+/// Encodes `flat` (plus its per-cell counts) into the version-2 byte
 /// image for the `(r, s)` family of a graph with fingerprint `fp`.
 pub fn encode_index(r: u32, s: u32, fp: GraphFingerprint, flat: &FlatRecords) -> Vec<u8> {
     let cells = flat.cells();
@@ -186,7 +199,7 @@ pub fn encode_index(r: u32, s: u32, fp: GraphFingerprint, flat: &FlatRecords) ->
     buf[28..32].copy_from_slice(&(arity as u32).to_le_bytes());
     buf[32..40].copy_from_slice(&fp.n.to_le_bytes());
     buf[40..48].copy_from_slice(&fp.m.to_le_bytes());
-    buf[48..56].copy_from_slice(&fp.degree_hash.to_le_bytes());
+    buf[48..56].copy_from_slice(&fp.edge_hash.to_le_bytes());
     buf[56..64].copy_from_slice(&(cells as u64).to_le_bytes());
     buf[64..72].copy_from_slice(&(records as u64).to_le_bytes());
     buf[72..76].copy_from_slice(&(SECTION_COUNT as u32).to_le_bytes());
@@ -256,7 +269,7 @@ fn bad(msg: impl Into<String>) -> GraphError {
 }
 
 impl IndexImage {
-    /// Validates `buf` as a version-1 index image and takes ownership.
+    /// Validates `buf` as a version-2 index image and takes ownership.
     ///
     /// Returns [`GraphError::Format`] (or [`GraphError::Records`] from
     /// the flat-record validator) on any violation — truncation, bad
@@ -311,7 +324,7 @@ impl IndexImage {
             fingerprint: GraphFingerprint {
                 n: u64_at(32),
                 m: u64_at(40),
-                degree_hash: u64_at(48),
+                edge_hash: u64_at(48),
             },
             cells: u64_at(56),
             records: u64_at(64),
@@ -528,11 +541,31 @@ mod tests {
         let fp = graph_fingerprint(&g);
         assert_eq!(fp.n, 4);
         assert_eq!(fp.m, 5);
-        // Removing an edge changes m and the degree hash.
+        // Removing an edge changes m and the edge hash.
         let g2 = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 2), (1, 3)]);
         let fp2 = graph_fingerprint(&g2);
         assert_ne!(fp, fp2);
-        assert_ne!(fp.degree_hash, fp2.degree_hash);
+        assert_ne!(fp.edge_hash, fp2.edge_hash);
+        // A degree-preserving rewire of the 4-cycle 0-1-2-3 into
+        // 0-2-1-3 (drop {0,1} and {2,3}, add {0,2} and {1,3}) keeps n,
+        // m and every degree but not the edge hash.
+        let cycle = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]);
+        let rewired = CsrGraph::from_edges(4, &[(0, 2), (1, 2), (1, 3), (0, 3)]);
+        let degrees = |g: &CsrGraph| g.vertices().map(|v| g.degree(v)).collect::<Vec<_>>();
+        assert_eq!(degrees(&cycle), degrees(&rewired));
+        assert_ne!(graph_fingerprint(&cycle), graph_fingerprint(&rewired));
+    }
+
+    #[test]
+    fn edge_list_hash_is_hash64_of_the_edge_bytes() {
+        let g = sample_graph();
+        let bytes: Vec<u8> = g
+            .edge_endpoints()
+            .iter()
+            .flat_map(|&(u, v)| [u.to_le_bytes(), v.to_le_bytes()].concat())
+            .collect();
+        assert_eq!(graph_fingerprint(&g).edge_hash, hash64(&bytes));
+        assert_eq!(edge_list_hash([]), hash64(&[]));
     }
 
     #[test]
