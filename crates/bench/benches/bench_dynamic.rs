@@ -30,38 +30,12 @@
 //! `NUCLEUS_BENCH_SMOKE=1` shrinks inputs and round counts so CI can
 //! assert the bench runs end to end and emits JSON.
 
-use std::io::Write as _;
-use std::path::PathBuf;
 use std::time::Instant;
 
+use nucleus_bench::{smoke, write_bench_json};
 use nucleus_core::Kind;
 use nucleus_dynamic::{DynamicGraph, EdgeOp};
 use nucleus_graph::CsrGraph;
-
-fn smoke() -> bool {
-    std::env::var("NUCLEUS_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-fn emitting() -> bool {
-    std::env::args().any(|a| a == "--bench")
-}
-
-/// Same discovery as the criterion shim, so all BENCH files co-locate.
-fn results_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("NUCLEUS_BENCH_RESULTS") {
-        return PathBuf::from(dir);
-    }
-    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    let mut probe = cwd.clone();
-    loop {
-        if probe.join("Cargo.lock").exists() {
-            return probe.join("results");
-        }
-        if !probe.pop() {
-            return cwd.join("results");
-        }
-    }
-}
 
 /// Heterogeneous planted communities: ER blocks of *varying* size and
 /// density (so core numbers differ block to block and the λ = k
@@ -216,36 +190,25 @@ fn bench_family(kind: Kind, group: &str, rows: &mut Vec<Row>) {
 }
 
 fn write_json(group: &str, rows: &[Row]) {
-    if !emitting() {
-        return;
-    }
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("BENCH_{group}.json"));
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\n  \"group\": \"{group}\",\n  \"benchmarks\": [\n"
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"id\": \"{}\", \"n\": {}, \"m\": {}, \"recompute_ms\": {:.3}, \
-             \"single_edge_mean_us\": {:.2}, \"batch64_mean_us\": {:.2}, \
-             \"speedup_single\": {:.1}, \"speedup_batch64\": {:.1}}}{}\n",
-            r.id,
-            r.n,
-            r.m,
-            r.recompute_ms,
-            r.single_mean_us,
-            r.batch64_mean_us,
-            r.speedup_single,
-            r.speedup_batch64,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let mut f = std::fs::File::create(&path).unwrap();
-    f.write_all(out.as_bytes()).unwrap();
-    println!("wrote {}", path.display());
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"id\": \"{}\", \"n\": {}, \"m\": {}, \"recompute_ms\": {:.3}, \
+                 \"single_edge_mean_us\": {:.2}, \"batch64_mean_us\": {:.2}, \
+                 \"speedup_single\": {:.1}, \"speedup_batch64\": {:.1}}}",
+                r.id,
+                r.n,
+                r.m,
+                r.recompute_ms,
+                r.single_mean_us,
+                r.batch64_mean_us,
+                r.speedup_single,
+                r.speedup_batch64,
+            )
+        })
+        .collect();
+    write_bench_json(group, &rows);
 }
 
 fn main() {

@@ -1,50 +1,52 @@
-//! Serial vs frontier peeling engine, crossed with the lazy and
-//! materialized backends, on generated inputs.
+//! Serial FND against the frontier FND, in interleaved pairs: does any
+//! input keep the frontier engine?
 //!
-//! For each graph (Erdős–Rényi, Barabási–Albert, R-MAT) and each of the
-//! (2,3) and (3,4) spaces, five rows are measured:
+//! Every session runs serial FND ([`fnd`], Alg. 8 inside the
+//! bucket-queue peel). The frontier FND ([`fnd_parallel_with`] with
+//! default [`FrontierOptions`]) is library code no session runs. For each
+//! generated input (R-MAT, Erdős–Rényi, two Barabási–Albert) and each
+//! of the (2,3) and (3,4) spaces, the harness builds the materialized
+//! index once — what a default session peels over — and then measures
+//! two rows, `fnd-frontier-t1` and `fnd-frontier-t2`. Each row is
+//! [`PAIRS`] pairs of one serial timing and one frontier timing, with
+//! the side that runs first alternating from pair to pair, so host
+//! drift hits both sides alike.
 //!
-//! * `serial-lazy/…` — bucket-queue `Set-λ` over on-the-fly container
-//!   enumeration (the paper's sequential baseline);
-//! * `serial-materialized/…` — the same loop over an [`IndexedSpace`]
-//!   on a pre-built index: the engine every session runs by default;
-//! * `frontier-lazy/…` — frontier rounds over on-the-fly enumeration
-//!   (quantifies how much the engine needs the flat index);
-//! * `frontier-materialized-t1/…` — frontier rounds over the index on
-//!   one thread: the engine's algorithmic constants, isolated from
-//!   parallelism (plain load/store decrements, no bucket maintenance);
-//! * `frontier-materialized-tN/…` — the same with N = all available
-//!   CPUs, at least 2 (on a single-core host spawn overhead is pure
-//!   loss; the committed JSONs come from a 2-CPU host).
+//! A timing is the mean over a batch of calls, sized once per input so
+//! a batch takes at least [`BATCH_TARGET`]; both sides of every pair
+//! run the same batch. Per row the JSON holds each side's median and
+//! quartiles (ns per call), the frontier's win count, and
+//! `frontier_keeps`: whether the frontier won at least 9 of 10 pairs
+//! *and* its median beat serial's by more than serial's interquartile
+//! range. JSON results land in `results/BENCH_peel_engine_*.json`,
+//! written only when cargo passes `--bench`.
 //!
-//! The `frontier-*` rows above run with the hybrid drain *disabled*
-//! (`serial_round_threshold: 0`) so their meaning stays fixed across
-//! PRs. On top of them:
+//! Custom `harness = false` main (not criterion): the metric of record
+//! is a paired comparison, not one closure's latency.
 //!
-//! * `frontier-hybrid-t1`/`-tN/…` — frontier rounds with the default
-//!   hybrid policy (mid-level frontiers below 64 cells drain their
-//!   λ-level serially; a level opening with under 1/8 of the remaining
-//!   cells hands the whole residual to the serial bucket queue), the
-//!   configuration `PeelEngine::Frontier` actually ships with;
-//! * `fnd-serial/…` — serial FND (Alg. 8) over the index: peel *plus*
-//!   hierarchy construction, the end-to-end baseline;
-//! * `fnd-frontier-t1`/`-tN/…` — parallel FND riding the hybrid
-//!   frontier engine; comparing against `fnd-serial` prices the whole
-//!   parallel hierarchy construction, not just the peel.
-//!
-//! Space construction and (for the materialized rows) the index build
-//! happen outside the timed region, so rows isolate peeling-loop cost
-//! only. JSON results land in `results/BENCH_peel_engine_*.json`.
+//! `NUCLEUS_BENCH_SMOKE=1` shrinks the inputs and the pair count so CI
+//! can assert the bench runs end to end and emits JSON.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nucleus_core::algo::fnd::{fnd, fnd_parallel};
-use nucleus_core::peel::{peel, peel_parallel_with, FrontierOptions};
+use std::time::{Duration, Instant};
+
+use nucleus_bench::{smoke, write_bench_json};
+use nucleus_core::algo::fnd::{fnd, fnd_parallel_with, FndOptions};
+use nucleus_core::peel::FrontierOptions;
 use nucleus_core::space::{ContainerIndex, EdgeSpace, IndexedSpace, PeelSpace, TriangleSpace};
 use nucleus_graph::CsrGraph;
 
-/// Deterministic inputs, smallest to largest (by edge count); same
-/// models as `bench_backend` so rows stay comparable across PRs.
+/// Interleaved pairs per row.
+const PAIRS: usize = 31;
+
+/// Shortest wall time one timed batch of calls may take.
+const BATCH_TARGET: Duration = Duration::from_millis(2);
+
+/// Deterministic inputs, smallest to largest (by edge count); the
+/// models `bench_backend` and `bench_phases` also measure.
 fn inputs() -> Vec<(&'static str, CsrGraph)> {
+    if smoke() {
+        return vec![("ba-n2000", nucleus_gen::ba::barabasi_albert(2_000, 4, 7))];
+    }
     vec![
         (
             "rmat-s11",
@@ -61,112 +63,92 @@ fn inputs() -> Vec<(&'static str, CsrGraph)> {
     ]
 }
 
-fn bench_space<S: PeelSpace + Sync>(
-    group: &mut criterion::BenchmarkGroup<'_>,
-    name: &str,
-    space: &S,
-) {
-    // On a single-core host still bench 2 workers so the committed
-    // JSONs record the spawn path's overhead honestly.
-    let all_threads = std::thread::available_parallelism()
-        .map_or(1, |p| p.get())
-        .max(2);
-    // Pure frontier rounds: the historical rows, hybrid drain off.
-    let pure = |threads: usize| FrontierOptions {
-        threads,
-        serial_round_threshold: 0,
-        ..FrontierOptions::default()
+/// Mean wall time per call of `f` over `reps` calls, in ns.
+fn per_call_ns(reps: usize, f: &mut dyn FnMut() -> u32) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        std::hint::black_box(f());
+    }
+    t0.elapsed().as_nanos() as f64 / reps as f64
+}
+
+/// `(q1, median, q3)` of `xs`, by linear interpolation.
+fn quartiles(xs: &[f64]) -> (f64, f64, f64) {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let pos = q * (v.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
     };
-    // What `PeelEngine::Frontier` ships: default hybrid threshold.
-    let hybrid = |threads: usize| FrontierOptions {
-        threads,
-        ..FrontierOptions::default()
-    };
-    group.bench_with_input(BenchmarkId::new("serial-lazy", name), space, |b, s| {
-        b.iter(|| peel(s).max_lambda);
-    });
-    group.bench_with_input(BenchmarkId::new("frontier-lazy", name), space, |b, s| {
-        b.iter(|| peel_parallel_with(s, pure(1)).max_lambda);
-    });
-    let index = ContainerIndex::build(space, all_threads);
+    (at(0.25), at(0.5), at(0.75))
+}
+
+/// The two paired rows of one input: serial FND against the frontier
+/// FND at 1 and at 2 threads.
+fn bench_space<S: PeelSpace + Sync>(group: &str, name: &str, space: &S, rows: &mut Vec<String>) {
+    let index = ContainerIndex::build(space, 2);
     let mat = IndexedSpace::new(space, &index);
-    group.bench_with_input(
-        BenchmarkId::new("serial-materialized", name),
-        &mat,
-        |b, m| {
-            b.iter(|| peel(m).max_lambda);
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("frontier-materialized-t1", name),
-        &mat,
-        |b, m| {
-            b.iter(|| peel_parallel_with(m, pure(1)).max_lambda);
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new(format!("frontier-materialized-t{all_threads}"), name),
-        &mat,
-        |b, m| {
-            b.iter(|| peel_parallel_with(m, pure(all_threads)).max_lambda);
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("frontier-hybrid-t1", name),
-        &mat,
-        |b, m| {
-            b.iter(|| peel_parallel_with(m, hybrid(1)).max_lambda);
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new(format!("frontier-hybrid-t{all_threads}"), name),
-        &mat,
-        |b, m| {
-            b.iter(|| peel_parallel_with(m, hybrid(all_threads)).max_lambda);
-        },
-    );
-    group.bench_with_input(BenchmarkId::new("fnd-serial", name), &mat, |b, m| {
-        b.iter(|| fnd(m).peeling.max_lambda);
-    });
-    group.bench_with_input(BenchmarkId::new("fnd-frontier-t1", name), &mat, |b, m| {
-        b.iter(|| fnd_parallel(m, 1).peeling.max_lambda);
-    });
-    group.bench_with_input(
-        BenchmarkId::new(format!("fnd-frontier-t{all_threads}"), name),
-        &mat,
-        |b, m| {
-            b.iter(|| fnd_parallel(m, all_threads).peeling.max_lambda);
-        },
-    );
-}
-
-fn bench_peel_engine_truss(c: &mut Criterion) {
-    let mut group = c.benchmark_group("peel_engine_truss");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(200));
-    for (name, g) in &inputs() {
-        let space = EdgeSpace::new(g);
-        bench_space(&mut group, name, &space);
+    let mut serial = || fnd(&mat).peeling.max_lambda;
+    // size the batch from one warm serial call; the λ check below warms
+    // the frontier side
+    serial();
+    let t0 = Instant::now();
+    serial();
+    let once = t0.elapsed().max(Duration::from_nanos(1));
+    let reps = (BATCH_TARGET.as_nanos() / once.as_nanos()).max(1) as usize;
+    let pairs = if smoke() { 3 } else { PAIRS };
+    for threads in [1usize, 2] {
+        let options = FrontierOptions {
+            threads,
+            ..FrontierOptions::default()
+        };
+        let mut frontier = || {
+            fnd_parallel_with(&mat, FndOptions::default(), options)
+                .peeling
+                .max_lambda
+        };
+        assert_eq!(serial(), frontier(), "λ max diverges on {name}");
+        let (mut s, mut f) = (Vec::with_capacity(pairs), Vec::with_capacity(pairs));
+        for pair in 0..pairs {
+            if pair % 2 == 0 {
+                s.push(per_call_ns(reps, &mut serial));
+                f.push(per_call_ns(reps, &mut frontier));
+            } else {
+                f.push(per_call_ns(reps, &mut frontier));
+                s.push(per_call_ns(reps, &mut serial));
+            }
+        }
+        let wins = s.iter().zip(&f).filter(|(s, f)| f < s).count();
+        let (s_q1, s_med, s_q3) = quartiles(&s);
+        let (f_q1, f_med, f_q3) = quartiles(&f);
+        let keeps = wins * 10 >= pairs * 9 && s_med - f_med > s_q3 - s_q1;
+        let id = format!("{group}/fnd-frontier-t{threads}/{name}");
+        println!(
+            "{id}: serial {s_med:.0} ns [{s_q1:.0}–{s_q3:.0}] | frontier {f_med:.0} ns \
+             [{f_q1:.0}–{f_q3:.0}] | frontier wins {wins}/{pairs} | keeps: {keeps}"
+        );
+        rows.push(format!(
+            "{{\"id\": \"{id}\", \"pairs\": {pairs}, \"calls_per_timing\": {reps}, \
+             \"serial_median_ns\": {s_med:.0}, \"serial_q1_ns\": {s_q1:.0}, \
+             \"serial_q3_ns\": {s_q3:.0}, \"frontier_median_ns\": {f_med:.0}, \
+             \"frontier_q1_ns\": {f_q1:.0}, \"frontier_q3_ns\": {f_q3:.0}, \
+             \"frontier_wins\": {wins}, \"frontier_keeps\": {keeps}}}"
+        ));
     }
-    group.finish();
 }
 
-fn bench_peel_engine_nucleus34(c: &mut Criterion) {
-    let mut group = c.benchmark_group("peel_engine_nucleus34");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(200));
-    for (name, g) in &inputs() {
-        let space = TriangleSpace::new(g);
-        bench_space(&mut group, name, &space);
+fn main() {
+    let inputs = inputs();
+    for group in ["peel_engine_truss", "peel_engine_nucleus34"] {
+        let mut rows = Vec::new();
+        for (name, g) in &inputs {
+            if group == "peel_engine_truss" {
+                bench_space(group, name, &EdgeSpace::new(g), &mut rows);
+            } else {
+                bench_space(group, name, &TriangleSpace::new(g), &mut rows);
+            }
+        }
+        write_bench_json(group, &rows);
     }
-    group.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_peel_engine_truss,
-    bench_peel_engine_nucleus34
-);
-criterion_main!(benches);

@@ -51,6 +51,7 @@
 //! assert the bench target runs end to end and emits its JSON.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use nucleus_bench::smoke;
 use nucleus_cliques::parallel::edge_supports_parallel;
 use nucleus_cliques::triangles::edge_supports;
 use nucleus_cliques::{
@@ -63,10 +64,6 @@ use nucleus_core::prelude::*;
 use nucleus_graph::flat::offsets_from_counts;
 use nucleus_graph::io::{read_edge_list, write_edge_list};
 use nucleus_graph::CsrGraph;
-
-fn smoke() -> bool {
-    std::env::var("NUCLEUS_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
 
 /// Same generated models as `bench_peel_engine`, so prepare rows stay
 /// comparable with the peel rows measured there.

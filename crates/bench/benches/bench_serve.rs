@@ -26,40 +26,14 @@
 //! `NUCLEUS_BENCH_SMOKE=1` shrinks inputs, clients and the measurement
 //! window so CI can assert the bench runs end to end and emits JSON.
 
-use std::io::Write as _;
 use std::net::TcpListener;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use nucleus_bench::{smoke, write_bench_json};
 use nucleus_core::{Algorithm, Kind, Nucleus};
 use nucleus_graph::CsrGraph;
 use nucleus_serve::{serve, Client, ServeConfig, ServeState};
-
-fn smoke() -> bool {
-    std::env::var("NUCLEUS_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-fn emitting() -> bool {
-    std::env::args().any(|a| a == "--bench")
-}
-
-/// Same discovery as the criterion shim, so all BENCH files co-locate.
-fn results_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("NUCLEUS_BENCH_RESULTS") {
-        return PathBuf::from(dir);
-    }
-    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    let mut probe = cwd.clone();
-    loop {
-        if probe.join("Cargo.lock").exists() {
-            return probe.join("results");
-        }
-        if !probe.pop() {
-            return cwd.join("results");
-        }
-    }
-}
 
 /// Two graph families, as `bench_persist`/`bench_phases` measure.
 fn inputs() -> Vec<(&'static str, CsrGraph)> {
@@ -192,37 +166,26 @@ fn bench_family(kind: Kind, group: &str, rows: &mut Vec<Row>) {
 }
 
 fn write_json(group: &str, rows: &[Row]) {
-    if !emitting() {
-        return;
-    }
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("BENCH_{group}.json"));
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\n  \"group\": \"{group}\",\n  \"benchmarks\": [\n"
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"id\": \"{}\", \"qps\": {:.1}, \"requests\": {}, \"errors\": {}, \
-             \"clients\": {}, \"workers\": {}, \"duration_ms\": {}, \
-             \"latency_mean_ns\": {}, \"latency_p99_ns\": {}}}{}\n",
-            r.id,
-            r.qps,
-            r.requests,
-            r.errors,
-            r.clients,
-            r.workers,
-            r.duration_ms,
-            r.latency_mean_ns,
-            r.latency_p99_ns,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let mut f = std::fs::File::create(&path).unwrap();
-    f.write_all(out.as_bytes()).unwrap();
-    println!("wrote {}", path.display());
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"id\": \"{}\", \"qps\": {:.1}, \"requests\": {}, \"errors\": {}, \
+                 \"clients\": {}, \"workers\": {}, \"duration_ms\": {}, \
+                 \"latency_mean_ns\": {}, \"latency_p99_ns\": {}}}",
+                r.id,
+                r.qps,
+                r.requests,
+                r.errors,
+                r.clients,
+                r.workers,
+                r.duration_ms,
+                r.latency_mean_ns,
+                r.latency_p99_ns,
+            )
+        })
+        .collect();
+    write_bench_json(group, &rows);
 }
 
 fn main() {

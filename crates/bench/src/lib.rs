@@ -8,6 +8,7 @@
 //! markdown/CSV table rendering written under `results/`.
 
 use std::fmt::Write as _;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use nucleus_core::algo::tcp::TcpIndex;
@@ -219,6 +220,59 @@ pub fn emit(name: &str, title: &str, table: &Table) {
         let _ = std::fs::write(dir.join(format!("{name}.md")), table.to_markdown());
         let _ = std::fs::write(dir.join(format!("{name}.csv")), table.to_csv());
     }
+}
+
+/// Whether `NUCLEUS_BENCH_SMOKE` is set (to anything but `0`): the
+/// custom-main benches then shrink their inputs and sampling so CI can
+/// run them end to end in seconds.
+pub fn smoke() -> bool {
+    std::env::var("NUCLEUS_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
+}
+
+/// Whether cargo passed `--bench` (a `cargo bench` run, not a
+/// `cargo test` pass over the bench target): the custom-main benches
+/// write their JSON only then.
+pub fn emitting() -> bool {
+    std::env::args().any(|a| a == "--bench")
+}
+
+/// Where `BENCH_*.json` files land: `NUCLEUS_BENCH_RESULTS`, else
+/// `results/` next to the nearest `Cargo.lock` — the criterion shim's
+/// discovery, so every bench's files co-locate.
+pub fn results_dir() -> PathBuf {
+    if let Ok(dir) = std::env::var("NUCLEUS_BENCH_RESULTS") {
+        return PathBuf::from(dir);
+    }
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    let mut probe = cwd.clone();
+    loop {
+        if probe.join("Cargo.lock").exists() {
+            return probe.join("results");
+        }
+        if !probe.pop() {
+            return cwd.join("results");
+        }
+    }
+}
+
+/// Writes `BENCH_{group}.json` under [`results_dir`] when
+/// [`emitting`]: the group name plus one pre-rendered JSON object per
+/// row, the layout the criterion shim writes.
+pub fn write_bench_json(group: &str, rows: &[String]) {
+    if !emitting() {
+        return;
+    }
+    let dir = results_dir();
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("BENCH_{group}.json"));
+    let body = rows
+        .iter()
+        .map(|r| format!("    {r}"))
+        .collect::<Vec<_>>()
+        .join(",\n");
+    let json = format!("{{\n  \"group\": \"{group}\",\n  \"benchmarks\": [\n{body}\n  ]\n}}\n");
+    std::fs::write(&path, json).unwrap();
+    println!("wrote {}", path.display());
 }
 
 #[cfg(test)]

@@ -107,7 +107,7 @@ const COMMAND_FLAGS: &[(&str, &str)] = &[
     ("prepare", "input kind out threads"),
     (
         "decompose",
-        "input kind index algo backend engine threads explain json dot depth",
+        "input kind index algo backend threads explain json dot depth",
     ),
     ("stats", "input"),
     ("update", "input ops kind batch out json verify"),
@@ -155,7 +155,7 @@ USAGE:
                            (or the (r,s) pair: 1,2 | 1,3 | 2,3 | 2,4 | 3,4)
                     [--index INDEX] [--algo <naive|dft|fnd|lcps>]
                     [--backend <auto|lazy|materialized>]
-                    [--engine <serial|frontier>] [--threads N] [--explain]
+                    [--threads N] [--explain]
                     [--json FILE] [--dot FILE] [--depth N]
   nucleus stats     --input FILE
   nucleus update    --input FILE --ops OPS
@@ -286,10 +286,6 @@ fn parse_algo(s: &str) -> Result<Algorithm, String> {
     Algorithm::parse(s).map_err(|e| e.to_string())
 }
 
-fn parse_engine(s: &str) -> Result<PeelEngine, String> {
-    PeelEngine::parse(s).map_err(|e| e.to_string())
-}
-
 fn parse_backend(s: &str) -> Result<Backend, String> {
     Backend::parse(s).map_err(|e| e.to_string())
 }
@@ -317,49 +313,50 @@ fn cmd_prepare<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     Ok(())
 }
 
+/// Loads the persisted index `--index` names, if any. `--kind` is
+/// optional next to it (the file stores the family) but must agree
+/// with the file when given.
+fn load_index(args: &Args) -> Result<Option<PreparedIndex>, String> {
+    let Some(index_path) = args.flags.get("index") else {
+        return Ok(None);
+    };
+    let index = PreparedIndex::load(index_path).map_err(|e| e.to_string())?;
+    if let Some(spec) = args.flags.get("kind") {
+        let requested = parse_kind(spec)?;
+        if requested != index.kind() {
+            return Err(format!(
+                "--kind {} conflicts with {index_path}, which stores a {} ({}) index",
+                requested.name(),
+                index.kind().name(),
+                index.kind(),
+            ));
+        }
+    }
+    Ok(Some(index))
+}
+
 fn cmd_decompose<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let g = load_graph(args)?;
     let algo = parse_algo(args.get_or("algo", "fnd"))?;
     let backend = parse_backend(args.get_or("backend", "auto"))?;
-    let engine = parse_engine(args.get_or("engine", "serial"))?;
-    let threads = args.num("threads", 0usize)?;
-    let prepared = if let Some(index_path) = args.flags.get("index") {
-        let index = PreparedIndex::load(index_path).map_err(|e| e.to_string())?;
-        // --kind is optional here (the file stores the family) but must
-        // agree with the file when given.
-        if let Some(spec) = args.flags.get("kind") {
-            let requested = parse_kind(spec)?;
-            if requested != index.kind() {
-                return Err(format!(
-                    "--kind {} conflicts with {index_path}, which stores a {} ({}) index",
-                    requested.name(),
-                    index.kind().name(),
-                    index.kind(),
-                ));
-            }
+    let builder = Nucleus::builder(&g)
+        .backend(backend)
+        .threads(args.num("threads", 0usize)?);
+    // Each branch rejects an algorithm the family lacks before `prepare`
+    // spends time on clique enumeration / index construction the run
+    // could never use.
+    let prepared = match load_index(args)? {
+        Some(index) => {
+            nucleus_core::plan::validate(index.kind(), algo).map_err(|e| e.to_string())?;
+            builder.prepare_from_index(index)
         }
-        nucleus_core::plan::validate(index.kind(), algo, Backend::Materialized, engine)
-            .map_err(|e| e.to_string())?;
-        Nucleus::builder(&g)
-            .backend(backend)
-            .engine(engine)
-            .threads(threads)
-            .prepare_from_index(index)
-            .map_err(|e| e.to_string())?
-    } else {
-        let kind = parse_kind(args.need("kind")?)?;
-        // Reject contradictory combinations before `prepare` spends time
-        // on clique enumeration / index construction the run could never
-        // use.
-        nucleus_core::plan::validate(kind, algo, backend, engine).map_err(|e| e.to_string())?;
-        Nucleus::builder(&g)
-            .kind(kind)
-            .backend(backend)
-            .engine(engine)
-            .threads(threads)
-            .prepare()
-            .map_err(|e| e.to_string())?
-    };
+        None => {
+            let kind = parse_kind(args.need("kind")?)?;
+            nucleus_core::plan::validate(kind, algo).map_err(|e| e.to_string())?;
+            builder.kind(kind).prepare()
+        }
+    }
+    .map_err(|e| e.to_string())?;
     if args.flag("explain") {
         let plan = prepared.plan(algo).map_err(|e| e.to_string())?;
         let _ = writeln!(out, "{}", plan.explain());
@@ -403,33 +400,15 @@ fn cmd_stats<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
 /// scratch with the materialized backend (the right default for a
 /// read-mostly serving workload).
 fn prepare_for_engine<'g>(g: &'g CsrGraph, args: &Args) -> Result<Prepared<'g>, String> {
-    let threads = args.num("threads", 0usize)?;
-    if let Some(index_path) = args.flags.get("index") {
-        let index = PreparedIndex::load(index_path).map_err(|e| e.to_string())?;
-        if let Some(spec) = args.flags.get("kind") {
-            let requested = parse_kind(spec)?;
-            if requested != index.kind() {
-                return Err(format!(
-                    "--kind {} conflicts with {index_path}, which stores a {} ({}) index",
-                    requested.name(),
-                    index.kind().name(),
-                    index.kind(),
-                ));
-            }
-        }
-        Nucleus::builder(g)
-            .threads(threads)
-            .prepare_from_index(index)
-            .map_err(|e| e.to_string())
-    } else {
-        let kind = parse_kind(args.need("kind")?)?;
-        Nucleus::builder(g)
-            .kind(kind)
+    let builder = Nucleus::builder(g).threads(args.num("threads", 0usize)?);
+    match load_index(args)? {
+        Some(index) => builder.prepare_from_index(index),
+        None => builder
+            .kind(parse_kind(args.need("kind")?)?)
             .backend(Backend::Materialized)
-            .threads(threads)
-            .prepare()
-            .map_err(|e| e.to_string())
+            .prepare(),
     }
+    .map_err(|e| e.to_string())
 }
 
 /// Renders an [`UpdateReport`] (plus run context) as a JSON line.
@@ -828,111 +807,6 @@ mod tests {
             "bogus",
         ])
         .is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn decompose_engine_flags() {
-        let path = tmp("engine.txt");
-        run_to_string(&["generate", "--model", "karate", "--out", &path]).unwrap();
-        let serial = run_to_string(&[
-            "decompose",
-            "--input",
-            &path,
-            "--kind",
-            "truss",
-            "--algo",
-            "dft",
-            "--engine",
-            "serial",
-        ])
-        .unwrap();
-        assert!(serial.contains("[serial]"), "got: {serial}");
-        let frontier = run_to_string(&[
-            "decompose",
-            "--input",
-            &path,
-            "--kind",
-            "truss",
-            "--algo",
-            "dft",
-            "--engine",
-            "frontier",
-            "--threads",
-            "2",
-        ])
-        .unwrap();
-        assert!(
-            frontier.contains("[materialized][frontier]"),
-            "got: {frontier}"
-        );
-        // identical hierarchies → identical renderings after the timing line
-        let tree = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
-        assert_eq!(tree(&serial), tree(&frontier));
-        // FND rides the frontier engine too, producing the same
-        // hierarchy
-        let fnd_frontier = run_to_string(&[
-            "decompose",
-            "--input",
-            &path,
-            "--kind",
-            "truss",
-            "--algo",
-            "fnd",
-            "--engine",
-            "frontier",
-            "--threads",
-            "2",
-        ])
-        .unwrap();
-        assert!(
-            fnd_frontier.contains("[materialized][frontier]"),
-            "got: {fnd_frontier}"
-        );
-        assert_eq!(tree(&serial), tree(&fnd_frontier));
-        // incompatible combinations surface as CLI errors
-        let err = run_to_string(&[
-            "decompose",
-            "--input",
-            &path,
-            "--kind",
-            "core",
-            "--algo",
-            "lcps",
-            "--engine",
-            "frontier",
-        ])
-        .unwrap_err();
-        assert!(err.contains("frontier"), "got: {err}");
-        let err = run_to_string(&[
-            "decompose",
-            "--input",
-            &path,
-            "--kind",
-            "truss",
-            "--algo",
-            "dft",
-            "--engine",
-            "frontier",
-            "--backend",
-            "lazy",
-        ])
-        .unwrap_err();
-        assert!(err.contains("materialized"), "got: {err}");
-        // the error names both engines; `auto` is not one
-        for bad in ["bogus", "auto"] {
-            let err = run_to_string(&[
-                "decompose",
-                "--input",
-                &path,
-                "--kind",
-                "truss",
-                "--engine",
-                bad,
-            ])
-            .unwrap_err();
-            assert!(err.contains("serial|frontier"), "{bad}: {err}");
-        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -1360,12 +1234,12 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected_by_name() {
-        // A typo and the hybrid-threshold flag `decompose` no longer
-        // has both fail, naming the flag and the subcommand, before any
-        // work: the input file does not exist, yet the error is about
-        // the flag.
+        // A typo and the flags `decompose` no longer has (the hybrid
+        // threshold and the peeling engine) all fail, naming the flag
+        // and the subcommand, before any work: the input file does not
+        // exist, yet the error is about the flag.
         let removed = concat!("--frontier-serial", "-below");
-        for (flag, value) in [("--thread", "2"), (removed, "0")] {
+        for (flag, value) in [("--thread", "2"), (removed, "0"), ("--engine", "frontier")] {
             let err = run_to_string(&[
                 "decompose",
                 "--input",

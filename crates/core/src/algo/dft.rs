@@ -7,7 +7,7 @@
 //! non-increasing λ, so every deeper sub-nucleus is already wired when
 //! a shallower one reaches it). Both peeling engines guarantee exactly
 //! that — the serial bucket queue by construction, the frontier engine
-//! by emitting whole λ-level rounds ([`crate::peel::peel_parallel`]) —
+//! by emitting whole λ-level rounds ([`crate::peel::peel_with_sink`]) —
 //! so DFT runs unchanged on either, and the equal-λ permutation
 //! differences between them cannot change the canonical hierarchy (the
 //! engine-equivalence proptests pin this).

@@ -9,18 +9,17 @@
 //! components are unioned) or has a smaller λ (the pair of sub-nuclei is
 //! appended to the `ADJ` list, ordered later by `BuildHierarchy`).
 //!
-//! [`fnd`] is the path every session runs by default. Its loop starts
-//! like [`crate::peel::peel`]'s, with the ω₀ = 0 bypass: cells in no
+//! [`fnd`] is the path every session runs. Its loop starts like
+//! [`crate::peel::peel`]'s, with the ω₀ = 0 bypass: cells in no
 //! container take λ = 0 and lead the order without entering the queue,
 //! and own no sub-nucleus.
 //!
 //! # The parallel path
 //!
-//! [`fnd_parallel_with`], an explicit opt-in
-//! ([`crate::decompose::PeelEngine::Frontier`]), rides the frontier engine
-//! ([`crate::peel::peel_with_sink`]) by fusing the classification above
-//! into the per-cell container scan, with the engine's `(stamp, id)`
-//! order as the processed-before relation. The key observation making
+//! [`fnd_parallel_with`] is library code that no session runs. It rides
+//! the frontier engine ([`crate::peel::peel_with_sink`]) by fusing the
+//! classification above into the per-cell container scan, with the
+//! engine's `(stamp, id)` order as the processed-before relation. The key observation making
 //! this legal: because every peeling order is λ-monotone, a container's
 //! first-processed member always attains the container's λ (the minimum
 //! member λ), so per container the classification outcome *at the
@@ -301,19 +300,6 @@ impl<B: PeelBackend + ?Sized> PeelSink<B> for FndSink {
     }
 }
 
-/// Runs FastNucleusDecomposition through the frontier-parallel engine
-/// with default [`FndOptions`]. See [`fnd_parallel_with`].
-pub fn fnd_parallel<S: PeelSpace + Sync>(space: &S, threads: usize) -> FndOutcome {
-    fnd_parallel_with(
-        space,
-        FndOptions::default(),
-        FrontierOptions {
-            threads,
-            ..FrontierOptions::default()
-        },
-    )
-}
-
 /// Runs FastNucleusDecomposition on top of the frontier-parallel
 /// peeling engine: λ-level rounds peel in parallel while a classifying
 /// sink inspects containers on the fly, then a sequential finalize merges
@@ -323,14 +309,20 @@ pub fn fnd_parallel<S: PeelSpace + Sync>(space: &S, threads: usize) -> FndOutcom
 /// λ values and the hierarchy are identical).
 ///
 /// ```
-/// use nucleus_core::algo::fnd::{fnd, fnd_parallel};
+/// use nucleus_core::algo::fnd::{fnd, fnd_parallel_with, FndOptions};
+/// use nucleus_core::peel::FrontierOptions;
 /// use nucleus_core::space::{ContainerIndex, EdgeSpace, IndexedSpace};
 ///
 /// let g = nucleus_gen::paper::fig3_bowtie();
 /// let es = EdgeSpace::new(&g);
 /// let index = ContainerIndex::build(&es, 2);
 /// let m = IndexedSpace::new(&es, &index);
-/// assert_eq!(fnd_parallel(&m, 2).hierarchy, fnd(&es).hierarchy);
+/// let frontier = FrontierOptions {
+///     threads: 2,
+///     ..FrontierOptions::default()
+/// };
+/// let par = fnd_parallel_with(&m, FndOptions::default(), frontier);
+/// assert_eq!(par.hierarchy, fnd(&es).hierarchy);
 /// ```
 pub fn fnd_parallel_with<S: PeelSpace + Sync>(
     space: &S,

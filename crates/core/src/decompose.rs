@@ -1,6 +1,5 @@
 //! The vocabulary of a decomposition run — family ([`Kind`]), hierarchy
-//! algorithm, [`Backend`] and [`PeelEngine`] — and its result
-//! ([`Decomposition`]).
+//! algorithm and [`Backend`] — and its result ([`Decomposition`]).
 //!
 //! Runs are configured in one place, [`crate::session::Nucleus::builder`].
 //! [`decompose`] and [`hypo_baseline`] are default-settings shorthands
@@ -229,62 +228,6 @@ impl std::fmt::Display for Backend {
     }
 }
 
-/// Which peeling engine runs `Set-λ` (see [`mod@crate::peel`] for the
-/// frontier-round scheme and its invariants).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum PeelEngine {
-    /// The classic sequential bucket-queue loop ([`crate::peel::peel`];
-    /// FND peels inside it, as in Alg. 8). The default: with the
-    /// ω₀ = 0 bypass it is the fastest engine on every input measured.
-    #[default]
-    Serial,
-    /// Frontier-parallel `Set-λ` ([`crate::peel::peel_parallel`]) with
-    /// hybrid serial drains for sub-threshold levels: whole λ-level
-    /// rounds, decrements applied concurrently. An explicit opt-in.
-    /// Requires the materialized backend (selecting it with
-    /// [`Backend::Auto`] forces materialization regardless of the size
-    /// cap; combining it with an explicit [`Backend::Lazy`] is an
-    /// error). Drives every peeling-based algorithm — [`Algorithm::Naive`]
-    /// and [`Algorithm::Dft`] consume the finished peeling, and
-    /// [`Algorithm::Fnd`] classifies containers inside the rounds
-    /// ([`crate::algo::fnd::fnd_parallel_with`]) — only
-    /// [`Algorithm::Lcps`] rejects it (it walks the graph directly and
-    /// never runs `Set-λ`).
-    Frontier,
-}
-
-impl PeelEngine {
-    /// Whether the engine/algorithm pair is expressible at all — the
-    /// frontier engine drives everything that peels; only LCPS (which
-    /// never runs `Set-λ`) is out.
-    pub(crate) fn supports(self, algorithm: Algorithm) -> bool {
-        self != PeelEngine::Frontier || algorithm != Algorithm::Lcps
-    }
-
-    /// Parses a CLI spelling (`serial|frontier`).
-    pub fn parse(token: &str) -> Result<PeelEngine, CoreError> {
-        match token {
-            "serial" => Ok(PeelEngine::Serial),
-            "frontier" => Ok(PeelEngine::Frontier),
-            other => Err(CoreError::UnknownName {
-                what: "engine",
-                token: other.to_string(),
-                expected: "serial|frontier".to_string(),
-            }),
-        }
-    }
-}
-
-impl std::fmt::Display for PeelEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            PeelEngine::Serial => "serial",
-            PeelEngine::Frontier => "frontier",
-        };
-        write!(f, "{name}")
-    }
-}
-
 /// Wall-clock phase split, matching Figure 6's peeling/post-processing
 /// decomposition. For FND "peeling" is the extended loop of Alg. 8; for
 /// the others it is space construction + `Set-λ`.
@@ -322,8 +265,6 @@ pub struct Decomposition {
     /// The backend that actually ran ([`Backend::Auto`] resolved to
     /// [`Backend::Lazy`] or [`Backend::Materialized`]).
     pub backend: Backend,
-    /// The peeling engine that ran.
-    pub engine: PeelEngine,
     /// λ per cell + peeling order.
     pub peeling: Peeling,
     /// The canonical hierarchy of nuclei.
@@ -335,11 +276,10 @@ pub struct Decomposition {
 }
 
 /// Runs the chosen `algorithm` for `kind` on `g` with the default
-/// [`Nucleus::builder`] settings (automatic backend, serial engine, all
-/// CPUs). Shorthand for
-/// `Nucleus::builder(g).kind(kind).prepare()?.run(algorithm)`; build a
-/// [`crate::session::Prepared`] directly to choose the backend, engine
-/// or thread count, or to run several algorithms over one space.
+/// [`Nucleus::builder`] settings (automatic backend, all CPUs).
+/// Shorthand for `Nucleus::builder(g).kind(kind).prepare()?.run(algorithm)`;
+/// build a [`crate::session::Prepared`] directly to choose the backend or
+/// thread count, or to run several algorithms over one space.
 ///
 /// # Errors
 /// [`CoreError::UnsupportedAlgorithm`] when `algorithm` is
@@ -361,7 +301,7 @@ pub fn hypo_baseline(g: &CsrGraph, kind: Kind) -> (PhaseTimes, usize) {
     Nucleus::builder(g)
         .kind(kind)
         .prepare()
-        .expect("the default backend and engine compose")
+        .expect("prepare never fails")
         .hypo_baseline()
 }
 
@@ -377,13 +317,11 @@ mod tests {
         kind: Kind,
         algo: Algorithm,
         backend: Backend,
-        engine: PeelEngine,
         threads: usize,
     ) -> Result<Decomposition, CoreError> {
         Nucleus::builder(g)
             .kind(kind)
             .backend(backend)
-            .engine(engine)
             .threads(threads)
             .prepare()?
             .run(algo)
@@ -435,12 +373,8 @@ mod tests {
                 if algo == Algorithm::Lcps {
                     continue;
                 }
-                // the engine is pinned: this test isolates backend
-                // equivalence (strict order equality needs one engine)
-                let lazy =
-                    run_with(&g, kind, algo, Backend::Lazy, PeelEngine::Serial, 2).expect("lazy");
-                let mat = run_with(&g, kind, algo, Backend::Materialized, PeelEngine::Serial, 2)
-                    .expect("materialized");
+                let lazy = run_with(&g, kind, algo, Backend::Lazy, 2).expect("lazy");
+                let mat = run_with(&g, kind, algo, Backend::Materialized, 2).expect("materialized");
                 assert_eq!(lazy.peeling.lambda, mat.peeling.lambda, "{kind}/{algo} λ");
                 assert_eq!(lazy.peeling.order, mat.peeling.order, "{kind}/{algo} order");
                 assert_eq!(lazy.hierarchy, mat.hierarchy, "{kind}/{algo} hierarchy");
@@ -478,46 +412,6 @@ mod tests {
             let (lazy, mat) = (hypo(Backend::Lazy, 1), hypo(Backend::Materialized, 3));
             assert_eq!(lazy, mat, "{kind}");
         }
-    }
-
-    #[test]
-    fn engines_produce_identical_decompositions() {
-        let g = test_graphs::nested_cores();
-        for kind in Kind::all() {
-            for &algo in &[Algorithm::Naive, Algorithm::Dft, Algorithm::Fnd] {
-                let serial =
-                    run_with(&g, kind, algo, Backend::Auto, PeelEngine::Serial, 2).expect("serial");
-                let frontier = run_with(&g, kind, algo, Backend::Auto, PeelEngine::Frontier, 2)
-                    .expect("frontier");
-                assert_eq!(frontier.engine, PeelEngine::Frontier);
-                assert_eq!(
-                    frontier.backend,
-                    Backend::Materialized,
-                    "engine forces index"
-                );
-                assert_eq!(
-                    serial.peeling.lambda, frontier.peeling.lambda,
-                    "{kind}/{algo}"
-                );
-                assert_eq!(serial.hierarchy, frontier.hierarchy, "{kind}/{algo}");
-            }
-        }
-    }
-
-    #[test]
-    fn frontier_engine_rejects_incompatible_options() {
-        let g = test_graphs::nested_cores();
-        let frontier =
-            |kind, algo, backend| run_with(&g, kind, algo, backend, PeelEngine::Frontier, 2);
-        // FND now rides the frontier engine; only LCPS and the lazy
-        // backend remain genuinely incompatible.
-        frontier(Kind::Core, Algorithm::Fnd, Backend::Auto)
-            .expect("frontier FND is a supported combination");
-        let err = frontier(Kind::Core, Algorithm::Lcps, Backend::Auto).unwrap_err();
-        assert!(matches!(err, CoreError::InvalidOptions { .. }), "{err}");
-        assert!(format!("{err}").contains("LCPS"), "{err}");
-        let err = frontier(Kind::Truss, Algorithm::Dft, Backend::Lazy).unwrap_err();
-        assert!(format!("{err}").contains("materialized"), "{err}");
     }
 
     #[test]
@@ -565,15 +459,11 @@ mod tests {
         for algo in Algorithm::ALL {
             assert!(msg.contains(algo.name()), "{msg}");
         }
-        // backend / engine spellings
+        // backend spellings
         assert_eq!(
             Backend::parse("materialized").unwrap(),
             Backend::Materialized
         );
         assert!(Backend::parse("bogus").is_err());
-        assert_eq!(PeelEngine::parse("frontier").unwrap(), PeelEngine::Frontier);
-        assert_eq!(format!("{}", PeelEngine::Frontier), "frontier");
-        let err = PeelEngine::parse("auto").unwrap_err();
-        assert!(format!("{err}").contains("serial|frontier"), "{err}");
     }
 }

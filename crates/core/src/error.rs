@@ -15,17 +15,15 @@ pub enum CoreError {
         /// Family it was requested for.
         kind: String,
     },
-    /// The backend and engine set on a
-    /// [`crate::session::NucleusBuilder`] contradict each other or the
-    /// requested algorithm (e.g. the frontier peeling engine with the
-    /// lazy backend, or with LCPS, which walks the graph directly and
-    /// never peels).
+    /// The session's options contradict the request: an explicit lazy
+    /// backend on a [`crate::session::NucleusBuilder`] that loads a
+    /// persisted index, or saving a lazy session, which has no index.
     InvalidOptions {
         /// Human-readable explanation of the conflict.
         reason: String,
     },
     /// A textual token (typically a CLI argument) named no known kind,
-    /// algorithm, backend or engine. Produced by the `parse` associated
+    /// algorithm or backend. Produced by the `parse` associated
     /// functions on those types; `expected` enumerates the actual
     /// accepted spellings, so the message never goes stale.
     UnknownName {

@@ -38,8 +38,7 @@
 //! ```
 //!
 //! [`decompose()`] runs with the default settings. [`Nucleus::builder`]
-//! is the one place to choose the backend, peeling engine and thread
-//! count, and its [`Prepared`] session runs any number of algorithms
+//! is the one place to choose the backend and thread count, and its [`Prepared`] session runs any number of algorithms
 //! over one prepared space (see [`session`]).
 
 pub mod algo;
@@ -62,13 +61,11 @@ pub mod weighted;
 pub(crate) mod test_graphs;
 
 pub use decompose::{
-    decompose, hypo_baseline, Algorithm, Backend, Decomposition, Kind, PeelEngine, PhaseTimes,
+    decompose, hypo_baseline, Algorithm, Backend, Decomposition, Kind, PhaseTimes,
 };
 pub use error::CoreError;
 pub use hierarchy::{Hierarchy, HierarchyNode};
-pub use peel::{
-    peel, peel_parallel, peel_parallel_with, peel_with_sink, FrontierOptions, PeelSink, Peeling,
-};
+pub use peel::{peel, peel_with_sink, FrontierOptions, PeelSink, Peeling};
 pub use persist::PreparedIndex;
 pub use plan::Plan;
 pub use session::{Nucleus, NucleusBuilder, Prepared};
@@ -76,20 +73,18 @@ pub use session::{Nucleus, NucleusBuilder, Prepared};
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::algo::fnd::{
-        build_hierarchy, fnd, fnd_classify, fnd_parallel, fnd_parallel_with, fnd_with_options,
-        FndClassified, FndOptions,
+        build_hierarchy, fnd, fnd_classify, fnd_parallel_with, fnd_with_options, FndClassified,
+        FndOptions,
     };
     pub use crate::algo::lcps::lcps;
     pub use crate::algo::tcp::{tcp_query, TcpIndex};
     pub use crate::analytics::{skeleton_profile, SkeletonProfile};
     pub use crate::decompose::{
-        decompose, hypo_baseline, Algorithm, Backend, Decomposition, Kind, PeelEngine, PhaseTimes,
+        decompose, hypo_baseline, Algorithm, Backend, Decomposition, Kind, PhaseTimes,
     };
     pub use crate::export::{extract_nucleus, hierarchy_to_dot, ExtractedSubgraph};
     pub use crate::hierarchy::{Hierarchy, HierarchyNode};
-    pub use crate::peel::{
-        peel, peel_parallel, peel_parallel_with, peel_with_sink, FrontierOptions, PeelSink, Peeling,
-    };
+    pub use crate::peel::{peel, peel_with_sink, FrontierOptions, PeelSink, Peeling};
     pub use crate::persist::PreparedIndex;
     pub use crate::plan::Plan;
     pub use crate::report::{describe, nucleus_vertices, render_tree, summarize_nucleus};

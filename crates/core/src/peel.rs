@@ -1,18 +1,17 @@
-//! The peeling process (`Set-λ`, Algorithm 1 of the paper), in two
-//! engines: the classic sequential bucket-queue loop ([`peel`]) and a
-//! frontier-parallel variant ([`peel_parallel`]).
+//! The peeling process (`Set-λ`, Algorithm 1 of the paper): the
+//! sequential bucket-queue loop ([`peel`]) every session runs, and the
+//! frontier engine ([`peel_with_sink`]) that only the parallel FND
+//! ([`crate::algo::fnd::fnd_parallel_with`]) rides.
 //!
 //! # The serial loop
 //!
 //! [`peel`] — and [`crate::algo::fnd::fnd`], which peels the same way —
-//! is what every session runs unless it asks for
-//! [`crate::decompose::PeelEngine::Frontier`]. Both start with the
-//! ω₀ = 0 bypass: a cell in no container has λ = 0 and decrements
-//! nothing, so one pass over ω₀ puts every such cell first in the order,
-//! in ascending id (exactly where the bucket queue would pop them), and
-//! the queue holds the remaining cells only. On sparse inputs most edges
-//! lie in no triangle, so this skips most of the queue work and every
-//! empty container scan.
+//! starts with the ω₀ = 0 bypass: a cell in no container has λ = 0 and
+//! decrements nothing, so one pass over ω₀ puts every such cell first
+//! in the order, in ascending id (exactly where the bucket queue would
+//! pop them), and the queue holds the remaining cells only. On sparse
+//! inputs most edges lie in no triangle, so this skips most of the
+//! queue work and every empty container scan.
 //!
 //! # The frontier-round invariant
 //!
@@ -42,7 +41,7 @@
 //! produced [`Peeling::order`] is **λ-monotone** — the only property
 //! DF-Traversal ([`crate::algo::dft`]) needs from a peeling order — and
 //! the engine is fully deterministic: λ values equal the serial
-//! engine's bit for bit (the decomposition is unique), and the order
+//! loop's bit for bit (the decomposition is unique), and the order
 //! itself is identical for every thread count, because frontier
 //! *membership* is determined at round barriers, not by thread timing.
 //!
@@ -65,17 +64,11 @@
 //!   *and* the per-level `alive` compaction scan (O(alive) per level)
 //!   cost more than the serial loop. The engine then abandons rounds
 //!   entirely and **drains the whole residual** through one serial
-//!   bucket queue (the serial engine's layout, built over the residual
-//!   cells only), for every sink alike — on R-MAT-style inputs this
-//!   fires on the very first level (which opens with ~10% of cells,
-//!   vs. 74–99% for ER/BA), while wide-opening inputs never trigger it
-//!   and keep the full frontier win. When the *first* level already
-//!   opens that narrow, non-classifying sinks (the plain peel,
-//!   [`PeelSink::CLASSIFIES`] `= false`) don't even build the engine's
-//!   per-cell state: the first frontier's size falls out of the initial
-//!   degree-partition scan, and the run is handed to the serial engine
-//!   wholesale, making the heavy-tail worst case cost within a few
-//!   percent of [`peel`] itself.
+//!   bucket queue (the serial loop's layout, built over the residual
+//!   cells only) — on R-MAT-style inputs this fires on the very first
+//!   level (which opens with ~10% of cells, vs. 74–99% for ER/BA),
+//!   while wide-opening inputs never trigger it and keep the full
+//!   frontier win.
 //!
 //! Both decisions depend only on frontier sizes, never thread timing,
 //! so determinism across thread counts is preserved.
@@ -86,21 +79,19 @@
 //!
 //! The driver is generic over a [`PeelSink`]: per peeled cell it hands
 //! the sink the container scan, with `(stamp, id)` lexicographic order
-//! (the emission order) as the processed-before relation. The plain
-//! sink reproduces `Set-λ` decrements; FND
+//! (the emission order) as the processed-before relation. FND
 //! ([`crate::algo::fnd::fnd_parallel_with`]) plugs in a classifying
-//! sink that additionally unions same-λ cells through a lock-free
-//! [`nucleus_dsf::ConcurrentSets`] and records cross-λ adjacencies —
-//! which is how Alg. 8, order-sequential in its textbook form, rides
-//! the frontier engine: classification per container is independent of
-//! *which* λ-monotone serialization the stamps encode, so the level
-//! partitions and the canonical hierarchy come out identical to the
-//! serial engine's.
+//! sink that applies the `Set-λ` decrements, unions same-λ cells
+//! through a lock-free [`nucleus_dsf::ConcurrentSets`] and records
+//! cross-λ adjacencies — which is how Alg. 8, order-sequential in its
+//! textbook form, rides the frontier engine: classification per
+//! container is independent of *which* λ-monotone serialization the
+//! stamps encode, so the level partitions and the canonical hierarchy
+//! come out identical to the serial loop's.
 //!
 //! The frontier engine assumes container enumeration is cheap enough to
 //! repeat per round participant — run it over an
-//! [`crate::space::IndexedSpace`] (flat [`ContainerIndex`] scans),
-//! which is how [`crate::decompose::PeelEngine::Frontier`] wires it.
+//! [`crate::space::IndexedSpace`] (flat [`ContainerIndex`] scans).
 //!
 //! [`ContainerIndex`]: crate::space::ContainerIndex
 
@@ -164,15 +155,7 @@ impl Peeling {
 /// assert_eq!(truss.lambda_of(g.edge_id(2, 3).unwrap()), 0);
 /// ```
 pub fn peel<B: PeelBackend>(space: &B) -> Peeling {
-    let degrees = space.degrees();
-    peel_serial_with_degrees(space, degrees)
-}
-
-/// [`peel`] with the initial ω values already in hand — lets the hybrid
-/// engine hand over a `degrees` vector it has computed anyway when it
-/// bails to the serial engine wholesale (see [`peel_with_sink`]).
-fn peel_serial_with_degrees<B: PeelBackend>(space: &B, degrees: Vec<u32>) -> Peeling {
-    let (mut q, mut lambda, mut order) = serial_start(degrees);
+    let (mut q, mut lambda, mut order) = serial_start(space.degrees());
     let mut max_lambda = 0u32;
     while let Some((u, k)) = q.pop_min() {
         lambda[u as usize] = k;
@@ -209,7 +192,7 @@ pub(crate) fn serial_start(degrees: Vec<u32>) -> (PeelBuckets, Vec<u32>, Vec<u32
     (q, vec![0u32; n], order)
 }
 
-/// Tuning for [`peel_parallel_with`].
+/// Tuning for the frontier engine ([`peel_with_sink`]).
 #[derive(Clone, Copy, Debug)]
 pub struct FrontierOptions {
     /// Worker threads for frontier rounds. `0` means "all available
@@ -231,10 +214,8 @@ pub struct FrontierOptions {
     /// is otherwise relative to the remaining cell count rather than
     /// sized by this threshold. The default (64) is sized so the
     /// drained levels are the ones whose whole cascade is cheaper than
-    /// one round's sort-and-restamp machinery; frontier-engine sessions
-    /// ([`crate::session::Prepared::run`]) always run it, and only the
-    /// equivalence tests and `bench_peel_engine`'s historical rows set
-    /// other values.
+    /// one round's sort-and-restamp machinery; only the equivalence
+    /// tests set other values.
     pub serial_round_threshold: usize,
 }
 
@@ -243,7 +224,7 @@ impl Default for FrontierOptions {
         FrontierOptions {
             threads: 0,
             min_parallel_work: 1 << 14,
-            serial_round_threshold: Self::DEFAULT_SERIAL_ROUND_THRESHOLD,
+            serial_round_threshold: 64,
         }
     }
 }
@@ -258,13 +239,6 @@ impl Default for FrontierOptions {
 /// size that scales poorly across graph sizes.
 pub const RESIDUAL_OPENING_FRACTION: usize = 8;
 
-impl FrontierOptions {
-    /// Default [`FrontierOptions::serial_round_threshold`]: the hybrid
-    /// policy every frontier-engine session runs and `--explain`
-    /// reports.
-    pub const DEFAULT_SERIAL_ROUND_THRESHOLD: usize = 64;
-}
-
 /// A worker-thread setting with `0` resolved to the CPU count.
 pub(crate) fn effective_threads(threads: usize) -> usize {
     if threads > 0 {
@@ -272,43 +246,6 @@ pub(crate) fn effective_threads(threads: usize) -> usize {
     } else {
         std::thread::available_parallelism().map_or(1, |p| p.get())
     }
-}
-
-/// Frontier-parallel `Set-λ` with default tuning — see the module docs
-/// for the round scheme and the invariant that keeps DFT valid on the
-/// resulting order. Produces the same λ values as [`peel`] and a
-/// λ-monotone order that is deterministic across thread counts (the
-/// order differs from the serial engine's within λ levels: rounds emit
-/// in ascending cell id, the bucket queue in counting-sort position).
-///
-/// `threads = 0` uses every available CPU. Drive it through an
-/// [`crate::space::IndexedSpace`] so each round's container scans are
-/// flat-array reads:
-///
-/// ```
-/// use nucleus_core::peel::{peel, peel_parallel};
-/// use nucleus_core::space::{ContainerIndex, IndexedSpace, VertexSpace};
-/// use nucleus_graph::CsrGraph;
-///
-/// let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
-/// let vs = VertexSpace::new(&g);
-/// let index = ContainerIndex::build(&vs, 2);
-/// let p = peel_parallel(&IndexedSpace::new(&vs, &index), 2);
-/// assert_eq!(p.lambda, peel(&vs).lambda);
-/// ```
-pub fn peel_parallel<B: PeelBackend + Sync>(space: &B, threads: usize) -> Peeling {
-    peel_parallel_with(
-        space,
-        FrontierOptions {
-            threads,
-            ..FrontierOptions::default()
-        },
-    )
-}
-
-/// [`peel_parallel`] with explicit [`FrontierOptions`].
-pub fn peel_parallel_with<B: PeelBackend + Sync>(space: &B, options: FrontierOptions) -> Peeling {
-    peel_with_sink(space, options, &mut PlainSink)
 }
 
 /// What a riding algorithm does with each peeled cell's containers.
@@ -328,18 +265,6 @@ pub fn peel_parallel_with<B: PeelBackend + Sync>(space: &B, options: FrontierOpt
 /// [`Part`]: PeelSink::Part
 /// [`absorb_part`]: PeelSink::absorb_part
 pub trait PeelSink<B: PeelBackend + ?Sized>: Sync {
-    /// Whether [`scan_cell`] consumes the processed-before stamps (and
-    /// anything else beyond the `dec` calls and `next` pushes). `true`
-    /// for classifying sinks like FND. A sink may set this to `false`
-    /// only if `scan_cell`'s entire observable effect is applying
-    /// container decrements — then, when the very first λ level opens
-    /// narrow, [`peel_with_sink`] hands the whole run to the serial engine
-    /// before the first round (see the module docs). It gates nothing
-    /// else: every later drain goes through the sink.
-    ///
-    /// [`scan_cell`]: PeelSink::scan_cell
-    const CLASSIFIES: bool = true;
-
     /// Per-worker accumulator, concatenated in range order.
     type Part: Send;
 
@@ -368,53 +293,10 @@ pub trait PeelSink<B: PeelBackend + ?Sized>: Sync {
     fn absorb_part(&mut self, part: Self::Part);
 }
 
-/// The plain `Set-λ` sink: container decrements only, nothing kept.
-struct PlainSink;
-
-impl<B: PeelBackend + ?Sized> PeelSink<B> for PlainSink {
-    const CLASSIFIES: bool = false;
-
-    type Part = ();
-
-    fn new_part(&self) {}
-
-    #[inline]
-    fn scan_cell<D: Fn(u32) -> bool>(
-        &self,
-        space: &B,
-        cells: &PeelCells,
-        _lambda: &[u32],
-        u: u32,
-        _level: u32,
-        stamp: u32,
-        dec: &D,
-        next: &mut Vec<u32>,
-        _part: &mut (),
-    ) {
-        space.for_each_container(u, |others| {
-            for &v in others {
-                let s = cells.stamp(v);
-                if s < stamp {
-                    return; // container died with an earlier cell
-                }
-                if s == stamp && v < u {
-                    return; // same-round co-cell with smaller id owns it
-                }
-            }
-            for &v in others {
-                if dec(v) {
-                    next.push(v);
-                }
-            }
-        });
-    }
-
-    fn absorb_part(&mut self, _part: ()) {}
-}
-
-/// The engine core behind [`peel_parallel_with`] and
-/// [`crate::algo::fnd::fnd_parallel_with`]: frontier rounds plus the
-/// hybrid serial drain, generic over the per-cell [`PeelSink`].
+/// The frontier engine behind [`crate::algo::fnd::fnd_parallel_with`]:
+/// frontier rounds plus the hybrid serial drain, generic over the
+/// per-cell [`PeelSink`]. The sink applies the container decrements
+/// through the `dec` closure it is handed.
 pub fn peel_with_sink<B: PeelBackend + Sync, S: PeelSink<B>>(
     space: &B,
     options: FrontierOptions,
@@ -431,41 +313,16 @@ pub fn peel_with_sink<B: PeelBackend + Sync, S: PeelSink<B>>(
     // them directly, in the same ascending order the level-0 frontier
     // would produce. Everything else enters the alive list, compacted
     // on every level-opening scan; `k` starts at the smallest live ω.
-    // The same pass counts how many cells sit exactly at that minimum —
-    // the first λ level's opening frontier, known before any engine
-    // state exists.
     let mut alive: Vec<u32> = Vec::with_capacity(n);
     let mut k = u32::MAX;
-    let mut first = 0usize;
     for u in 0..n as u32 {
         let d = degrees[u as usize];
         if d == 0 {
             order.push(u);
         } else {
             alive.push(u);
-            match d.cmp(&k) {
-                std::cmp::Ordering::Less => {
-                    k = d;
-                    first = 1;
-                }
-                std::cmp::Ordering::Equal => first += 1,
-                std::cmp::Ordering::Greater => {}
-            }
+            k = k.min(d);
         }
-    }
-    if !S::CLASSIFIES
-        && options.serial_round_threshold > 0
-        && first * RESIDUAL_OPENING_FRACTION < alive.len()
-    {
-        // The very first λ level already opens with less than a
-        // [`RESIDUAL_OPENING_FRACTION`]th of the live cells: the whole
-        // peel is heavy-tail, and every round the engine could run is on
-        // the losing side of the residual switch below. For sinks that
-        // observe nothing (the plain peel) drop the engine before its
-        // per-cell state is even allocated and run the serial engine on
-        // the degrees it would have used — free on the path that keeps
-        // the engine (the counting rides the partition scan above).
-        return peel_serial_with_degrees(space, degrees);
     }
     // Packed (processed-round, live ω) word per cell — one cache-line
     // touch answers both hot-loop questions (see PeelCells).
@@ -505,11 +362,7 @@ pub fn peel_with_sink<B: PeelBackend + Sync, S: PeelSink<B>>(
         {
             // The level opens with a sliver of what remains: heavy-tail
             // regime. Finish the whole peel through the serial bucket
-            // queue — no more level-opening scans, no more rounds. (A
-            // first level this narrow never reaches here for plain
-            // sinks — the pre-flight above already bailed to the serial
-            // engine — so this switch serves classifying sinks from the
-            // start and every sink once the tail emerges mid-peel.)
+            // queue — no more level-opening scans, no more rounds.
             order.extend_from_slice(&frontier);
             max_lambda = k;
             drain_residual(
@@ -742,7 +595,7 @@ impl ResidualBuckets {
 /// Serially exhausts **everything that is left**: processes the
 /// (already stamped, ascending-id) `seed` frontier of level `k`, then
 /// pops the remaining `alive` cells from a [`ResidualBuckets`] queue in
-/// λ-monotone order — the serial engine's loop, entered mid-peel.
+/// λ-monotone order — the serial loop, entered mid-peel.
 /// Invoked when a λ-level opens with less than a
 /// [`RESIDUAL_OPENING_FRACTION`]th of the remaining cells: from that
 /// point on, the per-level `alive` compaction scan (O(alive) per level)
@@ -753,9 +606,8 @@ impl ResidualBuckets {
 /// scan, so `(stamp, id)` remains a total processed-before order and
 /// the sink contract is identical to [`drain_level`]'s (the packed ω
 /// halves go stale — the queue keys schedule the pops — but no sink
-/// reads ω, only stamps). For the plain sink the stamp checks replay
-/// the serial engine's popped-cell checks, so the λ values and the
-/// emitted order equal a serial bucket-queue peel of the residual.
+/// reads ω, only stamps), and the λ values and emitted order are those
+/// of a serial bucket-queue peel of the residual.
 #[allow(clippy::too_many_arguments)] // internal: single call site
 fn drain_residual<B: PeelBackend + Sync, S: PeelSink<B>>(
     space: &B,
@@ -1113,7 +965,24 @@ mod tests {
         assert!(zeros > 1000, "the inputs must be rich in ω₀ = 0 cells");
     }
 
-    /// λ from the frontier engine equals the serial engine on every
+    /// The peeling the frontier engine produces under parallel FND.
+    fn frontier_peel<S: crate::space::PeelSpace + Sync>(
+        space: &S,
+        options: FrontierOptions,
+    ) -> Peeling {
+        let fnd_options = crate::algo::fnd::FndOptions::default();
+        crate::algo::fnd::fnd_parallel_with(space, fnd_options, options).peeling
+    }
+
+    /// The frontier engine at `threads` with the default hybrid policy.
+    fn frontier_default(threads: usize) -> FrontierOptions {
+        FrontierOptions {
+            threads,
+            ..FrontierOptions::default()
+        }
+    }
+
+    /// λ from the frontier engine equals the serial loop's on every
     /// space, at several thread counts, with the spawn path forced —
     /// with the hybrid drain disabled, always-on, and on a mid-size
     /// threshold that mixes both per level.
@@ -1132,12 +1001,12 @@ mod tests {
                         min_parallel_work: 0,
                         serial_round_threshold,
                     };
-                    let par = peel_parallel_with(space, opts);
+                    let par = frontier_peel(space, opts);
                     assert_eq!(
                         par.lambda, serial.lambda,
                         "lazy backend, {threads} threads, drain < {serial_round_threshold}"
                     );
-                    let par_m = peel_parallel_with(&m, opts);
+                    let par_m = frontier_peel(&m, opts);
                     assert_eq!(
                         par_m.lambda, serial.lambda,
                         "materialized, {threads} threads, drain < {serial_round_threshold}"
@@ -1184,12 +1053,12 @@ mod tests {
     #[test]
     fn frontier_engine_on_empty_and_isolated() {
         let g = CsrGraph::from_edges(0, &[]);
-        let p = peel_parallel(&VertexSpace::new(&g), 4);
+        let p = frontier_peel(&VertexSpace::new(&g), frontier_default(4));
         assert_eq!(p.cell_count(), 0);
         assert_eq!(p.max_lambda, 0);
 
         let g = CsrGraph::from_edges(4, &[(0, 1)]);
-        let p = peel_parallel(&VertexSpace::new(&g), 2);
+        let p = frontier_peel(&VertexSpace::new(&g), frontier_default(2));
         assert_eq!(p.lambda, vec![1, 1, 0, 0]);
         // isolated cells are emitted first (λ = 0 level precedes λ = 1)
         assert_eq!(&p.order[..2], &[2, 3]);
@@ -1199,7 +1068,7 @@ mod tests {
     fn frontier_order_is_ascending_within_rounds() {
         // K5: one frontier containing everything, emitted in id order.
         let g = complete(5);
-        let p = peel_parallel(&VertexSpace::new(&g), 2);
+        let p = frontier_peel(&VertexSpace::new(&g), frontier_default(2));
         assert_eq!(p.order, vec![0, 1, 2, 3, 4]);
         assert!(p.lambda.iter().all(|&l| l == 4));
     }

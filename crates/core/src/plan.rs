@@ -1,12 +1,10 @@
-//! Up-front resolution of a decomposition run: which backend and engine
-//! will actually execute, whether the requested combination is legal at
-//! all, and a human-readable explanation.
+//! Up-front resolution of a decomposition run: which backend will
+//! actually execute, whether the requested combination is legal at all,
+//! and a human-readable explanation.
 //!
-//! This module is the single home of the cross-constraint checks
-//! (frontier × lazy, frontier × LCPS, LCPS × non-core). [`validate`]
-//! rejects contradictory combinations with structured [`CoreError`]s,
-//! and [`Plan`] records the *resolved* choices ([`Backend::Auto`]
-//! pinned to what will really run, and the engine) together with the
+//! [`validate`] rejects an algorithm its family does not support with a
+//! structured [`CoreError`], and [`Plan`] records the *resolved* choices
+//! ([`Backend::Auto`] pinned to what will really run) together with the
 //! size facts that drove them, so a caller — or the `nucleus decompose
 //! --explain` CLI flag — can see what a run will do before paying for
 //! it.
@@ -18,45 +16,13 @@
 
 use std::fmt;
 
-use crate::decompose::{Algorithm, Backend, Kind, PeelEngine};
+use crate::decompose::{Algorithm, Backend, Kind};
 use crate::error::CoreError;
-use crate::peel::FrontierOptions;
 
-/// Checks every cross-constraint between a family, an algorithm, a
-/// backend policy and an engine policy — the single home of the rules:
-///
-/// 1. [`PeelEngine::Frontier`] drives every algorithm that runs
-///    `Set-λ` ([`Algorithm::Naive`], [`Algorithm::Dft`], and — since
-///    the sink-based parallel FND — [`Algorithm::Fnd`]); only
-///    [`Algorithm::Lcps`], which walks the graph directly and never
-///    peels, rejects it ([`CoreError::InvalidOptions`]).
-/// 2. [`PeelEngine::Frontier`] needs O(1) repeated container access, so
-///    an explicit [`Backend::Lazy`] contradicts it
-///    ([`CoreError::InvalidOptions`]; `Auto` is fine — the frontier
-///    request forces materialization past the size cap).
-/// 3. [`Algorithm::Lcps`] is defined for [`Kind::Core`] only
-///    ([`CoreError::UnsupportedAlgorithm`]).
-///
-/// The check order is observable (a request can violate several rules
-/// at once): engine × algorithm first, then engine × backend, then
-/// algorithm × kind.
-pub fn validate(
-    kind: Kind,
-    algorithm: Algorithm,
-    backend: Backend,
-    engine: PeelEngine,
-) -> Result<(), CoreError> {
-    if !engine.supports(algorithm) {
-        return Err(CoreError::InvalidOptions {
-            reason: format!(
-                "the frontier peeling engine cannot drive {algorithm}: it never runs Set-λ \
-                 (every peeling algorithm — Naive, DFT, FND — accepts the frontier engine)"
-            ),
-        });
-    }
-    if engine == PeelEngine::Frontier && backend == Backend::Lazy {
-        return Err(frontier_lazy_conflict());
-    }
+/// Checks that `algorithm` applies to `kind`: [`Algorithm::Lcps`] is
+/// defined for [`Kind::Core`] only ([`CoreError::UnsupportedAlgorithm`]).
+/// Every other pair is legal.
+pub fn validate(kind: Kind, algorithm: Algorithm) -> Result<(), CoreError> {
     if algorithm == Algorithm::Lcps && kind != Kind::Core {
         return Err(CoreError::UnsupportedAlgorithm {
             algorithm: "LCPS",
@@ -64,18 +30,6 @@ pub fn validate(
         });
     }
     Ok(())
-}
-
-/// The frontier × explicit-lazy rejection, shared between [`validate`]
-/// and the prepare-time fast-fail in
-/// [`crate::session::NucleusBuilder::prepare`] so the wording cannot
-/// drift between the two call sites.
-pub(crate) fn frontier_lazy_conflict() -> CoreError {
-    CoreError::InvalidOptions {
-        reason: "the frontier peeling engine needs O(1) repeated container access; \
-                 use the materialized (or auto) backend"
-            .to_string(),
-    }
 }
 
 /// The fully resolved description of one decomposition run: the
@@ -92,8 +46,10 @@ pub struct Plan {
     /// Resolved backend: [`Backend::Lazy`] or [`Backend::Materialized`],
     /// never `Auto`.
     pub backend: Backend,
-    /// The peeling engine.
-    pub engine: PeelEngine,
+    /// The peeling engine: always `"serial"`, the bucket-queue loop
+    /// every session runs ([`crate::peel::peel`], or FND's extension of
+    /// it). [`Plan::explain`] prints it on its `engine:` line.
+    pub engine: &'static str,
     /// Effective worker threads (`0` already resolved to the CPU count).
     pub threads: usize,
     /// Number of cells (K_r's) in the prepared space.
@@ -115,18 +71,10 @@ pub struct Plan {
 
 impl Plan {
     /// Multi-line human-readable rendering: what will run, and why the
-    /// backend resolved the way it did. A frontier run also names the
-    /// hybrid-round policy it runs under.
+    /// backend resolved the way it did.
     pub fn explain(&self) -> String {
-        let engine = match self.engine {
-            PeelEngine::Serial => "serial".to_string(),
-            PeelEngine::Frontier => format!(
-                "frontier (hybrid, serial below {})",
-                FrontierOptions::DEFAULT_SERIAL_ROUND_THRESHOLD
-            ),
-        };
         format!(
-            "plan: {} {} via {}\n  backend: {} — {}\n  engine:  {engine}\n  threads: {}\n  \
+            "plan: {} {} via {}\n  backend: {} — {}\n  engine:  {}\n  threads: {}\n  \
              enumeration: {}\n  \
              space:   {} cells, {} containers, estimated index {}",
             self.kind.name(),
@@ -134,6 +82,7 @@ impl Plan {
             self.algorithm,
             self.backend,
             self.backend_reason,
+            self.engine,
             self.threads,
             self.enumeration,
             self.cells,
@@ -172,58 +121,16 @@ mod tests {
 
     #[test]
     fn validate_rejects_each_conflict() {
-        // engine × algorithm: only LCPS (never peels) rejects frontier;
-        // FND rides it since the parallel path landed
-        let err = validate(
-            Kind::Core,
-            Algorithm::Lcps,
-            Backend::Auto,
-            PeelEngine::Frontier,
-        )
-        .unwrap_err();
-        assert!(matches!(err, CoreError::InvalidOptions { .. }), "{err}");
-        assert!(format!("{err}").contains("LCPS"));
-        validate(
-            Kind::Core,
-            Algorithm::Fnd,
-            Backend::Auto,
-            PeelEngine::Frontier,
-        )
-        .expect("frontier FND is legal");
-        // engine × backend
-        let err = validate(
-            Kind::Truss,
-            Algorithm::Dft,
-            Backend::Lazy,
-            PeelEngine::Frontier,
-        )
-        .unwrap_err();
-        assert!(format!("{err}").contains("materialized"), "{err}");
-        // algorithm × kind
-        let err = validate(
-            Kind::Truss,
-            Algorithm::Lcps,
-            Backend::Auto,
-            PeelEngine::Serial,
-        )
-        .unwrap_err();
+        let err = validate(Kind::Truss, Algorithm::Lcps).unwrap_err();
         assert!(
             matches!(err, CoreError::UnsupportedAlgorithm { .. }),
             "{err}"
         );
-        // check order: frontier × LCPS outranks LCPS × kind
-        let err = validate(
-            Kind::Truss,
-            Algorithm::Lcps,
-            Backend::Auto,
-            PeelEngine::Frontier,
-        )
-        .unwrap_err();
-        assert!(matches!(err, CoreError::InvalidOptions { .. }), "{err}");
-        // every legal combination passes
+        // exactly the pairs `Algorithm::for_kind` lists pass
         for kind in Kind::all() {
-            for &algo in Algorithm::for_kind(kind) {
-                validate(kind, algo, Backend::Auto, PeelEngine::Serial).unwrap();
+            for algo in Algorithm::ALL {
+                let legal = Algorithm::for_kind(kind).contains(&algo);
+                assert_eq!(validate(kind, algo).is_ok(), legal, "{kind}/{algo}");
             }
         }
     }

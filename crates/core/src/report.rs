@@ -104,15 +104,13 @@ pub fn render_tree(h: &Hierarchy, max_depth: usize, max_children: usize) -> Stri
 }
 
 /// One-line description of a finished decomposition (for examples/CLI).
-/// The two bracketed tags are the *resolved* backend and peeling
-/// engine, e.g. `[materialized][frontier]`.
+/// The bracketed tag is the *resolved* backend, e.g. `[materialized]`.
 pub fn describe(d: &Decomposition) -> String {
     format!(
-        "{} {} [{}][{}] | {} cells, {} nuclei, max λ = {}, depth {} | peel {:?} + post {:?}",
+        "{} {} [{}] | {} cells, {} nuclei, max λ = {}, depth {} | peel {:?} + post {:?}",
         d.kind,
         d.algorithm,
         d.backend,
-        d.engine,
         d.peeling.cell_count(),
         d.hierarchy.nucleus_count(),
         d.hierarchy.max_lambda(),

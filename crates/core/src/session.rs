@@ -30,14 +30,11 @@
 //! # Stages
 //!
 //! 1. **[`Nucleus::builder`]** collects the [`Kind`], the [`Backend`]
-//!    policy, the [`PeelEngine`] (serial unless a caller asks for the
-//!    frontier engine) and the worker-thread cap.
+//!    policy and the worker-thread cap.
 //! 2. **[`NucleusBuilder::prepare`]** does the expensive, run-invariant
 //!    work: builds the space (clique enumeration, ω counts), resolves
 //!    the [`Backend`] policy (including the `Auto` size estimate) and,
-//!    when materialized, builds the [`ContainerIndex`]. It fails fast
-//!    on option combinations that no run could ever satisfy
-//!    (frontier engine × explicit lazy backend).
+//!    when materialized, builds the [`ContainerIndex`].
 //! 3. **[`Prepared::run`]** executes one algorithm over the cached
 //!    space/index — bit-identical to a fresh session's run — and can be
 //!    called any number of times; runs never mutate the prepared state.
@@ -45,10 +42,11 @@
 //!    without running, and [`Prepared::hypo_baseline`] runs the Hypo
 //!    baseline over the same cached space.
 //!
-//! Validation is centralized in [`crate::plan::validate`]: the checks
-//! that involve the algorithm (frontier × LCPS, LCPS × non-core)
-//! happen at `plan`/`run` time, since one `Prepared` may serve
-//! different algorithms.
+//! Every run peels with the serial bucket-queue loop ([`crate::peel::peel`]).
+//! Validation is centralized in [`crate::plan::validate`]: the one
+//! check (LCPS × non-core) involves the algorithm, so it happens at
+//! `plan`/`run` time, since one `Prepared` may serve different
+//! algorithms.
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -56,15 +54,13 @@ use std::time::{Duration, Instant};
 use nucleus_graph::CsrGraph;
 
 use crate::algo::dft::dft;
-use crate::algo::fnd::{fnd, fnd_parallel_with, FndOptions};
+use crate::algo::fnd::fnd;
 use crate::algo::hypo::hypo_sweep;
 use crate::algo::lcps::lcps;
 use crate::algo::naive::naive;
-use crate::decompose::{
-    Algorithm, Backend, Decomposition, Kind, PeelEngine, PhaseTimes, SkeletonStats,
-};
+use crate::decompose::{Algorithm, Backend, Decomposition, Kind, PhaseTimes, SkeletonStats};
 use crate::error::CoreError;
-use crate::peel::{effective_threads, peel, peel_parallel_with, FrontierOptions};
+use crate::peel::{effective_threads, peel};
 use crate::plan::{self, format_bytes, Plan};
 use crate::space::{
     ContainerIndex, EdgeK4Space, EdgeSpace, IndexedSpace, PeelBackend, PeelSpace, TriangleSpace,
@@ -129,26 +125,24 @@ pub struct Nucleus;
 
 impl Nucleus {
     /// Starts configuring a decomposition session over `g`. Defaults:
-    /// [`Kind::Core`], automatic backend, serial engine, all CPUs.
+    /// [`Kind::Core`], automatic backend, all CPUs.
     pub fn builder(g: &CsrGraph) -> NucleusBuilder<'_> {
         NucleusBuilder {
             g,
             kind: Kind::Core,
             backend: Backend::Auto,
-            engine: PeelEngine::default(),
             threads: 0,
         }
     }
 }
 
-/// Builder for a [`Prepared`] session: the family, the backend and
-/// engine policies, and the worker-thread cap, applied fluently.
+/// Builder for a [`Prepared`] session: the family, the backend policy
+/// and the worker-thread cap, applied fluently.
 #[derive(Clone, Copy, Debug)]
 pub struct NucleusBuilder<'g> {
     g: &'g CsrGraph,
     kind: Kind,
     backend: Backend,
-    engine: PeelEngine,
     threads: usize,
 }
 
@@ -165,14 +159,8 @@ impl<'g> NucleusBuilder<'g> {
         self
     }
 
-    /// Selects the peeling engine (default [`PeelEngine::Serial`]).
-    pub fn engine(mut self, engine: PeelEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Caps worker threads for index construction, frontier peeling
-    /// rounds and parallel ω counting (default `0` = all CPUs).
+    /// Caps worker threads for clique enumeration, parallel ω counting
+    /// and index construction (default `0` = all CPUs).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -183,21 +171,18 @@ impl<'g> NucleusBuilder<'g> {
     /// the [`ContainerIndex`] when the resolution says materialize.
     ///
     /// # Errors
-    /// [`CoreError::InvalidOptions`] when [`PeelEngine::Frontier`] was
-    /// combined with an explicit [`Backend::Lazy`] — the one conflict
-    /// that no later `run` could resolve. Algorithm-dependent conflicts
-    /// surface from [`Prepared::run`] / [`Prepared::plan`].
+    /// None: every kind, backend and thread setting composes, so this
+    /// always returns `Ok`. The `Result` keeps callers that chain it
+    /// (`prepare()?`, `.prepare().and_then(..)`) unchanged. The one
+    /// algorithm-dependent rejection surfaces from [`Prepared::run`] /
+    /// [`Prepared::plan`].
     pub fn prepare(self) -> Result<Prepared<'g>, CoreError> {
         let NucleusBuilder {
             g,
             kind,
             backend,
-            engine,
             threads,
         } = self;
-        if engine == PeelEngine::Frontier && backend == Backend::Lazy {
-            return Err(plan::frontier_lazy_conflict());
-        }
         let threads = effective_threads(threads);
         let t0 = Instant::now();
         let space = AnySpace::build(g, kind, threads);
@@ -213,7 +198,7 @@ impl<'g> NucleusBuilder<'g> {
                 let counts = s.degrees();
                 let containers: u64 = counts.iter().map(|&c| c as u64).sum();
                 let est = ContainerIndex::estimate_bytes_from(s.r(), s.s(), &counts);
-                let (materialize, reason) = resolve_backend(backend, engine, est);
+                let (materialize, reason) = resolve_backend(backend, est);
                 let index =
                     materialize.then(|| ContainerIndex::build_with_counts(s, counts, threads));
                 let facts = OnceLock::new();
@@ -229,7 +214,6 @@ impl<'g> NucleusBuilder<'g> {
             } else {
                 Backend::Lazy
             },
-            engine,
             threads,
             space,
             index,
@@ -267,7 +251,6 @@ impl<'g> NucleusBuilder<'g> {
             g,
             kind: _,
             backend,
-            engine,
             threads,
         } = self;
         if backend == Backend::Lazy {
@@ -307,7 +290,6 @@ impl<'g> NucleusBuilder<'g> {
             g,
             kind,
             backend: Backend::Materialized,
-            engine,
             threads,
             space,
             index: Some(container_index),
@@ -322,16 +304,8 @@ impl<'g> NucleusBuilder<'g> {
 
 /// Resolves the backend policy into a concrete materialize/lazy
 /// decision plus the human-readable "why" that [`Plan::explain`]
-/// reports. An explicit frontier-engine request forces materialization
-/// (the engine is defined over the flat index), even past the `Auto`
-/// size cap.
-fn resolve_backend(backend: Backend, engine: PeelEngine, est_bytes: usize) -> (bool, String) {
-    if engine == PeelEngine::Frontier {
-        return (
-            true,
-            "forced by the frontier engine (defined over the flat index)".to_string(),
-        );
-    }
+/// reports.
+fn resolve_backend(backend: Backend, est_bytes: usize) -> (bool, String) {
     let materialize = backend.wants_index(|| est_bytes);
     let reason = match backend {
         Backend::Lazy | Backend::Materialized => "explicitly requested".to_string(),
@@ -358,7 +332,6 @@ pub struct Prepared<'g> {
     kind: Kind,
     /// Resolved: `Lazy` or `Materialized`, never `Auto`.
     backend: Backend,
-    engine: PeelEngine,
     threads: usize,
     space: AnySpace<'g>,
     index: Option<ContainerIndex>,
@@ -443,18 +416,18 @@ impl<'g> Prepared<'g> {
 
     /// Resolves — without running — exactly what [`Prepared::run`]
     /// would do for `algorithm`: the concrete backend and why, the
-    /// engine, thread count and space sizes.
+    /// thread count and space sizes.
     ///
     /// # Errors
-    /// The same [`crate::plan::validate`] rejections `run` would
+    /// The same [`crate::plan::validate`] rejection `run` would
     /// report.
     pub fn plan(&self, algorithm: Algorithm) -> Result<Plan, CoreError> {
-        self.validate(algorithm)?;
+        plan::validate(self.kind, algorithm)?;
         Ok(Plan {
             kind: self.kind,
             algorithm,
             backend: self.backend,
-            engine: self.engine,
+            engine: "serial",
             threads: self.threads,
             cells: self.cells,
             containers: self.containers(),
@@ -462,26 +435,6 @@ impl<'g> Prepared<'g> {
             backend_reason: self.backend_reason.clone(),
             enumeration: self.enumeration.clone(),
         })
-    }
-
-    /// Validates `algorithm` against this session without running it —
-    /// the check [`Prepared::plan`] and [`Prepared::run`] make first,
-    /// minus the [`Plan`] facts (which may cost a container enumeration
-    /// on lazy sessions).
-    ///
-    /// # Errors
-    /// See [`crate::plan::validate`].
-    pub fn validate(&self, algorithm: Algorithm) -> Result<(), CoreError> {
-        plan::validate(self.kind, algorithm, self.backend, self.engine)
-    }
-
-    /// What every frontier-engine run of this session uses: its worker
-    /// threads and the default hybrid-round policy.
-    fn frontier_options(&self) -> FrontierOptions {
-        FrontierOptions {
-            threads: self.threads,
-            ..FrontierOptions::default()
-        }
     }
 
     /// Runs one algorithm over the cached space, producing the same
@@ -493,7 +446,7 @@ impl<'g> Prepared<'g> {
     /// # Errors
     /// See [`crate::plan::validate`].
     pub fn run(&self, algorithm: Algorithm) -> Result<Decomposition, CoreError> {
-        self.validate(algorithm)?;
+        plan::validate(self.kind, algorithm)?;
         if algorithm == Algorithm::Lcps {
             return Ok(self.run_lcps());
         }
@@ -504,8 +457,8 @@ impl<'g> Prepared<'g> {
     }
 
     /// LCPS: peel over the cached backend, then the Matula–Beck
-    /// priority search directly on the graph. [`Prepared::validate`]
-    /// already proved `kind == Core` and a serial engine.
+    /// priority search directly on the graph. [`Prepared::run`] already
+    /// validated `kind == Core`.
     fn run_lcps(&self) -> Decomposition {
         let t0 = Instant::now();
         let peeling = with_space!(self.space, s => match &self.index {
@@ -520,7 +473,6 @@ impl<'g> Prepared<'g> {
             kind: self.kind,
             algorithm: Algorithm::Lcps,
             backend: self.backend,
-            engine: self.engine,
             stats: SkeletonStats {
                 subnuclei: hierarchy.nucleus_count(),
                 adj_connections: 0,
@@ -536,24 +488,17 @@ impl<'g> Prepared<'g> {
 
     /// The algorithm dispatch, monomorphized per space *and* backend,
     /// fed from the cached space.
-    fn run_algo<S: PeelSpace + Sync>(&self, space: &S, algorithm: Algorithm) -> Decomposition {
-        let engine = self.engine;
+    fn run_algo<S: PeelSpace>(&self, space: &S, algorithm: Algorithm) -> Decomposition {
         match algorithm {
             // `validate` rejects LCPS×non-core and `run` branches LCPS
             // off before dispatching to a backend.
             Algorithm::Lcps => unreachable!("LCPS never reaches backend dispatch"),
             Algorithm::Fnd => {
-                let out = match engine {
-                    PeelEngine::Frontier => {
-                        fnd_parallel_with(space, FndOptions::default(), self.frontier_options())
-                    }
-                    PeelEngine::Serial => fnd(space),
-                };
+                let out = fnd(space);
                 Decomposition {
                     kind: self.kind,
                     algorithm,
                     backend: self.backend,
-                    engine,
                     peeling: out.peeling,
                     hierarchy: out.hierarchy,
                     times: PhaseTimes {
@@ -568,10 +513,7 @@ impl<'g> Prepared<'g> {
             }
             Algorithm::Naive | Algorithm::Dft => {
                 let t0 = Instant::now();
-                let peeling = match engine {
-                    PeelEngine::Frontier => peel_parallel_with(space, self.frontier_options()),
-                    PeelEngine::Serial => peel(space),
-                };
+                let peeling = peel(space);
                 let peel_t = self.prep_time + t0.elapsed();
                 let t1 = Instant::now();
                 let (hierarchy, subnuclei) = match algorithm {
@@ -590,7 +532,6 @@ impl<'g> Prepared<'g> {
                     kind: self.kind,
                     algorithm,
                     backend: self.backend,
-                    engine,
                     peeling,
                     hierarchy,
                     times: PhaseTimes {
@@ -618,7 +559,7 @@ impl<'g> Prepared<'g> {
     /// plus one full sweep. Returns the phase times (peel includes
     /// [`Prepared::prep_time`]) and the number of s-connectivity
     /// components; no hierarchy is produced (that is the point of the
-    /// baseline). Always peels serially, whatever the session's engine.
+    /// baseline).
     pub fn hypo_baseline(&self) -> (PhaseTimes, usize) {
         fn run_on<B: crate::space::PeelBackend>(space: &B, prep: Duration) -> (PhaseTimes, usize) {
             let t0 = Instant::now();
@@ -675,7 +616,6 @@ mod tests {
                 );
                 assert_eq!(run.hierarchy, one_shot.hierarchy, "{kind}/{algo} hierarchy");
                 assert_eq!(run.backend, one_shot.backend, "{kind}/{algo} backend");
-                assert_eq!(run.engine, one_shot.engine, "{kind}/{algo} engine");
             }
         }
     }
@@ -714,7 +654,7 @@ mod tests {
         assert_eq!(prepared.backend(), Backend::Materialized);
         let plan = prepared.plan(Algorithm::Dft).unwrap();
         assert_eq!(plan.backend, Backend::Materialized);
-        assert_eq!(plan.engine, PeelEngine::Serial);
+        assert_eq!(plan.engine, "serial");
         assert_eq!(plan.threads, 4);
         assert!(plan.cells > 0);
         let text = plan.explain();
@@ -724,94 +664,28 @@ mod tests {
         assert!(text.contains("\n  engine:  serial\n"), "{text}");
         // prepared with 4 threads → the enumeration ran parallel
         assert!(text.contains("enumeration: parallel (t=4)"), "{text}");
-        // an explicit frontier session names the hybrid-round policy
-        // it runs under
-        let frontier = Nucleus::builder(&g)
-            .kind(Kind::Truss)
-            .engine(PeelEngine::Frontier)
-            .threads(4)
-            .prepare()
-            .unwrap();
-        let plan = frontier.plan(Algorithm::Fnd).unwrap();
-        assert_eq!(plan.engine, PeelEngine::Frontier);
-        let text = plan.explain();
-        assert!(
-            text.contains("\n  engine:  frontier (hybrid, serial below 64)\n"),
-            "{text}"
-        );
         // Display goes through explain
         assert_eq!(format!("{plan}"), text);
-    }
-
-    /// A builder with no `.engine` call plans and runs the serial
-    /// engine for every kind × algorithm at 1, 2 and 8 threads, and its
-    /// runs equal an explicit serial session's, order included.
-    #[test]
-    fn default_sessions_plan_and_run_serial() {
-        assert_eq!(PeelEngine::default(), PeelEngine::Serial);
-        for g in [
-            test_graphs::nested_cores(),
-            nucleus_gen::karate::karate_club(),
-        ] {
-            for kind in Kind::all() {
-                for threads in [1, 2, 8] {
-                    let session = |engine: Option<PeelEngine>| {
-                        let builder = Nucleus::builder(&g).kind(kind).threads(threads);
-                        match engine {
-                            Some(engine) => builder.engine(engine),
-                            None => builder,
-                        }
-                        .prepare()
-                        .unwrap()
-                    };
-                    let (default, serial) = (session(None), session(Some(PeelEngine::Serial)));
-                    for &algo in Algorithm::for_kind(kind) {
-                        let tag = format!("{kind}/{algo}/t{threads}");
-                        assert_eq!(
-                            default.plan(algo).unwrap().engine,
-                            PeelEngine::Serial,
-                            "{tag}"
-                        );
-                        let (d, s) = (default.run(algo).unwrap(), serial.run(algo).unwrap());
-                        assert_eq!(d.engine, PeelEngine::Serial, "{tag}");
-                        assert_eq!(d.peeling.lambda, s.peeling.lambda, "{tag}");
-                        assert_eq!(d.peeling.order, s.peeling.order, "{tag}");
-                        assert_eq!(d.hierarchy, s.hierarchy, "{tag}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]
     fn plan_and_run_reject_what_validate_rejects() {
         let g = test_graphs::nested_cores();
-        // frontier × lazy dies at prepare
-        let err = Nucleus::builder(&g)
-            .backend(Backend::Lazy)
-            .engine(PeelEngine::Frontier)
-            .prepare()
-            .map(|_| ())
-            .unwrap_err();
-        assert!(matches!(err, CoreError::InvalidOptions { .. }), "{err}");
-        // frontier × LCPS dies at plan/run
-        let prepared = Nucleus::builder(&g)
-            .engine(PeelEngine::Frontier)
-            .threads(2)
-            .prepare()
-            .unwrap();
-        assert!(prepared.plan(Algorithm::Lcps).is_err());
-        assert!(prepared.run(Algorithm::Lcps).is_err());
-        // ... but every peeling algorithm runs on that same session
-        assert!(prepared.run(Algorithm::Dft).is_ok());
-        assert!(prepared.run(Algorithm::Fnd).is_ok());
         // LCPS × non-core dies at plan/run
         let prepared = Nucleus::builder(&g).kind(Kind::EdgeK4).prepare().unwrap();
+        let err = prepared.plan(Algorithm::Lcps).unwrap_err();
+        assert!(
+            matches!(err, CoreError::UnsupportedAlgorithm { .. }),
+            "{err}"
+        );
         let err = prepared.run(Algorithm::Lcps).unwrap_err();
         assert!(
             matches!(err, CoreError::UnsupportedAlgorithm { .. }),
             "{err}"
         );
+        // ... but every peeling algorithm runs on that same session
+        assert!(prepared.run(Algorithm::Dft).is_ok());
+        assert!(prepared.run(Algorithm::Fnd).is_ok());
     }
 
     #[test]

@@ -39,12 +39,12 @@
 //! `--backend {auto,lazy,materialized}` flag.
 //!
 //! The materialized backend is also the substrate of the
-//! **frontier-parallel peeling engine**
-//! ([`crate::peel::peel_parallel`], an explicit opt-in through
-//! [`crate::decompose::PeelEngine::Frontier`]): processing a whole λ-level per
-//! round only pays off when each participant's container scan is a flat
-//! [`ContainerIndex`] read, and the engine's container-liveness
-//! accounting lives in [`PeelCells`] alongside the index.
+//! **frontier-parallel peeling engine** ([`crate::peel::peel_with_sink`],
+//! which only [`crate::algo::fnd::fnd_parallel_with`] rides): processing
+//! a whole λ-level per round only pays off when each participant's
+//! container scan is a flat [`ContainerIndex`] read, and the engine's
+//! container-liveness accounting lives in [`PeelCells`] alongside the
+//! index.
 
 /// The container-enumeration contract every peeling algorithm drives.
 ///

@@ -9,8 +9,8 @@ use nucleus_core::algo::fnd::{fnd, fnd_parallel_with, FndOptions};
 use nucleus_core::algo::lcps::lcps;
 use nucleus_core::algo::naive::naive;
 use nucleus_core::algo::tcp::{tcp_query, TcpIndex};
-use nucleus_core::decompose::{Algorithm, Backend, Decomposition, Kind, PeelEngine};
-use nucleus_core::peel::{peel, peel_parallel_with, peel_reference, FrontierOptions};
+use nucleus_core::decompose::{Algorithm, Backend, Decomposition, Kind};
+use nucleus_core::peel::{peel, peel_reference, FrontierOptions};
 use nucleus_core::persist::PreparedIndex;
 use nucleus_core::plan;
 use nucleus_core::session::Nucleus;
@@ -87,11 +87,9 @@ fn saved_index_bytes(g: &CsrGraph, kind: Kind, threads: usize) -> Vec<u8> {
 ///   the lazy per-cell enumeration, record for record, and the bytes
 ///   `Prepared::save` writes against an image encoded from it;
 /// * the whole prepared pipeline: `prepare` → FND at every thread count
-///   must produce identical λ and an identical hierarchy for all five
-///   kinds (the frontier engine is pinned so the peel itself is the
-///   thread-count-invariant one; `check_engine_equivalence` separately
-///   forces the parallel `build_hierarchy` path via
-///   `min_parallel_work: 0`).
+///   must produce identical λ, peeling order and hierarchy for all five
+///   kinds (`check_engine_equivalence` separately forces the parallel
+///   `build_hierarchy` path via `min_parallel_work: 0`).
 fn check_prepare_equivalence(g: &CsrGraph) {
     use nucleus_cliques::four_cliques::k4_degrees;
     use nucleus_cliques::triangles::edge_supports;
@@ -173,13 +171,7 @@ fn check_prepare_equivalence(g: &CsrGraph) {
         }
     }
     for kind in Kind::all() {
-        let session = |threads| {
-            Nucleus::builder(g)
-                .kind(kind)
-                .engine(PeelEngine::Frontier)
-                .threads(threads)
-                .prepare()
-        };
+        let session = |threads| Nucleus::builder(g).kind(kind).threads(threads).prepare();
         let base = session(1).expect("prepare t=1");
         let fnd_base = base.run(Algorithm::Fnd).expect("FND t=1");
         for threads in [2usize, 8] {
@@ -240,13 +232,15 @@ fn check_backend_equivalence<S: PeelSpace + Sync>(space: &S) {
     }
 }
 
-/// Pins the frontier-parallel engine to the serial one on any space, at
-/// 1, 2 and 8 threads with the spawn path forced (`min_parallel_work:
-/// 0`) and with the hybrid drain both disabled (`0`) and aggressive
-/// (`3` — most rounds on these small graphs fall below it), checking
-/// everything downstream consumers rely on: identical λ, a λ-monotone
-/// permutation order that is identical across thread counts, and
-/// identical DFT *and* parallel-FND hierarchies built on top.
+/// Pins the frontier FND ([`fnd_parallel_with`]) to serial FND on any
+/// space, at 1, 2 and 8 threads with the spawn path forced
+/// (`min_parallel_work: 0`) and with the hybrid drain both disabled
+/// (`0`) and aggressive (`3` — most rounds on these small graphs fall
+/// below it), checking everything downstream consumers rely on: on the
+/// peeling it returns, identical λ and a λ-monotone permutation order
+/// that is identical across thread counts, with the DFT hierarchy over
+/// that order matching serial DFT; and a hierarchy bit-identical to
+/// serial FND.
 fn check_engine_equivalence<S: PeelSpace + Sync>(space: &S) {
     let serial = peel(space);
     let index = ContainerIndex::build(space, 2);
@@ -263,7 +257,9 @@ fn check_engine_equivalence<S: PeelSpace + Sync>(space: &S) {
                 serial_round_threshold,
             };
             let label = format!("{threads} threads, drain below {serial_round_threshold}");
-            let par = peel_parallel_with(&mat, options);
+            let par_fnd = fnd_parallel_with(&mat, FndOptions::default(), options);
+            assert_eq!(h_fnd, par_fnd.hierarchy, "FND hierarchy at {label}");
+            let par = par_fnd.peeling;
             assert_eq!(par.lambda, serial.lambda, "λ at {label}");
             assert_eq!(par.max_lambda, serial.max_lambda, "max λ");
             // the order is a λ-monotone permutation of all cells
@@ -275,17 +271,10 @@ fn check_engine_equivalence<S: PeelSpace + Sync>(space: &S) {
             let mut sorted = par.order.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, (0..space.cell_count() as u32).collect::<Vec<_>>());
-            // the DFT hierarchy over the parallel order matches the
+            // the DFT hierarchy over the frontier order matches the
             // serial one
             let (h_par, _) = dft(&mat, &par);
             assert_eq!(h_serial, h_par, "DFT hierarchy at {label}");
-            // parallel FND under the same engine options: same λ, same
-            // emitted order as the plain frontier peel, and a hierarchy
-            // bit-identical to serial FND
-            let par_fnd = fnd_parallel_with(&mat, FndOptions::default(), options);
-            assert_eq!(par_fnd.peeling.lambda, serial.lambda, "FND λ at {label}");
-            assert_eq!(par_fnd.peeling.order, par.order, "FND order at {label}");
-            assert_eq!(h_fnd, par_fnd.hierarchy, "FND hierarchy at {label}");
             orders.push(par.order);
         }
         // deterministic: the emitted order is thread-count independent
@@ -294,28 +283,23 @@ fn check_engine_equivalence<S: PeelSpace + Sync>(space: &S) {
     }
 }
 
-/// Pins every builder session to the lazy + serial reference session
-/// for one kind, across every backend × engine × algorithm combination:
+/// Pins every builder session to the lazy reference session for one
+/// kind, across every backend × algorithm combination:
 ///
 /// * when [`plan::validate`] accepts the combination, the session
-///   produces the reference's λ and hierarchy — and its peeling order
-///   whenever the serial engine ran (frontier rounds emit each level in
-///   id order instead) — and reports the backend and engine its `plan`
-///   resolved;
+///   produces the reference's λ, peeling order and hierarchy, and
+///   reports the backend its `plan` resolved;
 /// * a **second** `run` on the same `Prepared` reproduces the first one
 ///   exactly — reuse does not corrupt the cached space or index;
-/// * when [`plan::validate`] rejects the combination, the session fails
-///   with the same `CoreError` variant (at `prepare` for the
-///   algorithm-independent frontier × lazy conflict, at `run`
-///   otherwise);
+/// * every algorithm outside [`Algorithm::for_kind`] fails at `run`
+///   with the `CoreError` variant [`plan::validate`] returns;
 /// * the Hypo baseline agrees on component counts.
 fn check_session_equivalence(g: &CsrGraph, kind: Kind) {
     let reference = Nucleus::builder(g)
         .kind(kind)
         .backend(Backend::Lazy)
-        .engine(PeelEngine::Serial)
         .prepare()
-        .expect("lazy + serial composes with every kind");
+        .expect("prepare never fails");
     let algos = Algorithm::for_kind(kind);
     let want: Vec<Decomposition> = algos
         .iter()
@@ -323,59 +307,40 @@ fn check_session_equivalence(g: &CsrGraph, kind: Kind) {
         .collect();
     let (_, want_comps) = reference.hypo_baseline();
     for backend in [Backend::Lazy, Backend::Materialized, Backend::Auto] {
-        for engine in [PeelEngine::Serial, PeelEngine::Frontier] {
-            let prepared = Nucleus::builder(g)
-                .kind(kind)
-                .backend(backend)
-                .engine(engine)
-                .threads(2)
-                .prepare();
-            for (&algo, want) in algos.iter().zip(&want) {
-                let label = format!("{kind}/{algo}/{backend}/{engine}");
-                if let Err(rejected) = plan::validate(kind, algo, backend, engine) {
-                    let got = match &prepared {
-                        Ok(p) => std::mem::discriminant(&p.run(algo).expect_err(&label)),
-                        Err(e) => std::mem::discriminant(e),
-                    };
-                    assert_eq!(
-                        std::mem::discriminant(&rejected),
-                        got,
-                        "{label}: validate says {rejected}"
-                    );
-                    continue;
-                }
-                let p = prepared
-                    .as_ref()
-                    .unwrap_or_else(|e| panic!("{label}: prepare failed: {e}"));
-                let new = p.run(algo).expect(&label);
-                assert_eq!(want.peeling.lambda, new.peeling.lambda, "{label} λ");
-                assert_eq!(want.hierarchy, new.hierarchy, "{label} hierarchy");
-                if new.engine == PeelEngine::Serial {
-                    assert_eq!(want.peeling.order, new.peeling.order, "{label} order");
-                }
-                let planned = p.plan(algo).expect(&label);
+        let p = Nucleus::builder(g)
+            .kind(kind)
+            .backend(backend)
+            .threads(2)
+            .prepare()
+            .expect("prepare never fails");
+        for algo in Algorithm::ALL {
+            let label = format!("{kind}/{algo}/{backend}");
+            let Some(i) = algos.iter().position(|&a| a == algo) else {
+                let rejected = plan::validate(kind, algo).expect_err(&label);
                 assert_eq!(
-                    (new.backend, new.engine),
-                    (planned.backend, planned.engine),
-                    "{label} resolution"
+                    std::mem::discriminant(&rejected),
+                    std::mem::discriminant(&p.run(algo).expect_err(&label)),
+                    "{label}: validate says {rejected}"
                 );
-                // rerun on the same session: identical again
-                let again = p.run(algo).expect(&label);
-                assert_eq!(new.peeling.lambda, again.peeling.lambda, "{label} reuse λ");
-                assert_eq!(
-                    new.peeling.order, again.peeling.order,
-                    "{label} reuse order"
-                );
-                assert_eq!(new.hierarchy, again.hierarchy, "{label} reuse hierarchy");
-            }
-            if let Ok(p) = &prepared {
-                let (_, comps) = p.hypo_baseline();
-                assert_eq!(
-                    comps, want_comps,
-                    "{kind}/{backend}/{engine} hypo components"
-                );
-            }
+                continue;
+            };
+            let (want, new) = (&want[i], p.run(algo).expect(&label));
+            assert_eq!(want.peeling.lambda, new.peeling.lambda, "{label} λ");
+            assert_eq!(want.peeling.order, new.peeling.order, "{label} order");
+            assert_eq!(want.hierarchy, new.hierarchy, "{label} hierarchy");
+            let planned = p.plan(algo).expect(&label);
+            assert_eq!(new.backend, planned.backend, "{label} resolution");
+            // rerun on the same session: identical again
+            let again = p.run(algo).expect(&label);
+            assert_eq!(new.peeling.lambda, again.peeling.lambda, "{label} reuse λ");
+            assert_eq!(
+                new.peeling.order, again.peeling.order,
+                "{label} reuse order"
+            );
+            assert_eq!(new.hierarchy, again.hierarchy, "{label} reuse hierarchy");
         }
+        let (_, comps) = p.hypo_baseline();
+        assert_eq!(comps, want_comps, "{kind}/{backend} hypo components");
     }
 }
 
