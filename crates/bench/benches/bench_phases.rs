@@ -13,9 +13,10 @@
 //!   `edge_supports` for (2,3), `TriangleList::build` for (3,4)
 //!   (`-tN` is the bit-identical parallel twin);
 //! * `index-build-serial/-tN` — for (2,3) the container records, filled
-//!   from the oriented triangle listing ([`edge_companion_records`] over
-//!   a pre-built orientation and supports); for (3,4) the edge→thirds
-//!   [`TriangleIndex`] over a pre-built triangle list;
+//!   from the oriented triangle listing ([`edge_companion_records`],
+//!   which consumes the support count's [`SupportTallies`]: each timed
+//!   call gets a fresh count, made outside the timer); for (3,4) the
+//!   edge→thirds [`TriangleIndex`] over a pre-built triangle list;
 //! * `degrees-serial/-tN` ((3,4) only) — the public per-triangle K4
 //!   degree entry points: `k4_degrees`, the three-way
 //!   full-neighbour-list reference, and `k4_degrees_parallel`, which
@@ -30,10 +31,10 @@
 //!   Figure 6 rows, unchanged in meaning;
 //! * `hierarchy-assembly-serial/-tN` — `BuildHierarchy` (Alg. 9) alone,
 //!   over a pre-classified FND run (`fnd_classify`). Each iteration
-//!   clones the skeleton inside the timer (the shim has no
-//!   `iter_batched`); the clone cost is identical in both rows, so the
-//!   serial/parallel *difference* is the assembly pass itself. The `-tN`
-//!   row forces the worker path (`min_parallel_work = 0`);
+//!   clones the skeleton inside the timer; the clone cost is identical
+//!   in both rows, so the serial/parallel *difference* is the assembly
+//!   pass itself. The `-tN` row forces the worker path
+//!   (`min_parallel_work = 0`);
 //! * `prepare-total-t1/-tN` — the whole session prepare
 //!   (`Nucleus::builder(..).threads(t).prepare()`), the end-to-end
 //!   number users see.
@@ -50,13 +51,13 @@
 //! `NUCLEUS_BENCH_SMOKE=1` shrinks the inputs and sampling so CI can
 //! assert the bench target runs end to end and emits its JSON.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use nucleus_bench::smoke;
 use nucleus_cliques::parallel::edge_supports_parallel;
 use nucleus_cliques::triangles::edge_supports;
 use nucleus_cliques::{
     edge_companion_records, k4_degrees_oriented, k4_degrees_parallel, OrientedAdjacency,
-    TriangleIndex, TriangleList,
+    SupportTallies, TriangleIndex, TriangleList,
 };
 use nucleus_core::algo::dft::dft;
 use nucleus_core::algo::fnd::{build_hierarchy, fnd, fnd_classify};
@@ -195,18 +196,21 @@ fn bench_phases_truss(c: &mut Criterion) {
                 b.iter(|| edge_supports_parallel(g, tn).len());
             },
         );
-        let oriented = OrientedAdjacency::build(g);
         let offsets = offsets_from_counts(&edge_supports(g));
-        group.bench_with_input(BenchmarkId::new("index-build-serial", name), g, |b, g| {
-            b.iter(|| edge_companion_records(g, &oriented, &offsets, 1).len());
-        });
-        group.bench_with_input(
-            BenchmarkId::new(format!("index-build-t{tn}"), name),
-            g,
-            |b, g| {
-                b.iter(|| edge_companion_records(g, &oriented, &offsets, tn).len());
-            },
-        );
+        for threads in [1, tn] {
+            let label = if threads == 1 {
+                "index-build-serial".to_string()
+            } else {
+                format!("index-build-t{threads}")
+            };
+            group.bench_with_input(BenchmarkId::new(label, name), g, |b, g| {
+                b.iter_batched(
+                    || SupportTallies::count(OrientedAdjacency::build(g), threads),
+                    |tallies| edge_companion_records(g, tallies, &offsets, threads).len(),
+                    BatchSize::SmallInput,
+                );
+            });
+        }
         // Figure 6 rows: peel alone, DFT post alone, FND end-to-end.
         group.bench_with_input(BenchmarkId::new("peel-only", name), g, |b, g| {
             b.iter(|| {

@@ -10,7 +10,11 @@
 //!   the standard `O(m · degeneracy)` scheme, over an
 //!   [`OrientedAdjacency`] that a caller listing the same cliques twice
 //!   builds once), per-edge support counts, and a materialized
-//!   [`TriangleList`];
+//!   [`TriangleList`]. One kernel lists every triangle,
+//!   [`triangles::for_each_triangle_in`]: per root range, it writes each
+//!   root's out-list into a dense vertex table and scans every out(v)
+//!   once against it, a table lookup per arc instead of a sorted-list
+//!   merge, in the one sequence all triangle ids derive from;
 //! * [`triangle_index`] — [`TriangleIndex`], a per-edge CSR of
 //!   `(third-vertex, triangle-id)` pairs enabling `O(log deg)` triangle
 //!   id lookups without hash maps (hot-path requirement, see DESIGN.md);
@@ -25,12 +29,14 @@
 //!   [`balanced_ranges`] work partitioner and the
 //!   [`fill_ranges_scoped`]/[`fill_ranges_pair_scoped`] disjoint-chunk
 //!   fill helpers they (and the materialized peeling backend in
-//!   `nucleus-core`) share. Two kernels list each clique exactly once
+//!   `nucleus-core`) share. Workers count into private tallies, never
+//!   shared atomic counters. Two kernels list each clique exactly once
 //!   over the orientation and feed the fused prepare of `nucleus-core`:
 //!   [`k4_degrees_oriented`] (every K4 bumps its four triangles) and
 //!   [`edge_companion_records`] (every triangle scatters the (2,3)
-//!   container records of its three edges). The materializing builders
-//!   have parallel constructors of their own
+//!   container records of its three edges, each worker through private
+//!   cursors made from the [`SupportTallies`] of the support count).
+//!   The materializing builders have parallel constructors of their own
 //!   ([`TriangleList::build_with_threads`],
 //!   [`TriangleIndex::build_with_threads`]) that are **bit-identical**
 //!   to their serial counterparts at any thread count.
@@ -43,9 +49,9 @@ pub mod triangles;
 
 pub use four_cliques::k4_edge_degrees;
 pub use parallel::{
-    balanced_ranges, edge_companion_records, edge_supports_oriented, fill_ranges_pair_scoped,
-    fill_ranges_scoped, k4_degrees_oriented, k4_degrees_parallel, k4_edge_degrees_parallel,
-    vertex_triangle_counts_parallel,
+    balanced_ranges, edge_companion_records, fill_ranges_pair_scoped, fill_ranges_scoped,
+    k4_degrees_oriented, k4_degrees_parallel, k4_edge_degrees_parallel,
+    vertex_triangle_counts_parallel, SupportTallies,
 };
 pub use triangle_index::TriangleIndex;
 pub use triangles::{vertex_triangle_counts, OrientedAdjacency, TriangleList};

@@ -11,7 +11,7 @@ use nucleus_graph::CsrGraph;
 
 use crate::four_cliques::k4_degree_of_edge;
 use crate::triangle_index::TriangleIndex;
-use crate::triangles::{for_each_triangle_from, OrientedAdjacency, TriangleList};
+use crate::triangles::{for_each_triangle_in, OrientedAdjacency, TriangleList};
 
 /// Splits `0..weights.len()` into at most `parts` contiguous ranges of
 /// approximately equal total weight (`weights[i]` per item). The ranges
@@ -128,9 +128,12 @@ pub fn fill_ranges_pair_scoped<A, B, W>(
 }
 
 /// Per-vertex weights for splitting a sweep over `oriented` with
-/// [`balanced_ranges`]: the listing cost at `u` is about
-/// Σ_{v ∈ out(u)} (|out(u)| + |out(v)|), for which |out(u)|² is a
-/// serviceable proxy.
+/// [`balanced_ranges`]. The table kernel
+/// ([`crate::triangles::for_each_triangle_in`]) spends
+/// 2·|out(u)| + Σ_{v ∈ out(u)} |out(v)| at root `u`: it sets and clears
+/// out(u) in its vertex table and scans each out(v) once. Out-degrees
+/// are bounded by the degeneracy, so |out(u)|² + |out(u)| is a
+/// serviceable proxy that needs no pass over the arcs.
 pub(crate) fn oriented_weights(oriented: &OrientedAdjacency) -> Vec<usize> {
     (0..oriented.vertex_count() as u32)
         .map(|u| {
@@ -142,31 +145,49 @@ pub(crate) fn oriented_weights(oriented: &OrientedAdjacency) -> Vec<usize> {
 
 /// Runs `work(range, tally)` on one scoped worker per range, each
 /// counting into a private zeroed tally of `len` counters, and returns
-/// the element-wise sum of the tallies — so the counting kernels below
-/// need no atomics on their hot paths.
-fn sum_tallies<W>(ranges: Vec<Range<usize>>, len: usize, work: W) -> Vec<u32>
+/// the tallies in range order — so the counting kernels need no atomics
+/// on their hot paths. The caller's thread allocates the tallies, so
+/// ones kept past the count do not pin memory in the workers' malloc
+/// arenas.
+pub(crate) fn count_tallies<W>(ranges: &[Range<usize>], len: usize, work: W) -> Vec<Vec<u32>>
 where
     W: Fn(Range<usize>, &mut [u32]) + Sync,
 {
-    let tallies: Vec<Vec<u32>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let work = &work;
-                scope.spawn(move || {
-                    let mut tally = vec![0u32; len];
-                    work(range, &mut tally);
-                    tally
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
+    let mut tallies: Vec<Vec<u32>> = ranges.iter().map(|_| vec![0u32; len]).collect();
+    std::thread::scope(|scope| {
+        for (range, tally) in ranges.iter().cloned().zip(&mut tallies) {
+            let work = &work;
+            scope.spawn(move || work(range, tally));
+        }
     });
-    let mut tallies = tallies.into_iter();
-    let mut total = tallies.next().unwrap_or_else(|| vec![0; len]);
+    tallies
+}
+
+/// Turns per-worker tallies of `len` counters into per-worker write
+/// cursors in place. `start(i, count)` sees item `i`'s summed count and
+/// returns the first of its slots; worker `k`'s cursor at `i` becomes
+/// that slot plus the counts of workers `0..k` at `i`, so the workers'
+/// writes to `i` tile its slots in worker order. Every slot must fit a
+/// `u32`.
+pub(crate) fn tallies_to_cursors(
+    tallies: &mut [Vec<u32>],
+    len: usize,
+    mut start: impl FnMut(usize, u32) -> usize,
+) {
+    for i in 0..len {
+        let count = tallies.iter().map(|tally| tally[i]).sum();
+        let mut at = start(i, count) as u32;
+        for cursor in tallies.iter_mut() {
+            let count = cursor[i];
+            cursor[i] = at;
+            at += count;
+        }
+    }
+}
+
+/// The element-wise sum of `tallies`, each `len` counters long.
+fn sum_tallies(tallies: &[Vec<u32>], len: usize) -> Vec<u32> {
+    let mut total = vec![0u32; len];
     for tally in tallies {
         for (t, p) in total.iter_mut().zip(tally) {
             *t += p;
@@ -185,9 +206,7 @@ pub fn triangle_count_parallel(g: &CsrGraph, threads: usize) -> u64 {
             let oriented = &oriented;
             handles.push(scope.spawn(move || {
                 let mut count = 0u64;
-                for u in range {
-                    for_each_triangle_from(oriented, u as u32, &mut |_, _, _, _, _, _| count += 1);
-                }
+                for_each_triangle_in(oriented, range, |_, _, _, _, _, _| count += 1);
                 count
             }));
         }
@@ -202,24 +221,45 @@ pub fn triangle_count_parallel(g: &CsrGraph, threads: usize) -> u64 {
 /// Each worker accumulates into a private array; partials are summed at
 /// the end (no atomics on the hot path).
 pub fn edge_supports_parallel(g: &CsrGraph, threads: usize) -> Vec<u32> {
-    edge_supports_oriented(&OrientedAdjacency::build(g), threads)
+    SupportTallies::count(OrientedAdjacency::build(g), threads).supports()
 }
 
-/// [`edge_supports_parallel`] over an orientation the caller already
-/// holds, so a caller that lists the same triangles again — the fused
-/// (2,3) record fill, [`edge_companion_records`] — orients the graph
-/// once.
-pub fn edge_supports_oriented(oriented: &OrientedAdjacency, threads: usize) -> Vec<u32> {
-    let ranges = balanced_ranges(&oriented_weights(oriented), threads);
-    sum_tallies(ranges, oriented.edge_count(), |range, support| {
-        for u in range {
-            for_each_triangle_from(oriented, u as u32, &mut |_, _, _, e1, e2, e3| {
+/// Per-edge triangle supports as one oriented listing's workers counted
+/// them: a private tally per worker, kept with the orientation and the
+/// root ranges they were counted over. [`SupportTallies::supports`]
+/// sums them; [`edge_companion_records`] lists the same triangles over
+/// the same ranges again and turns each tally into its worker's private
+/// write cursors, so that scatter shares no counter between workers.
+pub struct SupportTallies {
+    oriented: OrientedAdjacency,
+    ranges: Vec<Range<usize>>,
+    tallies: Vec<Vec<u32>>,
+}
+
+impl SupportTallies {
+    /// Lists every triangle of `oriented` on up to `threads` workers,
+    /// each over one root range of [`balanced_ranges`] and counting the
+    /// supports of its triangles' edges into a private tally.
+    pub fn count(oriented: OrientedAdjacency, threads: usize) -> Self {
+        let ranges = balanced_ranges(&oriented_weights(&oriented), threads);
+        let tallies = count_tallies(&ranges, oriented.edge_count(), |range, support| {
+            for_each_triangle_in(&oriented, range, |_, _, _, e1, e2, e3| {
                 support[e1 as usize] += 1;
                 support[e2 as usize] += 1;
                 support[e3 as usize] += 1;
             });
+        });
+        SupportTallies {
+            oriented,
+            ranges,
+            tallies,
         }
-    })
+    }
+
+    /// The per-edge supports (the tallies summed), indexed by edge id.
+    pub fn supports(&self) -> Vec<u32> {
+        sum_tallies(&self.tallies, self.oriented.edge_count())
+    }
 }
 
 /// The (2,3) container records of every edge, filled from one oriented
@@ -230,60 +270,72 @@ pub fn edge_supports_oriented(oriented: &OrientedAdjacency, threads: usize) -> V
 /// neighbour lists of `u` and `v` emits, at O(m · degeneracy) for all
 /// edges instead of O(Σ deg²).
 ///
-/// Each listed triangle writes its three pairs through per-edge atomic
-/// cursors straight into the result, in whatever order the workers
-/// interleave; sorting each edge's pairs by third vertex (unique within
-/// an edge) then makes the result independent of `threads`. The scope
-/// join publishes the relaxed stores before the sort reads them.
+/// The listing runs again over the ranges `tallies` was counted over,
+/// one worker per range. Each worker's tally becomes its private
+/// cursors in place: worker `k` writes edge `e`'s pairs right after
+/// those of workers `0..k`, so its cursor starts at `offsets[e]` plus
+/// their summed counts, and every write is a plain increment plus two
+/// relaxed stores into slots no other worker touches. Sorting each
+/// edge's pairs by third vertex (unique within an edge), on `threads`
+/// workers, then puts them in the merge order. The scope join publishes
+/// the stores before the sort reads them.
 ///
 /// # Panics
-/// When `offsets` is not the prefix sum of `g`'s edge supports, or
-/// `oriented` does not orient `g`.
+/// When `offsets` is not the prefix sum of the supports `tallies`
+/// counted (checked before any write), `tallies` was not counted over
+/// an orientation of `g`, or the graph has 2³² or more pairs (over
+/// 32 GiB of records).
 pub fn edge_companion_records(
     g: &CsrGraph,
-    oriented: &OrientedAdjacency,
+    tallies: SupportTallies,
     offsets: &[usize],
     threads: usize,
 ) -> Vec<u32> {
     let m = g.m();
     assert_eq!(offsets.len(), m + 1, "one offset per edge, plus the total");
-    let cursor: Vec<AtomicU32> = (0..m).map(|_| AtomicU32::new(0)).collect();
+    let SupportTallies {
+        oriented,
+        ranges,
+        tallies: mut cursors,
+    } = tallies;
+    assert_eq!(oriented.edge_count(), m, "tallies must count `g`'s edges");
+    assert!(
+        u32::try_from(offsets[m]).is_ok(),
+        "u32 cursors must address every pair"
+    );
+    // Counts short of an edge's offsets would leave zeroed pairs,
+    // counts past them spill into the next edge's slots.
+    tallies_to_cursors(&mut cursors, m, |e, count| {
+        assert!(
+            offsets[e] + count as usize == offsets[e + 1],
+            "offsets must be the edge supports"
+        );
+        offsets[e]
+    });
     let slots: Vec<AtomicU32> = (0..2 * offsets[m]).map(|_| AtomicU32::new(0)).collect();
-    let ranges = balanced_ranges(&oriented_weights(oriented), threads);
     std::thread::scope(|scope| {
-        for range in ranges {
-            let (cursor, slots) = (&cursor, &slots);
+        for (range, mut cursor) in ranges.into_iter().zip(cursors) {
+            let (oriented, slots) = (&oriented, &slots);
             scope.spawn(move || {
                 // The pair of edge {x, y} in triangle {x, y, z}: its two
                 // edges to z, the one from min(x, y) first.
-                let put = |e_xy: u32, x: u32, y: u32, e_xz: u32, e_yz: u32| {
+                let mut put = |e_xy: u32, x: u32, y: u32, e_xz: u32, e_yz: u32| {
                     let (first, second) = if x < y { (e_xz, e_yz) } else { (e_yz, e_xz) };
                     let e = e_xy as usize;
-                    let slot = offsets[e] + cursor[e].fetch_add(1, Ordering::Relaxed) as usize;
+                    let slot = cursor[e] as usize;
+                    cursor[e] += 1;
                     slots[2 * slot].store(first, Ordering::Relaxed);
                     slots[2 * slot + 1].store(second, Ordering::Relaxed);
                 };
-                for u in range {
-                    for_each_triangle_from(oriented, u as u32, &mut |a, b, c, e_ab, e_ac, e_bc| {
-                        put(e_ab, a, b, e_ac, e_bc);
-                        put(e_ac, a, c, e_ab, e_bc);
-                        put(e_bc, b, c, e_ab, e_ac);
-                    });
-                }
+                for_each_triangle_in(oriented, range, |a, b, c, e_ab, e_ac, e_bc| {
+                    put(e_ab, a, b, e_ac, e_bc);
+                    put(e_ac, a, c, e_ab, e_bc);
+                    put(e_bc, b, c, e_ab, e_ac);
+                });
             });
         }
     });
-    // A cursor short of its edge's count would leave zeroed pairs, one
-    // past it spilled into the next edge's slots: either way `offsets`
-    // was not the supports.
-    assert!(
-        cursor
-            .iter()
-            .zip(offsets.windows(2))
-            .all(|(c, w)| c.load(Ordering::Relaxed) as usize == w[1] - w[0]),
-        "offsets must be the edge supports"
-    );
-    drop(cursor);
+    drop(oriented);
     let mut records: Vec<u32> = slots.into_iter().map(AtomicU32::into_inner).collect();
     fill_ranges_scoped(
         &mut records,
@@ -335,8 +387,8 @@ pub fn k4_degrees_oriented(
         .iter()
         .map(|&[u, v, w]| oriented.out(u).len() + oriented.out(v).len() + oriented.out(w).len() + 1)
         .collect();
-    sum_tallies(
-        balanced_ranges(&weights, threads),
+    let tallies = count_tallies(
+        &balanced_ranges(&weights, threads),
         tris.len(),
         |range, deg| {
             let first = range.start;
@@ -363,7 +415,8 @@ pub fn k4_degrees_oriented(
                 }
             }
         },
-    )
+    );
+    sum_tallies(&tallies, tris.len())
 }
 
 /// Computes per-triangle K4 degrees using `threads` worker threads:
@@ -383,15 +436,14 @@ pub fn k4_degrees_parallel(g: &CsrGraph, tris: &TriangleList, threads: usize) ->
 pub fn vertex_triangle_counts_parallel(g: &CsrGraph, threads: usize) -> Vec<u32> {
     let oriented = OrientedAdjacency::build(g);
     let ranges = balanced_ranges(&oriented_weights(&oriented), threads);
-    sum_tallies(ranges, g.n(), |range, deg| {
-        for u in range {
-            for_each_triangle_from(&oriented, u as u32, &mut |a, b, c, _, _, _| {
-                deg[a as usize] += 1;
-                deg[b as usize] += 1;
-                deg[c as usize] += 1;
-            });
-        }
-    })
+    let tallies = count_tallies(&ranges, g.n(), |range, deg| {
+        for_each_triangle_in(&oriented, range, |a, b, c, _, _, _| {
+            deg[a as usize] += 1;
+            deg[b as usize] += 1;
+            deg[c as usize] += 1;
+        });
+    });
+    sum_tallies(&tallies, g.n())
 }
 
 /// Computes per-edge K4 degrees using `threads` worker threads — the
@@ -655,12 +707,13 @@ mod tests {
             CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]),
             CsrGraph::from_edges(0, &[]),
         ] {
-            let oriented = OrientedAdjacency::build(&g);
             let offsets = offsets_from_counts(&edge_supports(&g));
             let want = companion_records_by_merge(&g);
             for threads in [1, 2, 4, 7] {
+                let tallies = SupportTallies::count(OrientedAdjacency::build(&g), threads);
+                assert_eq!(tallies.supports(), edge_supports(&g), "t={threads}");
                 assert_eq!(
-                    edge_companion_records(&g, &oriented, &offsets, threads),
+                    edge_companion_records(&g, tallies, &offsets, threads),
                     want,
                     "t={threads}"
                 );
@@ -677,6 +730,7 @@ mod tests {
         counts[0] -= 1;
         counts[1] += 1;
         let offsets = offsets_from_counts(&counts);
-        edge_companion_records(&g, &OrientedAdjacency::build(&g), &offsets, 2);
+        let tallies = SupportTallies::count(OrientedAdjacency::build(&g), 2);
+        edge_companion_records(&g, tallies, &offsets, 2);
     }
 }

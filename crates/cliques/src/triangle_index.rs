@@ -51,61 +51,50 @@ impl TriangleIndex {
     /// **exactly** the output of [`TriangleIndex::build`].
     ///
     /// Three passes: (1) per-worker per-edge incidence counts over
-    /// balanced triangle ranges, summed then prefix-summed into the CSR
-    /// offsets; (2) a relaxed-atomic scatter of `third << 32 | tid`
-    /// words into each edge's slot range (per-edge cursors are
-    /// `AtomicUsize`, so workers write disjoint cells in arbitrary
-    /// order); (3) a per-edge-range sort-and-unpack. The per-edge sort
-    /// canonicalizes whatever interleaving the scatter produced: the
+    /// balanced triangle ranges, which sum to the CSR offsets and then
+    /// become each worker's private cursors in place (worker `k` writes
+    /// an edge's entries after those of workers `0..k`); (2) a scatter
+    /// of `third << 32 | tid` words into each edge's slot range, a plain
+    /// cursor increment and a relaxed store per entry, into slots no
+    /// other worker touches; (3) a per-edge-range sort-and-unpack. The
     /// packed `u64` order equals `(third, tid)` tuple order, and each
     /// third vertex appears at most once per edge, so the sorted result
     /// is the serial builder's sorted result bit for bit.
+    ///
+    /// # Panics
+    /// When `tris` has 2³² or more incidences, past what its `u32`
+    /// cursors address.
     pub fn build_with_threads(g: &CsrGraph, tris: &TriangleList, threads: usize) -> Self {
         if threads <= 1 {
             return Self::build(g, tris);
         }
-        use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+        use std::sync::atomic::{AtomicU64, Ordering};
         let m = g.m();
         let t = tris.len();
+        assert!(
+            u32::try_from(3 * t).is_ok(),
+            "u32 cursors must address every incidence"
+        );
         let tri_ranges = crate::parallel::balanced_ranges(&vec![1usize; t], threads);
         // Pass 1: per-edge incidence counts (3 per triangle).
-        let partials: Vec<Vec<u32>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = tri_ranges
-                .iter()
-                .cloned()
-                .map(|range| {
-                    scope.spawn(move || {
-                        let mut counts = vec![0u32; m];
-                        for es in &tris.edges[range] {
-                            for &e in es {
-                                counts[e as usize] += 1;
-                            }
-                        }
-                        counts
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
+        let mut cursors = crate::parallel::count_tallies(&tri_ranges, m, |range, counts| {
+            for es in &tris.edges[range] {
+                for &e in es {
+                    counts[e as usize] += 1;
+                }
+            }
         });
         let mut offsets = vec![0usize; m + 1];
-        for partial in partials {
-            for (o, p) in offsets[1..].iter_mut().zip(partial) {
-                *o += p as usize;
-            }
-        }
-        for i in 1..=m {
-            offsets[i] += offsets[i - 1];
-        }
+        crate::parallel::tallies_to_cursors(&mut cursors, m, |e, count| {
+            offsets[e + 1] = offsets[e] + count as usize;
+            offsets[e]
+        });
         // Pass 2: scatter packed (third, tid) words into slot ranges.
         let total = offsets[m];
-        let cursor: Vec<AtomicUsize> = offsets[..m].iter().map(|&o| AtomicUsize::new(o)).collect();
         let packed: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
         std::thread::scope(|scope| {
-            for range in tri_ranges {
-                let (cursor, packed) = (&cursor, &packed);
+            for (range, mut cursor) in tri_ranges.into_iter().zip(cursors) {
+                let packed = &packed;
                 scope.spawn(move || {
                     let base = range.start;
                     for (i, (vs, es)) in tris.vertices[range.clone()]
@@ -117,7 +106,8 @@ impl TriangleIndex {
                         let [u, v, w] = *vs;
                         let thirds = [w, v, u]; // per edge (u,v), (u,w), (v,w)
                         for (&e, &third) in es.iter().zip(&thirds) {
-                            let slot = cursor[e as usize].fetch_add(1, Ordering::Relaxed);
+                            let slot = cursor[e as usize] as usize;
+                            cursor[e as usize] += 1;
                             packed[slot]
                                 .store((third as u64) << 32 | tid as u64, Ordering::Relaxed);
                         }

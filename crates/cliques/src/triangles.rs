@@ -1,5 +1,7 @@
 //! Oriented triangle enumeration and per-edge support counting.
 
+use std::ops::Range;
+
 use nucleus_graph::order::degeneracy_order;
 use nucleus_graph::CsrGraph;
 
@@ -55,12 +57,12 @@ impl OrientedAdjacency {
 
     /// The `(neighbor, edge_id)` arcs out of `v`, sorted by neighbor.
     #[inline]
-    pub(crate) fn out(&self, v: u32) -> &[(u32, u32)] {
+    pub fn out(&self, v: u32) -> &[(u32, u32)] {
         &self.arcs[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 
     /// Number of vertices oriented.
-    pub(crate) fn vertex_count(&self) -> usize {
+    pub fn vertex_count(&self) -> usize {
         self.offsets.len() - 1
     }
 
@@ -72,32 +74,40 @@ impl OrientedAdjacency {
 }
 
 /// Calls `f(u, v, w, e_uv, e_uw, e_vw)` for every triangle whose
-/// lowest-rank (orientation-wise first) vertex is `u` — the inner loop of
-/// the full sweep, exposed so parallel builders can enumerate disjoint
-/// vertex ranges in the exact order of the serial sweep.
-#[inline]
-pub(crate) fn for_each_triangle_from<F: FnMut(u32, u32, u32, u32, u32, u32)>(
+/// lowest-rank (orientation-wise first) vertex `u` lies in `roots`, in
+/// the order of the full sweep: `u` ascending, `v` along out(u), `w`
+/// ascending. Disjoint root ranges taken in order therefore list the
+/// full sweep's sequence piece by piece, which is how the parallel
+/// builders split it.
+///
+/// The kernel writes out(u)'s edge ids into a dense vertex table, then
+/// scans each out(v) once with one table lookup per arc: the third
+/// vertices `w` are out(v)'s arcs whose table entry is set, so the
+/// kernel needs no sorted-list merge and no branch per comparison. The
+/// table is one `u32` per vertex, allocated once per call.
+pub fn for_each_triangle_in<F: FnMut(u32, u32, u32, u32, u32, u32)>(
     oriented: &OrientedAdjacency,
-    u: u32,
-    f: &mut F,
+    roots: Range<usize>,
+    mut f: F,
 ) {
-    let out_u = oriented.out(u);
-    for &(v, e_uv) in out_u {
-        let out_v = oriented.out(v);
-        // Sorted-list intersection of out(u) and out(v).
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < out_u.len() && j < out_v.len() {
-            let (a, e_uw) = out_u[i];
-            let (b, e_vw) = out_v[j];
-            match a.cmp(&b) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    f(u, v, a, e_uv, e_uw, e_vw);
-                    i += 1;
-                    j += 1;
+    // No edge id reaches `u32::MAX`: ids are below `m`.
+    const UNSET: u32 = u32::MAX;
+    let mut edge_to = vec![UNSET; oriented.vertex_count()];
+    for u in roots {
+        let out_u = oriented.out(u as u32);
+        for &(w, e_uw) in out_u {
+            edge_to[w as usize] = e_uw;
+        }
+        for &(v, e_uv) in out_u {
+            for &(w, e_vw) in oriented.out(v) {
+                let e_uw = edge_to[w as usize];
+                if e_uw != UNSET {
+                    f(u as u32, v, w, e_uv, e_uw, e_vw);
                 }
             }
+        }
+        for &(w, _) in out_u {
+            edge_to[w as usize] = UNSET;
         }
     }
 }
@@ -107,11 +117,8 @@ pub(crate) fn for_each_triangle_from<F: FnMut(u32, u32, u32, u32, u32, u32)>(
 /// The vertex triple is *not* sorted by id (it follows the orientation);
 /// the three edge ids always correspond to the pairs named in the
 /// signature.
-pub fn for_each_triangle<F: FnMut(u32, u32, u32, u32, u32, u32)>(g: &CsrGraph, mut f: F) {
-    let oriented = OrientedAdjacency::build(g);
-    for u in 0..g.n() as u32 {
-        for_each_triangle_from(&oriented, u, &mut f);
-    }
+pub fn for_each_triangle<F: FnMut(u32, u32, u32, u32, u32, u32)>(g: &CsrGraph, f: F) {
+    for_each_triangle_in(&OrientedAdjacency::build(g), 0..g.n(), f);
 }
 
 /// Number of triangles in `g`.
@@ -221,13 +228,12 @@ impl TriangleList {
                 vertices: Vec::new(),
                 edges: Vec::new(),
             };
-            for u in 0..oriented.vertex_count() as u32 {
-                for_each_triangle_from(oriented, u, &mut |a, b, c, e_ab, e_ac, e_bc| {
-                    let (vs, es) = canonical_triangle(a, b, c, e_ab, e_ac, e_bc);
-                    tris.vertices.push(vs);
-                    tris.edges.push(es);
-                });
-            }
+            let all = 0..oriented.vertex_count();
+            for_each_triangle_in(oriented, all, |a, b, c, e_ab, e_ac, e_bc| {
+                let (vs, es) = canonical_triangle(a, b, c, e_ab, e_ac, e_bc);
+                tris.vertices.push(vs);
+                tris.edges.push(es);
+            });
             return tris;
         }
         let weights = crate::parallel::oriented_weights(oriented);
@@ -240,11 +246,7 @@ impl TriangleList {
                 .map(|range| {
                     scope.spawn(move || {
                         let mut c = 0usize;
-                        for u in range {
-                            for_each_triangle_from(oriented, u as u32, &mut |_, _, _, _, _, _| {
-                                c += 1
-                            });
-                        }
+                        for_each_triangle_in(oriented, range, |_, _, _, _, _, _| c += 1);
                         c
                     })
                 })
@@ -266,14 +268,12 @@ impl TriangleList {
             &counts,
             |range, vs_chunk, es_chunk| {
                 let mut pos = 0usize;
-                for u in range {
-                    for_each_triangle_from(oriented, u as u32, &mut |a, b, c, e_ab, e_ac, e_bc| {
-                        let (vs, es) = canonical_triangle(a, b, c, e_ab, e_ac, e_bc);
-                        vs_chunk[pos] = vs;
-                        es_chunk[pos] = es;
-                        pos += 1;
-                    });
-                }
+                for_each_triangle_in(oriented, range, |a, b, c, e_ab, e_ac, e_bc| {
+                    let (vs, es) = canonical_triangle(a, b, c, e_ab, e_ac, e_bc);
+                    vs_chunk[pos] = vs;
+                    es_chunk[pos] = es;
+                    pos += 1;
+                });
                 assert_eq!(pos, vs_chunk.len(), "count pass must match fill pass");
             },
         );

@@ -1,12 +1,18 @@
 //! Property tests: oriented triangle enumeration and K4 degrees against
-//! the brute-force clique enumerator, on random graphs.
+//! the brute-force clique enumerator, on random graphs, and the table
+//! listing kernel against the sorted-list merge it replaced.
+
+use std::cmp::Ordering;
+use std::ops::Range;
 
 use proptest::prelude::*;
 
 use nucleus_cliques::four_cliques::{k4_count, k4_degrees};
 use nucleus_cliques::kclique::{count_cliques, for_each_clique};
-use nucleus_cliques::triangles::{edge_supports, triangle_count};
-use nucleus_cliques::{k4_degrees_parallel, TriangleIndex, TriangleList};
+use nucleus_cliques::triangles::{edge_supports, for_each_triangle_in, triangle_count};
+use nucleus_cliques::{
+    balanced_ranges, k4_degrees_parallel, OrientedAdjacency, TriangleIndex, TriangleList,
+};
 use nucleus_graph::CsrGraph;
 
 fn graph_strategy(n: u32, m_max: usize) -> impl Strategy<Value = CsrGraph> {
@@ -14,8 +20,120 @@ fn graph_strategy(n: u32, m_max: usize) -> impl Strategy<Value = CsrGraph> {
         .prop_map(move |edges| CsrGraph::from_edges(n as usize, &edges))
 }
 
+/// One listed triangle: `(u, v, w, e_uv, e_uw, e_vw)`.
+type Listed = (u32, u32, u32, u32, u32, u32);
+
+/// The listing the table kernel replaced, kept as the reference: for
+/// each root `u` ascending and each arc `v` of out(u), a sorted-list
+/// merge of out(u) and out(v).
+fn merge_listing(oriented: &OrientedAdjacency) -> Vec<Listed> {
+    let mut out = vec![];
+    for u in 0..oriented.vertex_count() as u32 {
+        let out_u = oriented.out(u);
+        for &(v, e_uv) in out_u {
+            let out_v = oriented.out(v);
+            let (mut i, mut j) = (0usize, 0usize);
+            while i < out_u.len() && j < out_v.len() {
+                let (a, e_uw) = out_u[i];
+                let (b, e_vw) = out_v[j];
+                match a.cmp(&b) {
+                    Ordering::Less => i += 1,
+                    Ordering::Greater => j += 1,
+                    Ordering::Equal => {
+                        out.push((u, v, a, e_uv, e_uw, e_vw));
+                        i += 1;
+                        j += 1;
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The table kernel's listing over `ranges`, concatenated in order.
+fn table_listing(oriented: &OrientedAdjacency, ranges: &[Range<usize>]) -> Vec<Listed> {
+    let mut out = vec![];
+    for range in ranges {
+        for_each_triangle_in(oriented, range.clone(), |u, v, w, e_uv, e_uw, e_vw| {
+            out.push((u, v, w, e_uv, e_uw, e_vw))
+        });
+    }
+    out
+}
+
+/// The merge reference, and the table kernel's listing over
+/// `balanced_ranges` splits at 1 part (the full root range), 2 and 8
+/// parts (weighted by out-degree cost, as the parallel builders split),
+/// each with the ranges it ran over.
+fn listings(g: &CsrGraph) -> (Vec<Listed>, Vec<(String, Vec<Listed>)>) {
+    let oriented = OrientedAdjacency::build(g);
+    let weights: Vec<usize> = (0..oriented.vertex_count() as u32)
+        .map(|u| {
+            let d = oriented.out(u).len();
+            d * d + d
+        })
+        .collect();
+    let table = [1, 2, 8]
+        .into_iter()
+        .map(|parts| {
+            let ranges = balanced_ranges(&weights, parts);
+            (format!("{ranges:?}"), table_listing(&oriented, &ranges))
+        })
+        .collect();
+    (merge_listing(&oriented), table)
+}
+
+fn clique(k: u32) -> Vec<(u32, u32)> {
+    (0..k)
+        .flat_map(|u| (u + 1..k).map(move |v| (u, v)))
+        .collect()
+}
+
+/// Cell ids of the (3,4) space are listing positions, and a persisted
+/// index's fingerprint hashes only the edge list: a kernel that listed
+/// the same triangles in another order would mis-serve saved indexes.
+#[test]
+fn table_listing_matches_merge_on_fixed_graphs() {
+    let spread = |edges: Vec<(u32, u32)>| -> Vec<(u32, u32)> {
+        // every third vertex id, so isolated vertices sit between
+        edges
+            .into_iter()
+            .map(|(u, v)| (3 * u + 1, 3 * v + 1))
+            .collect()
+    };
+    let mut graphs = vec![
+        CsrGraph::from_edges(0, &[]),
+        CsrGraph::from_edges(5, &[]),
+        CsrGraph::from_edges(30, &spread(clique(6))),
+    ];
+    for k in 1..=7 {
+        graphs.push(CsrGraph::from_edges(k as usize, &clique(k)));
+    }
+    for g in &graphs {
+        let (want, table) = listings(g);
+        assert_eq!(want.len() as u64, count_cliques(g, 3));
+        for (split, got) in table {
+            assert_eq!(got, want, "n={} split {split}", g.n());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn table_listing_matches_merge(
+        g in graph_strategy(24, 140),
+        sparse in graph_strategy(70, 120),
+    ) {
+        for g in [g, sparse] {
+            let (want, table) = listings(&g);
+            for (split, got) in table {
+                prop_assert_eq!(&got, &want, "split {}", split);
+            }
+        }
+    }
 
     #[test]
     fn triangle_count_matches_bruteforce(g in graph_strategy(18, 70)) {

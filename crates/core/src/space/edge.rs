@@ -3,7 +3,7 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use nucleus_cliques::{edge_companion_records, edge_supports_oriented, OrientedAdjacency};
+use nucleus_cliques::{edge_companion_records, OrientedAdjacency, SupportTallies};
 use nucleus_graph::CsrGraph;
 
 use super::{PeelBackend, PeelSpace};
@@ -18,11 +18,13 @@ use super::{PeelBackend, PeelSpace};
 pub struct EdgeSpace<'g> {
     g: &'g CsrGraph,
     supports: OnceLock<Vec<u32>>,
-    /// The degeneracy orientation the support count listed triangles
-    /// over, parked until the fused record fill lists them again (so a
-    /// prepare orients the graph once); the fill takes and frees it. A
-    /// space that never materializes keeps it until it is dropped.
-    oriented: Mutex<Option<OrientedAdjacency>>,
+    /// The support count's per-worker tallies, with the degeneracy
+    /// orientation and root ranges they were counted over, parked until
+    /// the fused record fill lists the same triangles again (so a
+    /// prepare orients the graph once and the fill's workers write
+    /// through private cursors); the fill takes and frees them. A space
+    /// that never materializes keeps them until it is dropped.
+    tallies: Mutex<Option<SupportTallies>>,
     threads: usize,
 }
 
@@ -42,7 +44,7 @@ impl<'g> EdgeSpace<'g> {
         EdgeSpace {
             g,
             supports: OnceLock::new(),
-            oriented: Mutex::new(None),
+            tallies: Mutex::new(None),
             threads,
         }
     }
@@ -52,10 +54,10 @@ impl<'g> EdgeSpace<'g> {
         self.g
     }
 
-    fn parked(&self) -> MutexGuard<'_, Option<OrientedAdjacency>> {
-        self.oriented
+    fn parked(&self) -> MutexGuard<'_, Option<SupportTallies>> {
+        self.tallies
             .lock()
-            .expect("no thread panics while holding the parked orientation")
+            .expect("no thread panics while holding the parked tallies")
     }
 }
 
@@ -67,9 +69,9 @@ impl PeelBackend for EdgeSpace<'_> {
     fn degrees(&self) -> Vec<u32> {
         self.supports
             .get_or_init(|| {
-                let oriented = OrientedAdjacency::build(self.g);
-                let supports = edge_supports_oriented(&oriented, self.threads);
-                *self.parked() = Some(oriented);
+                let tallies = SupportTallies::count(OrientedAdjacency::build(self.g), self.threads);
+                let supports = tallies.supports();
+                *self.parked() = Some(tallies);
                 supports
             })
             .clone()
@@ -114,8 +116,9 @@ impl PeelSpace for EdgeSpace<'_> {
 
     fn fused_records(&self, offsets: &[usize], threads: usize) -> Option<Vec<u32>> {
         let parked = self.parked().take();
-        let oriented = parked.unwrap_or_else(|| OrientedAdjacency::build(self.g));
-        Some(edge_companion_records(self.g, &oriented, offsets, threads))
+        let tallies = parked
+            .unwrap_or_else(|| SupportTallies::count(OrientedAdjacency::build(self.g), threads));
+        Some(edge_companion_records(self.g, tallies, offsets, threads))
     }
 }
 

@@ -12,13 +12,22 @@ use nucleus_graph::persist_io::{hash64, FILE_HASH_RANGE, FORMAT_VERSION};
 use nucleus_graph::CsrGraph;
 use rand::{Rng, SeedableRng};
 
-/// A valid index image for the karate club's (2,3) space, produced
-/// through the real save path.
+/// A valid index image for the karate club's `kind` space, produced
+/// through the real save path. Every call saves to a path of its own:
+/// tests run in parallel, and two of them sharing a file could read it
+/// half-written or after the other removed it.
 fn valid_image(kind: Kind) -> (CsrGraph, Vec<u8>) {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static COUNTER: AtomicUsize = AtomicUsize::new(0);
     let g = nucleus_gen::karate::karate_club();
     let dir = std::env::temp_dir().join("nucleus-persist-adversarial");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{}-{}.nidx", std::process::id(), kind.name()));
+    let path = dir.join(format!(
+        "{}-{}-{}.nidx",
+        std::process::id(),
+        COUNTER.fetch_add(1, Ordering::Relaxed),
+        kind.name()
+    ));
     Nucleus::builder(&g)
         .kind(kind)
         .backend(Backend::Materialized)

@@ -324,6 +324,40 @@ impl Bencher {
             }
         }
     }
+
+    /// Times `routine` on a fresh input from `setup` per call; only
+    /// `routine` is timed, so a routine that consumes its input (or
+    /// needs it unmodified) pays nothing for making it.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        let warm_until = Instant::now() + self.warm_up;
+        loop {
+            black_box(routine(setup()));
+            if Instant::now() >= warm_until {
+                break;
+            }
+        }
+        while self.samples.len() < self.sample_size {
+            let input = setup();
+            let t0 = Instant::now();
+            black_box(routine(input));
+            self.samples.push(t0.elapsed());
+            if Instant::now() >= self.deadline {
+                break;
+            }
+        }
+    }
+}
+
+/// How many inputs [`Bencher::iter_batched`] makes at a time. The shim
+/// makes one per timed call whatever the size.
+#[derive(Clone, Copy, Debug)]
+pub enum BatchSize {
+    /// Inputs that are cheap to hold.
+    SmallInput,
 }
 
 fn run_one<F: FnMut(&mut Bencher)>(
