@@ -29,12 +29,9 @@
 //!   fill, over a space whose index and ω are already built;
 //! * `peel-only`, `dft-post-only`, `fnd-total` — the historical
 //!   Figure 6 rows, unchanged in meaning;
-//! * `hierarchy-assembly-serial/-tN` — `BuildHierarchy` (Alg. 9) alone,
-//!   over a pre-classified FND run (`fnd_classify`). Each iteration
-//!   clones the skeleton inside the timer; the clone cost is identical
-//!   in both rows, so the serial/parallel *difference* is the assembly
-//!   pass itself. The `-tN` row forces the worker path
-//!   (`min_parallel_work = 0`);
+//! * `hierarchy-assembly-serial` — `BuildHierarchy` (Alg. 9) alone,
+//!   over a pre-classified FND run (`fnd_classify`, Alg. 8). Each
+//!   iteration clones the skeleton inside the timer;
 //! * `prepare-total-t1/-tN` — the whole session prepare
 //!   (`Nucleus::builder(..).threads(t).prepare()`), the end-to-end
 //!   number users see.
@@ -44,8 +41,7 @@
 //! `enumerate + index-build + degrees-oriented + records` for (3,4).
 //!
 //! `-tN` uses every available CPU and at least 2, so on a single-core
-//! host it records spawn overhead as pure loss — same convention as
-//! `bench_peel_engine`. JSON results land in
+//! host it records spawn overhead as pure loss. JSON results land in
 //! `results/BENCH_phases_*.json`.
 //!
 //! `NUCLEUS_BENCH_SMOKE=1` shrinks the inputs and sampling so CI can
@@ -66,8 +62,8 @@ use nucleus_graph::flat::offsets_from_counts;
 use nucleus_graph::io::{read_edge_list, write_edge_list};
 use nucleus_graph::CsrGraph;
 
-/// Same generated models as `bench_peel_engine`, so prepare rows stay
-/// comparable with the peel rows measured there.
+/// A skewed R-MAT graph and two Barabási–Albert graphs, dense and
+/// sparse.
 fn inputs() -> Vec<(&'static str, CsrGraph)> {
     if smoke() {
         return vec![("ba-n2000", nucleus_gen::ba::barabasi_albert(2_000, 4, 7))];
@@ -104,15 +100,14 @@ fn configure(group: &mut criterion::BenchmarkGroup<'_>) {
     }
 }
 
-/// The assembly-only rows, shared between the two spaces: classify once
+/// The assembly-only row, shared between the two spaces: classify once
 /// outside the timer, then re-run `BuildHierarchy` per iteration on a
 /// fresh clone of the skeleton.
-fn bench_assembly<S: nucleus_core::space::PeelSpace + Sync>(
+fn bench_assembly<S: nucleus_core::space::PeelSpace>(
     group: &mut criterion::BenchmarkGroup<'_>,
     name: &str,
     mat: &IndexedSpace<'_, S>,
 ) {
-    let tn = all_threads();
     let classified = fnd_classify(mat, FndOptions::default(), FrontierOptions::default());
     let max_lambda = classified.peeling.max_lambda;
     group.bench_with_input(
@@ -121,18 +116,7 @@ fn bench_assembly<S: nucleus_core::space::PeelSpace + Sync>(
         |b, cl| {
             b.iter(|| {
                 let mut sk = cl.skeleton.clone();
-                build_hierarchy(&mut sk, &cl.adj, max_lambda, 1, usize::MAX);
-                sk.len()
-            });
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new(format!("hierarchy-assembly-t{tn}"), name),
-        &classified,
-        |b, cl| {
-            b.iter(|| {
-                let mut sk = cl.skeleton.clone();
-                build_hierarchy(&mut sk, &cl.adj, max_lambda, tn, 0);
+                build_hierarchy(&mut sk, &cl.adj, max_lambda, 1, 0);
                 sk.len()
             });
         },

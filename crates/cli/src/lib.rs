@@ -34,6 +34,7 @@ use std::io::Write;
 use nucleus_core::algo::tcp::{tcp_query, TcpIndex};
 use nucleus_core::prelude::*;
 use nucleus_dynamic::{DynamicGraph, EdgeOp, UpdateReport};
+use nucleus_gen::rmat::RmatParams;
 use nucleus_graph::{io, CsrGraph};
 use nucleus_serve::{serve, Client, DynamicServeState, Request, ServeConfig, ServeState};
 
@@ -236,33 +237,58 @@ fn cmd_generate<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let model = args.need("model")?;
     let seed: u64 = args.num("seed", 42u64)?;
     let n: u32 = args.num("n", 1000u32)?;
+    // Every model's parameters are checked here, before generating, so
+    // a bad flag is an error naming it rather than a generator panic.
     let g = match model {
-        "er" => {
-            let p: f64 = args.num("p", 0.01f64)?;
-            nucleus_gen::er::gnp(n, p, seed)
-        }
-        "ba" => nucleus_gen::ba::barabasi_albert(n, args.num("m", 3u32)?, seed),
-        "hk" => {
-            nucleus_gen::holme_kim::holme_kim(n, args.num("m", 3u32)?, args.num("p", 0.7f64)?, seed)
-        }
-        "rmat" => nucleus_gen::rmat::rmat(
-            args.num("scale", 12u32)?,
-            args.num("m", 8u32)?,
-            nucleus_gen::rmat::RmatParams::skewed(),
+        "er" => nucleus_gen::er::gnp(n, probability(args, "p", 0.01)?, seed),
+        "ba" => nucleus_gen::ba::barabasi_albert(n, attachments(args, n)?, seed),
+        "hk" => nucleus_gen::holme_kim::holme_kim(
+            n,
+            attachments(args, n)?,
+            probability(args, "p", 0.7)?,
             seed,
         ),
+        "rmat" => {
+            let scale: u32 = args.num("scale", 12u32)?;
+            if scale > 31 {
+                return Err(format!(
+                    "--scale must be at most 31 (vertex ids are 32-bit), got {scale}"
+                ));
+            }
+            let edge_factor = args.num("m", 8u32)?;
+            nucleus_gen::rmat::rmat(scale, edge_factor, RmatParams::skewed(), seed)
+        }
         "ws" => {
-            nucleus_gen::ws::watts_strogatz(n, args.num("k", 6u32)?, args.num("p", 0.1f64)?, seed)
+            let k: u32 = args.num("k", 6u32)?;
+            if !(k.is_multiple_of(2) && k >= 2 && k < n) {
+                return Err(format!(
+                    "--k must be even, at least 2 and below --n ({n}), got {k}"
+                ));
+            }
+            nucleus_gen::ws::watts_strogatz(n, k, probability(args, "p", 0.1)?, seed)
         }
-        "planted" => nucleus_gen::planted::planted_partition(
-            args.num("blocks", 10u32)?,
-            args.num("block-size", 50u32)?,
-            args.num("p-in", 0.3f64)?,
-            args.num("p-out", 0.01f64)?,
-            seed,
-        ),
+        "planted" => {
+            let blocks: u32 = args.num("blocks", 10u32)?;
+            let block_size: u32 = args.num("block-size", 50u32)?;
+            if blocks.checked_mul(block_size).is_none() {
+                return Err(format!(
+                    "--blocks × --block-size must fit 32-bit vertex ids, got {blocks} × {block_size}"
+                ));
+            }
+            nucleus_gen::planted::planted_partition(
+                blocks,
+                block_size,
+                probability(args, "p-in", 0.3)?,
+                probability(args, "p-out", 0.01)?,
+                seed,
+            )
+        }
         "cliques" => {
-            nucleus_gen::planted::planted_cliques(args.num("count", 20u32)?, &[10, 16, 22], seed)
+            let count: u32 = args.num("count", 20u32)?;
+            if count == 0 {
+                return Err("--count must be at least 1".to_string());
+            }
+            nucleus_gen::planted::planted_cliques(count, &[10, 16, 22], seed)
         }
         "karate" => nucleus_gen::karate::karate_club(),
         other => return Err(format!("unknown model {other:?}")),
@@ -272,6 +298,28 @@ fn cmd_generate<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     io::write_edge_list(&g, file).map_err(|e| e.to_string())?;
     let _ = writeln!(out, "wrote {path}: {} vertices, {} edges", g.n(), g.m());
     Ok(())
+}
+
+/// A probability flag of `generate`: a number in [0, 1].
+fn probability(args: &Args, name: &str, default: f64) -> Result<f64, String> {
+    let p: f64 = args.num(name, default)?;
+    if (0.0..=1.0).contains(&p) {
+        Ok(p)
+    } else {
+        Err(format!("--{name} must be in [0, 1], got {p}"))
+    }
+}
+
+/// `--m` of the preferential-attachment models: the links each new
+/// vertex makes, at least 1 and below `--n`.
+fn attachments(args: &Args, n: u32) -> Result<u32, String> {
+    let m: u32 = args.num("m", 3u32)?;
+    if m == 0 || m >= n {
+        return Err(format!(
+            "--m must be at least 1 and below --n ({n}), got {m}"
+        ));
+    }
+    Ok(m)
 }
 
 // Spelling → value parsing lives in nucleus-core (`Kind::parse` & co.),

@@ -3,14 +3,10 @@
 //! the hierarchy-skeleton with the root-augmented disjoint-set forest.
 //!
 //! The only property DFT needs from [`Peeling::order`] is
-//! **λ-monotonicity** (walking it in reverse must enumerate cells in
+//! **λ-monotonicity**: walking it in reverse must enumerate cells in
 //! non-increasing λ, so every deeper sub-nucleus is already wired when
-//! a shallower one reaches it). Both peeling engines guarantee exactly
-//! that — the serial bucket queue by construction, the frontier engine
-//! by emitting whole λ-level rounds ([`crate::peel::peel_with_sink`]) —
-//! so DFT runs unchanged on either, and the equal-λ permutation
-//! differences between them cannot change the canonical hierarchy (the
-//! engine-equivalence proptests pin this).
+//! a shallower one reaches it. The serial bucket queue
+//! ([`crate::peel::peel`]) guarantees it by construction.
 
 use crate::hierarchy::{Hierarchy, NO_NODE};
 use crate::peel::Peeling;

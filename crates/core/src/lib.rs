@@ -60,12 +60,13 @@ pub mod weighted;
 #[cfg(test)]
 pub(crate) mod test_graphs;
 
+pub use algo::fnd::FrontierOptions;
 pub use decompose::{
     decompose, hypo_baseline, Algorithm, Backend, Decomposition, Kind, PhaseTimes,
 };
 pub use error::CoreError;
 pub use hierarchy::{Hierarchy, HierarchyNode};
-pub use peel::{peel, peel_with_sink, FrontierOptions, PeelSink, Peeling};
+pub use peel::{peel, Peeling};
 pub use persist::PreparedIndex;
 pub use plan::Plan;
 pub use session::{Nucleus, NucleusBuilder, Prepared};
@@ -73,8 +74,8 @@ pub use session::{Nucleus, NucleusBuilder, Prepared};
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::algo::fnd::{
-        build_hierarchy, fnd, fnd_classify, fnd_parallel_with, fnd_with_options, FndClassified,
-        FndOptions,
+        build_hierarchy, fnd, fnd_classify, fnd_with_options, FndClassified, FndOptions,
+        FrontierOptions,
     };
     pub use crate::algo::lcps::lcps;
     pub use crate::algo::tcp::{tcp_query, TcpIndex};
@@ -84,13 +85,13 @@ pub mod prelude {
     };
     pub use crate::export::{extract_nucleus, hierarchy_to_dot, ExtractedSubgraph};
     pub use crate::hierarchy::{Hierarchy, HierarchyNode};
-    pub use crate::peel::{peel, peel_with_sink, FrontierOptions, PeelSink, Peeling};
+    pub use crate::peel::{peel, Peeling};
     pub use crate::persist::PreparedIndex;
     pub use crate::plan::Plan;
     pub use crate::report::{describe, nucleus_vertices, render_tree, summarize_nucleus};
     pub use crate::session::{Nucleus, NucleusBuilder, Prepared};
     pub use crate::space::{
-        ContainerIndex, EdgeK4Space, EdgeSpace, IndexedSpace, PeelBackend, PeelCells, PeelSpace,
+        ContainerIndex, EdgeK4Space, EdgeSpace, IndexedSpace, PeelBackend, PeelSpace,
         TriangleSpace, VertexSpace, VertexTriangleSpace,
     };
     pub use crate::weighted::{weighted_core_decomposition, weighted_core_numbers};

@@ -60,7 +60,7 @@ use crate::algo::lcps::lcps;
 use crate::algo::naive::naive;
 use crate::decompose::{Algorithm, Backend, Decomposition, Kind, PhaseTimes, SkeletonStats};
 use crate::error::CoreError;
-use crate::peel::{effective_threads, peel};
+use crate::peel::peel;
 use crate::plan::{self, format_bytes, Plan};
 use crate::space::{
     ContainerIndex, EdgeK4Space, EdgeSpace, IndexedSpace, PeelBackend, PeelSpace, TriangleSpace,
@@ -299,6 +299,15 @@ impl<'g> NucleusBuilder<'g> {
             enumeration: "skipped (persisted index)".to_string(),
             prep_time: t0.elapsed(),
         })
+    }
+}
+
+/// A worker-thread setting with `0` resolved to the CPU count.
+fn effective_threads(threads: usize) -> usize {
+    if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
     }
 }
 

@@ -37,14 +37,6 @@
 //! [`crate::decompose::Backend`] (`Auto` materializes when the
 //! estimated index fits a size cap) or the `nucleus` CLI's
 //! `--backend {auto,lazy,materialized}` flag.
-//!
-//! The materialized backend is also the substrate of the
-//! **frontier-parallel peeling engine** ([`crate::peel::peel_with_sink`],
-//! which only [`crate::algo::fnd::fnd_parallel_with`] rides): processing
-//! a whole λ-level per round only pays off when each participant's
-//! container scan is a flat [`ContainerIndex`] read, and the engine's
-//! container-liveness accounting lives in [`PeelCells`] alongside the
-//! index.
 
 /// The container-enumeration contract every peeling algorithm drives.
 ///
@@ -109,7 +101,7 @@ pub mod vertex_triangle;
 
 pub use edge::EdgeSpace;
 pub use edge_k4::EdgeK4Space;
-pub use materialized::{ContainerIndex, IndexedSpace, PeelCells};
+pub use materialized::{ContainerIndex, IndexedSpace};
 pub use triangle::TriangleSpace;
 pub use vertex::VertexSpace;
 pub use vertex_triangle::VertexTriangleSpace;

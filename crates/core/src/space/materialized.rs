@@ -13,7 +13,6 @@
 //! it unchanged.
 
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use nucleus_cliques::{balanced_ranges, fill_ranges_scoped};
 use nucleus_graph::flat::{offsets_from_counts, FlatRecords};
@@ -21,163 +20,6 @@ use nucleus_graph::persist_io::{self, GraphFingerprint, IndexImage};
 use nucleus_graph::GraphError;
 
 use super::{PeelBackend, PeelSpace};
-
-/// Per-cell peeling state for the frontier engine: a *processed flag*
-/// (the round the cell was peeled in, [`PeelCells::ALIVE`] while it has
-/// not been) packed into one atomic word with the cell's live ω, shared
-/// across worker threads with relaxed atomics.
-///
-/// The processed flags are how the engine decides container liveness in
-/// O(1) per co-cell: a container is **dead** as soon as any member
-/// carries a stamp from an earlier round (it was accounted for when
-/// that member was peeled), and among members peeled in the *same*
-/// round the one with the smallest cell id owns the container's
-/// decrements — so every dead container decrements each surviving
-/// co-cell exactly once, the accounting the serial loop performs one
-/// cell at a time via `is_popped` rescans.
-///
-/// Packing the flag and ω into a single `u64` is deliberate: the
-/// engine's hot loop asks two questions per co-cell — "is this
-/// container dead?" (stamp) and "may this co-cell be decremented?"
-/// (ω vs. the level floor) — and one packed word answers both with a
-/// single cache-line touch, instead of two random accesses into
-/// separate arrays. It also makes the concurrent saturating decrement a
-/// plain compare-exchange: any cell whose ω is still above the floor is
-/// necessarily un-stamped (peeled cells froze their ω at a value ≤ the
-/// floor), so the replacement word always carries the `ALIVE` stamp.
-///
-/// Rounds are globally increasing across λ levels, so the stamps double
-/// as a peeled/alive bitmap ([`PeelCells::is_processed`]).
-#[derive(Debug)]
-pub struct PeelCells {
-    /// `stamp << 32 | omega` per cell.
-    words: Vec<AtomicU64>,
-}
-
-/// One packed word.
-#[inline]
-const fn pack(stamp: u32, omega: u32) -> u64 {
-    ((stamp as u64) << 32) | omega as u64
-}
-
-impl PeelCells {
-    /// Stamp of a cell that has not been peeled yet. Real round numbers
-    /// are bounded by ~2× the cell count (hybrid drains assign each
-    /// drained cell a fresh stamp, frontier rounds share one per
-    /// round), and cell counts stay below `u32::MAX / 2`, so the
-    /// sentinel cannot collide.
-    pub const ALIVE: u32 = u32::MAX;
-
-    /// All-alive state from the initial ω degrees.
-    pub fn new(degrees: &[u32]) -> Self {
-        PeelCells {
-            words: degrees
-                .iter()
-                .map(|&d| AtomicU64::new(pack(Self::ALIVE, d)))
-                .collect(),
-        }
-    }
-
-    /// Number of cells covered.
-    pub fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// `true` when no cells are covered.
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    /// `(stamp, ω)` of one cell in a single load.
-    #[inline]
-    pub fn load(&self, cell: u32) -> (u32, u32) {
-        let w = self.words[cell as usize].load(Ordering::Relaxed);
-        ((w >> 32) as u32, w as u32)
-    }
-
-    /// The round `cell` was peeled in, or [`PeelCells::ALIVE`].
-    #[inline]
-    pub fn stamp(&self, cell: u32) -> u32 {
-        self.load(cell).0
-    }
-
-    /// The live ω of `cell` (frozen at its final value once peeled).
-    #[inline]
-    pub fn omega(&self, cell: u32) -> u32 {
-        self.load(cell).1
-    }
-
-    /// Whether `cell` has been peeled in any round.
-    #[inline]
-    pub fn is_processed(&self, cell: u32) -> bool {
-        self.stamp(cell) != Self::ALIVE
-    }
-
-    /// Records that `cell` was peeled in `round`, preserving its ω.
-    /// Called between rounds (never concurrently with readers of the
-    /// same round), so a relaxed load + store pair suffices; the
-    /// `std::thread::scope` joins publish the stores to the next
-    /// round's workers.
-    #[inline]
-    pub fn mark(&self, cell: u32, round: u32) {
-        let w = self.words[cell as usize].load(Ordering::Relaxed);
-        self.mark_with_omega(cell, round, w as u32);
-    }
-
-    /// [`PeelCells::mark`] when the caller already holds the cell's
-    /// current ω (the level-opening scan does) — a single store.
-    #[inline]
-    pub fn mark_with_omega(&self, cell: u32, round: u32, omega: u32) {
-        debug_assert_ne!(round, Self::ALIVE, "round collides with sentinel");
-        debug_assert_eq!(self.omega(cell), omega, "stale ω");
-        self.words[cell as usize].store(pack(round, omega), Ordering::Relaxed);
-    }
-
-    /// Saturating decrement with the `ω > floor` guard, **single-writer
-    /// variant**: plain relaxed load + store (compiles to two moves; no
-    /// compare-exchange). Only sound when no other thread decrements
-    /// concurrently — the engine's inline rounds. Returns `true` when
-    /// the decrement performed the `floor + 1 → floor` transition, i.e.
-    /// the cell just joined the level's next frontier.
-    #[inline]
-    pub fn dec_above(&self, cell: u32, floor: u32) -> bool {
-        let w = self.words[cell as usize].load(Ordering::Relaxed);
-        let om = w as u32;
-        if om > floor {
-            debug_assert_eq!((w >> 32) as u32, Self::ALIVE, "ω above floor ⟹ unpeeled");
-            self.words[cell as usize].store(pack(Self::ALIVE, om - 1), Ordering::Relaxed);
-            om == floor + 1
-        } else {
-            false
-        }
-    }
-
-    /// [`PeelCells::dec_above`] for concurrent rounds: a
-    /// compare-exchange loop, so racing decrements each take effect
-    /// exactly once and exactly one caller observes the
-    /// `floor + 1 → floor` transition.
-    #[inline]
-    pub fn dec_above_atomic(&self, cell: u32, floor: u32) -> bool {
-        let slot = &self.words[cell as usize];
-        let mut cur = slot.load(Ordering::Relaxed);
-        loop {
-            let om = cur as u32;
-            if om <= floor {
-                return false;
-            }
-            debug_assert_eq!((cur >> 32) as u32, Self::ALIVE, "ω above floor ⟹ unpeeled");
-            match slot.compare_exchange_weak(
-                cur,
-                pack(Self::ALIVE, om - 1),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return om == floor + 1,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-}
 
 /// `C(s, r) - 1`: co-cells per container record for an (r, s) space.
 ///
@@ -548,44 +390,6 @@ mod tests {
         let vs = VertexSpace::new(&g);
         let index = ContainerIndex::build(&vs, 2);
         assert_eq!(IndexedSpace::new(&vs, &index).cell_count(), 0);
-    }
-
-    #[test]
-    fn peel_cells_stamps_and_sentinel() {
-        let s = PeelCells::new(&[4, 0, 7]);
-        assert_eq!(s.len(), 3);
-        assert!(!s.is_empty());
-        assert!((0..3).all(|c| !s.is_processed(c)));
-        assert_eq!(s.load(0), (PeelCells::ALIVE, 4));
-        s.mark(1, 0);
-        s.mark(2, 5);
-        assert!(s.is_processed(1));
-        assert_eq!(s.stamp(1), 0);
-        assert_eq!(s.load(2), (5, 7)); // mark preserves ω
-        assert!(!s.is_processed(0));
-        assert!(PeelCells::new(&[]).is_empty());
-    }
-
-    #[test]
-    fn peel_cells_guarded_decrements() {
-        for atomic in [false, true] {
-            let s = PeelCells::new(&[3, 1, 0]);
-            let dec = |c, f| {
-                if atomic {
-                    s.dec_above_atomic(c, f)
-                } else {
-                    s.dec_above(c, f)
-                }
-            };
-            assert!(!dec(0, 1), "3 → 2 is not the crossing transition");
-            assert_eq!(s.omega(0), 2);
-            assert!(dec(0, 1), "2 → 1 crosses to the floor");
-            assert!(!dec(0, 1), "saturates at the floor");
-            assert_eq!(s.omega(0), 1);
-            assert!(!dec(2, 0), "ω = 0 never decremented");
-            assert!(dec(1, 0));
-            assert_eq!(s.omega(1), 0);
-        }
     }
 
     #[test]

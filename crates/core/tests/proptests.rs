@@ -5,12 +5,12 @@
 use proptest::prelude::*;
 
 use nucleus_core::algo::dft::dft;
-use nucleus_core::algo::fnd::{fnd, fnd_parallel_with, FndOptions};
+use nucleus_core::algo::fnd::{build_hierarchy, fnd, fnd_classify, FndOptions, FndOutcome};
 use nucleus_core::algo::lcps::lcps;
 use nucleus_core::algo::naive::naive;
 use nucleus_core::algo::tcp::{tcp_query, TcpIndex};
 use nucleus_core::decompose::{Algorithm, Backend, Decomposition, Kind};
-use nucleus_core::peel::{peel, peel_reference, FrontierOptions};
+use nucleus_core::peel::{peel, peel_reference};
 use nucleus_core::persist::PreparedIndex;
 use nucleus_core::plan;
 use nucleus_core::session::Nucleus;
@@ -20,6 +20,7 @@ use nucleus_core::space::{
     VertexSpace, VertexTriangleSpace,
 };
 use nucleus_core::validate::check_semantics;
+use nucleus_core::FrontierOptions;
 use nucleus_graph::flat::{offsets_from_counts, FlatRecords};
 use nucleus_graph::persist_io::{encode_index, graph_fingerprint};
 use nucleus_graph::CsrGraph;
@@ -81,15 +82,14 @@ fn saved_index_bytes(g: &CsrGraph, kind: Kind, threads: usize) -> Vec<u8> {
 /// * the per-family ω-degree kernels (edge supports, per-vertex triangle
 ///   counts, per-edge K4 degrees, and the per-triangle K4 count that
 ///   lists each K4 once, against serial `k4_degrees`) that feed the
-///   peeling engines;
+///   peeling loop;
 /// * the fused container-record fills — (2,3) scattered from the
 ///   oriented triangle listing, (3,4) from the space's index — against
 ///   the lazy per-cell enumeration, record for record, and the bytes
 ///   `Prepared::save` writes against an image encoded from it;
 /// * the whole prepared pipeline: `prepare` → FND at every thread count
 ///   must produce identical λ, peeling order and hierarchy for all five
-///   kinds (`check_engine_equivalence` separately forces the parallel
-///   `build_hierarchy` path via `min_parallel_work: 0`).
+///   kinds.
 fn check_prepare_equivalence(g: &CsrGraph) {
     use nucleus_cliques::four_cliques::k4_degrees;
     use nucleus_cliques::triangles::edge_supports;
@@ -215,8 +215,11 @@ fn check_space_agreement<S: PeelSpace>(space: &S) {
 /// Pins the materialized backend to the lazy one: identical ω degrees,
 /// identical peeling (λ **and** processing order — the flat index must
 /// replay the lazy enumeration order exactly), and identical FND
-/// hierarchies, for any space.
+/// hierarchies, for any space. On both backends, FND's public halves
+/// composed by hand ([`check_fnd_split`]) give `fnd`'s result too.
 fn check_backend_equivalence<S: PeelSpace + Sync>(space: &S) {
+    let lazy_fnd = fnd(space);
+    check_fnd_split(space, &lazy_fnd);
     for threads in [1, 3] {
         let index = ContainerIndex::build(space, threads);
         let mat = IndexedSpace::new(space, &index);
@@ -225,62 +228,33 @@ fn check_backend_equivalence<S: PeelSpace + Sync>(space: &S) {
         let mat_peel = peel(&mat);
         assert_eq!(lazy_peel.lambda, mat_peel.lambda, "λ");
         assert_eq!(lazy_peel.order, mat_peel.order, "peeling order");
-        let lazy_fnd = fnd(space);
         let mat_fnd = fnd(&mat);
         assert_eq!(lazy_fnd.hierarchy, mat_fnd.hierarchy, "FND hierarchy");
         check_semantics(&mat, &mat_fnd.hierarchy).expect("materialized semantics");
+        check_fnd_split(&mat, &lazy_fnd);
     }
 }
 
-/// Pins the frontier FND ([`fnd_parallel_with`]) to serial FND on any
-/// space, at 1, 2 and 8 threads with the spawn path forced
-/// (`min_parallel_work: 0`) and with the hybrid drain both disabled
-/// (`0`) and aggressive (`3` — most rounds on these small graphs fall
-/// below it), checking everything downstream consumers rely on: on the
-/// peeling it returns, identical λ and a λ-monotone permutation order
-/// that is identical across thread counts, with the DFT hierarchy over
-/// that order matching serial DFT; and a hierarchy bit-identical to
-/// serial FND.
-fn check_engine_equivalence<S: PeelSpace + Sync>(space: &S) {
-    let serial = peel(space);
-    let index = ContainerIndex::build(space, 2);
-    let mat = IndexedSpace::new(space, &index);
-    // thread-count-invariant references, computed once
-    let (h_serial, _) = dft(&mat, &serial);
-    let h_fnd = fnd(space).hierarchy;
-    for serial_round_threshold in [0usize, 3] {
-        let mut orders: Vec<Vec<u32>> = vec![];
-        for threads in [1usize, 2, 8] {
-            let options = FrontierOptions {
-                threads,
-                min_parallel_work: 0,
-                serial_round_threshold,
-            };
-            let label = format!("{threads} threads, drain below {serial_round_threshold}");
-            let par_fnd = fnd_parallel_with(&mat, FndOptions::default(), options);
-            assert_eq!(h_fnd, par_fnd.hierarchy, "FND hierarchy at {label}");
-            let par = par_fnd.peeling;
-            assert_eq!(par.lambda, serial.lambda, "λ at {label}");
-            assert_eq!(par.max_lambda, serial.max_lambda, "max λ");
-            // the order is a λ-monotone permutation of all cells
-            let mut last = 0u32;
-            for &c in &par.order {
-                assert!(par.lambda_of(c) >= last, "λ-monotone order");
-                last = par.lambda_of(c);
-            }
-            let mut sorted = par.order.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, (0..space.cell_count() as u32).collect::<Vec<_>>());
-            // the DFT hierarchy over the frontier order matches the
-            // serial one
-            let (h_par, _) = dft(&mat, &par);
-            assert_eq!(h_serial, h_par, "DFT hierarchy at {label}");
-            orders.push(par.order);
-        }
-        // deterministic: the emitted order is thread-count independent
-        // (it may legitimately differ across drain thresholds)
-        assert!(orders.windows(2).all(|w| w[0] == w[1]), "order determinism");
-    }
+/// The split the repository benchmark's layer probe runs:
+/// [`fnd_classify`] (Alg. 8), then [`build_hierarchy`] (Alg. 9), then
+/// `into_hierarchy`, with the ignored parallel-only arguments set. The
+/// classified peeling must be `want`'s λ and order, and the hierarchy
+/// `want`'s.
+fn check_fnd_split<S: PeelSpace>(space: &S, want: &FndOutcome) {
+    let frontier = FrontierOptions {
+        threads: 8,
+        min_parallel_work: 0,
+    };
+    let cl = fnd_classify(space, FndOptions::default(), frontier);
+    assert_eq!(cl.peeling.lambda, want.peeling.lambda, "classified λ");
+    assert_eq!(cl.peeling.order, want.peeling.order, "classified order");
+    let max_lambda = cl.peeling.max_lambda;
+    let mut sk = cl.skeleton;
+    build_hierarchy(&mut sk, &cl.adj, max_lambda, 8, 0);
+    let h = sk
+        .into_raw()
+        .into_hierarchy(space.r(), space.s(), cl.peeling.lambda, max_lambda);
+    assert_eq!(h, want.hierarchy, "fnd_classify + build_hierarchy");
 }
 
 /// Pins every builder session to the lazy reference session for one
@@ -429,49 +403,8 @@ fn prepare_equivalence_on_rmat_and_degenerate_graphs() {
     }
 }
 
-/// Deterministic multi-model coverage for the engine equivalence: one
-/// Erdős–Rényi and one Barabási–Albert graph per space family (the
-/// proptests below cover the adversarial random cases).
-#[test]
-fn engine_equivalence_on_er_and_ba_models() {
-    let er = nucleus_gen::er::gnp(120, 0.08, 3);
-    let ba = nucleus_gen::ba::barabasi_albert(150, 4, 3);
-    for g in [&er, &ba] {
-        check_engine_equivalence(&VertexSpace::new(g));
-        check_engine_equivalence(&EdgeSpace::new(g));
-        check_engine_equivalence(&TriangleSpace::new(g));
-        check_engine_equivalence(&VertexTriangleSpace::new(g));
-        check_engine_equivalence(&EdgeK4Space::new(g));
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn engine_equivalence_core(g in graph_strategy(24, 80)) {
-        check_engine_equivalence(&VertexSpace::new(&g));
-    }
-
-    #[test]
-    fn engine_equivalence_truss(g in graph_strategy(16, 60)) {
-        check_engine_equivalence(&EdgeSpace::new(&g));
-    }
-
-    #[test]
-    fn engine_equivalence_nucleus34(g in graph_strategy(12, 50)) {
-        check_engine_equivalence(&TriangleSpace::new(&g));
-    }
-
-    #[test]
-    fn engine_equivalence_vertex_triangle(g in graph_strategy(14, 50)) {
-        check_engine_equivalence(&VertexTriangleSpace::new(&g));
-    }
-
-    #[test]
-    fn engine_equivalence_edge_k4(g in graph_strategy(10, 40)) {
-        check_engine_equivalence(&EdgeK4Space::new(&g));
-    }
 
     #[test]
     fn prepare_equivalence(g in graph_strategy(14, 55)) {

@@ -2,14 +2,10 @@
 
 //! Disjoint-set forests for dense-subgraph hierarchy construction.
 //!
-//! Three structures are provided:
+//! Two structures are provided:
 //!
 //! * [`DisjointSets`] — the textbook union-find with union-by-rank and
 //!   path compression (Algorithm 4 of Sarıyüce & Pinar, VLDB 2016);
-//! * [`ConcurrentSets`] — a lock-free shared-memory variant (single
-//!   `AtomicU64` per node, CAS-linked unions, CAS path-halving) whose
-//!   final partition is independent of union interleaving — the merge
-//!   structure behind the parallel FND peel;
 //! * [`RootedForest`] — the paper's *new* variant (Algorithm 7), where
 //!   each node carries **two** pointers:
 //!   - `parent`: the permanent link of the hierarchy-skeleton tree
@@ -22,9 +18,7 @@
 //!   amortized-inverse-Ackermann fast.
 
 pub mod classic;
-pub mod concurrent;
 pub mod rooted;
 
 pub use classic::DisjointSets;
-pub use concurrent::ConcurrentSets;
 pub use rooted::RootedForest;

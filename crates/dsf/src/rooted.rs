@@ -76,35 +76,6 @@ impl RootedForest {
         self.root[x as usize] == NONE
     }
 
-    /// Read-only `Find-r`: the greatest ancestor of `x`, touching no
-    /// pointer at all. Returns exactly what [`find_r`](Self::find_r)
-    /// would, so concurrent hint passes can pre-resolve tops over a
-    /// shared reference while a later exclusive pass compresses.
-    #[inline]
-    pub fn peek_r(&self, x: u32) -> u32 {
-        let mut top = x;
-        while self.root[top as usize] != NONE {
-            top = self.root[top as usize];
-        }
-        top
-    }
-
-    /// Installs a compression shortcut in O(1): points `x`'s overlay
-    /// pointer straight at `top`, which **must** be `x`'s current
-    /// greatest ancestor (what [`peek_r`](Self::peek_r) returns) — the
-    /// caller knows it from an earlier hint resolution. `parent` links
-    /// are never touched.
-    ///
-    /// # Panics
-    /// In debug builds, panics if `top` is not `x`'s greatest ancestor.
-    #[inline]
-    pub fn compress_to(&mut self, x: u32, top: u32) {
-        debug_assert_eq!(self.peek_r(x), top, "compress_to needs x's true top");
-        if x != top {
-            self.root[x as usize] = top;
-        }
-    }
-
     /// `Find-r`: the greatest ancestor of `x`, compressing `root`
     /// pointers along the way. `parent` pointers are never touched.
     pub fn find_r(&mut self, x: u32) -> u32 {
@@ -262,26 +233,6 @@ mod tests {
         let orphans: Vec<u32> = f.orphans().collect();
         assert_eq!(orphans.len(), 2); // surviving top + c
         assert!(orphans.contains(&c));
-    }
-
-    #[test]
-    fn peek_matches_find_without_compressing() {
-        let mut f = RootedForest::new();
-        let nodes: Vec<u32> = (0..10).map(|_| f.push()).collect();
-        for w in nodes.windows(2) {
-            f.attach(w[0], w[1]);
-        }
-        let top = *nodes.last().unwrap();
-        // peek agrees with find but leaves the chain unflattened
-        assert_eq!(f.peek_r(nodes[0]), top);
-        assert_eq!(f.root[nodes[0] as usize], nodes[1]);
-        // an O(1) shortcut then matches what find_r would have written
-        f.compress_to(nodes[0], top);
-        assert_eq!(f.root[nodes[0] as usize], top);
-        assert_eq!(f.find_r(nodes[0]), top);
-        // compressing a top to itself is a no-op
-        f.compress_to(top, top);
-        assert!(f.is_top(top));
     }
 
     #[test]

@@ -44,7 +44,13 @@ impl RmatParams {
 /// Generates an undirected R-MAT graph with `2^scale` vertices and
 /// (up to) `edge_factor · 2^scale` edges; self-loops and duplicates are
 /// removed, so the final edge count is slightly lower.
+///
+/// # Panics
+/// Panics if `scale > 31` (vertex ids are `u32`, and the vertex count
+/// `2^scale` must fit one too) or if the quadrant probabilities do not
+/// sum to 1.
 pub fn rmat(scale: u32, edge_factor: u32, params: RmatParams, seed: u64) -> CsrGraph {
+    assert!(scale <= 31, "need scale <= 31 for 32-bit vertex ids");
     let sum = params.a + params.b + params.c + params.d;
     assert!(
         (sum - 1.0).abs() < 1e-9,
