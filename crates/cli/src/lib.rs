@@ -123,6 +123,20 @@ const COMMAND_FLAGS: &[(&str, &str)] = &[
     ),
 ];
 
+/// The flags each `generate` model reads besides `--seed`, as
+/// [`USAGE`] pairs them. [`cmd_generate`] rejects any other model flag
+/// before generating.
+const MODEL_FLAGS: &[(&str, &str)] = &[
+    ("er", "n p"),
+    ("ba", "n m"),
+    ("hk", "n m p"),
+    ("ws", "n k p"),
+    ("rmat", "scale m"),
+    ("planted", "blocks block-size p-in p-out"),
+    ("cliques", "count"),
+    ("karate", ""),
+];
+
 /// Rejects any flag `args.command` does not read, naming the flag and
 /// the subcommand. Commands without an entry in [`COMMAND_FLAGS`]
 /// (help, unknown commands) take no flags worth checking.
@@ -235,6 +249,17 @@ fn load_graph(args: &Args) -> Result<CsrGraph, String> {
 
 fn cmd_generate<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let model = args.need("model")?;
+    if let Some((_, own)) = MODEL_FLAGS.iter().find(|(m, _)| *m == model) {
+        let reads = |f: &str| {
+            ["model", "out", "seed"].contains(&f) || own.split_whitespace().any(|o| o == f)
+        };
+        // `min` picks the same offender on every run (the map is unordered).
+        if let Some(flag) = args.flags.keys().filter(|f| !reads(f)).min() {
+            return Err(format!(
+                "--{flag} does not apply to --model {model} (see `nucleus help`)"
+            ));
+        }
+    }
     let seed: u64 = args.num("seed", 42u64)?;
     let n: u32 = args.num("n", 1000u32)?;
     // Every model's parameters are checked here, before generating, so
@@ -1322,5 +1347,44 @@ mod tests {
                 assert!(listed, "USAGE does not list {needle} (read by {command})");
             }
         }
+    }
+
+    #[test]
+    fn model_flags_match_usage_and_the_generate_row() {
+        // USAGE's "model flags" block: each model name, then its flags.
+        let block = USAGE.split("also takes --seed S):").nth(1).unwrap();
+        let block = block.split("examples:").next().unwrap();
+        let mut listed: Vec<(&str, Vec<&str>)> = vec![("karate", vec![])];
+        for tok in block.split_whitespace() {
+            if MODEL_FLAGS.iter().any(|(m, _)| *m == tok) {
+                listed.push((tok, vec![]));
+            } else if let (Some(flag), Some(last)) = (tok.strip_prefix("--"), listed.last_mut()) {
+                last.1.push(flag);
+            }
+        }
+        for (model, own) in MODEL_FLAGS {
+            let (_, flags) = listed.iter().find(|(m, _)| m == model).unwrap();
+            assert_eq!(
+                &own.split_whitespace().collect::<Vec<_>>(),
+                flags,
+                "{model}"
+            );
+        }
+        // `generate` reads exactly the models' flags plus these three.
+        let (_, row) = COMMAND_FLAGS
+            .iter()
+            .find(|(c, _)| *c == "generate")
+            .unwrap();
+        let mut row: Vec<&str> = row.split_whitespace().collect();
+        let mut union: Vec<&str> = ["model", "out", "seed"].into();
+        union.extend(
+            MODEL_FLAGS
+                .iter()
+                .flat_map(|(_, own)| own.split_whitespace()),
+        );
+        row.sort_unstable();
+        union.sort_unstable();
+        union.dedup();
+        assert_eq!(row, union);
     }
 }

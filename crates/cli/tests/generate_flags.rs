@@ -1,12 +1,12 @@
 //! `nucleus generate` through the binary: a model flag out of its
-//! generator's range exits 1 with an `error:` line naming the flag, and
-//! writes no output file.
+//! generator's range, or one its model does not read, exits 1 with an
+//! `error:` line naming the flag, and writes no output file.
 
 use std::process::Command;
 
 #[test]
 fn generate_rejects_out_of_range_model_flags() {
-    // (flag the error must name, the model flags after `generate`)
+    // (what the error must name, the model flags after `generate`)
     let cases: &[(&str, &[&str])] = &[
         ("--p", &["--model", "er", "--p", "1.5"]),
         ("--p", &["--model", "er", "--p", "-1"]),
@@ -32,6 +32,15 @@ fn generate_rejects_out_of_range_model_flags() {
         ("--scale", &["--model", "rmat", "--scale", "64"]),
         ("--scale", &["--model", "rmat", "--scale", "63"]),
         ("--scale", &["--model", "rmat", "--scale", "32"]),
+        // A flag USAGE gives another model is named with this one.
+        (
+            "--n does not apply to --model rmat",
+            &["--model", "rmat", "--scale", "8", "--n", "5000"],
+        ),
+        (
+            "--k does not apply to --model karate",
+            &["--model", "karate", "--p", "0.5", "--k", "4"],
+        ),
     ];
     let dir = std::env::temp_dir().join(format!("nucleus-generate-flags-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -7,16 +7,19 @@
 //! away. This module persists a materialized [`Prepared`] session's
 //! index in the format of [`nucleus_graph::persist_io`] (see its module
 //! docs for the exact byte layout and the version-bump policy) and
-//! loads it back as a [`PreparedIndex`] — a fully *validated* image
-//! whose records are then served zero-copy through
-//! [`NucleusBuilder::prepare_from_index`](crate::session::NucleusBuilder::prepare_from_index).
+//! loads it back as a [`PreparedIndex`]: a fully *validated* image,
+//! decoded into the same [`FlatRecords`](nucleus_graph::FlatRecords)
+//! that a fresh prepare builds, which
+//! [`NucleusBuilder::prepare_from_index`](crate::session::NucleusBuilder::prepare_from_index)
+//! then peels through like any built index.
 //!
 //! # Trust and invalidation
 //!
 //! Loading never trusts the bytes: [`PreparedIndex::load`] verifies the
 //! magic, format version, whole-file and per-section checksums, section
-//! bounds, record-structure invariants, and that the stored (r, s) pair
-//! names a supported [`Kind`] whose record arity matches. Binding the
+//! bounds, record-structure invariants, that every record names a cell
+//! the index covers, and that the stored (r, s) pair names a supported
+//! [`Kind`] whose record arity matches. Binding the
 //! index to a graph additionally checks the stored *fingerprint*
 //! (vertex count, edge count, hash of the canonical edge list) against
 //! the live graph. Each failure mode maps to a typed error:
@@ -81,7 +84,7 @@ fn map_graph_error(path: &str, e: GraphError) -> CoreError {
 /// Produced by [`PreparedIndex::load`]; consumed by
 /// [`NucleusBuilder::prepare_from_index`](crate::session::NucleusBuilder::prepare_from_index),
 /// which checks the fingerprint against the builder's graph and then
-/// serves containers zero-copy off the image.
+/// serves containers from the decoded records.
 #[derive(Clone, Debug)]
 pub struct PreparedIndex {
     image: IndexImage,
@@ -105,7 +108,7 @@ impl PreparedIndex {
 
     /// Validates an in-memory byte image under a diagnostic `label`
     /// (used in error messages where a file path would be). This is the
-    /// hook fuzz tests — and a future mmap backend — feed bytes through.
+    /// hook fuzz tests feed bytes through.
     pub fn from_bytes(bytes: Vec<u8>, label: &str) -> Result<Self, CoreError> {
         let image = IndexImage::from_bytes(bytes).map_err(|e| map_graph_error(label, e))?;
         Self::from_image(image, label.to_string())
@@ -130,6 +133,18 @@ impl PreparedIndex {
                 ),
             });
         }
+        // Records are container records here: every word is a co-cell
+        // id, and peeling indexes per-cell arrays with it.
+        let top = image.records().data().iter().copied().max();
+        if let Some(id) = top.filter(|&id| u64::from(id) >= h.cells) {
+            return Err(CoreError::IndexCorrupt {
+                path,
+                reason: format!(
+                    "a record names cell {id}, but the index covers {} cells",
+                    h.cells
+                ),
+            });
+        }
         Ok(PreparedIndex { image, kind, path })
     }
 
@@ -148,7 +163,7 @@ impl PreparedIndex {
         self.image.header().records
     }
 
-    /// Size of the loaded image in bytes.
+    /// Size of the index file in bytes.
     pub fn bytes(&self) -> usize {
         self.image.len()
     }
@@ -203,7 +218,7 @@ impl PreparedIndex {
 
     /// Converts into the [`ContainerIndex`] a session peels through.
     pub(crate) fn into_container_index(self) -> ContainerIndex {
-        ContainerIndex::from_image(self.image)
+        ContainerIndex::from_records(self.image.into_records())
     }
 }
 
@@ -292,23 +307,28 @@ mod tests {
 
     #[test]
     fn resaving_a_loaded_index_emits_identical_bytes() {
+        // A loaded index is decoded, and saving encodes it afresh, so
+        // this pins the round trip byte for byte on every kind.
         let g = nucleus_gen::karate::karate_club();
-        let path = tmp("resave.nidx");
-        let prepared = Nucleus::builder(&g)
-            .kind(Kind::Core)
-            .backend(Backend::Materialized)
-            .prepare()
-            .unwrap();
-        prepared.save(&path).unwrap();
-        let original = std::fs::read(&path).unwrap();
-        let restored = Nucleus::builder(&g)
-            .prepare_from_index(PreparedIndex::load(&path).unwrap())
-            .unwrap();
-        let path2 = tmp("resave2.nidx");
-        restored.save(&path2).unwrap();
-        assert_eq!(original, std::fs::read(&path2).unwrap());
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&path2).ok();
+        for kind in Kind::all() {
+            let path = tmp(&format!("resave-{}.nidx", kind.name()));
+            Nucleus::builder(&g)
+                .kind(kind)
+                .backend(Backend::Materialized)
+                .prepare()
+                .unwrap()
+                .save(&path)
+                .unwrap();
+            let original = std::fs::read(&path).unwrap();
+            let restored = Nucleus::builder(&g)
+                .prepare_from_index(PreparedIndex::load(&path).unwrap())
+                .unwrap();
+            let path2 = tmp(&format!("resave2-{}.nidx", kind.name()));
+            restored.save(&path2).unwrap();
+            assert_eq!(original, std::fs::read(&path2).unwrap(), "{kind}");
+            std::fs::remove_file(&path).ok();
+            std::fs::remove_file(&path2).ok();
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The materialized peeling backend: container incidence flattened into
-//! one CSR, built once per space, in parallel.
+//! one CSR, built once per space, in parallel, or loaded from a
+//! persisted index.
 //!
 //! Every lazy space answers [`PeelBackend::for_each_container`] by
 //! re-running a sorted-list intersection — work that peeling repeats for
@@ -10,13 +11,15 @@
 //! [`FlatRecords`] buffer; [`IndexedSpace`] then serves the whole
 //! [`PeelSpace`] interface from the flat index, so `peel`, `dft`,
 //! `fnd`, `naive`, `hypo_sweep` and `check_semantics` monomorphize over
-//! it unchanged.
+//! it unchanged. A loaded index ([`crate::persist::PreparedIndex`])
+//! decodes into the same [`FlatRecords`], so built and loaded sessions
+//! peel through one code path.
 
 use std::io::Write;
 
 use nucleus_cliques::{balanced_ranges, fill_ranges_scoped};
 use nucleus_graph::flat::{offsets_from_counts, FlatRecords};
-use nucleus_graph::persist_io::{self, GraphFingerprint, IndexImage};
+use nucleus_graph::persist_io::{self, GraphFingerprint};
 use nucleus_graph::GraphError;
 
 use super::{PeelBackend, PeelSpace};
@@ -41,23 +44,12 @@ pub fn record_arity(r: u32, s: u32) -> usize {
     binom as usize - 1
 }
 
-/// Where a [`ContainerIndex`]'s records live: built in memory this
-/// process ([`FlatRecords`]), or loaded from a persisted index file and
-/// served zero-copy off the validated byte image.
-#[derive(Clone, Debug)]
-enum FlatStore {
-    /// Records built by [`ContainerIndex::build`] in this process.
-    Owned(FlatRecords),
-    /// Records decoded on the fly from a validated on-disk image.
-    Loaded(IndexImage),
-}
-
 /// Flat CSR of container records: for each cell, one record per
 /// container, each record holding the co-cell ids in the lazy backend's
 /// enumeration order.
 #[derive(Clone, Debug)]
 pub struct ContainerIndex {
-    store: FlatStore,
+    records: FlatRecords,
 }
 
 /// Every cell's records from [`PeelBackend::for_each_container`], laid
@@ -128,81 +120,51 @@ impl ContainerIndex {
             None => fill_per_cell(space, &offsets, arity, threads),
         };
         ContainerIndex {
-            store: FlatStore::Owned(FlatRecords::from_parts(offsets, data, arity)),
+            records: FlatRecords::from_parts(offsets, data, arity),
         }
     }
 
-    /// Wraps a validated on-disk image as an index, served zero-copy
-    /// off the image's byte buffer. The caller
-    /// ([`crate::persist::PreparedIndex`]) is responsible for checking
-    /// the image belongs to the graph at hand; structural validity was
-    /// already proven when the image was constructed.
-    pub fn from_image(image: IndexImage) -> Self {
-        ContainerIndex {
-            store: FlatStore::Loaded(image),
-        }
+    /// Wraps records decoded from a persisted index.
+    /// [`crate::persist::PreparedIndex`] has checked that they name only
+    /// cells below their cell count, and the session that calls this
+    /// that they belong to the graph at hand.
+    pub(crate) fn from_records(records: FlatRecords) -> Self {
+        ContainerIndex { records }
     }
 
     /// Number of cells indexed.
     pub fn cell_count(&self) -> usize {
-        match &self.store {
-            FlatStore::Owned(f) => f.cells(),
-            FlatStore::Loaded(img) => img.flat().cells(),
-        }
+        self.records.cells()
     }
 
     /// Co-cells per record (`C(s,r) - 1`).
     pub fn arity(&self) -> usize {
-        match &self.store {
-            FlatStore::Owned(f) => f.arity(),
-            FlatStore::Loaded(img) => img.header().arity as usize,
-        }
+        self.records.arity()
     }
 
     /// Total container records (Σ ω over all cells).
     pub fn container_count(&self) -> usize {
-        match &self.store {
-            FlatStore::Owned(f) => f.record_count(),
-            FlatStore::Loaded(img) => img.flat().record_count(),
-        }
+        self.records.record_count()
     }
 
     /// ω of one cell, read off the offsets.
     #[inline]
     pub fn degree(&self, cell: u32) -> u32 {
-        match &self.store {
-            FlatStore::Owned(f) => f.count(cell),
-            FlatStore::Loaded(img) => img.flat().count(cell),
-        }
+        self.records.count(cell)
     }
 
     /// ω of every cell (reconstructed from the offsets).
     pub fn counts(&self) -> Vec<u32> {
-        match &self.store {
-            FlatStore::Owned(f) => f.counts(),
-            FlatStore::Loaded(img) => img.flat().counts(),
-        }
+        self.records.counts()
     }
 
-    /// Memory footprint of the index in bytes (heap buffers for owned
-    /// stores, the whole image for loaded ones).
+    /// Heap footprint of the index in bytes.
     pub fn bytes(&self) -> usize {
-        match &self.store {
-            FlatStore::Owned(f) => f.bytes(),
-            FlatStore::Loaded(img) => img.len(),
-        }
-    }
-
-    /// `true` when this index is served from a loaded on-disk image
-    /// rather than records built in this process.
-    pub fn is_loaded(&self) -> bool {
-        matches!(self.store, FlatStore::Loaded(_))
+        self.records.bytes()
     }
 
     /// Serializes the index in the persisted format for the `(r, s)`
-    /// family of a graph with fingerprint `fp`. Loaded stores re-emit
-    /// their validated image bytes verbatim (the header already carries
-    /// the identity); owned stores encode fresh.
+    /// family of a graph with fingerprint `fp`.
     pub fn write_to<W: Write>(
         &self,
         w: &mut W,
@@ -210,13 +172,7 @@ impl ContainerIndex {
         s: u32,
         fp: GraphFingerprint,
     ) -> Result<(), GraphError> {
-        match &self.store {
-            FlatStore::Owned(f) => persist_io::write_index(w, r, s, fp, f),
-            FlatStore::Loaded(img) => {
-                w.write_all(img.raw())?;
-                Ok(())
-            }
-        }
+        persist_io::write_index(w, r, s, fp, &self.records)
     }
 
     /// Estimated index footprint for an (r, s) space with ω degrees
@@ -233,13 +189,8 @@ impl ContainerIndex {
     /// Serves one cell's containers from the flat buffer.
     #[inline]
     pub fn for_each_container<F: FnMut(&[u32])>(&self, cell: u32, mut f: F) {
-        match &self.store {
-            FlatStore::Owned(flat) => {
-                for rec in flat.records_of(cell) {
-                    f(rec);
-                }
-            }
-            FlatStore::Loaded(img) => img.flat().for_each_record(cell, f),
+        for rec in self.records.records_of(cell) {
+            f(rec);
         }
     }
 }

@@ -8,7 +8,7 @@ use nucleus_core::decompose::{Algorithm, Backend, Kind};
 use nucleus_core::error::CoreError;
 use nucleus_core::persist::PreparedIndex;
 use nucleus_core::session::Nucleus;
-use nucleus_graph::persist_io::{hash64, FILE_HASH_RANGE, FORMAT_VERSION};
+use nucleus_graph::persist_io::{hash64, FILE_HASH_RANGE, FORMAT_VERSION, MAX_ARITY};
 use nucleus_graph::CsrGraph;
 use rand::{Rng, SeedableRng};
 
@@ -47,6 +47,44 @@ fn reseal(bytes: &mut [u8]) {
     bytes[FILE_HASH_RANGE].fill(0);
     let h = hash64(bytes);
     bytes[FILE_HASH_RANGE].copy_from_slice(&h.to_le_bytes());
+}
+
+/// Byte range of section `i` (0 counts, 1 offsets, 2 data), read off
+/// the section table.
+fn section(bytes: &[u8], i: usize) -> std::ops::Range<usize> {
+    let entry = 80 + i * 32;
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let start = word(entry + 8);
+    start..start + word(entry + 16)
+}
+
+/// [`reseal`], after re-stamping every section hash: tampering inside a
+/// section then gets past both checksums and meets the loader's
+/// structural checks.
+fn reseal_sections(bytes: &mut [u8]) {
+    for i in 0..3 {
+        let h = hash64(&bytes[section(bytes, i)]);
+        let at = 80 + i * 32 + 24;
+        bytes[at..at + 8].copy_from_slice(&h.to_le_bytes());
+    }
+    reseal(bytes);
+}
+
+/// Offset `j` of the offsets section.
+fn offset(bytes: &[u8], j: usize) -> u64 {
+    let at = section(bytes, 1).start + j * 8;
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+fn set_offset(bytes: &mut [u8], j: usize, value: u64) {
+    let at = section(bytes, 1).start + j * 8;
+    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+}
+
+/// Overwrites `u32` word `j` of section `i` (0 counts, 2 data).
+fn set_word(bytes: &mut [u8], i: usize, j: usize, value: u32) {
+    let at = section(bytes, i).start + j * 4;
+    bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
 }
 
 fn expect_corrupt(bytes: Vec<u8>, what: &str) {
@@ -225,6 +263,63 @@ fn unsupported_family_is_a_mismatch() {
             assert!(reason.contains("not a supported kind"), "{reason}");
         }
         other => panic!("expected IndexMismatch, got {other:?}"),
+    }
+}
+
+/// Damage inside a section, with every checksum re-stamped, reaches the
+/// record validator, the counts cross-check or the cell-id bound and is
+/// refused there with a reason naming what is wrong. Header arities
+/// outside `1..=MAX_ARITY` are refused before any section is read.
+#[test]
+fn resealed_record_damage_is_refused_by_its_own_check() {
+    type Edit = fn(&mut [u8]);
+    let data_length = "data length must be record_count * arity".to_string();
+    let cases: Vec<(String, Edit)> = vec![
+        // A record naming a cell past the header's count used to load,
+        // then panic inside FND on an out-of-bounds bucket lookup.
+        ("a record names cell 4294967040".into(), |b| {
+            set_word(b, 2, 0, 0xFFFF_FF00)
+        }),
+        ("invalid arity 0".into(), |b| b[28..32].fill(0)),
+        (format!("invalid arity {}", MAX_ARITY + 1), |b| {
+            b[28..32].copy_from_slice(&(MAX_ARITY as u32 + 1).to_le_bytes())
+        }),
+        ("offsets must start at 0".into(), |b| set_offset(b, 0, 1)),
+        ("offsets must be monotone".into(), |b| {
+            set_offset(b, 1, u64::MAX)
+        }),
+        // Offsets ending one record short of the data, then one past it.
+        (data_length.clone(), |b| {
+            let cells = section(b, 1).len() / 8 - 1;
+            let last = offset(b, cells);
+            for j in 1..=cells {
+                let o = offset(b, j).min(last - 1);
+                set_offset(b, j, o);
+            }
+        }),
+        (data_length, |b| {
+            let cells = section(b, 1).len() / 8 - 1;
+            let last = offset(b, cells);
+            set_offset(b, cells, last + 1);
+        }),
+        ("counts section says".into(), |b| {
+            let count = offset(b, 1) as u32;
+            set_word(b, 0, 0, count + 1)
+        }),
+    ];
+    for kind in [Kind::Core, Kind::Truss, Kind::Nucleus34] {
+        let (_, original) = valid_image(kind);
+        for (reason_part, edit) in &cases {
+            let mut bytes = original.clone();
+            edit(&mut bytes);
+            reseal_sections(&mut bytes);
+            match PreparedIndex::from_bytes(bytes, "resealed") {
+                Err(CoreError::IndexCorrupt { reason, .. }) => {
+                    assert!(reason.contains(reason_part.as_str()), "{kind}: {reason}");
+                }
+                other => panic!("{kind}, {reason_part}: expected IndexCorrupt, got {other:?}"),
+            }
+        }
     }
 }
 

@@ -138,13 +138,6 @@ impl RootedForest {
         self.root[x as usize] = new_parent;
     }
 
-    /// Sets only the skeleton parent of `x` (used to tie remaining tops
-    /// to the artificial global root at the end of construction).
-    pub fn set_parent(&mut self, x: u32, p: u32) {
-        debug_assert!(self.parent[x as usize] == NONE);
-        self.parent[x as usize] = p;
-    }
-
     /// Iterates all node ids whose skeleton parent is unassigned.
     pub fn orphans(&self) -> impl Iterator<Item = u32> + '_ {
         self.parent

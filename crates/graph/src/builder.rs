@@ -49,11 +49,6 @@ impl GraphBuilder {
         self.max_vertex = Some(self.max_vertex.map_or(v, |m| m.max(v)));
     }
 
-    /// Number of recorded (raw, possibly duplicated) edges.
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Freezes into a [`CsrGraph`] over `0..=max_vertex`.
     pub fn build(self) -> CsrGraph {
         let n = self.max_vertex.map_or(0, |m| m as usize + 1);

@@ -226,14 +226,6 @@ impl CsrGraph {
             .unwrap_or(0)
     }
 
-    /// Sum of `degree(v)^2`; a cheap density/skew indicator used by the
-    /// bench harness when describing datasets.
-    pub fn degree_square_sum(&self) -> u64 {
-        (0..self.n())
-            .map(|v| (self.degree(v as u32) as u64).pow(2))
-            .sum()
-    }
-
     /// Number of edges with both endpoints in `set`, a set of distinct
     /// vertices in any order; used for density reports on nuclei. Each
     /// edge is counted once, from its smaller endpoint `u`: the shorter

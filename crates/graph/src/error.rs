@@ -18,10 +18,10 @@ pub enum GraphError {
     /// checksum ([`crate::persist_io`]).
     Format(String),
     /// Flat-record invariants were violated (non-monotone offsets, a
-    /// mis-sized data buffer, …). Produced by the fallible record
-    /// constructors ([`crate::flat::FlatRecords::try_from_parts`],
-    /// [`crate::flat::FlatRecordsRef::new`]), which loaders of untrusted
-    /// bytes use instead of the panicking assemblers.
+    /// mis-sized data buffer, …). Produced by
+    /// [`crate::flat::FlatRecords::try_from_parts`], which the
+    /// persisted-index loader decodes untrusted bytes through instead of
+    /// the panicking [`crate::flat::FlatRecords::from_parts`].
     Records(String),
 }
 

@@ -11,12 +11,9 @@
 //! Offsets are kept in *record* units; the data index of cell `c`'s
 //! `j`-th record is `(offsets[c] + j) * arity`.
 //!
-//! Two shapes share that layout: [`FlatRecords`] owns its buffers
-//! (built in memory by the materialized backend), and
-//! [`FlatRecordsRef`] is a borrowed, validated view over little-endian
-//! bytes — the shape a persisted index ([`crate::persist_io`]) exposes
-//! after loading, designed so an mmap'd file can back it without any
-//! format change.
+//! A store built in memory and one decoded from a persisted index
+//! ([`crate::persist_io`]) are the same type, and both are checked by
+//! [`FlatRecords::try_from_parts`], the one validator of the layout.
 
 use crate::error::GraphError;
 
@@ -169,178 +166,6 @@ impl FlatRecords {
     }
 }
 
-/// Largest record arity [`FlatRecordsRef`] will accept. The nucleus
-/// families store `C(s,r) - 1` co-cell ids per record, which for the
-/// supported `s ≤ 4` is at most 5; 8 leaves headroom without growing
-/// the stack buffer records are decoded into.
-pub const MAX_ARITY: usize = 8;
-
-/// Borrowed, validated view over the little-endian byte encoding of a
-/// [`FlatRecords`]: offsets as `u64` words, record data as `u32` words.
-///
-/// This is the zero-copy shape a persisted index exposes after loading —
-/// the slices can borrow from a heap buffer today and an mmap'd file
-/// later without any format change. Construction via
-/// [`FlatRecordsRef::new`] validates every structural invariant up
-/// front (so accessors can index without panicking), but the design
-/// stays fully safe Rust: records are decoded word-by-word from bytes
-/// rather than reinterpreted, which on little-endian machines compiles
-/// to plain loads.
-#[derive(Clone, Copy, Debug)]
-pub struct FlatRecordsRef<'a> {
-    arity: usize,
-    cells: usize,
-    /// `(cells + 1)` little-endian `u64` offsets, in record units.
-    offsets: &'a [u8],
-    /// `record_count * arity` little-endian `u32` words.
-    data: &'a [u8],
-}
-
-impl<'a> FlatRecordsRef<'a> {
-    /// Validates and wraps raw little-endian sections.
-    ///
-    /// `offsets` must hold at least one `u64` (the leading 0), be a
-    /// whole number of `u64`s, start at 0, and be monotone; `data` must
-    /// hold exactly `last_offset * arity` `u32`s. Any violation returns
-    /// [`GraphError::Records`] — this constructor is the trust boundary
-    /// for bytes read from disk.
-    pub fn new(offsets: &'a [u8], data: &'a [u8], arity: usize) -> Result<Self, GraphError> {
-        if arity == 0 {
-            return Err(GraphError::Records("arity must be positive".into()));
-        }
-        if arity > MAX_ARITY {
-            return Err(GraphError::Records(format!(
-                "arity {arity} exceeds MAX_ARITY {MAX_ARITY}"
-            )));
-        }
-        if !offsets.len().is_multiple_of(8) || offsets.is_empty() {
-            return Err(GraphError::Records(format!(
-                "offsets section must be a non-empty multiple of 8 bytes, got {}",
-                offsets.len()
-            )));
-        }
-        let cells = offsets.len() / 8 - 1;
-        let read = |i: usize| -> u64 {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(&offsets[i * 8..i * 8 + 8]);
-            u64::from_le_bytes(w)
-        };
-        if read(0) != 0 {
-            return Err(GraphError::Records("offsets must start at 0".into()));
-        }
-        let mut prev = 0u64;
-        for i in 1..=cells {
-            let cur = read(i);
-            if cur < prev {
-                return Err(GraphError::Records(format!(
-                    "offsets must be monotone (offsets[{}] = {prev} > offsets[{i}] = {cur})",
-                    i - 1
-                )));
-            }
-            prev = cur;
-        }
-        let records = prev;
-        let expected = records
-            .checked_mul(arity as u64)
-            .and_then(|w| w.checked_mul(4))
-            .ok_or_else(|| GraphError::Records("record_count * arity overflows".into()))?;
-        if data.len() as u64 != expected {
-            return Err(GraphError::Records(format!(
-                "data length must be record_count * arity ({records} records × {arity} ≠ {} bytes)",
-                data.len()
-            )));
-        }
-        Ok(FlatRecordsRef {
-            arity,
-            cells,
-            offsets,
-            data,
-        })
-    }
-
-    /// Wraps sections a previous [`FlatRecordsRef::new`] call on the
-    /// same bytes already validated, skipping the O(cells) monotonicity
-    /// re-scan. Still safe Rust (every accessor uses checked slice
-    /// indexing, so a broken invariant panics instead of corrupting),
-    /// which is why it stays crate-internal: only the persisted-index
-    /// image, which validates at construction, may use it.
-    pub(crate) fn new_prevalidated(offsets: &'a [u8], data: &'a [u8], arity: usize) -> Self {
-        debug_assert!(Self::new(offsets, data, arity).is_ok());
-        FlatRecordsRef {
-            arity,
-            cells: offsets.len() / 8 - 1,
-            offsets,
-            data,
-        }
-    }
-
-    /// Number of cells.
-    pub fn cells(&self) -> usize {
-        self.cells
-    }
-
-    /// Words per record.
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
-    #[inline]
-    fn offset(&self, i: usize) -> usize {
-        let mut w = [0u8; 8];
-        w.copy_from_slice(&self.offsets[i * 8..i * 8 + 8]);
-        u64::from_le_bytes(w) as usize
-    }
-
-    /// Total number of records across all cells.
-    pub fn record_count(&self) -> usize {
-        self.offset(self.cells)
-    }
-
-    /// Number of records of `cell`.
-    #[inline]
-    pub fn count(&self, cell: u32) -> u32 {
-        (self.offset(cell as usize + 1) - self.offset(cell as usize)) as u32
-    }
-
-    /// Per-cell record counts.
-    pub fn counts(&self) -> Vec<u32> {
-        (0..self.cells as u32).map(|c| self.count(c)).collect()
-    }
-
-    /// Calls `f` with each record of `cell` decoded into an
-    /// `arity`-sized slice. The slice borrows a stack buffer, not the
-    /// underlying bytes, so callers must copy what they keep — exactly
-    /// the contract of the peeling engine's container callbacks.
-    #[inline]
-    pub fn for_each_record<F: FnMut(&[u32])>(&self, cell: u32, mut f: F) {
-        let lo = self.offset(cell as usize) * self.arity;
-        let hi = self.offset(cell as usize + 1) * self.arity;
-        let mut buf = [0u32; MAX_ARITY];
-        let mut word = [0u8; 4];
-        let mut w = lo;
-        while w < hi {
-            for slot in buf.iter_mut().take(self.arity) {
-                word.copy_from_slice(&self.data[w * 4..w * 4 + 4]);
-                *slot = u32::from_le_bytes(word);
-                w += 1;
-            }
-            f(&buf[..self.arity]);
-        }
-    }
-
-    /// Copies the view into an owned [`FlatRecords`].
-    pub fn to_owned_records(&self) -> FlatRecords {
-        let offsets: Vec<usize> = (0..=self.cells).map(|i| self.offset(i)).collect();
-        let mut data = Vec::with_capacity(self.record_count() * self.arity);
-        let mut word = [0u8; 4];
-        for chunk in self.data.chunks_exact(4) {
-            word.copy_from_slice(chunk);
-            data.push(u32::from_le_bytes(word));
-        }
-        FlatRecords::from_parts(offsets, data, self.arity)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,69 +252,5 @@ mod tests {
         let f2 = FlatRecords::try_from_parts(f.offsets().to_vec(), f.data().to_vec(), f.arity())
             .unwrap();
         assert_eq!(f, f2);
-    }
-
-    fn encode(f: &FlatRecords) -> (Vec<u8>, Vec<u8>) {
-        let mut off = Vec::new();
-        for &o in f.offsets() {
-            off.extend_from_slice(&(o as u64).to_le_bytes());
-        }
-        let mut data = Vec::new();
-        for &w in f.data() {
-            data.extend_from_slice(&w.to_le_bytes());
-        }
-        (off, data)
-    }
-
-    #[test]
-    fn byte_view_matches_owned() {
-        let f = sample();
-        let (off, data) = encode(&f);
-        let v = FlatRecordsRef::new(&off, &data, f.arity()).unwrap();
-        assert_eq!(v.cells(), f.cells());
-        assert_eq!(v.arity(), f.arity());
-        assert_eq!(v.record_count(), f.record_count());
-        assert_eq!(v.counts(), f.counts());
-        for c in 0..f.cells() as u32 {
-            let mut seen: Vec<Vec<u32>> = Vec::new();
-            v.for_each_record(c, |rec| seen.push(rec.to_vec()));
-            let expect: Vec<Vec<u32>> = f.records_of(c).map(|r| r.to_vec()).collect();
-            assert_eq!(seen, expect);
-        }
-        assert_eq!(v.to_owned_records(), f);
-    }
-
-    #[test]
-    fn byte_view_rejects_malformed_sections() {
-        let f = sample();
-        let (off, data) = encode(&f);
-        // Bad arity.
-        assert!(FlatRecordsRef::new(&off, &data, 0).is_err());
-        assert!(FlatRecordsRef::new(&off, &data, MAX_ARITY + 1).is_err());
-        // Ragged / empty offsets.
-        assert!(FlatRecordsRef::new(&off[..off.len() - 3], &data, 2).is_err());
-        assert!(FlatRecordsRef::new(&[], &data, 2).is_err());
-        // Leading offset not 0.
-        let mut bad = off.clone();
-        bad[0] = 1;
-        assert!(FlatRecordsRef::new(&bad, &data, 2).is_err());
-        // Non-monotone offsets.
-        let mut bad = off.clone();
-        bad[8] = 0xff;
-        assert!(FlatRecordsRef::new(&bad, &data, 2).is_err());
-        // Data too short / too long.
-        assert!(FlatRecordsRef::new(&off, &data[..data.len() - 4], 2).is_err());
-        let mut long = data.clone();
-        long.extend_from_slice(&[0; 4]);
-        assert!(FlatRecordsRef::new(&off, &long, 2).is_err());
-    }
-
-    #[test]
-    fn byte_view_empty_store() {
-        let off = 0u64.to_le_bytes().to_vec();
-        let v = FlatRecordsRef::new(&off, &[], 3).unwrap();
-        assert_eq!(v.cells(), 0);
-        assert_eq!(v.record_count(), 0);
-        assert_eq!(v.counts(), Vec::<u32>::new());
     }
 }

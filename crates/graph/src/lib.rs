@@ -13,12 +13,12 @@
 //! * [`bucket`] — the two bucket-queue variants used by the paper:
 //!   the Batagelj–Zaversnik min-bucket layout for peeling and a
 //!   max-bucket cursor queue for the LCPS traversal;
-//! * [`flat`] — fixed-arity flat record storage (CSR without graph
-//!   semantics), the layout behind the materialized peeling backend,
-//!   in both owned ([`FlatRecords`]) and borrowed byte-backed
-//!   ([`FlatRecordsRef`]) shapes;
+//! * [`flat`] — fixed-arity flat record storage ([`FlatRecords`], CSR
+//!   without graph semantics), the layout behind the materialized
+//!   peeling backend;
 //! * [`persist_io`] — the versioned, checksummed on-disk encoding of a
 //!   flat record store plus the graph fingerprint that invalidates it;
+//!   loading decodes a file back into a [`FlatRecords`];
 //! * [`traversal`] — BFS and connected components;
 //! * [`order`] — degree and degeneracy orderings;
 //! * [`io`] — whitespace edge-list text format.
@@ -41,5 +41,5 @@ pub mod traversal;
 pub use builder::GraphBuilder;
 pub use csr::{CsrGraph, EdgeId, VertexId};
 pub use error::GraphError;
-pub use flat::{FlatRecords, FlatRecordsRef};
+pub use flat::FlatRecords;
 pub use persist_io::{graph_fingerprint, GraphFingerprint, IndexImage};

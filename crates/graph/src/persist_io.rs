@@ -4,10 +4,9 @@
 //! materialized (r,s) container incidence built by the core crate) plus
 //! the per-cell ω counts, behind a header that pins down *which* graph
 //! and *which* decomposition kind the bytes belong to. Everything is
-//! little-endian and 8-byte aligned, so a loader can hand out borrowed
-//! [`crate::flat::FlatRecordsRef`] views straight over the file bytes —
-//! the same layout works for a heap buffer today and an mmap'd file
-//! later.
+//! little-endian and 8-byte aligned. [`IndexImage::from_bytes`] checks
+//! the bytes and decodes them into the same `FlatRecords` a fresh build
+//! produces, so a loaded index and a built one are served alike.
 //!
 //! # Layout (version 2)
 //!
@@ -56,7 +55,7 @@ use std::path::Path;
 
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
-use crate::flat::{FlatRecords, FlatRecordsRef, MAX_ARITY};
+use crate::flat::FlatRecords;
 
 /// Magic bytes opening every persisted index file.
 pub const MAGIC: [u8; 8] = *b"NUCINDX1";
@@ -75,6 +74,12 @@ pub const SEC_OFFSETS: u32 = 2;
 pub const SEC_DATA: u32 = 3;
 const SECTION_COUNT: usize = 3;
 const SECTION_ENTRY_LEN: usize = 32;
+
+/// Largest record arity a header may state. The nucleus families store
+/// `C(s,r) - 1` co-cell ids per record, which for the supported `s ≤ 4`
+/// is at most 5; 8 leaves headroom while still refusing a header whose
+/// arity no family produces.
+pub const MAX_ARITY: usize = 8;
 
 const HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 const HASH_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -247,36 +252,46 @@ pub fn write_index_file<P: AsRef<Path>>(
     Ok(())
 }
 
-/// A fully validated in-memory image of an index file.
+/// A fully validated index file, decoded.
 ///
 /// Construction ([`IndexImage::from_bytes`]) is the trust boundary: it
 /// verifies the magic, version, whole-file and per-section checksums,
-/// section-table bounds, and the structural invariants of the flat
-/// records before any accessor can observe the bytes. After that,
-/// [`IndexImage::flat`] hands out zero-copy [`FlatRecordsRef`] views
-/// borrowing the image buffer.
+/// section-table bounds, the structural invariants of the flat records
+/// and the counts section against them, then keeps the header and the
+/// decoded [`FlatRecords`] and drops the file bytes.
 #[derive(Clone, Debug)]
 pub struct IndexImage {
-    buf: Vec<u8>,
     header: IndexHeader,
-    counts: std::ops::Range<usize>,
-    offsets: std::ops::Range<usize>,
-    data: std::ops::Range<usize>,
+    records: FlatRecords,
+    len: usize,
 }
 
 fn bad(msg: impl Into<String>) -> GraphError {
     GraphError::Format(msg.into())
 }
 
+fn u32_at(buf: &[u8], i: usize) -> u32 {
+    let mut w = [0u8; 4];
+    w.copy_from_slice(&buf[i..i + 4]);
+    u32::from_le_bytes(w)
+}
+
+fn u64_at(buf: &[u8], i: usize) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(&buf[i..i + 8]);
+    u64::from_le_bytes(w)
+}
+
 impl IndexImage {
-    /// Validates `buf` as a version-2 index image and takes ownership.
+    /// Validates `buf` as a version-2 index image and decodes its
+    /// records.
     ///
     /// Returns [`GraphError::Format`] (or [`GraphError::Records`] from
-    /// the flat-record validator) on any violation — truncation, bad
-    /// magic, unsupported version, checksum mismatch, out-of-bounds or
-    /// overlapping sections, or malformed record structure. Never
-    /// panics on untrusted bytes.
-    pub fn from_bytes(buf: Vec<u8>) -> Result<Self, GraphError> {
+    /// [`FlatRecords::try_from_parts`]) on any violation — truncation,
+    /// bad magic, unsupported version, checksum mismatch, out-of-bounds
+    /// or overlapping sections, malformed record structure, or counts
+    /// that disagree with the offsets. Never panics on untrusted bytes.
+    pub fn from_bytes(mut buf: Vec<u8>) -> Result<Self, GraphError> {
         if buf.len() < 16 {
             return Err(bad(format!("truncated file: {} bytes", buf.len())));
         }
@@ -289,28 +304,19 @@ impl IndexImage {
                 buf.len()
             )));
         }
-        let u32_at = |i: usize| -> u32 {
-            let mut w = [0u8; 4];
-            w.copy_from_slice(&buf[i..i + 4]);
-            u32::from_le_bytes(w)
-        };
-        let u64_at = |i: usize| -> u64 {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(&buf[i..i + 8]);
-            u64::from_le_bytes(w)
-        };
         // Version before checksums, so a future-version file reports
         // "unsupported version" rather than a checksum mismatch.
-        let version = u32_at(16);
+        let version = u32_at(&buf, 16);
         if version != FORMAT_VERSION {
             return Err(bad(format!(
                 "unsupported index version {version} (this build reads {FORMAT_VERSION})"
             )));
         }
-        let stored_hash = u64_at(8);
-        let mut hashed = buf.clone();
-        hashed[FILE_HASH_RANGE].fill(0);
-        let actual = hash64(&hashed);
+        // The hash covers the file with its own field zeroed; the
+        // buffer is dropped after decoding, so zero it in place.
+        let stored_hash = u64_at(&buf, 8);
+        buf[FILE_HASH_RANGE].fill(0);
+        let actual = hash64(&buf);
         if actual != stored_hash {
             return Err(bad(format!(
                 "file checksum mismatch (stored {stored_hash:#018x}, computed {actual:#018x})"
@@ -318,16 +324,16 @@ impl IndexImage {
         }
         let header = IndexHeader {
             version,
-            r: u32_at(20),
-            s: u32_at(24),
-            arity: u32_at(28),
+            r: u32_at(&buf, 20),
+            s: u32_at(&buf, 24),
+            arity: u32_at(&buf, 28),
             fingerprint: GraphFingerprint {
-                n: u64_at(32),
-                m: u64_at(40),
-                edge_hash: u64_at(48),
+                n: u64_at(&buf, 32),
+                m: u64_at(&buf, 40),
+                edge_hash: u64_at(&buf, 48),
             },
-            cells: u64_at(56),
-            records: u64_at(64),
+            cells: u64_at(&buf, 56),
+            records: u64_at(&buf, 64),
         };
         if header.r == 0 || header.r >= header.s {
             return Err(bad(format!(
@@ -341,7 +347,7 @@ impl IndexImage {
         if header.cells > u32::MAX as u64 {
             return Err(bad(format!("cell count {} exceeds u32 ids", header.cells)));
         }
-        let section_count = u32_at(72) as usize;
+        let section_count = u32_at(&buf, 72) as usize;
         if section_count != SECTION_COUNT {
             return Err(bad(format!(
                 "expected {SECTION_COUNT} sections, header says {section_count}"
@@ -367,16 +373,16 @@ impl IndexImage {
         let mut prev_end = HEADER_LEN as u64;
         for i in 0..SECTION_COUNT {
             let e = 80 + i * SECTION_ENTRY_LEN;
-            let tag = u32_at(e);
+            let tag = u32_at(&buf, e);
             if tag != expected_tags[i] {
                 return Err(bad(format!(
                     "section {i}: expected tag {}, found {tag}",
                     expected_tags[i]
                 )));
             }
-            let off = u64_at(e + 8);
-            let len = u64_at(e + 16);
-            if off % 8 != 0 {
+            let off = u64_at(&buf, e + 8);
+            let len = u64_at(&buf, e + 16);
+            if !off.is_multiple_of(8) {
                 return Err(bad(format!("section {i}: offset {off} not 8-aligned")));
             }
             if off < prev_end {
@@ -400,7 +406,7 @@ impl IndexImage {
                 )));
             }
             let range = off as usize..end as usize;
-            let stored = u64_at(e + 24);
+            let stored = u64_at(&buf, e + 24);
             let actual = hash64(&buf[range.clone()]);
             if actual != stored {
                 return Err(bad(format!(
@@ -413,26 +419,26 @@ impl IndexImage {
         let [counts, offsets, data] = ranges;
 
         // Structural validation of the record store itself.
-        let flat = FlatRecordsRef::new(
-            &buf[offsets.clone()],
-            &buf[data.clone()],
-            header.arity as usize,
-        )?;
-        if flat.record_count() as u64 != header.records {
+        let offsets = buf[offsets]
+            .chunks_exact(8)
+            .map(|w| usize::try_from(u64_at(w, 0)))
+            .collect::<Result<Vec<usize>, _>>()
+            .map_err(|_| bad("record offset exceeds the address space"))?;
+        let data = buf[data].chunks_exact(4).map(|w| u32_at(w, 0)).collect();
+        let records = FlatRecords::try_from_parts(offsets, data, header.arity as usize)?;
+        if records.record_count() as u64 != header.records {
             return Err(bad(format!(
                 "offsets imply {} records, header says {}",
-                flat.record_count(),
+                records.record_count(),
                 header.records
             )));
         }
         // Cross-check the counts section against the offsets: a loaded
         // index must never disagree with itself about ω.
-        for (cell, expect) in flat.counts().into_iter().enumerate() {
-            let at = counts.start + cell * 4;
-            let mut w = [0u8; 4];
-            w.copy_from_slice(&buf[at..at + 4]);
-            let stored = u32::from_le_bytes(w);
-            if stored != expect {
+        let implied = records.offsets().windows(2).map(|w| w[1] - w[0]);
+        let stored = buf[counts].chunks_exact(4).map(|w| u32_at(w, 0));
+        for (cell, (expect, stored)) in implied.zip(stored).enumerate() {
+            if stored as usize != expect {
                 return Err(bad(format!(
                     "cell {cell}: counts section says {stored}, offsets imply {expect}"
                 )));
@@ -440,11 +446,9 @@ impl IndexImage {
         }
 
         Ok(IndexImage {
-            buf,
             header,
-            counts,
-            offsets,
-            data,
+            records,
+            len: buf.len(),
         })
     }
 
@@ -458,39 +462,24 @@ impl IndexImage {
         &self.header
     }
 
-    /// Zero-copy record view borrowing this image's buffer. O(1):
-    /// [`IndexImage::from_bytes`] already proved the invariants, so the
-    /// view skips the re-scan — peeling constructs one per container
-    /// lookup.
-    pub fn flat(&self) -> FlatRecordsRef<'_> {
-        FlatRecordsRef::new_prevalidated(
-            &self.buf[self.offsets.clone()],
-            &self.buf[self.data.clone()],
-            self.header.arity as usize,
-        )
+    /// The decoded record store.
+    pub fn records(&self) -> &FlatRecords {
+        &self.records
     }
 
-    /// Per-cell ω counts decoded from the counts section.
-    pub fn counts(&self) -> Vec<u32> {
-        self.buf[self.counts.clone()]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect()
+    /// Takes the decoded record store.
+    pub fn into_records(self) -> FlatRecords {
+        self.records
     }
 
-    /// Total size of the image in bytes.
+    /// Size of the file the image was decoded from, in bytes.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 
-    /// `true` when the image holds no bytes (never, for a valid image).
+    /// `true` when the file held no bytes (never, for a valid image).
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The raw validated bytes, e.g. for re-writing the file elsewhere.
-    pub fn raw(&self) -> &[u8] {
-        &self.buf
+        self.len == 0
     }
 }
 
@@ -579,8 +568,7 @@ mod tests {
         assert_eq!(h.cells as usize, flat.cells());
         assert_eq!(h.records as usize, flat.record_count());
         assert_eq!(h.fingerprint, graph_fingerprint(&sample_graph()));
-        assert_eq!(img.counts(), flat.counts());
-        assert_eq!(img.flat().to_owned_records(), flat);
+        assert_eq!(img.records(), &flat);
     }
 
     #[test]
@@ -591,7 +579,7 @@ mod tests {
         let flat = sample_flat();
         write_index_file(&path, 2, 3, graph_fingerprint(&sample_graph()), &flat).unwrap();
         let img = IndexImage::read_file(&path).unwrap();
-        assert_eq!(img.flat().to_owned_records(), flat);
+        assert_eq!(img.into_records(), flat);
         std::fs::remove_file(&path).ok();
     }
 
@@ -653,6 +641,6 @@ mod tests {
         let bytes = encode_index(2, 3, graph_fingerprint(&sample_graph()), &flat);
         let img = IndexImage::from_bytes(bytes).unwrap();
         assert_eq!(img.header().cells, 0);
-        assert_eq!(img.flat().record_count(), 0);
+        assert_eq!(img.records().record_count(), 0);
     }
 }
