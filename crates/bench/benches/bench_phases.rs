@@ -20,13 +20,15 @@
 //! * `degrees-serial/-tN` ((3,4) only) — the public per-triangle K4
 //!   degree entry points: `k4_degrees`, the three-way
 //!   full-neighbour-list reference, and `k4_degrees_parallel`, which
-//!   builds its own triangle index and orientation before listing K4s;
-//! * `degrees-oriented-serial/-tN` ((3,4) only) — the ω pass prepare
-//!   runs: [`k4_degrees_oriented`] (each K4 listed once) over the
-//!   orientation the triangle enumeration built and a pre-built
+//!   builds its own triangle index before running prepare's ω kernel;
+//! * `degrees-indexed-serial/-tN` ((3,4) only) — the ω pass prepare
+//!   runs: [`k4_degrees_indexed`] (each triangle's K4s read off the
+//!   third lists of its edges with a vertex table) over a pre-built
 //!   triangle index;
-//! * `records-serial/-tN` ((3,4) only) — the per-cell container-record
-//!   fill, over a space whose index and ω are already built;
+//! * `records-serial/-tN` ((3,4) only) — the container-record fill
+//!   prepare runs, [`nucleus_cliques::triangle_companion_records`]
+//!   through the space's `fused_records`, over a space whose index and
+//!   ω are already built;
 //! * `peel-only`, `dft-post-only`, `fnd-total` — the historical
 //!   Figure 6 rows, unchanged in meaning;
 //! * `hierarchy-assembly-serial` — `BuildHierarchy` (Alg. 9) alone,
@@ -38,7 +40,7 @@
 //!
 //! At one thread count the prepare sub-steps add up to
 //! `prepare-total`: `enumerate + index-build` for (2,3), and
-//! `enumerate + index-build + degrees-oriented + records` for (3,4).
+//! `enumerate + index-build + degrees-indexed + records` for (3,4).
 //!
 //! `-tN` uses every available CPU and at least 2, so on a single-core
 //! host it records spawn overhead as pure loss. JSON results land in
@@ -52,7 +54,7 @@ use nucleus_bench::smoke;
 use nucleus_cliques::parallel::edge_supports_parallel;
 use nucleus_cliques::triangles::edge_supports;
 use nucleus_cliques::{
-    edge_companion_records, k4_degrees_oriented, k4_degrees_parallel, OrientedAdjacency,
+    edge_companion_records, k4_degrees_indexed, k4_degrees_parallel, OrientedAdjacency,
     SupportTallies, TriangleIndex, TriangleList,
 };
 use nucleus_core::algo::dft::dft;
@@ -260,20 +262,19 @@ fn bench_phases_nucleus34(c: &mut Criterion) {
                 b.iter(|| k4_degrees_parallel(g, &tris, tn).len());
             },
         );
-        let oriented = OrientedAdjacency::build(g);
         let index = TriangleIndex::build(g, &tris);
         group.bench_with_input(
-            BenchmarkId::new("degrees-oriented-serial", name),
+            BenchmarkId::new("degrees-indexed-serial", name),
             g,
-            |b, _| {
-                b.iter(|| k4_degrees_oriented(&oriented, &tris, &index, 1).len());
+            |b, g| {
+                b.iter(|| k4_degrees_indexed(g, &tris, &index, 1).len());
             },
         );
         group.bench_with_input(
-            BenchmarkId::new(format!("degrees-oriented-t{tn}"), name),
+            BenchmarkId::new(format!("degrees-indexed-t{tn}"), name),
             g,
-            |b, _| {
-                b.iter(|| k4_degrees_oriented(&oriented, &tris, &index, tn).len());
+            |b, g| {
+                b.iter(|| k4_degrees_indexed(g, &tris, &index, tn).len());
             },
         );
         for threads in [1, tn] {

@@ -35,8 +35,8 @@ pub fn intersect3_sorted<F: FnMut(u32)>(a: &[u32], b: &[u32], c: &[u32], mut f: 
 /// Number of K4s containing each triangle of `tris`
 /// (`ω₄(t) = |N(u) ∩ N(v) ∩ N(w)|` for `t = {u, v, w}`), by a three-way
 /// intersection of full neighbour lists per triangle — the serial
-/// reference for [`crate::parallel::k4_degrees_oriented`], which lists
-/// each K4 once instead.
+/// reference for [`crate::parallel::k4_degrees_indexed`], which reads
+/// each triangle's K4s off the third lists of its edges instead.
 pub fn k4_degrees(g: &CsrGraph, tris: &TriangleList) -> Vec<u32> {
     let mut deg = vec![0u32; tris.len()];
     for (t, &[u, v, w]) in tris.vertices.iter().enumerate() {

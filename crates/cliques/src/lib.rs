@@ -17,7 +17,10 @@
 //!   merge, in the one sequence all triangle ids derive from;
 //! * [`triangle_index`] — [`TriangleIndex`], a per-edge CSR of
 //!   `(third-vertex, triangle-id)` pairs enabling `O(log deg)` triangle
-//!   id lookups without hash maps (hot-path requirement, see DESIGN.md);
+//!   id lookups without hash maps. Its third lists are what the (3,4)
+//!   kernels read: the apexes of a triangle's K4s are the vertices all
+//!   three of its edges' lists hold, each entry carrying the id of the
+//!   face through that apex;
 //! * [`four_cliques`] — per-triangle K4 degrees (the ω₄ values peeled by
 //!   the (3,4) decomposition; the serial three-way-intersection
 //!   reference) and per-edge ones for (2,4);
@@ -29,13 +32,17 @@
 //!   [`balanced_ranges`] work partitioner and the
 //!   [`fill_ranges_scoped`]/[`fill_ranges_pair_scoped`] disjoint-chunk
 //!   fill helpers they (and the materialized peeling backend in
-//!   `nucleus-core`) share. Workers count into private tallies, never
-//!   shared atomic counters. Two kernels list each clique exactly once
-//!   over the orientation and feed the fused prepare of `nucleus-core`:
-//!   [`k4_degrees_oriented`] (every K4 bumps its four triangles) and
-//!   [`edge_companion_records`] (every triangle scatters the (2,3)
-//!   container records of its three edges, each worker through private
-//!   cursors made from the [`SupportTallies`] of the support count).
+//!   `nucleus-core`) share. Workers count into private tallies or fill
+//!   disjoint slices, never shared atomic counters. Four kernels feed
+//!   the fused prepare of `nucleus-core`: for (2,3),
+//!   [`SupportTallies::count`] lists each triangle once over the
+//!   orientation and [`edge_companion_records`] lists them again to
+//!   scatter the container records of their three edges, each worker
+//!   through private cursors made from its tally; for (3,4),
+//!   [`k4_degrees_indexed`] (ω) and [`triangle_companion_records`]
+//!   (the container records) read a triangle's K4s off the three third
+//!   lists of its edges with a per-worker vertex table, with no merge
+//!   and no triangle-id search, each worker filling its own slice.
 //!   The materializing builders have parallel constructors of their own
 //!   ([`TriangleList::build_with_threads`],
 //!   [`TriangleIndex::build_with_threads`]) that are **bit-identical**
@@ -50,7 +57,7 @@ pub mod triangles;
 pub use four_cliques::k4_edge_degrees;
 pub use parallel::{
     balanced_ranges, edge_companion_records, fill_ranges_pair_scoped, fill_ranges_scoped,
-    k4_degrees_oriented, k4_degrees_parallel, k4_edge_degrees_parallel,
+    k4_degrees_indexed, k4_degrees_parallel, k4_edge_degrees_parallel, triangle_companion_records,
     vertex_triangle_counts_parallel, SupportTallies,
 };
 pub use triangle_index::TriangleIndex;

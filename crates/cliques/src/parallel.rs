@@ -84,13 +84,43 @@ where
     L: Fn(&Range<usize>) -> usize,
     W: Fn(Range<usize>, &mut [T]) + Sync,
 {
+    fill_ranges_with_scratch(
+        out,
+        ranges,
+        chunk_len,
+        |_| (),
+        |range, chunk, _| work(range, chunk),
+    );
+}
+
+/// [`fill_ranges_scoped`] for a kernel that needs scratch space per
+/// worker, such as a vertex table: `scratch(&range)` builds each
+/// range's on the caller's thread, and `work(range, chunk, scratch)`
+/// gets its own. Built in the workers instead, the (3,4) kernels'
+/// vertex tables left about one build-nucleus34 run in four (seed 2,
+/// on a 2-CPU host) with a peak RSS over 5 MiB higher, held by the
+/// workers' malloc arenas.
+fn fill_ranges_with_scratch<T, S, L, B, W>(
+    out: &mut [T],
+    ranges: Vec<Range<usize>>,
+    chunk_len: L,
+    scratch: B,
+    work: W,
+) where
+    T: Send,
+    S: Send,
+    L: Fn(&Range<usize>) -> usize,
+    B: Fn(&Range<usize>) -> S,
+    W: Fn(Range<usize>, &mut [T], &mut S) + Sync,
+{
+    let scratch: Vec<S> = ranges.iter().map(scratch).collect();
     std::thread::scope(|scope| {
         let mut rest: &mut [T] = out;
-        for range in ranges {
+        for (range, mut scratch) in ranges.into_iter().zip(scratch) {
             let (chunk, tail) = rest.split_at_mut(chunk_len(&range));
             rest = tail;
             let work = &work;
-            scope.spawn(move || work(range, chunk));
+            scope.spawn(move || work(range, chunk, &mut scratch));
         }
     });
 }
@@ -361,73 +391,201 @@ pub fn edge_companion_records(
     records
 }
 
-/// Per-triangle K4 degrees (the (3,4) ω) from one pass that lists every
-/// K4 exactly once over the degeneracy orientation (the ordering the
-/// paper's Alg. 1 cost model assumes): a K4 is found only from the
-/// triangle of its three lowest-rank vertices, as an apex every one of
-/// them points to — a three-way intersection of out-lists bounded by
-/// the degeneracy, where [`crate::four_cliques::k4_degrees`] intersects
-/// full neighbour lists and meets each K4 four times. The find bumps
-/// all four triangles, the other three looked up in `index` (the
-/// [`TriangleIndex`] of `tris`). Equal to `k4_degrees` at any thread
-/// count; workers count into private tallies.
-pub fn k4_degrees_oriented(
-    oriented: &OrientedAdjacency,
+/// The third lists of triangle `t`'s edges, `[e_uv, e_uw, e_vw]` for
+/// `t = [u, v, w]`: `(x, id of {u, v, x})`, `(x, id of {u, w, x})` and
+/// `(x, id of {v, w, x})`, each sorted by `x`. The apexes of `t`'s K4s
+/// are exactly the `x` all three lists hold.
+#[inline]
+fn third_lists<'a>(
+    tris: &TriangleList,
+    index: &'a TriangleIndex,
+    t: usize,
+) -> [&'a [(u32, u32)]; 3] {
+    tris.edges[t].map(|e| index.thirds(e))
+}
+
+/// Per-triangle cost of a vertex-mark kernel: one table operation per
+/// entry of the three third lists, plus one for the triangle itself.
+fn third_list_weight(lists: [&[(u32, u32)]; 3]) -> usize {
+    lists.iter().map(|list| list.len()).sum::<usize>() + 1
+}
+
+/// Per-triangle K4 degrees (the (3,4) ω) read off `index`, the
+/// [`TriangleIndex`] of `tris`, by vertex marks. The apexes of
+/// triangle `t`'s K4s are the vertices in all three third lists of its
+/// edges, so each worker keeps one byte per vertex of `g` and, per
+/// triangle, marks the shortest list, promotes the marks the middle
+/// list hits, counts the promoted marks the longest list hits and
+/// clears the shortest list's marks again: no merge and no
+/// [`TriangleIndex::tid`] search. Workers fill contiguous slices of
+/// the result over [`balanced_ranges`] weighted by the lists' lengths,
+/// so no tally is summed. Each triangle's count does not depend on the
+/// split, so the result equals [`crate::four_cliques::k4_degrees`] at
+/// any thread count.
+pub fn k4_degrees_indexed(
+    g: &CsrGraph,
     tris: &TriangleList,
     index: &TriangleIndex,
     threads: usize,
 ) -> Vec<u32> {
-    let tid = |e: u32, w: u32| {
-        index
-            .tid(e, w)
-            .expect("every face of a K4 is an indexed triangle")
-    };
-    let weights: Vec<usize> = tris
-        .vertices
-        .iter()
-        .map(|&[u, v, w]| oriented.out(u).len() + oriented.out(v).len() + oriented.out(w).len() + 1)
+    let weights: Vec<usize> = (0..tris.len())
+        .map(|t| third_list_weight(third_lists(tris, index, t)))
         .collect();
-    let tallies = count_tallies(
-        &balanced_ranges(&weights, threads),
-        tris.len(),
-        |range, deg| {
-            let first = range.start;
-            let cells = tris.vertices[range.clone()].iter().zip(&tris.edges[range]);
-            for (n, (&[u, v, w], &[e_uv, e_uw, e_vw])) in cells.enumerate() {
-                let (a, b, c) = (oriented.out(u), oriented.out(v), oriented.out(w));
-                let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-                while i < a.len() && j < b.len() && k < c.len() {
-                    let (x, y, z) = (a[i].0, b[j].0, c[k].0);
-                    if x == y && y == z {
-                        let t = (first + n) as u32;
-                        for t in [t, tid(e_uv, x), tid(e_uw, x), tid(e_vw, x)] {
-                            deg[t as usize] += 1;
-                        }
-                        i += 1;
-                        j += 1;
-                        k += 1;
-                    } else {
-                        let max = x.max(y).max(z);
-                        i += usize::from(x < max);
-                        j += usize::from(y < max);
-                        k += usize::from(z < max);
-                    }
+    let mut deg = vec![0u32; tris.len()];
+    fill_ranges_with_scratch(
+        &mut deg,
+        balanced_ranges(&weights, threads),
+        |range| range.len(),
+        |_| vec![0u8; g.n()],
+        |range, chunk, mark| {
+            for (slot, t) in chunk.iter_mut().zip(range) {
+                let mut lists = third_lists(tris, index, t);
+                lists.sort_unstable_by_key(|list| list.len());
+                let [shortest, middle, longest] = lists;
+                // Each list holds the triangle's own opposite vertex,
+                // never an apex: a list of one leaves no K4 to find.
+                if shortest.len() == 1 {
+                    continue;
+                }
+                for &(x, _) in shortest {
+                    mark[x as usize] = 1;
+                }
+                // Only the shortest list's entries are nonzero, so the
+                // shift promotes exactly the vertices of both lists.
+                let mut promoted = 0u32;
+                for &(x, _) in middle {
+                    let m = &mut mark[x as usize];
+                    *m <<= 1;
+                    promoted += u32::from(*m >> 1);
+                }
+                if promoted > 0 {
+                    *slot = longest
+                        .iter()
+                        .map(|&(x, _)| u32::from(mark[x as usize] == 2))
+                        .sum();
+                }
+                for &(x, _) in shortest {
+                    mark[x as usize] = 0;
                 }
             }
         },
     );
-    sum_tallies(&tallies, tris.len())
+    deg
+}
+
+/// The (3,4) container records of every triangle, read off `index`
+/// (the [`TriangleIndex`] of `tris`) by vertex marks: for triangle
+/// `t = [u, v, w]`, one `[id(u,v,x), id(u,w,x), id(v,w,x)]` record per
+/// K4 apex `x`, ascending in `x`, triangles back to back over `offsets`
+/// (the prefix sum of the K4 degrees, in records). That is the order
+/// of the per-cell enumeration, which merges the `(u,v)` and `(u,w)`
+/// third lists and searches each apex's third id in the `(v,w)` list.
+///
+/// Each worker keeps two `u32` tables over the vertices of `g`. Per
+/// triangle it writes the `(u,v)` list into one (`x` → id of
+/// `{u,v,x}`) and the `(v,w)` list into the other (`x` → id of
+/// `{v,w,x}`), then scans the `(u,w)` list, sorted by `x`: every entry
+/// both tables hold is an apex, and its record is complete. It clears
+/// both tables again; no merge, no search. A triangle the offsets give
+/// no K4 is skipped unscanned. Workers fill the contiguous slices of
+/// the result their [`balanced_ranges`] own, so the records do not
+/// depend on the split.
+///
+/// # Panics
+/// When `offsets` is not one entry per triangle plus the total, when a
+/// scanned triangle has a K4 count other than its offsets give it
+/// (checked per triangle, in release too, so each worker's slice ends
+/// filled exactly), or when `tris` has 2³² or more triangles.
+pub fn triangle_companion_records(
+    g: &CsrGraph,
+    tris: &TriangleList,
+    index: &TriangleIndex,
+    offsets: &[usize],
+    threads: usize,
+) -> Vec<u32> {
+    // Triangle ids are below `tris.len()`, so none is `u32::MAX`.
+    const UNSET: u32 = u32::MAX;
+    assert!(
+        u32::try_from(tris.len()).is_ok(),
+        "triangle ids must fit a u32"
+    );
+    assert_eq!(
+        offsets.len(),
+        tris.len() + 1,
+        "one offset per triangle, plus the total"
+    );
+    let weights: Vec<usize> = (0..tris.len())
+        .map(|t| match offsets[t + 1] - offsets[t] {
+            0 => 1,
+            _ => third_list_weight(third_lists(tris, index, t)),
+        })
+        .collect();
+    let mut records = vec![0u32; 3 * offsets[tris.len()]];
+    let chunk_len = |range: &Range<usize>| 3 * (offsets[range.end] - offsets[range.start]);
+    fill_ranges_with_scratch(
+        &mut records,
+        balanced_ranges(&weights, threads),
+        chunk_len,
+        // A range whose triangles have no K4 scans nothing.
+        |range| match chunk_len(range) {
+            0 => (Vec::new(), Vec::new()),
+            _ => (vec![UNSET; g.n()], vec![UNSET; g.n()]),
+        },
+        |range, chunk, (uvx, vwx)| {
+            let base = offsets[range.start];
+            let mut pos = 0usize;
+            for t in range {
+                let (start, end) = (3 * (offsets[t] - base), 3 * (offsets[t + 1] - base));
+                if start == end {
+                    continue;
+                }
+                let [uv, uw, vw] = third_lists(tris, index, t);
+                for &(x, id) in uv {
+                    uvx[x as usize] = id;
+                }
+                for &(x, id) in vw {
+                    vwx[x as usize] = id;
+                }
+                // Every entry writes a record at `pos`, and only an
+                // apex moves `pos` past it, so the scan needs no branch
+                // per entry. A write past `end` lands in a later
+                // triangle's slots, which it overwrites in turn.
+                for &(x, t_uwx) in uw {
+                    let (t_uvx, t_vwx) = (uvx[x as usize], vwx[x as usize]);
+                    let apex = usize::from(t_uvx != UNSET) & usize::from(t_vwx != UNSET);
+                    if pos + 3 <= chunk.len() {
+                        chunk[pos..pos + 3].copy_from_slice(&[t_uvx, t_uwx, t_vwx]);
+                    }
+                    pos += 3 * apex;
+                }
+                // A short count would leave slots unwritten, a long
+                // one spill into the next triangle's.
+                assert!(
+                    pos == end,
+                    "offsets must be the K4 degrees: triangle {t} has {} K4s, offsets give {}",
+                    (pos - start) / 3,
+                    (end - start) / 3
+                );
+                for &(x, _) in uv {
+                    uvx[x as usize] = UNSET;
+                }
+                for &(x, _) in vw {
+                    vwx[x as usize] = UNSET;
+                }
+            }
+        },
+    );
+    records
 }
 
 /// Computes per-triangle K4 degrees using `threads` worker threads:
-/// builds the [`TriangleIndex`] of `tris` and the degeneracy
-/// orientation, then runs [`k4_degrees_oriented`], which lists each K4
-/// once instead of intersecting three full neighbour lists per
-/// triangle. Equal to [`crate::four_cliques::k4_degrees`], the serial
-/// reference.
+/// builds the [`TriangleIndex`] of `tris`, then runs
+/// [`k4_degrees_indexed`], the ω kernel a (3,4) prepare runs over the
+/// index it builds. Equal to [`crate::four_cliques::k4_degrees`], the
+/// serial reference.
 pub fn k4_degrees_parallel(g: &CsrGraph, tris: &TriangleList, threads: usize) -> Vec<u32> {
     let index = TriangleIndex::build_with_threads(g, tris, threads);
-    k4_degrees_oriented(&OrientedAdjacency::build(g), tris, &index, threads)
+    k4_degrees_indexed(g, tris, &index, threads)
 }
 
 /// Computes per-vertex triangle counts using `threads` worker threads —
@@ -676,6 +834,108 @@ mod tests {
         let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let tl = TriangleList::build(&g);
         assert_eq!(k4_degrees_parallel(&g, &tl, 4), Vec::<u32>::new());
+    }
+
+    /// The (3,4) records by the per-cell enumeration, with their
+    /// offsets: per triangle `[u, v, w]`, a merge of the `(u,v)` and
+    /// `(u,w)` third lists, and for each common apex `x` a search of
+    /// the `(v,w)` list, giving `[id(u,v,x), id(u,w,x), id(v,w,x)]`.
+    fn triangle_records_by_merge(
+        tris: &TriangleList,
+        index: &TriangleIndex,
+    ) -> (Vec<usize>, Vec<u32>) {
+        let mut counts = vec![];
+        let mut records = vec![];
+        for &[e_uv, e_uw, e_vw] in &tris.edges {
+            let before = records.len();
+            let (a, b) = (index.thirds(e_uv), index.thirds(e_uw));
+            let (mut i, mut j) = (0usize, 0usize);
+            while i < a.len() && j < b.len() {
+                match a[i].0.cmp(&b[j].0) {
+                    std::cmp::Ordering::Less => i += 1,
+                    std::cmp::Ordering::Greater => j += 1,
+                    std::cmp::Ordering::Equal => {
+                        if let Some(t_vwx) = index.tid(e_vw, a[i].0) {
+                            records.extend([a[i].1, b[j].1, t_vwx]);
+                        }
+                        i += 1;
+                        j += 1;
+                    }
+                }
+            }
+            counts.push(((records.len() - before) / 3) as u32);
+        }
+        (offsets_from_counts(&counts), records)
+    }
+
+    /// Both (3,4) vertex-table kernels at 1, 2 and 8 threads against
+    /// the serial ω reference and the merge; returns ω and the records.
+    fn check_k4_kernels(g: &CsrGraph) -> (Vec<u32>, Vec<u32>) {
+        let tris = TriangleList::build(g);
+        let index = TriangleIndex::build(g, &tris);
+        let want = k4_degrees(g, &tris);
+        let (offsets, records) = triangle_records_by_merge(&tris, &index);
+        assert_eq!(offsets, offsets_from_counts(&want), "merge vs ω");
+        for threads in [1, 2, 8] {
+            assert_eq!(
+                k4_degrees_indexed(g, &tris, &index, threads),
+                want,
+                "ω at t={threads}"
+            );
+            assert_eq!(
+                triangle_companion_records(g, &tris, &index, &offsets, threads),
+                records,
+                "records at t={threads}"
+            );
+        }
+        (want, records)
+    }
+
+    #[test]
+    fn k4_kernels_on_edge_cases_and_cliques() {
+        // The empty graph and a triangle-free cycle: nothing to list.
+        for g in [
+            CsrGraph::from_edges(0, &[]),
+            CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+        ] {
+            let (deg, records) = check_k4_kernels(&g);
+            assert!(deg.is_empty() && records.is_empty());
+        }
+        // The K4-free diamond: two triangles, ω all 0, no records.
+        let diamond = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]);
+        let (deg, records) = check_k4_kernels(&diamond);
+        assert_eq!(deg, vec![0, 0]);
+        assert!(records.is_empty());
+        // A lone K4 (8 workers asked for, 4 triangles): each triangle's
+        // one record names the other three faces.
+        let (deg, records) = check_k4_kernels(&complete(4));
+        assert_eq!(deg, vec![1; 4]);
+        for (t, record) in records.chunks(3).enumerate() {
+            let mut ids = record.to_vec();
+            ids.push(t as u32);
+            ids.sort_unstable();
+            assert_eq!(ids, vec![0, 1, 2, 3], "triangle {t}");
+        }
+        // Each triangle of K_k lies in k - 3 K4s.
+        for k in 5..=9 {
+            let (deg, _) = check_k4_kernels(&complete(k));
+            assert!(deg.iter().all(|&d| d == k - 3), "K{k}");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn triangle_companion_records_reject_wrong_offsets() {
+        // every triangle of K5 lies in 2 K4s; move one count over, so
+        // the worker scanning triangle 0 finds more K4s than it has room
+        let g = complete(5);
+        let tris = TriangleList::build(&g);
+        let index = TriangleIndex::build(&g, &tris);
+        let mut counts = k4_degrees(&g, &tris);
+        counts[0] -= 1;
+        counts[1] += 1;
+        let offsets = offsets_from_counts(&counts);
+        triangle_companion_records(&g, &tris, &index, &offsets, 1);
     }
 
     /// The (2,3) records of `g` by the definition: per edge `{u, v}`

@@ -198,7 +198,7 @@ pub struct TriangleList {
 impl TriangleList {
     /// Enumerates and stores all triangles of `g`.
     pub fn build(g: &CsrGraph) -> Self {
-        Self::build_oriented(&OrientedAdjacency::build(g), 1)
+        Self::build_with_threads(g, 1)
     }
 
     /// Enumerates and stores all triangles of `g` using `threads` worker
@@ -206,23 +206,14 @@ impl TriangleList {
     /// [`TriangleList::build`] — same triangles, same enumeration order,
     /// same dense ids.
     ///
-    /// Two passes over the oriented adjacency: per-range triangle counts
-    /// over [`crate::balanced_ranges`] (weighted by out-degree like
-    /// [`crate::parallel::triangle_count_parallel`]), an exclusive
-    /// prefix sum, then a scoped fill of each range's disjoint chunk in
-    /// the serial sweep's vertex-major order.
+    /// Both list over the degeneracy orientation, which is dropped once
+    /// the list is built. In parallel that takes two passes: per-range
+    /// triangle counts over [`crate::balanced_ranges`] (weighted by
+    /// out-degree like [`crate::parallel::triangle_count_parallel`]),
+    /// an exclusive prefix sum, then a scoped fill of each range's
+    /// disjoint chunk in the serial sweep's vertex-major order.
     pub fn build_with_threads(g: &CsrGraph, threads: usize) -> Self {
-        if threads <= 1 {
-            return Self::build(g);
-        }
-        Self::build_oriented(&OrientedAdjacency::build(g), threads)
-    }
-
-    /// [`TriangleList::build_with_threads`] over an orientation the
-    /// caller already holds, so a caller that lists the graph's K4s next
-    /// ([`crate::parallel::k4_degrees_oriented`]) orients it once. The
-    /// output equals [`TriangleList::build`] at any thread count.
-    pub fn build_oriented(oriented: &OrientedAdjacency, threads: usize) -> Self {
+        let oriented = &OrientedAdjacency::build(g);
         if threads <= 1 {
             let mut tris = TriangleList {
                 vertices: Vec::new(),

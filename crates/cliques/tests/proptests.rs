@@ -1,6 +1,8 @@
 //! Property tests: oriented triangle enumeration and K4 degrees against
-//! the brute-force clique enumerator, on random graphs, and the table
-//! listing kernel against the sorted-list merge it replaced.
+//! the brute-force clique enumerator, on random graphs, the table
+//! listing kernel against the sorted-list merge it replaced, and the
+//! (3,4) vertex-table kernels (ω and container records) against the
+//! serial K4 degrees and the per-cell merge.
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -11,8 +13,10 @@ use nucleus_cliques::four_cliques::{k4_count, k4_degrees};
 use nucleus_cliques::kclique::{count_cliques, for_each_clique};
 use nucleus_cliques::triangles::{edge_supports, for_each_triangle_in, triangle_count};
 use nucleus_cliques::{
-    balanced_ranges, k4_degrees_parallel, OrientedAdjacency, TriangleIndex, TriangleList,
+    balanced_ranges, k4_degrees_indexed, k4_degrees_parallel, triangle_companion_records,
+    OrientedAdjacency, TriangleIndex, TriangleList,
 };
+use nucleus_graph::flat::offsets_from_counts;
 use nucleus_graph::CsrGraph;
 
 fn graph_strategy(n: u32, m_max: usize) -> impl Strategy<Value = CsrGraph> {
@@ -82,6 +86,36 @@ fn listings(g: &CsrGraph) -> (Vec<Listed>, Vec<(String, Vec<Listed>)>) {
         })
         .collect();
     (merge_listing(&oriented), table)
+}
+
+/// The (3,4) container records in the per-cell enumeration's order:
+/// per triangle `[u, v, w]`, a merge of the `(u,v)` and `(u,w)` third
+/// lists, and for each common apex `x` a search of the `(v,w)` list,
+/// giving `[id(u,v,x), id(u,w,x), id(v,w,x)]`; with the per-triangle
+/// record counts.
+fn merge_records(tris: &TriangleList, index: &TriangleIndex) -> (Vec<u32>, Vec<u32>) {
+    let mut counts = vec![];
+    let mut records = vec![];
+    for &[e_uv, e_uw, e_vw] in &tris.edges {
+        let before = records.len();
+        let (a, b) = (index.thirds(e_uv), index.thirds(e_uw));
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    if let Some(t_vwx) = index.tid(e_vw, a[i].0) {
+                        records.extend([a[i].1, b[j].1, t_vwx]);
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        counts.push(((records.len() - before) / 3) as u32);
+    }
+    (counts, records)
 }
 
 fn clique(k: u32) -> Vec<(u32, u32)> {
@@ -181,6 +215,32 @@ proptest! {
         prop_assert_eq!(deg_sum, 4 * count_cliques(&g, 4));
         // listing each K4 once gives the same per-triangle degrees
         prop_assert_eq!(k4_degrees_parallel(&g, &tl, 2), k4_degrees(&g, &tl));
+    }
+
+    #[test]
+    fn k4_vertex_table_kernels_match_references(
+        dense in graph_strategy(11, 60),
+        sparse in graph_strategy(40, 110),
+    ) {
+        for g in [dense, sparse] {
+            let tris = TriangleList::build(&g);
+            let index = TriangleIndex::build(&g, &tris);
+            let want = k4_degrees(&g, &tris);
+            let (counts, records) = merge_records(&tris, &index);
+            prop_assert_eq!(&counts, &want);
+            let offsets = offsets_from_counts(&want);
+            for threads in [1, 2, 8] {
+                prop_assert_eq!(
+                    &k4_degrees_indexed(&g, &tris, &index, threads), &want, "t={}", threads
+                );
+                prop_assert_eq!(
+                    &triangle_companion_records(&g, &tris, &index, &offsets, threads),
+                    &records,
+                    "t={}",
+                    threads
+                );
+            }
+        }
     }
 
     #[test]

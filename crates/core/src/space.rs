@@ -29,7 +29,10 @@
 //!   per edge for (2,3), three words per K4 per triangle for (3,4)). A
 //!   space may fill the whole index in one pass instead of cell by cell
 //!   ([`PeelSpace::fused_records`]): (2,3) scatters it from the oriented
-//!   triangle listing that also counts its ω.
+//!   triangle listing that also counts its ω, and (3,4) reads each
+//!   triangle's records off the third lists of its edges in the
+//!   [`nucleus_cliques::TriangleIndex`], with per-worker vertex tables
+//!   and no merge or triangle-id search.
 //!
 //! Both backends produce bit-identical results (the proptests in
 //! `tests/proptests.rs` pin λ, peeling order and FND hierarchies);

@@ -1,9 +1,11 @@
 //! (3,4) space: cells are triangles, containers are four-cliques →
 //! k-(3,4) nucleus, the paper's densest/most-detailed decomposition.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
-use nucleus_cliques::{k4_degrees_oriented, OrientedAdjacency, TriangleIndex, TriangleList};
+use nucleus_cliques::{
+    k4_degrees_indexed, triangle_companion_records, TriangleIndex, TriangleList,
+};
 use nucleus_graph::CsrGraph;
 
 use super::{PeelBackend, PeelSpace};
@@ -14,20 +16,20 @@ use super::{PeelBackend, PeelSpace};
 /// lists; companion triangle ids come from the [`TriangleIndex`].
 ///
 /// Only the triangle list itself — the cell identities — is built
-/// eagerly. The per-edge index (consulted by container enumeration and
-/// by the K4 count) and the K4 counts (`ω`) are deferred to first use: a
-/// session loading a persisted (3,4) index needs neither and pays for
-/// neither.
+/// eagerly, over a degeneracy orientation that is dropped once it is
+/// listed. The per-edge index and the K4 counts (`ω`) are deferred to
+/// first use: a session loading a persisted (3,4) index needs neither
+/// and pays for neither. Both K4 passes of a prepare read the index's
+/// third lists with per-worker vertex tables: ω from
+/// [`k4_degrees_indexed`], and the materialized backend's records,
+/// all at once, from [`triangle_companion_records`]
+/// ([`PeelSpace::fused_records`]); neither merges lists or searches a
+/// triangle id.
 pub struct TriangleSpace<'g> {
     g: &'g CsrGraph,
     tris: TriangleList,
     index: OnceLock<TriangleIndex>,
     k4deg: OnceLock<Vec<u32>>,
-    /// The degeneracy orientation the triangle listing ran over, parked
-    /// until the K4 count lists K4s over it (so a prepare orients the
-    /// graph once); the count takes and frees it. A space that never
-    /// counts ω keeps it until it is dropped.
-    oriented: Mutex<Option<OrientedAdjacency>>,
     threads: usize,
 }
 
@@ -47,13 +49,11 @@ impl<'g> TriangleSpace<'g> {
     /// three parallel builders are bit-identical to their serial twins,
     /// so the space's observable state never depends on `threads`.
     pub fn with_threads(g: &'g CsrGraph, threads: usize) -> Self {
-        let oriented = OrientedAdjacency::build(g);
         TriangleSpace {
             g,
-            tris: TriangleList::build_oriented(&oriented, threads),
+            tris: TriangleList::build_with_threads(g, threads),
             index: OnceLock::new(),
             k4deg: OnceLock::new(),
-            oriented: Mutex::new(Some(oriented)),
             threads,
         }
     }
@@ -64,17 +64,8 @@ impl<'g> TriangleSpace<'g> {
     }
 
     fn k4deg(&self) -> &[u32] {
-        self.k4deg.get_or_init(|| {
-            // Each K4 is listed once; its triangles' ids come from the
-            // index container enumeration needs anyway.
-            let parked = self
-                .oriented
-                .lock()
-                .expect("no thread panics while holding the parked orientation")
-                .take();
-            let oriented = parked.unwrap_or_else(|| OrientedAdjacency::build(self.g));
-            k4_degrees_oriented(&oriented, &self.tris, self.index(), self.threads)
-        })
+        self.k4deg
+            .get_or_init(|| k4_degrees_indexed(self.g, &self.tris, self.index(), self.threads))
     }
 
     /// The underlying graph.
@@ -142,6 +133,16 @@ impl PeelSpace for TriangleSpace<'_> {
 
     fn cell_vertices(&self, cell: u32, out: &mut Vec<u32>) {
         out.extend_from_slice(&self.tris.vertices[cell as usize]);
+    }
+
+    fn fused_records(&self, offsets: &[usize], threads: usize) -> Option<Vec<u32>> {
+        Some(triangle_companion_records(
+            self.g,
+            &self.tris,
+            self.index(),
+            offsets,
+            threads,
+        ))
     }
 }
 

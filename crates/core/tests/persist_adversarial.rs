@@ -323,6 +323,64 @@ fn resealed_record_damage_is_refused_by_its_own_check() {
     }
 }
 
+/// The writer emits one layout for given records: every section at the
+/// padded end of the one before, zero reserved words and padding, and
+/// the file ending at the padded end of the data section. Bytes that
+/// differ from it anywhere, with every checksum re-stamped, are refused
+/// with a reason naming the spot, so every accepted file re-saves to its
+/// own bytes. All five edits used to load.
+#[test]
+fn resealed_non_canonical_layouts_are_refused() {
+    type Edit = fn(&mut Vec<u8>);
+    let cases: Vec<(&str, &str, Edit)> = vec![
+        ("16 bytes appended", "file is 1272 bytes", |b| {
+            b.extend([0xAB; 16])
+        }),
+        (
+            "header reserved byte 76 set",
+            "header reserved word byte 76 is 0x01",
+            |b| b[76] = 1,
+        ),
+        (
+            "section 0 entry reserved byte 84 set",
+            "section reserved word byte 84 is 0x01",
+            |b| b[84] = 1,
+        ),
+        ("padding byte 356 set", "padding byte 356 is 0xff", |b| {
+            // 45 cells × 4 bytes of counts end at 356, 4 bytes short of
+            // the 8-aligned start of the offsets section
+            assert_eq!((section(b, 0).end, section(b, 1).start), (356, 360));
+            b[356] = 0xFF
+        }),
+        (
+            "data section moved 8 bytes later over a zero gap",
+            "section 2: offset",
+            |b| {
+                let start = section(b, 2).start;
+                b.splice(start..start, [0; 8]);
+                let at = 80 + 2 * 32 + 8;
+                b[at..at + 8].copy_from_slice(&(start as u64 + 8).to_le_bytes());
+            },
+        ),
+    ];
+    let (_, original) = valid_image(Kind::Nucleus34);
+    assert_eq!(original.len(), 1256, "karate (3,4) image");
+    let mut accepted = vec![];
+    for (what, reason_part, edit) in &cases {
+        let mut bytes = original.clone();
+        edit(&mut bytes);
+        reseal_sections(&mut bytes);
+        match PreparedIndex::from_bytes(bytes, "non-canonical") {
+            Err(CoreError::IndexCorrupt { reason, .. }) => {
+                assert!(reason.contains(reason_part), "{what}: {reason}");
+            }
+            Err(other) => panic!("{what}: expected IndexCorrupt, got {other}"),
+            Ok(_) => accepted.push(*what),
+        }
+    }
+    assert!(accepted.is_empty(), "accepted: {accepted:?}");
+}
+
 /// Byte-level fuzz: random flips, truncations, extensions and zeroed
 /// ranges over a valid image. Any mutation that changes the bytes must
 /// be rejected with a typed error — and none may panic (a panic fails

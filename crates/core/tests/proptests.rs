@@ -392,13 +392,26 @@ fn prepare_equivalence_on_er_and_ba_models() {
 
 /// Deterministic prepare-phase coverage beyond the random models: a
 /// hub-heavy R-MAT graph (skewed degrees, so a few hub edges carry most
-/// of the triangles and K4s), a triangle-free cycle and the empty graph.
+/// of the triangles and K4s), a triangle-free cycle and the empty graph;
+/// then the K4-dense inputs of the (3,4) vertex-table kernels: K8,
+/// where every triangle lies in 5 K4s, and the uk2005-s Small surrogate
+/// (planted cliques of 8, 12 and 16 vertices); and a K5 beside 10,000
+/// isolated vertices, whose per-worker vertex tables are sized by n
+/// while there are 10 triangles.
 #[test]
 fn prepare_equivalence_on_rmat_and_degenerate_graphs() {
+    use nucleus_gen::surrogate::{dataset, Scale};
     let rmat = nucleus_gen::rmat::rmat(7, 8, nucleus_gen::rmat::RmatParams::skewed(), 7);
     let cycle = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
     let empty = CsrGraph::from_edges(0, &[]);
-    for g in [&rmat, &cycle, &empty] {
+    let k8 = nucleus_gen::classic::complete(8);
+    let planted = dataset("uk2005-s", Scale::Small);
+    let k5_edges: Vec<(u32, u32)> = nucleus_gen::classic::complete(5)
+        .edges()
+        .map(|(_, u, v)| (u, v))
+        .collect();
+    let k5_isolated = CsrGraph::from_edges(10_005, &k5_edges);
+    for g in [&rmat, &cycle, &empty, &k8, &planted, &k5_isolated] {
         check_prepare_equivalence(g);
     }
 }

@@ -34,7 +34,12 @@
 //! Sections appear in tag order: `COUNTS` (cells × u32 ω counts),
 //! `OFFSETS` ((cells + 1) × u64 record offsets), `DATA`
 //! (records × arity × u32 words). Each entry carries its own
-//! [`hash64`] so a loader can localize corruption.
+//! [`hash64`] so a loader can localize corruption. The layout is
+//! canonical: each section starts at the end of the one before (the
+//! header, for the first) padded to 8 bytes, the file ends at the
+//! padded end of `DATA`, and the reserved words and padding bytes are
+//! zero. The loader checks all of it, so a file it accepts re-saves to
+//! its own bytes.
 //!
 //! # Compatibility policy
 //!
@@ -282,15 +287,33 @@ fn u64_at(buf: &[u8], i: usize) -> u64 {
     u64::from_le_bytes(w)
 }
 
+/// Refuses `bytes`, which start at file offset `at` and which the
+/// writer leaves zero (`what`: a reserved word or padding), unless all
+/// are zero.
+fn check_zero(bytes: &[u8], at: usize, what: &str) -> Result<(), GraphError> {
+    match bytes.iter().position(|&b| b != 0) {
+        Some(i) => Err(bad(format!(
+            "{what} byte {} is {:#04x}, must be 0",
+            at + i,
+            bytes[i]
+        ))),
+        None => Ok(()),
+    }
+}
+
 impl IndexImage {
     /// Validates `buf` as a version-2 index image and decodes its
     /// records.
     ///
     /// Returns [`GraphError::Format`] (or [`GraphError::Records`] from
     /// [`FlatRecords::try_from_parts`]) on any violation — truncation,
-    /// bad magic, unsupported version, checksum mismatch, out-of-bounds
-    /// or overlapping sections, malformed record structure, or counts
-    /// that disagree with the offsets. Never panics on untrusted bytes.
+    /// bad magic, unsupported version, checksum mismatch, a section
+    /// that does not start at the padded end of the one before, a
+    /// nonzero reserved word or padding byte, bytes past the padded end
+    /// of the last section, malformed record structure, or counts that
+    /// disagree with the offsets. So every image it accepts is the one
+    /// [`encode_index`] writes for the decoded records. Never panics on
+    /// untrusted bytes.
     pub fn from_bytes(mut buf: Vec<u8>) -> Result<Self, GraphError> {
         if buf.len() < 16 {
             return Err(bad(format!("truncated file: {} bytes", buf.len())));
@@ -353,6 +376,7 @@ impl IndexImage {
                 "expected {SECTION_COUNT} sections, header says {section_count}"
             )));
         }
+        check_zero(&buf[76..80], 76, "header reserved word")?;
 
         let expected_lens: [u64; SECTION_COUNT] = [
             header
@@ -380,14 +404,15 @@ impl IndexImage {
                     expected_tags[i]
                 )));
             }
+            check_zero(&buf[e + 4..e + 8], e + 4, "section reserved word")?;
+            // Each section starts where the writer puts it: at the end
+            // of the one before, padded to 8 bytes.
             let off = u64_at(&buf, e + 8);
             let len = u64_at(&buf, e + 16);
-            if !off.is_multiple_of(8) {
-                return Err(bad(format!("section {i}: offset {off} not 8-aligned")));
-            }
-            if off < prev_end {
+            let start = prev_end.next_multiple_of(8);
+            if off != start {
                 return Err(bad(format!(
-                    "section {i}: offset {off} overlaps previous section"
+                    "section {i}: offset {off}, the layout puts it at {start}"
                 )));
             }
             let end = off
@@ -399,6 +424,8 @@ impl IndexImage {
                     buf.len()
                 )));
             }
+            let gap = prev_end as usize..off as usize;
+            check_zero(&buf[gap.clone()], gap.start, "padding")?;
             if len != expected_lens[i] {
                 return Err(bad(format!(
                     "section {i}: length {len} does not match header (expected {})",
@@ -417,6 +444,14 @@ impl IndexImage {
             prev_end = end;
         }
         let [counts, offsets, data] = ranges;
+        let file_end = pad8(data.end);
+        if buf.len() != file_end {
+            return Err(bad(format!(
+                "file is {} bytes, its last section ends it at {file_end}",
+                buf.len()
+            )));
+        }
+        check_zero(&buf[data.end..], data.end, "padding")?;
 
         // Structural validation of the record store itself.
         let offsets = buf[offsets]
