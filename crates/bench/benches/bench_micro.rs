@@ -87,34 +87,6 @@ fn bench_micro(c: &mut Criterion) {
     // both must agree before we trust the comparison
     assert_eq!(bucket_core_peel(&g), heap_core_peel(&g));
 
-    // ablation: FND ADJ raw push vs dedup-last (paper pushes raw)
-    group.bench_with_input(BenchmarkId::new("ablation", "fnd-adj-raw"), &g, |b, g| {
-        b.iter(|| {
-            let es = EdgeSpace::new(g);
-            fnd_with_options(
-                &es,
-                FndOptions {
-                    dedup_adjacent: false,
-                },
-            )
-            .stats
-            .adj_connections
-        });
-    });
-    group.bench_with_input(BenchmarkId::new("ablation", "fnd-adj-dedup"), &g, |b, g| {
-        b.iter(|| {
-            let es = EdgeSpace::new(g);
-            fnd_with_options(
-                &es,
-                FndOptions {
-                    dedup_adjacent: true,
-                },
-            )
-            .stats
-            .adj_connections
-        });
-    });
-
     // parallel triangle counting (future-work §6 substrate)
     for threads in [1usize, 2, 4] {
         group.bench_with_input(

@@ -30,9 +30,15 @@
 //!   through the space's `fused_records`, over a space whose index and
 //!   ω are already built;
 //! * `peel-only`, `dft-post-only`, `fnd-total` — the historical
-//!   Figure 6 rows, unchanged in meaning;
+//!   Figure 6 rows, unchanged in meaning: they peel the lazy space, the
+//!   paper's setting, and build it inside the timer;
+//! * `peel-indexed`, `fnd-classify-indexed`, `fnd-indexed` — the same
+//!   split over the space sessions peel: `peel`, FND's extended loop
+//!   alone (`fnd_classify`, Alg. 8) and the whole of `fnd`, each over an
+//!   `IndexedSpace` whose `ContainerIndex` is built once, outside the
+//!   timer;
 //! * `hierarchy-assembly-serial` — `BuildHierarchy` (Alg. 9) alone,
-//!   over a pre-classified FND run (`fnd_classify`, Alg. 8). Each
+//!   over a pre-classified FND run on that indexed space. Each
 //!   iteration clones the skeleton inside the timer;
 //! * `prepare-total-t1/-tN` — the whole session prepare
 //!   (`Nucleus::builder(..).threads(t).prepare()`), the end-to-end
@@ -102,15 +108,29 @@ fn configure(group: &mut criterion::BenchmarkGroup<'_>) {
     }
 }
 
-/// The assembly-only row, shared between the two spaces: classify once
-/// outside the timer, then re-run `BuildHierarchy` per iteration on a
-/// fresh clone of the skeleton.
-fn bench_assembly<S: nucleus_core::space::PeelSpace>(
+/// The rows over the indexed space, shared between the two spaces: the
+/// Figure 6 split (`peel`, `fnd_classify`, `fnd`), then the assembly
+/// alone — classify once outside the timer, then re-run
+/// `BuildHierarchy` per iteration on a fresh clone of the skeleton.
+fn bench_indexed<S: nucleus_core::space::PeelSpace>(
     group: &mut criterion::BenchmarkGroup<'_>,
     name: &str,
     mat: &IndexedSpace<'_, S>,
 ) {
-    let classified = fnd_classify(mat, FndOptions::default(), FrontierOptions::default());
+    group.bench_with_input(BenchmarkId::new("peel-indexed", name), mat, |b, mat| {
+        b.iter(|| peel(mat).max_lambda);
+    });
+    group.bench_with_input(
+        BenchmarkId::new("fnd-classify-indexed", name),
+        mat,
+        |b, mat| {
+            b.iter(|| fnd_classify(mat, FndOptions, FrontierOptions::default()).connections);
+        },
+    );
+    group.bench_with_input(BenchmarkId::new("fnd-indexed", name), mat, |b, mat| {
+        b.iter(|| fnd(mat).hierarchy.nucleus_count());
+    });
+    let classified = fnd_classify(mat, FndOptions, FrontierOptions::default());
     let max_lambda = classified.peeling.max_lambda;
     group.bench_with_input(
         BenchmarkId::new("hierarchy-assembly-serial", name),
@@ -216,7 +236,7 @@ fn bench_phases_truss(c: &mut Criterion) {
             });
         });
         let containers = ContainerIndex::build(&es, all_threads());
-        bench_assembly(&mut group, name, &IndexedSpace::new(&es, &containers));
+        bench_indexed(&mut group, name, &IndexedSpace::new(&es, &containers));
         bench_prepare_total(&mut group, name, g, Kind::Truss);
     }
     group.finish();
@@ -313,7 +333,7 @@ fn bench_phases_nucleus34(c: &mut Criterion) {
             });
         });
         let containers = ContainerIndex::build(&ts, all_threads());
-        bench_assembly(&mut group, name, &IndexedSpace::new(&ts, &containers));
+        bench_indexed(&mut group, name, &IndexedSpace::new(&ts, &containers));
         bench_prepare_total(&mut group, name, g, Kind::Nucleus34);
     }
     group.finish();

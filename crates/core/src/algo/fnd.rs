@@ -7,7 +7,7 @@
 //! processed cell `w` of minimum λ either shares `u`'s λ (u and w are in
 //! the same — possibly non-maximal — sub-nucleus `T*`, so their
 //! components are unioned) or has a smaller λ (the pair of sub-nuclei is
-//! appended to the `ADJ` list, ordered later by `BuildHierarchy`).
+//! a connection for the `ADJ` list, ordered later by `BuildHierarchy`).
 //!
 //! The module splits FND at the paper's seam, each half written once:
 //! [`fnd_classify`] is Alg. 8, the extended peeling loop, and
@@ -17,11 +17,22 @@
 //! starts like [`crate::peel::peel`]'s, with the ω₀ = 0 bypass: cells in
 //! no container take λ = 0 and lead the order without entering the
 //! queue, and own no sub-nucleus.
+//!
+//! The loop keeps no λ or sub-nucleus array of its own: a popped cell's
+//! λ is its key in the bucket queue and its sub-nucleus the tag in the
+//! same slot ([`PeelBuckets::tag`]), so one slot read classifies a
+//! processed co-cell. `ADJ` stores a connection only when it differs
+//! from the last pair stored with the same lower sub-nucleus. The paper
+//! pushes every connection (`Find-r` in Alg. 9 absorbs repeats), so
+//! [`FndStats::adj_connections`] still counts them all; on rmat-s11
+//! (3,4), 240,192 connections leave 43,974 stored pairs.
 
 use std::time::{Duration, Instant};
 
+use nucleus_graph::bucket::PeelBuckets;
+
 use crate::hierarchy::{Hierarchy, NO_NODE};
-use crate::peel::{serial_start, Peeling};
+use crate::peel::Peeling;
 use crate::skeleton::Skeleton;
 use crate::space::{PeelBackend, PeelSpace};
 
@@ -30,8 +41,9 @@ use crate::space::{PeelBackend, PeelSpace};
 pub struct FndStats {
     /// Number of (possibly non-maximal) sub-nuclei |T*_{r,s}|.
     pub subnuclei: usize,
-    /// |c↓(T*_{r,s})|: recorded connections from higher-λ sub-nuclei to
-    /// lower-λ ones (the length of `ADJ`).
+    /// |c↓(T*_{r,s})|: connections found from higher-λ sub-nuclei to
+    /// lower-λ ones — the length of the paper's `ADJ`, repeats included,
+    /// though [`fnd_classify`] stores a repeat only once.
     pub adj_connections: usize,
 }
 
@@ -52,17 +64,14 @@ pub struct FndOutcome {
     pub post_time: Duration,
 }
 
-/// Tuning knobs for [`fnd_with_options`]; the defaults follow the paper.
+/// The second argument of [`fnd_classify`]. It has no fields: FND has no
+/// knobs. The type keeps the call the repository benchmark's layer probe
+/// makes (`perfbench/src/build.rs`) compiling.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct FndOptions {
-    /// Skip pushing an `ADJ` pair identical to the immediately preceding
-    /// one. The paper pushes raw (duplicates are absorbed by `Find-r`
-    /// in BuildHierarchy); deduping trades a branch per container for a
-    /// shorter list — measured in `bench_micro` (ablation).
-    pub dedup_adjacent: bool,
-}
+pub struct FndOptions;
 
-/// Runs FastNucleusDecomposition on a space with default options.
+/// Runs FastNucleusDecomposition: Alg. 8 ([`fnd_classify`]), then Alg. 9
+/// ([`build_hierarchy`]), then the canonical hierarchy.
 ///
 /// ```
 /// use nucleus_core::algo::fnd::fnd;
@@ -77,28 +86,22 @@ pub struct FndOptions {
 /// assert_eq!(out.stats.adj_connections, 0); // single λ level
 /// ```
 pub fn fnd<S: PeelSpace>(space: &S) -> FndOutcome {
-    fnd_with_options(space, FndOptions::default())
-}
-
-/// Runs FastNucleusDecomposition with explicit [`FndOptions`]: Alg. 8
-/// ([`fnd_classify`]), then Alg. 9 ([`build_hierarchy`]), then the
-/// canonical hierarchy.
-pub fn fnd_with_options<S: PeelSpace>(space: &S, options: FndOptions) -> FndOutcome {
     let t0 = Instant::now();
     let FndClassified {
         peeling,
         skeleton: mut sk,
         adj,
-    } = fnd_classify(space, options, FrontierOptions::default());
+        connections,
+    } = fnd_classify(space, FndOptions, FrontierOptions::default());
     let peel_time = t0.elapsed();
 
     let t1 = Instant::now();
     build_hierarchy(&mut sk, &adj, peeling.max_lambda, 1, 0);
+    drop(adj);
     let stats = FndStats {
         subnuclei: sk.len(),
-        adj_connections: adj.len(),
+        adj_connections: connections,
     };
-    drop(adj);
     let hierarchy = sk.into_raw().into_hierarchy(
         space.r(),
         space.s(),
@@ -139,38 +142,68 @@ pub struct FndClassified {
     pub peeling: Peeling,
     /// Skeleton with components assigned but no hierarchy links yet.
     pub skeleton: Skeleton,
-    /// `(higher-λ, lower-λ)` sub-nucleus pairs, in push order (adjacent
-    /// duplicates skipped when the options ask for it).
+    /// `(higher-λ, lower-λ)` sub-nucleus pairs in push order, each
+    /// stored only when it differs from the last pair stored with the
+    /// same lower side.
     pub adj: Vec<(u32, u32)>,
+    /// Every connection the loop found, stored or not: |c↓(T*)|.
+    pub connections: usize,
 }
+
+/// Stamp of a lower sub-nucleus no pair has been stored with yet.
+const UNSTAMPED: u32 = NO_NODE - 1;
+/// Stamp of a lower sub-nucleus whose last pair was stored by the cell
+/// being peeled before that cell had a sub-nucleus. Neither stamp is
+/// `NO_NODE` (a cell with no sub-nucleus yet) or a sub-nucleus id, since
+/// [`fnd_classify`] takes at most `PENDING` cells.
+const PENDING: u32 = NO_NODE - 2;
 
 /// Alg. 8, FND's extended peeling loop: peels like
 /// [`crate::peel::peel`] and classifies every container of each peeled
 /// cell on the way. Feed the result to [`build_hierarchy`] and then
 /// [`Skeleton::into_raw`] to finish the decomposition, as [`fnd`] does.
-/// `_frontier` is ignored (see [`FrontierOptions`]).
+/// The arguments after `space` are ignored (see [`FndOptions`] and
+/// [`FrontierOptions`]).
+///
+/// A popped cell's λ is its queue key and its sub-nucleus its queue tag,
+/// so [`Skeleton::comp`] and [`Peeling::lambda`] are read off the queue
+/// once the loop ends. Each lower sub-nucleus `t` keeps a stamp: the
+/// higher side of the last pair stored with it. A connection `(h, t)`
+/// whose stamp is `h` is counted and not stored again.
 pub fn fnd_classify<B: PeelBackend>(
     space: &B,
-    options: FndOptions,
+    _options: FndOptions,
     _frontier: FrontierOptions,
 ) -> FndClassified {
     let n = space.cell_count();
+    assert!(n <= PENDING as usize, "FND takes at most {PENDING} cells");
     // λ = 0 cells are in the order already (the ω₀ = 0 bypass) and own
     // no sub-nucleus; every cell the queue pops has λ ≥ 1.
-    let (mut q, mut lambda, mut order) = serial_start(space.degrees());
+    let (mut q, mut order) = PeelBuckets::skipping_zeros(space.degrees());
+    let first_popped = order.len();
     let mut max_lambda = 0u32;
-    let mut sk = Skeleton::new(n);
-    // `(higher-λ sub-nucleus, lower-λ sub-nucleus)` pairs; the first
-    // component is patched after the cell's iteration if it was pushed
-    // before the cell got its sub-nucleus (paper line 19).
+    // `comp` is filled from the queue's tags at the end.
+    let mut sk = Skeleton::new(0);
     let mut adj: Vec<(u32, u32)> = Vec::new();
+    // One stamp per sub-nucleus, reserved once for the most the loop can
+    // make (one per queued cell). Grown by doubling in step with the
+    // skeleton's four per-sub-nucleus vectors, its reallocations left
+    // heap holes that raised the peak RSS of a 240 k-edge (2,3) build by
+    // 1–3 MiB.
+    let mut stamp: Vec<u32> = Vec::with_capacity(q.len());
+    let mut connections = 0usize;
 
     while let Some((u, k)) = q.pop_min() {
         debug_assert!(k > 0, "ω₀ = 0 cells bypass the queue");
-        lambda[u as usize] = k;
         max_lambda = max_lambda.max(k);
         order.push(u);
+        // u's sub-nucleus, once a same-λ container names one. The pairs
+        // in `adj[adj_start..pending_end]` were stored before that: their
+        // higher side holds their lower side's previous stamp until it
+        // is patched below (paper line 19).
+        let mut cu = NO_NODE;
         let adj_start = adj.len();
+        let mut pending_end = adj_start;
         space.for_each_container(u, |others| {
             // Split the container into processed / unprocessed cells and
             // find the processed cell of minimum λ (paper lines 14-15).
@@ -178,7 +211,7 @@ pub fn fnd_classify<B: PeelBackend>(
             let mut w_lambda = u32::MAX;
             for &v in others {
                 if q.is_popped(v) {
-                    let lv = lambda[v as usize];
+                    let lv = q.key(v);
                     if lv < w_lambda {
                         w_lambda = lv;
                         w = v;
@@ -193,49 +226,72 @@ pub fn fnd_classify<B: PeelBackend>(
                         q.decrement(v);
                     }
                 }
-            } else if w_lambda == k {
+                return;
+            }
+            // w's slot holds its λ and its sub-nucleus.
+            let cw = q.tag(w);
+            if w_lambda == k {
                 // u and w are strongly connected (this container has
                 // λ_{r,s} = k): same T* (line 16-17).
-                let cw = sk.comp[w as usize];
-                debug_assert_ne!(cw, NO_NODE);
-                let cu = sk.comp[u as usize];
                 if cu == NO_NODE {
-                    sk.comp[u as usize] = cw;
+                    cu = cw;
                 } else if cu != cw {
                     sk.forest.union_r(cu, cw);
                 }
+                return;
+            }
+            // λ(w) < λ(u): containment relation, deferred (line 18).
+            debug_assert!(w_lambda < k);
+            connections += 1;
+            let last = stamp[cw as usize];
+            if last == PENDING || last == cu {
+                // A repeat: u met cw earlier in this loop, or cw's last
+                // pair is (cu, cw) already.
+                return;
+            }
+            if cu == NO_NODE {
+                adj.push((last, cw));
+                stamp[cw as usize] = PENDING;
+                pending_end = adj.len();
             } else {
-                // λ(w) < λ(u): containment relation, deferred (line 18).
-                debug_assert!(w_lambda < k);
-                let cw = sk.comp[w as usize];
-                debug_assert_ne!(cw, NO_NODE, "processed cell in a container must have λ ≥ 1");
-                let pair = (sk.comp[u as usize], cw);
-                if !(options.dedup_adjacent && adj.last() == Some(&pair)) {
-                    adj.push(pair);
-                }
+                adj.push((cu, cw));
+                stamp[cw as usize] = cu;
             }
         });
-        // Line 19: ensure u owns a sub-nucleus, patch pending pairs.
-        if sk.comp[u as usize] == NO_NODE {
-            let sn = sk.new_subnucleus(k);
-            sk.comp[u as usize] = sn;
+        // Line 19: ensure u owns a sub-nucleus, patch pending pairs. A
+        // pending pair whose lower side last stored u's sub-nucleus
+        // repeats that pair and goes.
+        if cu == NO_NODE {
+            cu = sk.new_subnucleus(k);
+            stamp.push(UNSTAMPED);
         }
-        let cu = sk.comp[u as usize];
-        for pair in &mut adj[adj_start..] {
-            if pair.0 == NO_NODE {
-                pair.0 = cu;
+        q.set_tag(u, cu);
+        let mut kept = adj_start;
+        for i in adj_start..pending_end {
+            let (last, t) = adj[i];
+            stamp[t as usize] = cu;
+            if last != cu {
+                adj[kept] = (cu, t);
+                kept += 1;
             }
         }
+        adj.drain(kept..pending_end);
     }
+    drop(stamp);
 
+    sk.comp = vec![NO_NODE; n];
+    for &x in &order[first_popped..] {
+        sk.comp[x as usize] = q.tag(x);
+    }
     FndClassified {
         peeling: Peeling {
-            lambda,
+            lambda: q.into_keys(),
             max_lambda,
             order,
         },
         skeleton: sk,
         adj,
+        connections,
     }
 }
 
@@ -243,9 +299,10 @@ pub fn fnd_classify<B: PeelBackend>(
 /// lower side and process bins in decreasing λ, attaching or merging
 /// greatest ancestors — the same bottom-up discipline as DF-Traversal.
 /// Within a bin, a higher-λ top attaches under the pair's lower top at
-/// once; same-λ tops merge at the end of the bin. `_threads` and
-/// `_min_parallel_work` are ignored: the pass runs on the calling
-/// thread (see [`FrontierOptions`]).
+/// once; same-λ tops merge at the end of the bin. The bins are one
+/// counting-sorted copy of `adj`, in push order within each bin.
+/// `_threads` and `_min_parallel_work` are ignored: the pass runs on the
+/// calling thread (see [`FrontierOptions`]).
 pub fn build_hierarchy(
     sk: &mut Skeleton,
     adj: &[(u32, u32)],
@@ -256,15 +313,27 @@ pub fn build_hierarchy(
     if adj.is_empty() {
         return;
     }
-    let mut bins: Vec<Vec<(u32, u32)>> = vec![Vec::new(); max_lambda as usize + 1];
+    // Bin k is `pairs[start[k]..start[k + 1]]`.
+    let bin_of = |t: u32| sk.lambda[t as usize] as usize;
+    let mut start = vec![0usize; max_lambda as usize + 2];
+    for &(_, t) in adj {
+        start[bin_of(t) + 1] += 1;
+    }
+    for k in 1..start.len() {
+        start[k] += start[k - 1];
+    }
+    let mut next = start.clone();
+    let mut pairs = vec![(0u32, 0u32); adj.len()];
     for &(s, t) in adj {
         debug_assert!(sk.lambda[s as usize] > sk.lambda[t as usize]);
-        bins[sk.lambda[t as usize] as usize].push((s, t));
+        let at = &mut next[bin_of(t)];
+        pairs[*at] = (s, t);
+        *at += 1;
     }
     let mut merge: Vec<(u32, u32)> = Vec::new();
-    for (k, bin) in bins.iter().enumerate().skip(1).rev() {
+    for k in (1..=max_lambda as usize).rev() {
         merge.clear();
-        for &(s, t) in bin {
+        for &(s, t) in &pairs[start[k]..start[k + 1]] {
             let sf = sk.forest.find_r(s);
             let tf = sk.forest.find_r(t);
             if sf == tf {
@@ -351,19 +420,28 @@ mod tests {
         assert_eq!(out.hierarchy.nuclei_at(3).len(), 4);
     }
 
+    /// Karate's Table 3 counters, pinned from the loop that pushed every
+    /// connection to `ADJ`, and a stored `ADJ` with no pair in it twice.
     #[test]
-    fn dedup_option_preserves_hierarchy_with_fewer_connections() {
+    fn karate_stats_are_pinned_and_stored_adj_has_no_repeats() {
+        fn check<S: PeelSpace>(space: &S, subnuclei: usize, connections: usize, stored: usize) {
+            let out = fnd(space);
+            assert_eq!(out.stats.subnuclei, subnuclei, "|T*|");
+            assert_eq!(out.stats.adj_connections, connections, "|c↓(T*)|");
+            let cl = fnd_classify(space, FndOptions, FrontierOptions::default());
+            assert_eq!(cl.connections, connections);
+            assert_eq!(cl.adj.len(), stored, "stored ADJ pairs");
+            let mut pairs = cl.adj.clone();
+            pairs.sort_unstable();
+            pairs.dedup();
+            assert_eq!(pairs.len(), stored, "a pair stored twice");
+        }
         let g = nucleus_gen::karate::karate_club();
-        let es = EdgeSpace::new(&g);
-        let raw = fnd(&es);
-        let deduped = fnd_with_options(
-            &es,
-            FndOptions {
-                dedup_adjacent: true,
-            },
-        );
-        assert_eq!(raw.hierarchy, deduped.hierarchy);
-        assert!(deduped.stats.adj_connections <= raw.stats.adj_connections);
+        check(&VertexSpace::new(&g), 19, 41, 22);
+        check(&crate::space::VertexTriangleSpace::new(&g), 19, 34, 18);
+        check(&EdgeSpace::new(&g), 25, 14, 14);
+        check(&crate::space::EdgeK4Space::new(&g), 4, 0, 0);
+        check(&TriangleSpace::new(&g), 4, 0, 0);
     }
 
     #[test]

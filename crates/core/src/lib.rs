@@ -74,8 +74,7 @@ pub use session::{Nucleus, NucleusBuilder, Prepared};
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::algo::fnd::{
-        build_hierarchy, fnd, fnd_classify, fnd_with_options, FndClassified, FndOptions,
-        FrontierOptions,
+        build_hierarchy, fnd, fnd_classify, FndClassified, FndOptions, FrontierOptions,
     };
     pub use crate::algo::lcps::lcps;
     pub use crate::algo::tcp::{tcp_query, TcpIndex};

@@ -66,10 +66,11 @@ impl Peeling {
 /// assert_eq!(truss.lambda_of(g.edge_id(2, 3).unwrap()), 0);
 /// ```
 pub fn peel<B: PeelBackend>(space: &B) -> Peeling {
-    let (mut q, mut lambda, mut order) = serial_start(space.degrees());
+    // The ω₀ = 0 bypass (see the module docs): the queue holds the other
+    // cells, and λ is every cell's pop key, 0 for the bypassed ones.
+    let (mut q, mut order) = PeelBuckets::skipping_zeros(space.degrees());
     let mut max_lambda = 0u32;
     while let Some((u, k)) = q.pop_min() {
-        lambda[u as usize] = k;
         max_lambda = max_lambda.max(k);
         order.push(u);
         space.for_each_container(u, |others| {
@@ -86,22 +87,10 @@ pub fn peel<B: PeelBackend>(space: &B) -> Peeling {
         });
     }
     Peeling {
-        lambda,
+        lambda: q.into_keys(),
         max_lambda,
         order,
     }
-}
-
-/// The start both serial loops ([`peel`] and
-/// [`crate::algo::fnd::fnd_classify`])
-/// share, given the initial ω: the bucket queue, λ and the order so far,
-/// after the ω₀ = 0 bypass (see the module docs). No loop ever asks
-/// whether a bypassed cell was popped, because it lies in no container.
-pub(crate) fn serial_start(degrees: Vec<u32>) -> (PeelBuckets, Vec<u32>, Vec<u32>) {
-    let n = degrees.len();
-    let mut order = Vec::with_capacity(n);
-    let q = PeelBuckets::skipping_zeros(degrees, &mut order);
-    (q, vec![0u32; n], order)
 }
 
 /// Brute-force reference: computes λ by literally re-running the

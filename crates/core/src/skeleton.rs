@@ -82,12 +82,18 @@ impl Skeleton {
             }
             rep[cur as usize] = top;
         }
-        // Raw node per representative.
+        // Raw node per representative, its cell list sized to the cells
+        // it gets, so each list is allocated once.
+        let mut size = vec![0u32; n];
+        for &c in self.comp.iter().filter(|&&c| c != NO_NODE) {
+            size[rep[c as usize] as usize] += 1;
+        }
         let mut raw = RawHierarchy::default();
         let mut raw_id = vec![NO_NODE; n];
         for i in 0..n {
             if rep[i] == i as u32 {
-                raw_id[i] = raw.push(self.lambda[i], NO_NODE, Vec::new());
+                let cells = Vec::with_capacity(size[i] as usize);
+                raw_id[i] = raw.push(self.lambda[i], NO_NODE, cells);
             }
         }
         // Parents: a representative's skeleton parent (if any) has a

@@ -10,10 +10,12 @@ use nucleus_core::algo::lcps::lcps;
 use nucleus_core::algo::naive::naive;
 use nucleus_core::algo::tcp::{tcp_query, TcpIndex};
 use nucleus_core::decompose::{Algorithm, Backend, Decomposition, Kind};
-use nucleus_core::peel::{peel, peel_reference};
+use nucleus_core::hierarchy::NO_NODE;
+use nucleus_core::peel::{peel, peel_reference, Peeling};
 use nucleus_core::persist::PreparedIndex;
 use nucleus_core::plan;
 use nucleus_core::session::Nucleus;
+use nucleus_core::skeleton::Skeleton;
 use nucleus_core::space::materialized::record_arity;
 use nucleus_core::space::{
     ContainerIndex, EdgeK4Space, EdgeSpace, IndexedSpace, PeelBackend, PeelSpace, TriangleSpace,
@@ -21,6 +23,7 @@ use nucleus_core::space::{
 };
 use nucleus_core::validate::check_semantics;
 use nucleus_core::FrontierOptions;
+use nucleus_graph::bucket::PeelBuckets;
 use nucleus_graph::flat::{offsets_from_counts, FlatRecords};
 use nucleus_graph::persist_io::{encode_index, graph_fingerprint};
 use nucleus_graph::CsrGraph;
@@ -245,7 +248,7 @@ fn check_fnd_split<S: PeelSpace>(space: &S, want: &FndOutcome) {
         threads: 8,
         min_parallel_work: 0,
     };
-    let cl = fnd_classify(space, FndOptions::default(), frontier);
+    let cl = fnd_classify(space, FndOptions, frontier);
     assert_eq!(cl.peeling.lambda, want.peeling.lambda, "classified λ");
     assert_eq!(cl.peeling.order, want.peeling.order, "classified order");
     let max_lambda = cl.peeling.max_lambda;
@@ -255,6 +258,109 @@ fn check_fnd_split<S: PeelSpace>(space: &S, want: &FndOutcome) {
         .into_raw()
         .into_hierarchy(space.r(), space.s(), cl.peeling.lambda, max_lambda);
     assert_eq!(h, want.hierarchy, "fnd_classify + build_hierarchy");
+}
+
+/// Alg. 8 as the paper writes it: λ and sub-nucleus (`comp`) arrays
+/// beside the bucket queue, and every connection pushed to `ADJ`, with
+/// the pairs a cell pushed before it had a sub-nucleus patched at the
+/// end of its iteration (paper line 19). The reference
+/// [`check_fnd_classify_against_paper_loop`] pins `fnd_classify` to.
+fn paper_fnd_classify<B: PeelBackend>(space: &B) -> (Peeling, Skeleton, Vec<(u32, u32)>) {
+    let n = space.cell_count();
+    let (mut q, mut order) = PeelBuckets::skipping_zeros(space.degrees());
+    let mut lambda = vec![0u32; n];
+    let mut max_lambda = 0u32;
+    let mut sk = Skeleton::new(n);
+    let mut adj: Vec<(u32, u32)> = Vec::new();
+    while let Some((u, k)) = q.pop_min() {
+        lambda[u as usize] = k;
+        max_lambda = max_lambda.max(k);
+        order.push(u);
+        let adj_start = adj.len();
+        space.for_each_container(u, |others| {
+            let mut w = NO_NODE;
+            let mut w_lambda = u32::MAX;
+            for &v in others {
+                if q.is_popped(v) && lambda[v as usize] < w_lambda {
+                    w_lambda = lambda[v as usize];
+                    w = v;
+                }
+            }
+            if w == NO_NODE {
+                for &v in others {
+                    if q.key(v) > k {
+                        q.decrement(v);
+                    }
+                }
+            } else if w_lambda == k {
+                let cw = sk.comp[w as usize];
+                let cu = sk.comp[u as usize];
+                if cu == NO_NODE {
+                    sk.comp[u as usize] = cw;
+                } else if cu != cw {
+                    sk.forest.union_r(cu, cw);
+                }
+            } else {
+                adj.push((sk.comp[u as usize], sk.comp[w as usize]));
+            }
+        });
+        if sk.comp[u as usize] == NO_NODE {
+            sk.comp[u as usize] = sk.new_subnucleus(k);
+        }
+        let cu = sk.comp[u as usize];
+        for pair in &mut adj[adj_start..] {
+            if pair.0 == NO_NODE {
+                pair.0 = cu;
+            }
+        }
+    }
+    let peeling = Peeling {
+        lambda,
+        max_lambda,
+        order,
+    };
+    (peeling, sk, adj)
+}
+
+/// `adj` without every pair that repeats the last pair kept with the
+/// same lower side, in first-occurrence order.
+fn drop_repeats(adj: &[(u32, u32)], subnuclei: usize) -> Vec<(u32, u32)> {
+    let mut last = vec![NO_NODE; subnuclei];
+    adj.iter()
+        .copied()
+        .filter(|&(h, t)| std::mem::replace(&mut last[t as usize], h) != h)
+        .collect()
+}
+
+/// Pins [`fnd_classify`] to [`paper_fnd_classify`] on the lazy backend
+/// and on the indexed one: equal λ, order, `Skeleton.comp` and
+/// sub-nucleus λ; a stored `ADJ` equal to the paper's with repeats
+/// dropped ([`drop_repeats`]); `FndStats` counting the paper's `ADJ`
+/// length; and the paper's raw `ADJ`, assembled by `build_hierarchy`,
+/// giving `fnd`'s hierarchy.
+fn check_fnd_classify_against_paper_loop<S: PeelSpace + Sync>(space: &S) {
+    fn check<S: PeelSpace>(space: &S, backend: &str) {
+        let (peeling, mut sk, raw_adj) = paper_fnd_classify(space);
+        let cl = fnd_classify(space, FndOptions, FrontierOptions::default());
+        assert_eq!(cl.peeling.lambda, peeling.lambda, "{backend} λ");
+        assert_eq!(cl.peeling.order, peeling.order, "{backend} order");
+        assert_eq!(cl.peeling.max_lambda, peeling.max_lambda, "{backend}");
+        assert_eq!(cl.skeleton.comp, sk.comp, "{backend} comp");
+        assert_eq!(cl.skeleton.lambda, sk.lambda, "{backend} sub-nucleus λ");
+        assert_eq!(cl.connections, raw_adj.len(), "{backend} connections");
+        assert_eq!(cl.adj, drop_repeats(&raw_adj, sk.len()), "{backend} ADJ");
+        let out = fnd(space);
+        assert_eq!(out.stats.subnuclei, sk.len(), "{backend} |T*|");
+        assert_eq!(out.stats.adj_connections, raw_adj.len(), "{backend} |c↓|");
+        build_hierarchy(&mut sk, &raw_adj, peeling.max_lambda, 1, 0);
+        let h =
+            sk.into_raw()
+                .into_hierarchy(space.r(), space.s(), peeling.lambda, peeling.max_lambda);
+        assert_eq!(h, out.hierarchy, "{backend} hierarchy from the raw ADJ");
+    }
+    check(space, "lazy");
+    let index = ContainerIndex::build(space, 2);
+    check(&IndexedSpace::new(space, &index), "indexed");
 }
 
 /// Pins every builder session to the lazy reference session for one
@@ -416,6 +522,28 @@ fn prepare_equivalence_on_rmat_and_degenerate_graphs() {
     }
 }
 
+/// [`check_fnd_classify_against_paper_loop`] for all five kinds on
+/// inputs larger than the random ones, with many λ levels and many
+/// connections per sub-nucleus: karate, a BA graph, an R-MAT graph and
+/// a Holme–Kim graph.
+#[test]
+fn fnd_classify_matches_paper_loop_on_model_graphs() {
+    use nucleus_gen::rmat::{rmat, RmatParams};
+    let graphs = [
+        nucleus_gen::karate::karate_club(),
+        nucleus_gen::ba::barabasi_albert(600, 4, 3),
+        rmat(8, 8, RmatParams::skewed(), 5),
+        nucleus_gen::holme_kim::holme_kim(800, 5, 0.6, 2),
+    ];
+    for g in &graphs {
+        check_fnd_classify_against_paper_loop(&VertexSpace::new(g));
+        check_fnd_classify_against_paper_loop(&VertexTriangleSpace::new(g));
+        check_fnd_classify_against_paper_loop(&EdgeSpace::new(g));
+        check_fnd_classify_against_paper_loop(&EdgeK4Space::new(g));
+        check_fnd_classify_against_paper_loop(&TriangleSpace::new(g));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -497,6 +625,31 @@ proptest! {
     #[test]
     fn backend_equivalence_edge_k4(g in graph_strategy(10, 40)) {
         check_backend_equivalence(&EdgeK4Space::new(&g));
+    }
+
+    #[test]
+    fn fnd_classify_matches_paper_loop_core(g in graph_strategy(24, 80)) {
+        check_fnd_classify_against_paper_loop(&VertexSpace::new(&g));
+    }
+
+    #[test]
+    fn fnd_classify_matches_paper_loop_vertex_triangle(g in graph_strategy(14, 50)) {
+        check_fnd_classify_against_paper_loop(&VertexTriangleSpace::new(&g));
+    }
+
+    #[test]
+    fn fnd_classify_matches_paper_loop_truss(g in graph_strategy(16, 60)) {
+        check_fnd_classify_against_paper_loop(&EdgeSpace::new(&g));
+    }
+
+    #[test]
+    fn fnd_classify_matches_paper_loop_edge_k4(g in graph_strategy(10, 40)) {
+        check_fnd_classify_against_paper_loop(&EdgeK4Space::new(&g));
+    }
+
+    #[test]
+    fn fnd_classify_matches_paper_loop_nucleus34(g in graph_strategy(12, 50)) {
+        check_fnd_classify_against_paper_loop(&TriangleSpace::new(&g));
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! The VLDB'16 evaluation runs on nine real-world networks (SNAP, UF,
 //! Network Repository) that cannot be redistributed or fetched offline.
 //! This crate provides seeded generators whose outputs exercise the same
-//! structural regimes (see `DESIGN.md` for the per-dataset mapping), plus
-//! the classic deterministic graphs and the paper's illustrative figure
+//! structural regimes (the registry is [`dataset_names`]; the
+//! [`surrogate`] module docs give the per-dataset mapping), plus the
+//! classic deterministic graphs and the paper's illustrative figure
 //! graphs used throughout the test suite.
 //!
 //! All generators take an explicit `u64` seed and are fully reproducible.

@@ -1,7 +1,28 @@
 //! Named surrogate datasets standing in for the paper's nine real-world
-//! networks (Table 3). Each surrogate is a seeded generator whose
-//! parameters put it in the same structural regime as the original —
-//! see `DESIGN.md` ("Substitutions") for the mapping rationale.
+//! networks (Table 3), which cannot be redistributed or fetched offline.
+//! Each surrogate is a seeded generator whose parameters put it in the
+//! same structural regime as the original; [`dataset_names`] lists them
+//! in Table 3 row order. The mapping, and why:
+//!
+//! * `skitter-s` (internet topology): R-MAT with skewed quadrant
+//!   probabilities, for the heavy-tailed degrees and hub-dominated cores
+//!   of a traceroute graph.
+//! * `berkeley13-s`, `mit-s`, `stanford3-s`, `texas84-s` (Facebook
+//!   university networks): planted partitions — dense blocks with sparse
+//!   links between them, the community structure that gives these
+//!   graphs many deep, nested nuclei. Block counts and sizes follow the
+//!   originals' relative sizes (MIT smallest, Texas largest).
+//! * `twitter-hb-s` (retweet cascade): Holme–Kim, preferential
+//!   attachment plus triad formation, so hubs come with the triangles a
+//!   cascade closes.
+//! * `google-s` (web graph): R-MAT with a more skewed first quadrant
+//!   than skitter's (0.65 against 0.57), for the web's more
+//!   concentrated link structure.
+//! * `uk2005-s` (web crawl with huge cliques): planted cliques joined by
+//!   triangle-free bridges, the regime where every (2,3) connection
+//!   stays inside one λ level (Table 3's c↓ = 0).
+//! * `wiki-s` (wiki links): Barabási–Albert preferential attachment,
+//!   scale-free with few triangles per edge.
 //!
 //! Three scales are provided so tests (Small), default benches (Medium)
 //! and patient full runs (Large) can share one registry.

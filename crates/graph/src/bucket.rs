@@ -3,9 +3,10 @@
 //! Two variants are needed:
 //!
 //! * [`PeelBuckets`] — the Batagelj–Zaversnik array layout (`bin`, `pos`,
-//!   `vert`) that the peeling phase (Alg. 1 of the paper) relies on. It
-//!   supports `pop_min` with a monotone cursor and O(1) `decrement`,
-//!   giving the classic O(n + m) k-core peeling bound.
+//!   `vert`) that the peeling phase (Alg. 1 of the paper) relies on, with
+//!   each element's key and position in one slot. It supports `pop_min`
+//!   with a monotone cursor and O(1) `decrement`, giving the classic
+//!   O(n + m) k-core peeling bound.
 //! * [`MaxBuckets`] — a max-priority bucket queue with a movable cursor,
 //!   which is exactly the "bucket data structure" the paper plugs into
 //!   Matula & Beck's LCPS to make its priority queue maintainable (§5.1).
@@ -13,6 +14,17 @@
 /// Min-bucket structure over integer keys, specialized for peeling:
 /// keys only ever *decrease by one at a time*, and never below the key of
 /// the most recently popped element.
+///
+/// # One slot per element
+///
+/// Every element owns one `[u32; 2]` slot for its whole life. While it
+/// is queued, the slot holds its current key and its index in `vert`, so
+/// a decrement reads and writes one slot. Popping fixes the key (the
+/// element's λ in a peel) and frees the second word, which from then on
+/// holds a tag the caller sets ([`PeelBuckets::set_tag`]; FND stores the
+/// cell's sub-nucleus there). So a lookup of a popped element's key and
+/// tag reads one slot too, and [`PeelBuckets::into_keys`] hands back the
+/// λ of a finished peel.
 ///
 /// # Laziness invariant
 ///
@@ -30,15 +42,16 @@ pub struct PeelBuckets {
     /// entries for drained buckets go stale and are never read (see the
     /// laziness invariant above).
     bin: Vec<u32>,
-    /// `pos[x]` = current index of element `x` in `vert`.
-    pos: Vec<u32>,
+    /// `slot[x]` = `[key, pos]` while `x` is queued (`pos` = its index
+    /// in `vert`), `[key, tag]` once it is popped; `[0, _]` for a zero
+    /// key [`PeelBuckets::skipping_zeros`] left out of the queue.
+    slot: Vec<[u32; 2]>,
     /// Queued elements sorted by current key; `vert[cursor..]` are
     /// unpopped.
     vert: Vec<u32>,
-    /// Current key of every element.
-    key: Vec<u32>,
-    /// Popped-element bitmap (one bit per element): 64× denser than the
-    /// `pos`-vs-cursor comparison, so the peeling loop's dead-container
+    /// Popped-element bitmap (one bit per element): the slot's second
+    /// word cannot tell a position from a tag, and the bitmap is 64×
+    /// denser than the slots, so the peeling loop's dead-container
     /// scans stay in cache on large inputs.
     popped: Vec<u64>,
     cursor: u32,
@@ -46,61 +59,71 @@ pub struct PeelBuckets {
     floor: u32,
 }
 
+/// Index of the key in a slot.
+const KEY: usize = 0;
+/// Index of the queue position (while queued) or the tag (once popped).
+const POS_OR_TAG: usize = 1;
+
 impl PeelBuckets {
     /// Builds the structure from initial keys (one per element `0..n`).
-    pub fn new(keys: Vec<u32>) -> Self {
-        let n = keys.len() as u32;
-        Self::over(keys, 0..n)
+    pub fn new(mut keys: Vec<u32>) -> Self {
+        Self::over(&mut keys, false)
     }
 
-    /// Builds the structure over the elements with a nonzero key only,
-    /// appending the zero-key elements to `zeros` in ascending order —
-    /// the order [`PeelBuckets::new`] would pop them in, first. Peeling
-    /// gives such an element λ = 0 and it decrements nothing, so the
-    /// serial peeling loops emit them here instead of queueing them;
-    /// everything else pops exactly as from `new`. A zero-key element
-    /// is never popped: [`PeelBuckets::is_popped`] stays `false` for
-    /// it, and [`PeelBuckets::len`] does not count it.
-    pub fn skipping_zeros(keys: Vec<u32>, zeros: &mut Vec<u32>) -> Self {
-        let mut members = Vec::new();
-        for (x, &k) in keys.iter().enumerate() {
-            if k == 0 {
-                zeros.push(x as u32);
-            } else {
-                members.push(x as u32);
-            }
-        }
-        Self::over(keys, members.iter().copied())
+    /// Builds the structure over the elements with a nonzero key only.
+    /// Beside it come the zero-key elements in ascending order, the order
+    /// [`PeelBuckets::new`] would pop them in first, in the buffer `keys`
+    /// came in: it has room for all `n` elements, so the serial peeling
+    /// loops keep it as their peeling order. Peeling gives such an
+    /// element λ = 0 and it decrements nothing; everything else pops
+    /// exactly as from `new`. A zero-key element is never popped:
+    /// [`PeelBuckets::is_popped`] stays `false` for it, and
+    /// [`PeelBuckets::len`] does not count it.
+    pub fn skipping_zeros(mut keys: Vec<u32>) -> (Self, Vec<u32>) {
+        let q = Self::over(&mut keys, true);
+        (q, keys)
     }
 
-    /// Counting-sorts `members` (ascending ids) into `vert` by key; the
-    /// work besides the three per-element arrays is O(members).
-    fn over(keys: Vec<u32>, members: impl Iterator<Item = u32> + Clone) -> Self {
+    /// Counting-sorts the queued elements (ascending ids) into `vert` by
+    /// key: all of them, or with `skip_zeros` those with a nonzero key,
+    /// the others being compacted in ascending order to the front of
+    /// `keys` (the i-th of them sits at an index ≥ i), which is then cut
+    /// to them. The keys are filtered twice, once to count and once to
+    /// place, so no member list is held beside the slots. The slots start
+    /// zeroed, the slot of a zero key left out.
+    fn over(keys: &mut Vec<u32>, skip_zeros: bool) -> Self {
         let n = keys.len();
         assert!(n < u32::MAX as usize, "at most u32::MAX - 1 elements");
-        let key = |x: u32| keys[x as usize] as usize;
-        let max_key = members.clone().map(key).max().unwrap_or(0);
+        let queued = |k: u32| k != 0 || !skip_zeros;
+        let max_key = keys.iter().copied().max().unwrap_or(0) as usize;
         let mut bin = vec![0u32; max_key + 2];
-        for x in members.clone() {
-            bin[key(x) + 1] += 1;
+        for &k in keys.iter().filter(|&&k| queued(k)) {
+            bin[k as usize + 1] += 1;
         }
         for d in 1..bin.len() {
             bin[d] += bin[d - 1];
         }
+        let mut slot = vec![[0u32; 2]; n];
         let mut vert = vec![0u32; bin[max_key + 1] as usize];
-        let mut pos = vec![0u32; n];
         let mut next = bin.clone();
-        for x in members {
-            let p = &mut next[key(x)];
-            vert[*p as usize] = x;
-            pos[x as usize] = *p;
-            *p += 1;
+        let mut zeros = 0;
+        for x in 0..n {
+            let k = keys[x];
+            if queued(k) {
+                let p = &mut next[k as usize];
+                vert[*p as usize] = x as u32;
+                slot[x] = [k, *p];
+                *p += 1;
+            } else {
+                keys[zeros] = x as u32;
+                zeros += 1;
+            }
         }
+        keys.truncate(zeros);
         PeelBuckets {
             bin,
-            pos,
+            slot,
             vert,
-            key: keys,
             popped: vec![0u64; n.div_ceil(64)],
             cursor: 0,
             floor: 0,
@@ -117,16 +140,50 @@ impl PeelBuckets {
         self.cursor as usize >= self.vert.len()
     }
 
-    /// Current key of element `x`.
+    /// Current key of element `x`; once `x` is popped, the key it was
+    /// popped with.
     #[inline]
     pub fn key(&self, x: u32) -> u32 {
-        self.key[x as usize]
+        self.slot[x as usize][KEY]
     }
 
     /// Whether `x` has already been popped.
     #[inline]
     pub fn is_popped(&self, x: u32) -> bool {
         self.popped[x as usize / 64] >> (x % 64) & 1 == 1
+    }
+
+    /// The tag of a popped element, as last set by
+    /// [`PeelBuckets::set_tag`]; unspecified before the first
+    /// `set_tag`. It shares `x`'s slot with [`PeelBuckets::key`], so
+    /// reading both touches one slot.
+    #[inline]
+    pub fn tag(&self, x: u32) -> u32 {
+        debug_assert!(self.is_popped(x), "tag of unpopped element {x}");
+        self.slot[x as usize][POS_OR_TAG]
+    }
+
+    /// Tags a popped element: the word of its slot that held its queue
+    /// position while it was queued. Pops and decrements of other
+    /// elements never touch it.
+    #[inline]
+    pub fn set_tag(&mut self, x: u32, tag: u32) {
+        debug_assert!(self.is_popped(x), "set_tag of unpopped element {x}");
+        self.slot[x as usize][POS_OR_TAG] = tag;
+    }
+
+    /// The key of every element, in a fresh vector of `n` words (the
+    /// slots, twice that, are freed): once every queued element has been
+    /// popped, the key each was popped with (its λ in a peel), and 0 for
+    /// the zero keys [`PeelBuckets::skipping_zeros`] left out.
+    pub fn into_keys(self) -> Vec<u32> {
+        // Zeroed, so only queued elements write theirs: on a sparse
+        // input this skips the slots of the many zero keys.
+        let mut keys = vec![0u32; self.slot.len()];
+        for &x in &self.vert {
+            keys[x as usize] = self.slot[x as usize][KEY];
+        }
+        keys
     }
 
     /// Pops an element with the minimum current key.
@@ -139,7 +196,7 @@ impl PeelBuckets {
             return None;
         }
         let x = self.vert[self.cursor as usize];
-        let k = self.key[x as usize];
+        let k = self.slot[x as usize][KEY];
         debug_assert!(
             k >= self.floor,
             "bucket keys regressed: {k} < {}",
@@ -165,28 +222,25 @@ impl PeelBuckets {
     #[inline]
     pub fn decrement(&mut self, x: u32) {
         let xi = x as usize;
-        let d = self.key[xi] as usize;
+        let [d, p] = self.slot[xi];
         debug_assert!(!self.is_popped(x), "decrement of popped element {x}");
         debug_assert!(
-            self.key[xi] > self.floor,
+            d > self.floor,
             "decrement would drop key below peeling floor"
         );
-        let p = self.pos[xi];
         // `key[x] > floor` means bucket `d` is above the floor, where
         // `bin` is exact (see the laziness invariant on the struct); the
         // clamp is defensive normalization for the cursor boundary only.
-        let start = self.bin[d].max(self.cursor);
-        debug_assert!(self.key[self.vert[start as usize] as usize] == self.key[xi]);
-        self.bin[d] = start;
+        let start = self.bin[d as usize].max(self.cursor);
         let w = self.vert[start as usize];
+        debug_assert_eq!(self.slot[w as usize][KEY], d);
         if w != x {
             self.vert[p as usize] = w;
             self.vert[start as usize] = x;
-            self.pos[w as usize] = p;
-            self.pos[xi] = start;
+            self.slot[w as usize][POS_OR_TAG] = p;
         }
-        self.bin[d] = start + 1;
-        self.key[xi] -= 1;
+        self.bin[d as usize] = start + 1;
+        self.slot[xi] = [d - 1, start];
     }
 }
 
@@ -402,8 +456,7 @@ mod tests {
     #[test]
     fn skipping_zeros_pops_like_new_after_the_zeros() {
         let keys = vec![2, 0, 3, 1, 0, 2, 0, 4];
-        let mut zeros = vec![];
-        let mut skip = PeelBuckets::skipping_zeros(keys.clone(), &mut zeros);
+        let (mut skip, zeros) = PeelBuckets::skipping_zeros(keys.clone());
         assert_eq!(zeros, [1, 4, 6]);
         assert_eq!(skip.len(), 5);
         let mut all = PeelBuckets::new(keys);
@@ -423,6 +476,60 @@ mod tests {
         }
         assert!(skip.is_empty());
         assert!(zeros.iter().all(|&z| !skip.is_popped(z)));
+    }
+
+    /// A tag set on a popped element stays through later pops and
+    /// through the decrements that reorder the elements still queued.
+    #[test]
+    fn tags_survive_later_pops_and_decrements() {
+        let mut q = PeelBuckets::new(vec![1, 3, 3, 3, 2]);
+        let (x, k) = q.pop_min().unwrap();
+        assert_eq!((x, k), (0, 1));
+        q.set_tag(0, 77);
+        // 4 (key 2) pops next; both decrements then swap inside the
+        // key-3 bucket
+        assert_eq!(q.pop_min(), Some((4, 2)));
+        q.set_tag(4, 5);
+        for x in [3, 1] {
+            q.decrement(x);
+        }
+        assert_eq!((q.tag(0), q.key(0)), (77, 1));
+        assert_eq!((q.tag(4), q.key(4)), (5, 2));
+        while let Some((x, _)) = q.pop_min() {
+            q.set_tag(x, 100 + x);
+        }
+        assert_eq!((q.tag(0), q.tag(4)), (77, 5));
+        assert_eq!([q.tag(1), q.tag(2), q.tag(3)], [101, 102, 103]);
+    }
+
+    /// `into_keys` is the key each element was popped with, and 0 for
+    /// the zero keys `skipping_zeros` never queued.
+    #[test]
+    fn into_keys_are_the_pop_keys() {
+        let keys = vec![2, 0, 3, 1, 0, 2, 0, 4];
+        let (mut q, zeros) = PeelBuckets::skipping_zeros(keys.clone());
+        let mut want = vec![0u32; keys.len()];
+        while let Some((x, k)) = q.pop_min() {
+            want[x as usize] = k;
+            for y in [0, 2, 7] {
+                if !q.is_popped(y) && q.key(y) > k {
+                    q.decrement(y);
+                }
+            }
+        }
+        assert!(zeros.iter().all(|&z| want[z as usize] == 0));
+        let lambda = q.into_keys();
+        assert_eq!(lambda, want);
+        assert_eq!(lambda, [1, 0, 1, 1, 0, 2, 0, 1]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "tag of unpopped element 1")]
+    fn tag_of_an_unpopped_element_panics_in_debug() {
+        let mut q = PeelBuckets::new(vec![1, 2]);
+        q.pop_min();
+        q.tag(1);
     }
 
     #[test]

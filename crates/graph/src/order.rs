@@ -30,8 +30,8 @@ impl VertexOrder {
     }
 }
 
-/// Non-decreasing degree order (ties by vertex id, via stable counting
-/// sort inside [`PeelBuckets`]' initial layout).
+/// Non-decreasing degree order, ties broken by vertex id (a sort of the
+/// `(degree, id)` pairs).
 pub fn degree_order(g: &CsrGraph) -> VertexOrder {
     let mut verts: Vec<u32> = (0..g.n() as u32).collect();
     verts.sort_by_key(|&v| (g.degree(v), v));
