@@ -2,9 +2,7 @@
 //! * peeling throughput per space (the `Set-λ` kernel);
 //! * triangle enumeration;
 //! * bucket queue vs `BinaryHeap` for peeling — the justification for
-//!   the Batagelj–Zaversnik layout;
-//! * LCPS's max-bucket vs a `BinaryHeap` priority queue — §5.1's
-//!   "difficulty of maintaining an appropriate priority queue".
+//!   the Batagelj–Zaversnik layout.
 
 use std::collections::BinaryHeap;
 

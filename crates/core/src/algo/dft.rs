@@ -8,6 +8,8 @@
 //! a shallower one reaches it. The serial bucket queue
 //! ([`crate::peel::peel`]) guarantees it by construction.
 
+use std::sync::Arc;
+
 use crate::hierarchy::{Hierarchy, NO_NODE};
 use crate::peel::Peeling;
 use crate::skeleton::Skeleton;
@@ -40,12 +42,11 @@ pub struct DftStats {
 /// assert_eq!(stats.subnuclei, 3); // two λ=3 towers + the λ=2 bridge
 /// ```
 pub fn dft<S: PeelSpace>(space: &S, peeling: &Peeling) -> (Hierarchy, DftStats) {
-    let (mut sk, stats) = dft_skeleton(space, peeling);
-    let raw = sk.into_raw();
-    let hierarchy = raw.into_hierarchy(
+    let (sk, stats) = dft_skeleton(space, peeling);
+    let hierarchy = sk.into_raw().into_hierarchy(
         space.r(),
         space.s(),
-        peeling.lambda.clone(),
+        Arc::clone(&peeling.lambda),
         peeling.max_lambda,
     );
     (hierarchy, stats)

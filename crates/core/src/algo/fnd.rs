@@ -27,6 +27,7 @@
 //! [`FndStats::adj_connections`] still counts them all; on rmat-s11
 //! (3,4), 240,192 connections leave 43,974 stored pairs.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nucleus_graph::bucket::PeelBuckets;
@@ -105,7 +106,7 @@ pub fn fnd<S: PeelSpace>(space: &S) -> FndOutcome {
     let hierarchy = sk.into_raw().into_hierarchy(
         space.r(),
         space.s(),
-        peeling.lambda.clone(),
+        Arc::clone(&peeling.lambda),
         peeling.max_lambda,
     );
     let post_time = t1.elapsed();

@@ -4,6 +4,8 @@
 //! structure, and the interspersed-brackets output becomes hierarchy
 //! nodes directly. k-core (1,2) only.
 
+use std::sync::Arc;
+
 use nucleus_graph::bucket::MaxBuckets;
 use nucleus_graph::CsrGraph;
 
@@ -34,7 +36,7 @@ use crate::peel::Peeling;
 /// ```
 pub fn lcps(g: &CsrGraph, peeling: &Peeling) -> Hierarchy {
     let n = g.n();
-    let mut raw = RawHierarchy::default();
+    let mut raw = RawHierarchy::new(n);
     let mut visited = vec![false; n];
     let mut pq = MaxBuckets::new(peeling.max_lambda);
 
@@ -47,7 +49,8 @@ pub fn lcps(g: &CsrGraph, peeling: &Peeling) -> Hierarchy {
         // Current node in this component's hierarchy path.
         let mut cur = NO_NODE;
         while let Some((v, k)) = pq.pop_max() {
-            cur = assign(&mut raw, cur, v, k);
+            cur = place(&mut raw, cur, k);
+            raw.owner[v as usize] = cur;
             for &w in g.neighbors(v) {
                 if !visited[w as usize] {
                     visited[w as usize] = true;
@@ -56,29 +59,28 @@ pub fn lcps(g: &CsrGraph, peeling: &Peeling) -> Hierarchy {
             }
         }
     }
-    raw.into_hierarchy(1, 2, peeling.lambda.clone(), peeling.max_lambda)
+    raw.into_hierarchy(1, 2, Arc::clone(&peeling.lambda), peeling.max_lambda)
 }
 
-/// Places vertex `v` (λ = k) relative to the current node, creating or
-/// climbing hierarchy nodes as the level changes. Returns the new
-/// current node.
-fn assign(raw: &mut RawHierarchy, mut cur: u32, v: u32, k: u32) -> u32 {
+/// Places a vertex with λ = k relative to the current node, creating or
+/// climbing hierarchy nodes as the level changes. Returns the node the
+/// vertex belongs to, the new current node.
+fn place(raw: &mut RawHierarchy, mut cur: u32, k: u32) -> u32 {
     if k == 0 {
         // isolated vertex: belongs to the root directly
         debug_assert_eq!(cur, NO_NODE);
         return cur;
     }
     if cur == NO_NODE {
-        return raw.push(k, NO_NODE, vec![v]);
+        return raw.push(k, NO_NODE);
     }
     let cur_lambda = raw.nodes[cur as usize].lambda;
     if k == cur_lambda {
-        raw.nodes[cur as usize].cells.push(v);
         return cur;
     }
     if k > cur_lambda {
         // descend into a deeper (new) nucleus
-        return raw.push(k, cur, vec![v]);
+        return raw.push(k, cur);
     }
     // λ fell: climb to the hierarchy position of level k.
     loop {
@@ -90,14 +92,13 @@ fn assign(raw: &mut RawHierarchy, mut cur: u32, v: u32, k: u32) -> u32 {
     }
     let cur_lambda = raw.nodes[cur as usize].lambda;
     if cur_lambda == k {
-        raw.nodes[cur as usize].cells.push(v);
         cur
     } else {
         // First vertex seen at level k on this path: splice a node
         // between `cur` (λ > k) and its parent (λ < k or root).
         debug_assert!(cur_lambda > k);
         let parent = raw.nodes[cur as usize].parent;
-        let node = raw.push(k, parent, vec![v]);
+        let node = raw.push(k, parent);
         raw.nodes[cur as usize].parent = node;
         node
     }

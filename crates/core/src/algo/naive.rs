@@ -4,6 +4,8 @@
 //! measured against. Deliberately kept per-level (its cost is the point)
 //! while still producing the exact canonical hierarchy.
 
+use std::sync::Arc;
+
 use crate::hierarchy::{Hierarchy, RawHierarchy, NO_NODE};
 use crate::peel::Peeling;
 use crate::space::PeelSpace;
@@ -33,7 +35,7 @@ pub fn naive<S: PeelSpace>(space: &S, peeling: &Peeling) -> Hierarchy {
         first_ge[max_lambda as usize + 1] = peeling.order.len();
     }
 
-    let mut raw = RawHierarchy::default();
+    let mut raw = RawHierarchy::new(n);
     let mut label = vec![NO_NODE; n];
     let mut label_prev = vec![NO_NODE; n];
     // Per level-component: the hierarchy node it maps to (its own node,
@@ -58,13 +60,20 @@ pub fn naive<S: PeelSpace>(space: &S, peeling: &Peeling) -> Hierarchy {
             label[c0 as usize] = comp;
             queue.clear();
             queue.push(c0);
-            let mut delta: Vec<u32> = Vec::new();
+            let parent = if k == 1 {
+                NO_NODE
+            } else {
+                emitted_prev[label_prev[c0 as usize] as usize]
+            };
+            // The component's own node, made at its first λ = k cell.
+            let mut node = None;
             let mut head = 0usize;
             while head < queue.len() {
                 let x = queue[head];
                 head += 1;
                 if peeling.lambda_of(x) == k {
-                    delta.push(x);
+                    let id = *node.get_or_insert_with(|| raw.push(k, parent));
+                    raw.owner[x as usize] = id;
                 }
                 space.for_each_container(x, |others| {
                     if others.iter().any(|&v| peeling.lambda_of(v) < k) {
@@ -78,23 +87,20 @@ pub fn naive<S: PeelSpace>(space: &S, peeling: &Peeling) -> Hierarchy {
                     }
                 });
             }
-            let parent = if k == 1 {
-                NO_NODE
-            } else {
-                emitted_prev[label_prev[c0 as usize] as usize]
-            };
-            let node = if delta.is_empty() {
-                parent // nucleus identical to its unique child: pass through
-            } else {
-                raw.push(k, parent, delta)
-            };
-            emitted_cur.push(node);
+            // A component with no λ = k cell is the same set as its one
+            // component at level k + 1, so it passes its parent on.
+            emitted_cur.push(node.unwrap_or(parent));
         }
         std::mem::swap(&mut label, &mut label_prev);
         std::mem::swap(&mut emitted_cur, &mut emitted_prev);
     }
 
-    raw.into_hierarchy(space.r(), space.s(), peeling.lambda.clone(), max_lambda)
+    raw.into_hierarchy(
+        space.r(),
+        space.s(),
+        Arc::clone(&peeling.lambda),
+        max_lambda,
+    )
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ pub fn hierarchy_to_dot(h: &Hierarchy, max_nodes: usize) -> String {
         let id = queue[head];
         head += 1;
         included.push(id);
-        queue.extend_from_slice(&h.node(id).children);
+        queue.extend_from_slice(h.node(id).children);
     }
     for &id in &included {
         let node = h.node(id);
@@ -35,7 +35,7 @@ pub fn hierarchy_to_dot(h: &Hierarchy, max_nodes: usize) -> String {
         let _ = writeln!(out, "  n{id} [label=\"{label}\"];");
     }
     for &id in &included {
-        for &c in &h.node(id).children {
+        for &c in h.node(id).children {
             if included.contains(&c) {
                 let _ = writeln!(out, "  n{id} -> n{c};");
             }

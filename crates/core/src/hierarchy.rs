@@ -1,7 +1,9 @@
 //! The canonical hierarchy of (r, s) nuclei.
 //!
-//! Every algorithm in this crate (Naive, DFT, FND, LCPS) reduces its raw
-//! output to the same canonical tree:
+//! Every algorithm in this crate (Naive, DFT, FND, LCPS), and the
+//! weighted cores, hands its raw output to one canonicalizer
+//! ([`RawHierarchy::into_hierarchy`]), so all of them build the same
+//! tree:
 //!
 //! * node 0 is the **root** (λ = 0, the whole graph); cells lying in no
 //!   container (λ = 0) belong directly to it;
@@ -12,79 +14,84 @@
 //!   member set of a nucleus is its subtree's cell union;
 //! * non-root nodes are sorted by `(λ, smallest delta cell)`, making
 //!   equal decompositions structurally identical (`==`) regardless of
-//!   which algorithm produced them.
+//!   which algorithm produced them. A parent's id is always below its
+//!   children's.
+//!
+//! # Layout
+//!
+//! A [`Hierarchy`] is flat, immutable data, built once. Every cell id is
+//! stored once, in one array in pre-order: a node's *run* is its sorted
+//! delta followed by its children's runs in descending child id. So the
+//! member set of every nucleus is one contiguous run
+//! ([`Hierarchy::nucleus_cells_slice`]), in the order a stack walk from
+//! the node visits it. Per node, a table holds λ, the parent, where the
+//! run starts, the delta and run lengths and a range of one flat array
+//! of children (ascending). Beside it come the owning node of every cell
+//! and the number of nuclei per level ([`Hierarchy::level_profile`]),
+//! both filled at construction, and λ, one buffer shared with the
+//! [`crate::peel::Peeling`] it came from.
 
-use std::sync::OnceLock;
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Sentinel for "no node" (the root's parent).
 pub const NO_NODE: u32 = u32::MAX;
 
-/// One nucleus in the canonical hierarchy.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HierarchyNode {
+/// One nucleus of a [`Hierarchy`]: a view of its row of the node table
+/// ([`Hierarchy::node`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HierarchyNode<'a> {
     /// The k of this k-(r,s) nucleus (0 only for the root).
     pub lambda: u32,
     /// Parent node id; [`NO_NODE`] for the root.
     pub parent: u32,
     /// Child node ids (sorted ascending).
-    pub children: Vec<u32>,
+    pub children: &'a [u32],
     /// Delta cells: members with λ exactly equal to `lambda`, sorted.
-    pub cells: Vec<u32>,
+    pub cells: &'a [u32],
     /// Total member count of the nucleus (delta + all descendants).
     pub subtree_cells: u64,
 }
 
-/// Canonical hierarchy of all k-(r,s) nuclei of a graph.
-#[derive(Clone, Debug)]
+/// One row of the node table.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Node {
+    lambda: u32,
+    parent: u32,
+    /// Where the node's run starts in `cells`.
+    start: u32,
+    /// Length of its delta, the head of the run.
+    delta: u32,
+    /// Length of the run: the nucleus's member count.
+    subtree: u32,
+    /// Where its children start in `children`.
+    first_child: u32,
+    /// How many children it has.
+    child_count: u32,
+}
+
+/// Canonical hierarchy of all k-(r,s) nuclei of a graph (see the module
+/// docs for its layout).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Hierarchy {
     /// r of the decomposition.
     pub r: u32,
     /// s of the decomposition.
     pub s: u32,
-    nodes: Vec<HierarchyNode>,
+    /// The node table, by canonical id.
+    nodes: Vec<Node>,
+    /// Every node's children, node after node, each ascending.
+    children: Vec<u32>,
+    /// Every cell once, in pre-order.
+    cells: Vec<u32>,
     /// Owning node per cell (the node whose delta contains it).
     cell_node: Vec<u32>,
-    /// λ per cell (copied from the peeling).
-    lambda: Vec<u32>,
+    /// λ per cell, shared with the peeling.
+    lambda: Arc<[u32]>,
     max_lambda: u32,
-    /// Lazily-built point-lookup index (see [`HierarchyIndex`]): built
-    /// at most once, on the first [`Hierarchy::nucleus_cells`] /
-    /// [`Hierarchy::nuclei_at`] style query, then shared by every later
-    /// call — including concurrent callers, which is what makes the
-    /// read path of a served hierarchy lock-free after warm-up.
-    index: OnceLock<HierarchyIndex>,
-}
-
-/// Memoized constant-time lookup structures over a finished hierarchy.
-///
-/// Before this index existed, [`Hierarchy::nucleus_cells`] re-walked
-/// the subtree (allocating a stack) per call and
-/// [`Hierarchy::nuclei_at`] re-scanned *every* node per call — fine for
-/// one-shot reports, pathological for a query service answering
-/// millions of point lookups. The index is built once, lazily, behind a
-/// [`OnceLock`] (the same pattern the peeling spaces use for their lazy
-/// ω counts) and turns both into slice lookups:
-///
-/// * `subtree_cells[subtree_start[id] ..]` — all member cells of node
-///   `id`, laid out so every subtree is one contiguous run. The order
-///   reproduces the historical stack-walk order exactly (node delta
-///   first, then child subtrees in descending child order), so callers
-///   observe bit-identical output, just without the walk.
-/// * `level_nodes[level_start[k] .. level_start[k+1]]` — the k-(r,s)
-///   nuclei for each `k`, ascending node id, same as the old full scan.
-///   The run lengths are [`Hierarchy::level_profile`].
-#[derive(Clone, Debug)]
-struct HierarchyIndex {
-    /// Per node: offset of its subtree's cell run in `subtree_cells`.
-    subtree_start: Vec<u32>,
-    /// All cells, concatenated in pre-order (children descending).
-    subtree_cells: Vec<u32>,
-    /// CSR offsets into `level_nodes`, indexed by k (len max_λ + 2).
-    level_start: Vec<usize>,
-    /// Concatenated `nuclei_at(k)` answers for k = 0..=max_λ.
-    level_nodes: Vec<u32>,
+    /// `profile[k]`: the number of k-(r,s) nuclei, for k = 0..=max λ.
+    profile: Vec<usize>,
 }
 
 impl Hierarchy {
@@ -92,13 +99,21 @@ impl Hierarchy {
     pub const ROOT: u32 = 0;
 
     /// All nodes, root first.
-    pub fn nodes(&self) -> &[HierarchyNode] {
-        &self.nodes
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = HierarchyNode<'_>> + '_ {
+        (0..self.nodes.len() as u32).map(move |id| self.node(id))
     }
 
     /// A node by id.
-    pub fn node(&self, id: u32) -> &HierarchyNode {
-        &self.nodes[id as usize]
+    pub fn node(&self, id: u32) -> HierarchyNode<'_> {
+        let node = &self.nodes[id as usize];
+        let (run, kids) = (node.start as usize, node.first_child as usize);
+        HierarchyNode {
+            lambda: node.lambda,
+            parent: node.parent,
+            children: &self.children[kids..kids + node.child_count as usize],
+            cells: &self.cells[run..run + node.delta as usize],
+            subtree_cells: u64::from(node.subtree),
+        }
     }
 
     /// Number of nodes including the root.
@@ -137,101 +152,40 @@ impl Hierarchy {
         self.cell_node[cell as usize]
     }
 
-    /// The memoized lookup index, built on first use. Interior state is
-    /// immutable after canonicalization, so the build is race-free and
-    /// every later call — from any thread — is a plain read.
-    fn index(&self) -> &HierarchyIndex {
-        self.index.get_or_init(|| {
-            // Subtree CSR: one stack walk from the root. Children are
-            // pushed ascending and popped descending, and a popped
-            // node's children land *above* its unvisited siblings, so
-            // this is a genuine pre-order DFS: every subtree's cells
-            // come out contiguous, and the run for any node reproduces
-            // the historical per-call stack order byte for byte.
-            let mut subtree_start = vec![0u32; self.nodes.len()];
-            let mut subtree_cells = Vec::with_capacity(self.lambda.len());
-            let mut stack = vec![Self::ROOT];
-            while let Some(x) = stack.pop() {
-                let node = &self.nodes[x as usize];
-                subtree_start[x as usize] = subtree_cells.len() as u32;
-                subtree_cells.extend_from_slice(&node.cells);
-                stack.extend_from_slice(&node.children);
-            }
-            debug_assert_eq!(subtree_cells.len(), self.lambda.len());
-            // Level CSR: counting sort over the k-spans (parent.λ, λ]
-            // of every non-root node, filled in ascending node id so
-            // each per-k list matches the old full-scan order.
-            let span = |node: &HierarchyNode| {
-                self.nodes[node.parent as usize].lambda as usize + 1..=node.lambda as usize
-            };
-            let levels = self.max_lambda as usize + 1;
-            let mut level_start = vec![0usize; levels + 1];
-            for node in self.nodes.iter().skip(1) {
-                for k in span(node) {
-                    level_start[k + 1] += 1;
-                }
-            }
-            for k in 0..levels {
-                level_start[k + 1] += level_start[k];
-            }
-            let mut fill = level_start.clone();
-            let mut level_nodes = vec![0u32; level_start[levels]];
-            for (id, node) in self.nodes.iter().enumerate().skip(1) {
-                for k in span(node) {
-                    level_nodes[fill[k]] = id as u32;
-                    fill[k] += 1;
-                }
-            }
-            HierarchyIndex {
-                subtree_start,
-                subtree_cells,
-                level_start,
-                level_nodes,
-            }
-        })
-    }
-
-    /// All member cells of the nucleus rooted at `id` (its subtree).
-    ///
-    /// Served from the memoized index: the first call over a hierarchy
-    /// builds it (O(cells)), every later call is a slice copy.
+    /// All member cells of the nucleus rooted at `id` (its subtree), as
+    /// an owned copy of [`Hierarchy::nucleus_cells_slice`].
     pub fn nucleus_cells(&self, id: u32) -> Vec<u32> {
         self.nucleus_cells_slice(id).to_vec()
     }
 
-    /// Borrowed, allocation-free view of [`Hierarchy::nucleus_cells`] —
-    /// the point-lookup primitive a query service serves from.
+    /// All member cells of the nucleus rooted at `id`: its run, read in
+    /// place. The delta comes first, then the children's runs in
+    /// descending child id.
     pub fn nucleus_cells_slice(&self, id: u32) -> &[u32] {
-        let idx = self.index();
-        let start = idx.subtree_start[id as usize] as usize;
-        &idx.subtree_cells[start..start + self.nodes[id as usize].subtree_cells as usize]
+        let node = &self.nodes[id as usize];
+        let start = node.start as usize;
+        &self.cells[start..start + node.subtree as usize]
     }
 
-    /// Ids of all k-(r,s) nuclei for a fixed `k`: nodes with λ ≥ k whose
-    /// parent has λ < k. (A node with λ = 5 over a λ = 2 parent *is* the
-    /// 3-, 4- and 5-nucleus of its cells — the sets coincide.)
-    ///
-    /// Served from the memoized index; see
-    /// [`Hierarchy::nuclei_at_slice`] for the allocation-free form.
+    /// Ids of all k-(r,s) nuclei for a fixed `k`, ascending: nodes with
+    /// λ ≥ k whose parent has λ < k. (A node with λ = 5 over a λ = 2
+    /// parent *is* the 3-, 4- and 5-nucleus of its cells — the sets
+    /// coincide.) One scan of the node table; empty for
+    /// `k > max_lambda`.
     pub fn nuclei_at(&self, k: u32) -> Vec<u32> {
-        self.nuclei_at_slice(k).to_vec()
-    }
-
-    /// Borrowed form of [`Hierarchy::nuclei_at`] (empty for
-    /// `k > max_lambda`).
-    pub fn nuclei_at_slice(&self, k: u32) -> &[u32] {
         assert!(k >= 1, "k = 0 is the whole graph (the root)");
-        if k > self.max_lambda {
-            return &[];
-        }
-        let idx = self.index();
-        &idx.level_nodes[idx.level_start[k as usize]..idx.level_start[k as usize + 1]]
+        (1..self.nodes.len() as u32)
+            .filter(|&id| {
+                let node = &self.nodes[id as usize];
+                node.lambda >= k && self.nodes[node.parent as usize].lambda < k
+            })
+            .collect()
     }
 
     /// Leaf nuclei (no children): the locally densest subgraphs.
     pub fn leaves(&self) -> Vec<u32> {
         (1..self.nodes.len() as u32)
-            .filter(|&id| self.nodes[id as usize].children.is_empty())
+            .filter(|&id| self.nodes[id as usize].child_count == 0)
             .collect()
     }
 
@@ -256,14 +210,10 @@ impl Hierarchy {
     }
 
     /// Per-level nucleus counts: `profile()[k]` = number of k-(r,s)
-    /// nuclei (index 0 is unused; the root is not a nucleus). Read off
-    /// the memoized level CSR in O(max λ).
-    pub fn level_profile(&self) -> Vec<usize> {
-        self.index()
-            .level_start
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .collect()
+    /// nuclei (index 0 is unused; the root is not a nucleus). Counted at
+    /// construction, so this is a read of max λ + 1 words.
+    pub fn level_profile(&self) -> &[usize] {
+        &self.profile
     }
 
     /// Walks from `id` to the root, yielding the chain of enclosing
@@ -278,284 +228,344 @@ impl Hierarchy {
         out
     }
 
-    /// Depth of the hierarchy (root = 0).
+    /// Depth of the hierarchy (root = 0). A parent's id is below its
+    /// children's, so one forward pass sees every parent first.
     pub fn depth(&self) -> usize {
         let mut depth = vec![0usize; self.nodes.len()];
-        let mut max = 0;
-        // children always follow parents? Not guaranteed by id order for
-        // the root's children — but parent ids are smaller than child ids
-        // only for λ ordering... compute defensively via BFS.
-        let mut stack = vec![Self::ROOT];
-        while let Some(x) = stack.pop() {
-            for &c in &self.nodes[x as usize].children {
-                depth[c as usize] = depth[x as usize] + 1;
-                max = max.max(depth[c as usize]);
-                stack.push(c);
-            }
+        for id in 1..self.nodes.len() {
+            depth[id] = depth[self.nodes[id].parent as usize] + 1;
         }
-        max
+        depth.into_iter().max().unwrap_or(0)
     }
 
     /// Structural invariant check; returns a description of the first
-    /// violation. Cheap enough to run in tests on every result.
+    /// violation, never panics. Every delta cell must have its node's λ,
+    /// and the hierarchy must be exactly what the canonicalizer builds
+    /// from its own nodes' λ, parents and deltas, bounds-checked: a tree
+    /// in canonical order, runs in pre-order holding every cell once,
+    /// and owners, children, counts and the level profile that agree
+    /// with them. Cheap enough to run in tests on every result.
     pub fn validate(&self) -> Result<(), String> {
-        let n = self.nodes.len();
-        if n == 0 {
-            return Err("no root".into());
-        }
-        if self.nodes[0].parent != NO_NODE || self.nodes[0].lambda != 0 {
-            return Err("node 0 is not a λ=0 root".into());
-        }
-        let mut seen_cells = vec![false; self.lambda.len()];
+        let mut nodes = Vec::with_capacity(self.nodes.len());
         for (id, node) in self.nodes.iter().enumerate() {
-            if id > 0 {
-                let p = node.parent as usize;
-                if p >= n {
-                    return Err(format!("node {id}: bad parent"));
-                }
-                if self.nodes[p].lambda >= node.lambda {
-                    return Err(format!(
-                        "node {id}: parent λ {} not smaller than λ {}",
-                        self.nodes[p].lambda, node.lambda
-                    ));
-                }
-                if !self.nodes[p].children.contains(&(id as u32)) {
-                    return Err(format!("node {id} missing from parent's children"));
-                }
-                if node.cells.is_empty() {
-                    return Err(format!("node {id}: empty delta"));
-                }
+            let delta = self
+                .cells
+                .get(node.start as usize..)
+                .and_then(|run| run.get(..node.delta as usize))
+                .ok_or_else(|| format!("node {id}: delta out of range"))?;
+            let other_lambda = |c: &&u32| self.lambda.get(**c as usize) != Some(&node.lambda);
+            if let Some(c) = delta.iter().find(other_lambda) {
+                return Err(format!("node {id}: cell {c} of another λ"));
             }
-            if node.cells.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("node {id}: cells not sorted/unique"));
-            }
-            for &c in &node.cells {
-                if seen_cells[c as usize] {
-                    return Err(format!("cell {c} in two nodes"));
-                }
-                seen_cells[c as usize] = true;
-                if self.lambda[c as usize] != node.lambda {
-                    return Err(format!(
-                        "cell {c}: λ {} but owner node λ {}",
-                        self.lambda[c as usize], node.lambda
-                    ));
-                }
-                if self.cell_node[c as usize] != id as u32 {
-                    return Err(format!("cell {c}: cell_node mismatch"));
-                }
-            }
-            for &c in &node.children {
-                if self.nodes[c as usize].parent != id as u32 {
-                    return Err(format!("child {c} of {id}: parent mismatch"));
-                }
-            }
+            nodes.push((node.lambda, node.parent, delta));
         }
-        if let Some(missing) = seen_cells.iter().position(|&s| !s) {
-            return Err(format!("cell {missing} not assigned to any node"));
+        if self.max_lambda != self.lambda.iter().copied().max().unwrap_or(0) {
+            return Err(format!("max λ {} is not the largest λ", self.max_lambda));
         }
-        // subtree counts — via an explicit walk, NOT the memoized
-        // index: the index is built from these very fields, so checking
-        // against it would be vacuous (and a corrupt tree could make
-        // the build itself misbehave).
-        for id in 0..n as u32 {
-            let mut expect = 0u64;
-            let mut stack = vec![id];
-            while let Some(x) = stack.pop() {
-                let node = &self.nodes[x as usize];
-                expect += node.cells.len() as u64;
-                stack.extend_from_slice(&node.children);
-            }
-            if self.nodes[id as usize].subtree_cells != expect {
-                return Err(format!("node {id}: subtree count mismatch"));
-            }
+        let lambda = Arc::clone(&self.lambda);
+        if Self::rebuild(self.r, self.s, lambda, self.max_lambda, &nodes)? != *self {
+            return Err("not the canonical layout of its own nodes".into());
         }
         Ok(())
     }
-}
 
-impl PartialEq for Hierarchy {
-    /// Canonical equality: same (r, s), same λ per cell, and structurally
-    /// identical node lists (canonical ordering makes this well-defined
-    /// across algorithms). The memoized index is derived state and never
-    /// participates.
-    fn eq(&self, other: &Self) -> bool {
-        self.r == other.r
-            && self.s == other.s
-            && self.lambda == other.lambda
-            && self.nodes == other.nodes
+    /// The hierarchy of nodes given in canonical id order as (λ, parent,
+    /// delta), checked for everything the canonicalizer assumes: node 0
+    /// is a λ = 0 root, every other node names an earlier parent of
+    /// smaller λ, has a λ of at most `max_lambda` and a delta of cells
+    /// in range, and no cell is in two of these deltas. The root's
+    /// delta is not read: it is every cell no other node holds.
+    fn rebuild<C: AsRef<[u32]>>(
+        r: u32,
+        s: u32,
+        lambda: Arc<[u32]>,
+        max_lambda: u32,
+        nodes: &[(u32, u32, C)],
+    ) -> Result<Hierarchy, String> {
+        // A cell of λ = k has k containers, each with a co-cell of its
+        // own, so k is below the cell count; this bounds the per-level
+        // arrays by the input's size.
+        if max_lambda as usize > lambda.len() {
+            return Err(format!("max λ {max_lambda} above the cell count"));
+        }
+        if !matches!(nodes.first(), Some((0, NO_NODE, _))) {
+            return Err("node 0 is not a λ=0 root".into());
+        }
+        let mut raw = RawHierarchy::new(lambda.len());
+        for (id, (l, parent, cells)) in nodes.iter().enumerate().skip(1) {
+            // A parent before its child, with a smaller λ: no cycles.
+            let parent_node = nodes
+                .get(*parent as usize)
+                .filter(|_| (*parent as usize) < id);
+            if parent_node.is_none_or(|p| p.0 >= *l) || *l > max_lambda {
+                return Err(format!("node {id}: bad parent {parent} or λ {l}"));
+            }
+            if cells.as_ref().is_empty() {
+                return Err(format!("node {id}: empty delta"));
+            }
+            let raw_id = raw.push(*l, parent.checked_sub(1).unwrap_or(NO_NODE));
+            for &c in cells.as_ref() {
+                match raw.owner.get_mut(c as usize) {
+                    Some(owner) if *owner == NO_NODE => *owner = raw_id,
+                    Some(_) => return Err(format!("cell {c} in two nodes")),
+                    None => return Err(format!("node {id}: cell {c} out of range")),
+                }
+            }
+        }
+        Ok(raw.into_hierarchy(r, s, lambda, max_lambda))
     }
 }
 
-impl Eq for Hierarchy {}
+/// Nuclei per level: a node is the k-(r,s) nucleus of its cells for
+/// every k in (its parent's λ, its λ].
+fn level_counts(nodes: &[Node], max_lambda: u32) -> Vec<usize> {
+    let mut profile = vec![0usize; max_lambda as usize + 1];
+    for node in &nodes[1..] {
+        for k in nodes[node.parent as usize].lambda + 1..=node.lambda {
+            profile[k as usize] += 1;
+        }
+    }
+    profile
+}
 
-// Hand-written (not derived) so the lazy index stays out of the wire
-// format: the JSON shape — field names and order — is exactly what the
-// pre-index derive produced, so exported hierarchies are byte-stable
-// across the change.
+fn ids(xs: &[u32]) -> Value {
+    Value::Array(xs.iter().map(|&x| Value::U64(u64::from(x))).collect())
+}
+
+// The JSON shape — field names and order — is the export format that
+// `decompose --json` writes and `integration_io` pins: per node its λ,
+// parent, children, delta cells and member count, then the owners, λ and
+// max λ.
+impl Serialize for HierarchyNode<'_> {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("lambda".to_string(), self.lambda.to_value()),
+            ("parent".to_string(), self.parent.to_value()),
+            ("children".to_string(), ids(self.children)),
+            ("cells".to_string(), ids(self.cells)),
+            ("subtree_cells".to_string(), self.subtree_cells.to_value()),
+        ])
+    }
+}
+
 impl Serialize for Hierarchy {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
             ("r".to_string(), self.r.to_value()),
             ("s".to_string(), self.s.to_value()),
-            ("nodes".to_string(), self.nodes.to_value()),
-            ("cell_node".to_string(), self.cell_node.to_value()),
-            ("lambda".to_string(), self.lambda.to_value()),
+            (
+                "nodes".to_string(),
+                Value::Array(self.nodes().map(|node| node.to_value()).collect()),
+            ),
+            ("cell_node".to_string(), ids(&self.cell_node)),
+            ("lambda".to_string(), ids(&self.lambda)),
             ("max_lambda".to_string(), self.max_lambda.to_value()),
         ])
     }
 }
 
 impl Deserialize for Hierarchy {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Hierarchy {
-            r: Deserialize::from_value(v.field("r")?)?,
-            s: Deserialize::from_value(v.field("s")?)?,
-            nodes: Deserialize::from_value(v.field("nodes")?)?,
-            cell_node: Deserialize::from_value(v.field("cell_node")?)?,
-            lambda: Deserialize::from_value(v.field("lambda")?)?,
-            max_lambda: Deserialize::from_value(v.field("max_lambda")?)?,
-            index: OnceLock::new(),
-        })
+    /// Accepts exactly what [`Serialize`] writes, and returns an error
+    /// for anything else. The nodes' λ, parents and deltas are rebuilt,
+    /// bounds-checked, through the canonicalizer; the result must pass
+    /// [`Hierarchy::validate`] and serialize back to the very same value,
+    /// which checks every field the rebuild does not read.
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let bad = |what: String| serde::Error(format!("invalid hierarchy: {what}"));
+        let Value::Array(items) = v.field("nodes")? else {
+            return Err(bad("`nodes` is not an array".into()));
+        };
+        let mut nodes: Vec<(u32, u32, Vec<u32>)> = Vec::with_capacity(items.len());
+        for node in items {
+            nodes.push((
+                Deserialize::from_value(node.field("lambda")?)?,
+                Deserialize::from_value(node.field("parent")?)?,
+                Deserialize::from_value(node.field("cells")?)?,
+            ));
+        }
+        let lambda: Vec<u32> = Deserialize::from_value(v.field("lambda")?)?;
+        let h = Self::rebuild(
+            Deserialize::from_value(v.field("r")?)?,
+            Deserialize::from_value(v.field("s")?)?,
+            lambda.into(),
+            Deserialize::from_value(v.field("max_lambda")?)?,
+            &nodes,
+        )
+        .map_err(bad)?;
+        h.validate().map_err(bad)?;
+        if h.to_value() != *v {
+            return Err(bad("not the canonical form of its own nodes".into()));
+        }
+        Ok(h)
     }
 }
 
-/// Pre-canonical hierarchy: what algorithms hand over. Nodes may appear
-/// in any order with any id scheme; `parent == NO_NODE` means "child of
-/// the root". Empty raw nodes are allowed and get contracted away.
-#[derive(Debug, Default)]
+/// Pre-canonical hierarchy: what algorithms hand over. A node table in
+/// any order with any id scheme, and the owning node of every cell.
+/// `parent == NO_NODE` means "child of the root", and a cell owned by
+/// `NO_NODE` belongs to the root, so its λ must be 0. Every node must
+/// own at least one cell, and a child's λ must be above its parent's.
+#[derive(Debug)]
 pub struct RawHierarchy {
-    /// (λ, parent raw-id or NO_NODE, delta cells)
+    /// The nodes, by raw id.
     pub nodes: Vec<RawNode>,
+    /// Raw id of the node whose delta holds each cell, [`NO_NODE`] for
+    /// the root.
+    pub owner: Vec<u32>,
 }
 
 /// One pre-canonical node.
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct RawNode {
     /// λ of the nucleus.
     pub lambda: u32,
     /// Raw id of the parent node, or [`NO_NODE`] for "under the root".
     pub parent: u32,
-    /// Delta cells (need not be sorted).
-    pub cells: Vec<u32>,
 }
 
 impl RawHierarchy {
+    /// No nodes yet: every one of `cell_count` cells is the root's.
+    pub fn new(cell_count: usize) -> Self {
+        RawHierarchy {
+            nodes: Vec::new(),
+            owner: vec![NO_NODE; cell_count],
+        }
+    }
+
     /// Adds a node, returning its raw id.
-    pub fn push(&mut self, lambda: u32, parent: u32, cells: Vec<u32>) -> u32 {
+    pub fn push(&mut self, lambda: u32, parent: u32) -> u32 {
         let id = self.nodes.len() as u32;
-        self.nodes.push(RawNode {
-            lambda,
-            parent,
-            cells,
-        });
+        self.nodes.push(RawNode { lambda, parent });
         id
     }
 
-    /// Canonicalizes into a [`Hierarchy`].
+    /// Canonicalizes into a [`Hierarchy`], in O(cells + nodes + max λ)
+    /// with no sort: one ascending pass over the owners counts each
+    /// node's cells and lists the nodes by smallest cell, a counting
+    /// sort by λ gives the canonical ids, two passes over the node
+    /// table lay out the runs and children, and one ascending pass over
+    /// the cells places each in its owner's delta, so every delta comes
+    /// out sorted. The owner array becomes the hierarchy's `cell_node`.
     ///
-    /// `lambda` is the per-cell λ array from the peeling; cells not owned
-    /// by any raw node must have λ = 0 and are attached to the root.
-    pub fn into_hierarchy(
-        mut self,
-        r: u32,
-        s: u32,
-        lambda: Vec<u32>,
-        max_lambda: u32,
-    ) -> Hierarchy {
-        let raw_n = self.nodes.len();
-        // 1. Contract empty raw nodes: splice them out by reparenting
-        //    their children transitively past them. Emptiness is
-        //    snapshotted up front because cells are moved out below.
-        let is_empty: Vec<bool> = self.nodes.iter().map(|n| n.cells.is_empty()).collect();
-        let resolve = move |nodes: &Vec<RawNode>, mut p: u32| -> u32 {
-            while p != NO_NODE && is_empty[p as usize] {
-                p = nodes[p as usize].parent;
+    /// `lambda` is the per-cell λ array from the peeling; the hierarchy
+    /// keeps it, shared rather than copied.
+    pub fn into_hierarchy(self, r: u32, s: u32, lambda: Arc<[u32]>, max_lambda: u32) -> Hierarchy {
+        let RawHierarchy {
+            nodes: raw,
+            owner: mut cell_node,
+        } = self;
+        debug_assert_eq!(cell_node.len(), lambda.len(), "one owner per cell");
+        // 1. Each raw node's delta length, and the raw nodes in order of
+        //    their smallest cell.
+        let mut delta = vec![0u32; raw.len()];
+        let mut by_first_cell = Vec::with_capacity(raw.len());
+        for &o in cell_node.iter().filter(|&&o| o != NO_NODE) {
+            if delta[o as usize] == 0 {
+                by_first_cell.push(o);
             }
-            p
-        };
-        // 2. Canonical order for surviving nodes: (λ, min cell).
-        let mut keyed: Vec<(u32, u32, u32)> = Vec::new(); // (λ, min_cell, raw id)
-        for (i, node) in self.nodes.iter().enumerate() {
-            if !node.cells.is_empty() {
-                let min_cell = *node.cells.iter().min().expect("non-empty");
-                keyed.push((node.lambda, min_cell, i as u32));
-            }
+            delta[o as usize] += 1;
         }
-        keyed.sort_unstable();
-        let mut canon_id = vec![NO_NODE; raw_n];
-        for (pos, &(_, _, raw)) in keyed.iter().enumerate() {
-            canon_id[raw as usize] = pos as u32 + 1; // 0 is the root
+        let root_delta = cell_node.len() as u32 - delta.iter().sum::<u32>();
+        debug_assert_eq!(by_first_cell.len(), raw.len(), "a raw node owns no cell");
+        // 2. Canonical ids, from 1 in (λ, smallest cell) order: a stable
+        //    counting sort of that list by λ.
+        let mut next = vec![0u32; max_lambda as usize + 1];
+        for &o in &by_first_cell {
+            next[raw[o as usize].lambda as usize] += 1;
         }
-
-        let n_cells = lambda.len();
-        let mut nodes: Vec<HierarchyNode> = Vec::with_capacity(keyed.len() + 1);
-        nodes.push(HierarchyNode {
-            lambda: 0,
+        let mut first_id = 1;
+        for slot in &mut next {
+            (*slot, first_id) = (first_id, first_id + *slot);
+        }
+        let mut canon = vec![0u32; raw.len()];
+        for &o in &by_first_cell {
+            let slot = &mut next[raw[o as usize].lambda as usize];
+            canon[o as usize] = *slot;
+            *slot += 1;
+        }
+        // 3. The node table.
+        let mut nodes = vec![Node::default(); raw.len() + 1];
+        nodes[0] = Node {
             parent: NO_NODE,
-            children: vec![],
-            cells: vec![],
-            subtree_cells: 0,
-        });
-        let mut cell_node = vec![Hierarchy::ROOT; n_cells];
-        for &(lam, _, raw) in &keyed {
-            let raw_node = &mut self.nodes[raw as usize];
-            let mut cells = std::mem::take(&mut raw_node.cells);
-            cells.sort_unstable();
-            let id = nodes.len() as u32;
-            for &c in &cells {
-                cell_node[c as usize] = id;
-            }
-            nodes.push(HierarchyNode {
-                lambda: lam,
-                parent: NO_NODE, // fixed below
-                children: vec![],
-                cells,
-                subtree_cells: 0,
-            });
-        }
-        // Root delta: unassigned cells (must be λ = 0).
-        let root_cells: Vec<u32> = (0..n_cells as u32)
-            .filter(|&c| cell_node[c as usize] == Hierarchy::ROOT)
-            .collect();
-        debug_assert!(root_cells.iter().all(|&c| lambda[c as usize] == 0));
-        nodes[0].cells = root_cells;
-        // 3. Parents in canonical ids.
-        for (pos, &(_, _, raw)) in keyed.iter().enumerate() {
-            let p_raw = resolve(&self.nodes, self.nodes[raw as usize].parent);
-            let p = if p_raw == NO_NODE {
+            delta: root_delta,
+            ..Node::default()
+        };
+        for (o, node) in raw.iter().enumerate() {
+            let parent = if node.parent == NO_NODE {
                 Hierarchy::ROOT
             } else {
-                canon_id[p_raw as usize]
+                debug_assert!(raw[node.parent as usize].lambda < node.lambda);
+                canon[node.parent as usize]
             };
-            nodes[pos + 1].parent = p;
+            debug_assert!(node.lambda <= max_lambda);
+            nodes[canon[o] as usize] = Node {
+                lambda: node.lambda,
+                parent,
+                delta: delta[o],
+                ..Node::default()
+            };
         }
-        // 4. Children lists.
-        for id in 1..nodes.len() {
-            let p = nodes[id].parent as usize;
-            nodes[p].children.push(id as u32);
-        }
-        for node in &mut nodes {
-            node.children.sort_unstable();
-        }
-        // 5. Subtree counts: a child's λ is strictly larger than its
-        //    parent's, so its canonical id is larger too — one reverse
-        //    sweep accumulates bottom-up.
+        // 4. Runs. A child's id is above its parent's, so a descending
+        //    pass sums run lengths bottom-up and gives each child the
+        //    offset of its run in its parent's (after the delta and the
+        //    runs of higher-id siblings), and an ascending pass turns
+        //    offsets into starts and lists each node's children.
         for id in (1..nodes.len()).rev() {
-            nodes[id].subtree_cells += nodes[id].cells.len() as u64;
-            let sub = nodes[id].subtree_cells;
-            let p = nodes[id].parent as usize;
-            nodes[p].subtree_cells += sub;
+            let node = nodes[id];
+            let subtree = node.subtree + node.delta;
+            let parent = &mut nodes[node.parent as usize];
+            let offset = parent.delta + parent.subtree;
+            parent.subtree += subtree;
+            parent.child_count += 1;
+            nodes[id].subtree = subtree;
+            nodes[id].start = offset;
         }
-        nodes[0].subtree_cells += nodes[0].cells.len() as u64;
-
+        nodes[0].subtree += root_delta;
+        let mut children = vec![0u32; nodes.len() - 1];
+        let mut listed = 0u32;
+        for id in 0..nodes.len() {
+            if id > 0 {
+                let p = nodes[id].parent as usize;
+                let parent = &mut nodes[p];
+                let (start, slot) = (parent.start, parent.first_child + parent.child_count);
+                parent.child_count += 1;
+                children[slot as usize] = id as u32;
+                nodes[id].start += start;
+            }
+            let node = &mut nodes[id];
+            (node.first_child, listed) = (listed, listed + node.child_count);
+            node.child_count = 0;
+        }
+        // 5. Cells, each into the next slot of its owner's delta. The
+        //    root's delta leads the array and its cursor is a local: on
+        //    sparse inputs nearly every cell is the root's.
+        let mut fill: Vec<u32> = nodes.iter().map(|node| node.start).collect();
+        let mut cells = vec![0u32; cell_node.len()];
+        let mut root_fill = 0;
+        for (c, owner) in cell_node.iter_mut().enumerate() {
+            let slot = if *owner == NO_NODE {
+                *owner = Hierarchy::ROOT;
+                root_fill += 1;
+                root_fill - 1
+            } else {
+                *owner = canon[*owner as usize];
+                let next = &mut fill[*owner as usize];
+                *next += 1;
+                *next - 1
+            };
+            cells[slot as usize] = c as u32;
+        }
+        let profile = level_counts(&nodes, max_lambda);
         Hierarchy {
             r,
             s,
             nodes,
+            children,
+            cells,
             cell_node,
             lambda,
             max_lambda,
-            index: OnceLock::new(),
+            profile,
         }
     }
 }
@@ -564,16 +574,46 @@ impl RawHierarchy {
 mod tests {
     use super::*;
 
+    /// Builds a raw hierarchy from `(λ, parent raw id, delta)` triples.
+    fn raw_of(cells: usize, nodes: &[(u32, u32, &[u32])]) -> RawHierarchy {
+        let mut raw = RawHierarchy::new(cells);
+        for &(lambda, parent, delta) in nodes {
+            let id = raw.push(lambda, parent);
+            for &c in delta {
+                raw.owner[c as usize] = id;
+            }
+        }
+        raw
+    }
+
     /// Hand-built: cells 0..6; node A λ=1 {0,1}, node B λ=3 {2,3} under A,
-    /// node C λ=2 {4,5} under A... (invalid: B(3) under A(1), C(2) under A)
-    /// cell 6 has λ=0 → root.
-    fn sample_raw() -> (RawHierarchy, Vec<u32>) {
-        let mut raw = RawHierarchy::default();
-        let a = raw.push(1, NO_NODE, vec![1, 0]);
-        let _b = raw.push(3, a, vec![3, 2]);
-        let _c = raw.push(2, a, vec![5, 4]);
-        let lambda = vec![1, 1, 3, 3, 2, 2, 0];
-        (raw, lambda)
+    /// node C λ=2 {4,5} under A; cell 6 has λ=0 → root.
+    fn sample_raw() -> (RawHierarchy, Arc<[u32]>) {
+        let raw = raw_of(
+            7,
+            &[(1, NO_NODE, &[1, 0]), (3, 0, &[3, 2]), (2, 0, &[5, 4])],
+        );
+        (raw, vec![1, 1, 3, 3, 2, 2, 0].into())
+    }
+
+    /// A deeper, bushier tree than `sample_raw`, over 14 cells: two
+    /// branches under a λ=1 node, one of them nested twice, plus a
+    /// second top-level nucleus and λ=0 strays.
+    fn fourteen_cell_tree() -> Hierarchy {
+        let raw = raw_of(
+            14,
+            &[
+                (1, NO_NODE, &[0, 1, 2]),
+                (2, 0, &[3, 4]),
+                (4, 1, &[5]),
+                (3, 1, &[6, 7]),
+                (2, 0, &[8]),
+                (1, NO_NODE, &[9]),
+                (5, 5, &[10, 11]),
+            ],
+        );
+        let lambda = vec![1, 1, 1, 2, 2, 4, 3, 3, 2, 1, 5, 5, 0, 0];
+        raw.into_hierarchy(2, 3, lambda.into(), 5)
     }
 
     #[test]
@@ -586,10 +626,10 @@ mod tests {
         assert_eq!(h.node(1).lambda, 1);
         assert_eq!(h.node(2).lambda, 2);
         assert_eq!(h.node(3).lambda, 3);
-        assert_eq!(h.node(1).cells, vec![0, 1]);
+        assert_eq!(h.node(1).cells, [0, 1]);
         assert_eq!(h.node(2).parent, 1);
         assert_eq!(h.node(3).parent, 1);
-        assert_eq!(h.node(0).cells, vec![6]);
+        assert_eq!(h.node(0).cells, [6]);
         assert_eq!(h.node(1).subtree_cells, 6);
         assert_eq!(h.node(0).subtree_cells, 7);
     }
@@ -642,22 +682,10 @@ mod tests {
         let (raw, lambda) = sample_raw();
         let h = raw.into_hierarchy(1, 2, lambda, 3);
         // k=1: node1; k=2: node2 + node3 (which spans k=2..3); k=3: node3
-        assert_eq!(h.level_profile(), vec![0, 1, 2, 1]);
+        assert_eq!(h.level_profile(), [0, 1, 2, 1]);
         for k in 1..=3 {
             assert_eq!(h.level_profile()[k as usize], h.nuclei_at(k).len());
         }
-    }
-
-    #[test]
-    fn empty_nodes_are_contracted() {
-        let mut raw = RawHierarchy::default();
-        let ghost = raw.push(1, NO_NODE, vec![]);
-        let _real = raw.push(2, ghost, vec![0, 1]);
-        let lambda = vec![2, 2];
-        let h = raw.into_hierarchy(1, 2, lambda, 2);
-        h.validate().expect("valid");
-        assert_eq!(h.len(), 2);
-        assert_eq!(h.node(1).parent, Hierarchy::ROOT);
     }
 
     #[test]
@@ -665,11 +693,11 @@ mod tests {
         let (raw1, lambda1) = sample_raw();
         let h1 = raw1.into_hierarchy(1, 2, lambda1, 3);
         // same content, different raw ordering / parent wiring order
-        let mut raw2 = RawHierarchy::default();
-        let a = raw2.push(1, NO_NODE, vec![0, 1]);
-        let _c = raw2.push(2, a, vec![4, 5]);
-        let _b = raw2.push(3, a, vec![2, 3]);
-        let h2 = raw2.into_hierarchy(1, 2, vec![1, 1, 3, 3, 2, 2, 0], 3);
+        let raw2 = raw_of(
+            7,
+            &[(1, NO_NODE, &[0, 1]), (2, 0, &[4, 5]), (3, 0, &[2, 3])],
+        );
+        let h2 = raw2.into_hierarchy(1, 2, vec![1, 1, 3, 3, 2, 2, 0].into(), 3);
         assert_eq!(h1, h2);
     }
 
@@ -688,106 +716,71 @@ mod tests {
         let json = serde_json::to_string(&h).unwrap();
         let back: Hierarchy = serde_json::from_str(&json).unwrap();
         assert_eq!(h, back);
-        // The manual impls keep the pre-index field layout: the lazy
-        // lookup index must never leak into the wire format, even after
-        // it has been built.
-        let _ = h.nucleus_cells(0);
-        assert_eq!(serde_json::to_string(&h).unwrap(), json);
         for field in ["\"r\"", "\"s\"", "\"nodes\"", "\"cell_node\"", "\"lambda\""] {
             assert!(json.contains(field), "{json}");
         }
         assert!(!json.contains("index"), "{json}");
     }
 
-    /// The pre-index implementations, kept verbatim as oracles: the
-    /// memoized CSR lookups must reproduce their output — order
-    /// included — on every node and level.
-    fn walk_nucleus_cells(h: &Hierarchy, id: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        let mut stack = vec![id];
-        while let Some(x) = stack.pop() {
-            let node = h.node(x);
-            out.extend_from_slice(&node.cells);
-            stack.extend_from_slice(&node.children);
-        }
-        out
-    }
-
-    fn scan_nuclei_at(h: &Hierarchy, k: u32) -> Vec<u32> {
-        let mut out = vec![];
-        for (id, node) in h.nodes().iter().enumerate().skip(1) {
-            if node.lambda >= k && h.node(node.parent).lambda < k {
-                out.push(id as u32);
-            }
-        }
-        out
-    }
-
+    /// The 14-cell tree's runs (each a stack walk from its node: delta,
+    /// then children in descending id), nuclei per level and JSON, byte
+    /// for byte.
     #[test]
-    fn memoized_index_matches_the_walking_oracles() {
-        // A deeper, bushier tree than sample_raw: two branches under a
-        // λ=1 node, one of them nested twice, plus a second top-level
-        // nucleus and λ=0 strays.
-        let mut raw = RawHierarchy::default();
-        let a = raw.push(1, NO_NODE, vec![0, 1, 2]);
-        let b = raw.push(2, a, vec![3, 4]);
-        let _c = raw.push(4, b, vec![5]);
-        let _d = raw.push(3, b, vec![6, 7]);
-        let _e = raw.push(2, a, vec![8]);
-        let f = raw.push(1, NO_NODE, vec![9]);
-        let _g = raw.push(5, f, vec![10, 11]);
-        let lambda = vec![1, 1, 1, 2, 2, 4, 3, 3, 2, 1, 5, 5, 0, 0];
-        let h = raw.into_hierarchy(2, 3, lambda, 5);
+    fn fourteen_cell_tree_keeps_its_runs_and_json() {
+        let h = fourteen_cell_tree();
         h.validate().expect("valid");
-        for id in 0..h.len() as u32 {
-            assert_eq!(
-                h.nucleus_cells(id),
-                walk_nucleus_cells(&h, id),
-                "node {id}: memoized cells diverge from the walk"
-            );
-            assert_eq!(h.nucleus_cells_slice(id), &walk_nucleus_cells(&h, id)[..]);
+        let runs: [&[u32]; 8] = [
+            &[12, 13, 9, 10, 11, 0, 1, 2, 8, 3, 4, 5, 6, 7],
+            &[0, 1, 2, 8, 3, 4, 5, 6, 7],
+            &[9, 10, 11],
+            &[3, 4, 5, 6, 7],
+            &[8],
+            &[6, 7],
+            &[5],
+            &[10, 11],
+        ];
+        assert_eq!(h.len(), runs.len());
+        for (id, run) in runs.iter().enumerate() {
+            assert_eq!(h.nucleus_cells_slice(id as u32), *run, "node {id}");
+            assert_eq!(h.nucleus_cells(id as u32), *run, "node {id}");
         }
-        for k in 1..=h.max_lambda() {
-            assert_eq!(h.nuclei_at(k), scan_nuclei_at(&h, k), "k={k}");
-            assert_eq!(h.nuclei_at_slice(k), &scan_nuclei_at(&h, k)[..], "k={k}");
-            assert_eq!(h.level_profile()[k as usize], scan_nuclei_at(&h, k).len());
+        let levels: [&[u32]; 5] = [&[1, 2], &[3, 4, 7], &[5, 6, 7], &[6, 7], &[7]];
+        for (k, want) in (1..).zip(levels) {
+            assert_eq!(h.nuclei_at(k), want, "k={k}");
         }
-        assert_eq!(h.level_profile().len(), h.max_lambda() as usize + 1);
-        assert_eq!(h.level_profile()[0], 0);
-        // Past the deepest level: empty, no panic.
-        assert!(h.nuclei_at_slice(h.max_lambda() + 1).is_empty());
         assert!(h.nuclei_at(h.max_lambda() + 7).is_empty());
+        assert_eq!(h.level_profile(), [0, 2, 3, 3, 2, 1]);
+        assert_eq!(
+            serde_json::to_string(&h).unwrap(),
+            concat!(
+                r#"{"r":2,"s":3,"nodes":["#,
+                r#"{"lambda":0,"parent":4294967295,"children":[1,2],"cells":[12,13],"subtree_cells":14},"#,
+                r#"{"lambda":1,"parent":0,"children":[3,4],"cells":[0,1,2],"subtree_cells":9},"#,
+                r#"{"lambda":1,"parent":0,"children":[7],"cells":[9],"subtree_cells":3},"#,
+                r#"{"lambda":2,"parent":1,"children":[5,6],"cells":[3,4],"subtree_cells":5},"#,
+                r#"{"lambda":2,"parent":1,"children":[],"cells":[8],"subtree_cells":1},"#,
+                r#"{"lambda":3,"parent":3,"children":[],"cells":[6,7],"subtree_cells":2},"#,
+                r#"{"lambda":4,"parent":3,"children":[],"cells":[5],"subtree_cells":1},"#,
+                r#"{"lambda":5,"parent":2,"children":[],"cells":[10,11],"subtree_cells":2}],"#,
+                r#""cell_node":[1,1,1,3,3,6,5,5,4,2,7,7,0,0],"#,
+                r#""lambda":[1,1,1,2,2,4,3,3,2,1,5,5,0,0],"max_lambda":5}"#
+            )
+        );
     }
 
     #[test]
-    fn memoized_index_handles_degenerate_hierarchies() {
+    fn degenerate_hierarchies() {
         // Root-only: every cell has λ = 0.
-        let h = RawHierarchy::default().into_hierarchy(1, 2, vec![0, 0, 0], 0);
+        let h = RawHierarchy::new(3).into_hierarchy(1, 2, vec![0, 0, 0].into(), 0);
+        h.validate().expect("valid");
         assert_eq!(h.nucleus_cells(Hierarchy::ROOT), vec![0, 1, 2]);
-        assert!(h.nuclei_at_slice(1).is_empty());
-        assert_eq!(h.level_profile(), vec![0]);
+        assert!(h.nuclei_at(1).is_empty());
+        assert_eq!(h.level_profile(), [0]);
+        assert_eq!(h.depth(), 0);
         // Zero cells entirely.
-        let h = RawHierarchy::default().into_hierarchy(1, 2, vec![], 0);
-        assert!(h.nucleus_cells(Hierarchy::ROOT).is_empty());
+        let h = RawHierarchy::new(0).into_hierarchy(1, 2, Vec::new().into(), 0);
+        h.validate().expect("valid");
         assert!(h.nucleus_cells_slice(Hierarchy::ROOT).is_empty());
-        assert_eq!(h.level_profile(), vec![0]);
-    }
-
-    #[test]
-    fn memoized_index_is_shared_across_threads() {
-        let (raw, lambda) = sample_raw();
-        let h = raw.into_hierarchy(1, 2, lambda, 3);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for id in 0..h.len() as u32 {
-                        assert_eq!(h.nucleus_cells(id), walk_nucleus_cells(&h, id));
-                    }
-                    for k in 1..=h.max_lambda() {
-                        assert_eq!(h.nuclei_at(k), scan_nuclei_at(&h, k));
-                    }
-                });
-            }
-        });
+        assert_eq!(h.level_profile(), [0]);
     }
 }

@@ -31,7 +31,7 @@
 //!     &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4)],
 //! );
 //! let d = decompose(&g, Kind::Core, Algorithm::Fnd).unwrap();
-//! assert_eq!(d.peeling.lambda, vec![2, 2, 2, 2, 1]);
+//! assert_eq!(*d.peeling.lambda, [2, 2, 2, 2, 1]);
 //! // one 1-core spanning everything, one 2-core inside it
 //! assert_eq!(d.hierarchy.nuclei_at(1).len(), 1);
 //! assert_eq!(d.hierarchy.nuclei_at(2).len(), 1);

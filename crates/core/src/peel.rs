@@ -9,6 +9,8 @@
 //! cells only. On sparse inputs most edges lie in no triangle, so this
 //! skips most of the queue work and every empty container scan.
 
+use std::sync::Arc;
+
 use nucleus_graph::bucket::PeelBuckets;
 
 use crate::space::PeelBackend;
@@ -19,8 +21,9 @@ use crate::space::PeelBackend;
 #[derive(Clone, Debug)]
 pub struct Peeling {
     /// λ_s per cell: the largest k such that the cell lies in a k-(r,s)
-    /// nucleus.
-    pub lambda: Vec<u32>,
+    /// nucleus. Shared, not copied, with the [`crate::Hierarchy`] built
+    /// from this peeling.
+    pub lambda: Arc<[u32]>,
     /// Maximum λ over all cells.
     pub max_lambda: u32,
     /// Cells in processing (peeling) order; λ is non-decreasing along it.
@@ -42,7 +45,7 @@ impl Peeling {
     /// Histogram of λ values (index = λ, value = number of cells).
     pub fn lambda_histogram(&self) -> Vec<usize> {
         let mut h = vec![0usize; self.max_lambda as usize + 1];
-        for &l in &self.lambda {
+        for &l in self.lambda.iter() {
             h[l as usize] += 1;
         }
         h
@@ -60,7 +63,7 @@ impl Peeling {
 ///
 /// // triangle with a tail: core numbers [2,2,2,1], trussness [1,1,1,0]
 /// let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
-/// assert_eq!(peel(&VertexSpace::new(&g)).lambda, vec![2, 2, 2, 1]);
+/// assert_eq!(*peel(&VertexSpace::new(&g)).lambda, [2, 2, 2, 1]);
 /// let truss = peel(&EdgeSpace::new(&g));
 /// assert_eq!(truss.max_lambda, 1);
 /// assert_eq!(truss.lambda_of(g.edge_id(2, 3).unwrap()), 0);
@@ -232,11 +235,11 @@ mod tests {
 
     fn for_all_spaces_match(g: &CsrGraph) {
         let vs = VertexSpace::new(g);
-        assert_eq!(peel(&vs).lambda, peel_reference(&vs));
+        assert_eq!(*peel(&vs).lambda, peel_reference(&vs));
         let es = EdgeSpace::new(g);
-        assert_eq!(peel(&es).lambda, peel_reference(&es));
+        assert_eq!(*peel(&es).lambda, peel_reference(&es));
         let ts = TriangleSpace::new(g);
-        assert_eq!(peel(&ts).lambda, peel_reference(&ts));
+        assert_eq!(*peel(&ts).lambda, peel_reference(&ts));
     }
 
     #[test]
@@ -271,7 +274,7 @@ mod tests {
             });
         }
         Peeling {
-            lambda,
+            lambda: lambda.into(),
             max_lambda,
             order,
         }

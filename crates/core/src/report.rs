@@ -23,10 +23,11 @@ pub struct NucleusSummary {
     pub density: f64,
 }
 
-/// Distinct vertices spanned by the member cells of `node`.
+/// Distinct vertices spanned by the member cells of `node`, read off its
+/// run in place.
 pub fn nucleus_vertices<S: PeelSpace>(space: &S, h: &Hierarchy, node: u32) -> Vec<u32> {
     let mut out = Vec::new();
-    for cell in h.nucleus_cells(node) {
+    for &cell in h.nucleus_cells_slice(node) {
         space.cell_vertices(cell, &mut out);
     }
     out.sort_unstable();

@@ -54,7 +54,9 @@ impl Skeleton {
     /// Contracts equal-λ parent chains and emits a [`RawHierarchy`]:
     /// one raw node per k-(r,s) nucleus (= per equal-λ connected group of
     /// sub-nuclei), parented at the first strictly-smaller-λ ancestor.
-    pub fn into_raw(&mut self) -> RawHierarchy {
+    /// `comp` becomes the owner array in place: each cell's sub-nucleus
+    /// maps through its group's representative to the group's node.
+    pub fn into_raw(self) -> RawHierarchy {
         let n = self.lambda.len();
         // rep[i]: the top of i's equal-λ parent chain, path-compressed.
         let mut rep = vec![NO_NODE; n];
@@ -82,41 +84,35 @@ impl Skeleton {
             }
             rep[cur as usize] = top;
         }
-        // Raw node per representative, its cell list sized to the cells
-        // it gets, so each list is allocated once.
-        let mut size = vec![0u32; n];
-        for &c in self.comp.iter().filter(|&&c| c != NO_NODE) {
-            size[rep[c as usize] as usize] += 1;
-        }
-        let mut raw = RawHierarchy::default();
-        let mut raw_id = vec![NO_NODE; n];
+        // One raw node per representative; then `rep` maps every
+        // sub-nucleus straight to its group's node.
+        let mut raw = RawHierarchy {
+            nodes: Vec::new(),
+            owner: self.comp,
+        };
+        let mut node_of = vec![NO_NODE; n];
         for i in 0..n {
             if rep[i] == i as u32 {
-                let cells = Vec::with_capacity(size[i] as usize);
-                raw_id[i] = raw.push(self.lambda[i], NO_NODE, cells);
+                node_of[i] = raw.push(self.lambda[i], NO_NODE);
             }
+        }
+        for r in &mut rep {
+            *r = node_of[*r as usize];
         }
         // Parents: a representative's skeleton parent (if any) has a
-        // strictly smaller λ; map it through its own representative.
-        for i in 0..n {
-            if rep[i] != i as u32 {
+        // strictly smaller λ; it maps to its own group's node.
+        for (i, &node) in node_of.iter().enumerate() {
+            let Some(p) = self.forest.parent(i as u32).filter(|_| node != NO_NODE) else {
                 continue;
-            }
-            if let Some(p) = self.forest.parent(i as u32) {
-                debug_assert!(
-                    self.lambda[p as usize] < self.lambda[i],
-                    "skeleton parent must have smaller λ after contraction"
-                );
-                let p_rep = rep[p as usize];
-                raw.nodes[raw_id[i] as usize].parent = raw_id[p_rep as usize];
-            }
+            };
+            debug_assert!(
+                self.lambda[p as usize] < self.lambda[i],
+                "skeleton parent must have smaller λ after contraction"
+            );
+            raw.nodes[node as usize].parent = rep[p as usize];
         }
-        // Cells.
-        for (cell, &c) in self.comp.iter().enumerate() {
-            if c != NO_NODE {
-                let owner = raw_id[rep[c as usize] as usize];
-                raw.nodes[owner as usize].cells.push(cell as u32);
-            }
+        for c in raw.owner.iter_mut().filter(|c| **c != NO_NODE) {
+            *c = rep[*c as usize];
         }
         raw
     }
@@ -134,7 +130,7 @@ mod tests {
         let raw = sk.into_raw();
         assert_eq!(raw.nodes.len(), 1);
         assert_eq!(raw.nodes[0].lambda, 2);
-        assert_eq!(raw.nodes[0].cells, vec![0, 1]);
+        assert_eq!(raw.owner, [0, 0, NO_NODE]);
         assert_eq!(raw.nodes[0].parent, NO_NODE);
     }
 
@@ -148,7 +144,7 @@ mod tests {
         let raw = sk.into_raw();
         // one raw node per equal-λ group: a and b contracted together
         assert_eq!(raw.nodes.len(), 1);
-        assert_eq!(raw.nodes[0].cells.len(), 4);
+        assert_eq!(raw.owner, [0; 4]);
         assert_eq!(raw.nodes[0].lambda, 3);
     }
 
@@ -178,14 +174,10 @@ mod tests {
         sk.forest.attach(top, c);
         sk.comp = vec![a, a, b, b, c, c];
         let raw = sk.into_raw();
-        let four: Vec<_> = raw
-            .nodes
-            .iter()
-            .filter(|n| n.lambda == 4 && !n.cells.is_empty())
-            .collect();
-        assert_eq!(four.len(), 1);
-        assert_eq!(four[0].cells.len(), 4);
+        assert_eq!(raw.nodes.len(), 2);
+        let four = raw.nodes.iter().position(|n| n.lambda == 4).unwrap() as u32;
         let one = raw.nodes.iter().position(|n| n.lambda == 1).unwrap() as u32;
-        assert_eq!(four[0].parent, one);
+        assert_eq!(raw.owner, [four, four, four, four, one, one]);
+        assert_eq!(raw.nodes[four as usize].parent, one);
     }
 }

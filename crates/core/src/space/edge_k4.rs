@@ -186,7 +186,7 @@ mod tests {
     fn matches_reference_peeling() {
         let g = nucleus_gen::paper::fig1_nucleus_contrast();
         let s = EdgeK4Space::new(&g);
-        assert_eq!(peel(&s).lambda, peel_reference(&s));
+        assert_eq!(*peel(&s).lambda, peel_reference(&s));
     }
 
     #[test]

@@ -154,7 +154,7 @@ mod tests {
         ] {
             let s = VertexTriangleSpace::new(&g);
             let p = peel(&s);
-            assert_eq!(p.lambda, peel_reference(&s));
+            assert_eq!(*p.lambda, peel_reference(&s));
             let h_naive = naive(&s, &p);
             let (h_dft, _) = dft(&s, &p);
             let out = fnd(&s);

@@ -110,9 +110,10 @@ mod tests {
             &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
         );
         let vs = VertexSpace::new(&g);
-        let mut raw = RawHierarchy::default();
-        raw.push(2, NO_NODE, vec![0, 1, 2, 3, 4, 5]);
-        let h = raw.into_hierarchy(1, 2, vec![2; 6], 2);
+        let mut raw = RawHierarchy::new(6);
+        let fake = raw.push(2, NO_NODE);
+        raw.owner.fill(fake);
+        let h = raw.into_hierarchy(1, 2, vec![2; 6].into(), 2);
         assert!(check_semantics(&vs, &h).is_err());
     }
 }

@@ -10,16 +10,20 @@
 //!
 //! Because weights make the ω values drop by arbitrary amounts (not 1),
 //! the bucket queue of the unweighted peeling does not apply; peeling
-//! uses a lazy-deletion binary heap instead, and the hierarchy is built
-//! by the same canonical machinery as the unweighted decompositions
-//! (per-level components — correct for any λ assignment, weighted
-//! included).
+//! uses a lazy-deletion binary heap instead. The hierarchy is the one
+//! [`crate::algo::naive::naive`] builds over the plain (1,2) space from
+//! the rank-compressed λ: per-level components, correct for any λ
+//! assignment, weighted included.
 
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use nucleus_graph::CsrGraph;
 
-use crate::hierarchy::{Hierarchy, RawHierarchy, NO_NODE};
+use crate::algo::naive::naive;
+use crate::hierarchy::Hierarchy;
+use crate::peel::Peeling;
+use crate::space::VertexSpace;
 
 /// Computes weighted core numbers. `weights[e]` is the (non-negative)
 /// weight of edge id `e`.
@@ -103,77 +107,19 @@ pub fn weighted_core_decomposition(g: &CsrGraph, weights: &[u64]) -> WeightedCor
             (levels.binary_search(&l).expect("present") + 1) as u32
         }
     };
-    let ranks: Vec<u32> = lambda.iter().map(|&l| rank_of(l)).collect();
+    let ranks: Arc<[u32]> = lambda.iter().map(|&l| rank_of(l)).collect();
 
-    // Per-level component labeling, top rank downward, reusing the
-    // Naive construction (correct for arbitrary λ assignments).
-    let n = g.n();
-    let mut order: Vec<u32> = (0..n as u32).collect();
+    // The hierarchy is Naive's per-level components over the ranks,
+    // which is correct for any λ assignment. Its order only has to be
+    // sorted by λ.
+    let mut order: Vec<u32> = (0..g.n() as u32).collect();
     order.sort_by_key(|&v| ranks[v as usize]);
-    let max_rank = levels.len() as u32;
-    let mut raw = RawHierarchy::default();
-    let mut label = vec![NO_NODE; n];
-    let mut label_prev = vec![NO_NODE; n];
-    let mut emitted_prev: Vec<u32> = Vec::new();
-    let mut emitted_cur: Vec<u32> = Vec::new();
-    let mut first_ge = vec![0usize; max_rank as usize + 2];
-    {
-        let mut i = 0usize;
-        for k in 0..=max_rank {
-            while i < order.len() && ranks[order[i] as usize] < k {
-                i += 1;
-            }
-            first_ge[k as usize] = i;
-        }
-    }
-    let mut queue: Vec<u32> = Vec::new();
-    for k in 1..=max_rank {
-        emitted_cur.clear();
-        let suffix = &order[first_ge[k as usize]..];
-        for &c in suffix {
-            label[c as usize] = NO_NODE;
-        }
-        let mut comp_count = 0u32;
-        for &c0 in suffix {
-            if label[c0 as usize] != NO_NODE {
-                continue;
-            }
-            let comp = comp_count;
-            comp_count += 1;
-            label[c0 as usize] = comp;
-            queue.clear();
-            queue.push(c0);
-            let mut delta = Vec::new();
-            let mut head = 0;
-            while head < queue.len() {
-                let x = queue[head];
-                head += 1;
-                if ranks[x as usize] == k {
-                    delta.push(x);
-                }
-                for &w in g.neighbors(x) {
-                    if ranks[w as usize] >= k && label[w as usize] == NO_NODE {
-                        label[w as usize] = comp;
-                        queue.push(w);
-                    }
-                }
-            }
-            let parent = if k == 1 {
-                NO_NODE
-            } else {
-                emitted_prev[label_prev[c0 as usize] as usize]
-            };
-            let node = if delta.is_empty() {
-                parent
-            } else {
-                raw.push(k, parent, delta)
-            };
-            emitted_cur.push(node);
-        }
-        std::mem::swap(&mut label, &mut label_prev);
-        std::mem::swap(&mut emitted_cur, &mut emitted_prev);
-    }
-    let hierarchy = raw.into_hierarchy(1, 2, ranks, max_rank);
+    let peeling = Peeling {
+        lambda: ranks,
+        max_lambda: levels.len() as u32,
+        order,
+    };
+    let hierarchy = naive(&VertexSpace::new(g), &peeling);
     WeightedCoreDecomposition {
         hierarchy,
         lambda,
@@ -203,7 +149,6 @@ mod tests {
         for (id, (wn, pn)) in wd
             .hierarchy
             .nodes()
-            .iter()
             .zip(plain.hierarchy.nodes())
             .enumerate()
             .skip(1)

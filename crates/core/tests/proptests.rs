@@ -10,7 +10,7 @@ use nucleus_core::algo::lcps::lcps;
 use nucleus_core::algo::naive::naive;
 use nucleus_core::algo::tcp::{tcp_query, TcpIndex};
 use nucleus_core::decompose::{Algorithm, Backend, Decomposition, Kind};
-use nucleus_core::hierarchy::NO_NODE;
+use nucleus_core::hierarchy::{Hierarchy, NO_NODE};
 use nucleus_core::peel::{peel, peel_reference, Peeling};
 use nucleus_core::persist::PreparedIndex;
 use nucleus_core::plan;
@@ -202,7 +202,7 @@ fn graph_strategy(n_max: u32, m_max: usize) -> impl Strategy<Value = CsrGraph> {
 fn check_space_agreement<S: PeelSpace>(space: &S) {
     let p = peel(space);
     // 1. peeling matches the literal definition
-    assert_eq!(p.lambda, peel_reference(space), "λ vs brute force");
+    assert_eq!(*p.lambda, peel_reference(space), "λ vs brute force");
     // 2. all algorithms produce the identical canonical hierarchy
     let h_naive = naive(space, &p);
     let (h_dft, _) = dft(space, &p);
@@ -260,6 +260,71 @@ fn check_fnd_split<S: PeelSpace>(space: &S, want: &FndOutcome) {
     assert_eq!(h, want.hierarchy, "fnd_classify + build_hierarchy");
 }
 
+/// A stack walk from node `id`: pop a node, emit its delta, push its
+/// children (ascending, so they pop in descending order). The reference
+/// for the pre-order runs.
+fn walk_nucleus_cells(h: &Hierarchy, id: u32) -> Vec<u32> {
+    let mut out = Vec::new();
+    let mut stack = vec![id];
+    while let Some(x) = stack.pop() {
+        let node = h.node(x);
+        out.extend_from_slice(node.cells);
+        stack.extend_from_slice(node.children);
+    }
+    out
+}
+
+/// The k-(r,s) nuclei by definition: every node with λ ≥ k under a
+/// parent with λ < k, in id order.
+fn scan_nuclei_at(h: &Hierarchy, k: u32) -> Vec<u32> {
+    let mut out = vec![];
+    for (id, node) in h.nodes().enumerate().skip(1) {
+        if node.lambda >= k && h.node(node.parent).lambda < k {
+            out.push(id as u32);
+        }
+    }
+    out
+}
+
+/// FND's hierarchy of `space` against the walking references: every
+/// node's run is the walk of its subtree, `nuclei_at(k)` is the scan and
+/// `level_profile` counts it, each cell of a k-nucleus's run has that
+/// nucleus as its k-nucleus, and each cell's owner holds it in its delta.
+fn check_flat_layout<S: PeelSpace>(space: &S) {
+    let h = fnd(space).hierarchy;
+    for id in 0..h.len() as u32 {
+        assert_eq!(
+            h.nucleus_cells_slice(id),
+            walk_nucleus_cells(&h, id),
+            "node {id}"
+        );
+    }
+    let profile = h.level_profile();
+    assert_eq!(profile.len(), h.max_lambda() as usize + 1);
+    assert_eq!(profile[0], 0);
+    for k in 1..=h.max_lambda() + 1 {
+        let nuclei = scan_nuclei_at(&h, k);
+        assert_eq!(h.nuclei_at(k), nuclei, "k={k}");
+        assert_eq!(
+            profile.get(k as usize).copied().unwrap_or(0),
+            nuclei.len(),
+            "k={k}"
+        );
+        for &id in &nuclei {
+            for &c in h.nucleus_cells_slice(id) {
+                assert_eq!(h.nucleus_of_cell_at(c, k), Some(id), "cell {c} k={k}");
+            }
+        }
+    }
+    for c in 0..h.lambdas().len() as u32 {
+        let (owner, l) = (h.node_of_cell(c), h.lambda_of(c));
+        assert!(h.node(owner).cells.binary_search(&c).is_ok(), "cell {c}");
+        assert_eq!(h.node(owner).lambda, l, "cell {c}");
+        let own_level = (l > 0).then_some(owner);
+        assert_eq!(h.nucleus_of_cell_at(c, l), own_level, "cell {c}");
+    }
+}
+
 /// Alg. 8 as the paper writes it: λ and sub-nucleus (`comp`) arrays
 /// beside the bucket queue, and every connection pushed to `ADJ`, with
 /// the pairs a cell pushed before it had a sub-nucleus patched at the
@@ -315,7 +380,7 @@ fn paper_fnd_classify<B: PeelBackend>(space: &B) -> (Peeling, Skeleton, Vec<(u32
         }
     }
     let peeling = Peeling {
-        lambda,
+        lambda: lambda.into(),
         max_lambda,
         order,
     };
@@ -653,6 +718,31 @@ proptest! {
     }
 
     #[test]
+    fn flat_layout_matches_the_walks_core(g in graph_strategy(24, 80)) {
+        check_flat_layout(&VertexSpace::new(&g));
+    }
+
+    #[test]
+    fn flat_layout_matches_the_walks_vertex_triangle(g in graph_strategy(14, 50)) {
+        check_flat_layout(&VertexTriangleSpace::new(&g));
+    }
+
+    #[test]
+    fn flat_layout_matches_the_walks_truss(g in graph_strategy(16, 60)) {
+        check_flat_layout(&EdgeSpace::new(&g));
+    }
+
+    #[test]
+    fn flat_layout_matches_the_walks_edge_k4(g in graph_strategy(10, 40)) {
+        check_flat_layout(&EdgeK4Space::new(&g));
+    }
+
+    #[test]
+    fn flat_layout_matches_the_walks_nucleus34(g in graph_strategy(12, 50)) {
+        check_flat_layout(&TriangleSpace::new(&g));
+    }
+
+    #[test]
     fn algorithms_agree_on_core(g in graph_strategy(24, 80)) {
         let vs = VertexSpace::new(&g);
         check_space_agreement(&vs);
@@ -698,7 +788,7 @@ proptest! {
         // every cell appears in exactly one delta, at its own λ
         let mut seen = vec![0u32; g.n()];
         for node in h.nodes() {
-            for &c in &node.cells {
+            for &c in node.cells {
                 seen[c as usize] += 1;
                 prop_assert_eq!(p.lambda_of(c), node.lambda);
             }

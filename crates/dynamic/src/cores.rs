@@ -45,7 +45,7 @@ impl CoreState {
     /// Initial λ via a static peel of `g` (which must match `adj`).
     pub fn new(g: &CsrGraph) -> CoreState {
         CoreState {
-            lambda: peel(&VertexSpace::new(g)).lambda,
+            lambda: peel(&VertexSpace::new(g)).lambda.to_vec(),
             mark: vec![0; g.n()],
             slot: vec![0; g.n()],
             stamp: 0,
@@ -58,7 +58,7 @@ impl CoreState {
 
     /// Replaces λ wholesale (full recompute repair path).
     pub fn reset(&mut self, g: &CsrGraph) {
-        self.lambda = peel(&VertexSpace::new(g)).lambda;
+        self.lambda = peel(&VertexSpace::new(g)).lambda.to_vec();
     }
 
     /// Neighbors of `w` with λ ≥ k — the optimistic degree toward the

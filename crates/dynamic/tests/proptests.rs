@@ -210,7 +210,7 @@ proptest! {
             dg.apply(&[if insert { EdgeOp::Insert(a, b) } else { EdgeOp::Delete(a, b) }]);
             let g = dg.to_graph();
             let expect = peel(&VertexSpace::new(&g)).lambda;
-            prop_assert_eq!(dg.core_numbers(), Some(expect.as_slice()));
+            prop_assert_eq!(dg.core_numbers(), Some(&expect[..]));
         }
     }
 }

@@ -11,6 +11,8 @@
 //!   which is exactly the "bucket data structure" the paper plugs into
 //!   Matula & Beck's LCPS to make its priority queue maintainable (§5.1).
 
+use std::sync::Arc;
+
 /// Min-bucket structure over integer keys, specialized for peeling:
 /// keys only ever *decrease by one at a time*, and never below the key of
 /// the most recently popped element.
@@ -172,18 +174,14 @@ impl PeelBuckets {
         self.slot[x as usize][POS_OR_TAG] = tag;
     }
 
-    /// The key of every element, in a fresh vector of `n` words (the
+    /// The key of every element, in one shared buffer of `n` words (the
     /// slots, twice that, are freed): once every queued element has been
     /// popped, the key each was popped with (its λ in a peel), and 0 for
-    /// the zero keys [`PeelBuckets::skipping_zeros`] left out.
-    pub fn into_keys(self) -> Vec<u32> {
-        // Zeroed, so only queued elements write theirs: on a sparse
-        // input this skips the slots of the many zero keys.
-        let mut keys = vec![0u32; self.slot.len()];
-        for &x in &self.vert {
-            keys[x as usize] = self.slot[x as usize][KEY];
-        }
-        keys
+    /// the zero keys [`PeelBuckets::skipping_zeros`] left out. The
+    /// buffer is allocated once and filled in one pass over the slots,
+    /// so a peeling and the hierarchy built from it can share it.
+    pub fn into_keys(self) -> Arc<[u32]> {
+        self.slot.iter().map(|s| s[KEY]).collect()
     }
 
     /// Pops an element with the minimum current key.
@@ -519,8 +517,8 @@ mod tests {
         }
         assert!(zeros.iter().all(|&z| want[z as usize] == 0));
         let lambda = q.into_keys();
-        assert_eq!(lambda, want);
-        assert_eq!(lambda, [1, 0, 1, 1, 0, 2, 0, 1]);
+        assert_eq!(*lambda, want[..]);
+        assert_eq!(*lambda, [1, 0, 1, 1, 0, 2, 0, 1]);
     }
 
     #[test]

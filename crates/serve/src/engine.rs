@@ -6,11 +6,13 @@
 //! identical canonical hierarchy, so a request's `algo` only picks which
 //! one runs (`Prepared::run`) on first use; the result is cached as an
 //! `Arc<Hierarchy>`, and every later query — from any thread, naming any
-//! algorithm the kind supports — is a lock-free read of the same tree,
-//! whose own point-lookup index is also memoized (see
-//! `Hierarchy::nucleus_cells_slice`). The engine has no interior
-//! mutability beyond those once-cells, which is what makes it safe to
-//! share by reference across a worker pool.
+//! algorithm the kind supports — is a lock-free read of the same tree.
+//! That tree is plain immutable data, complete once built: a nucleus's
+//! members are one contiguous run of its cell array
+//! (`Hierarchy::nucleus_cells_slice`), and the per-level nucleus counts
+//! are filled at construction. The engine has no interior mutability
+//! beyond those once-cells, which is what makes it safe to share by
+//! reference across a worker pool.
 
 use std::sync::{Arc, OnceLock};
 
@@ -338,7 +340,7 @@ impl<'g> ServeState<'g> {
     }
 
     fn level_profile_value(h: &Hierarchy) -> Value {
-        let profile: Vec<Value> = h.level_profile().into_iter().map(|c| u(c as u64)).collect();
+        let profile: Vec<Value> = h.level_profile().iter().map(|&c| u(c as u64)).collect();
         Value::Object(vec![
             ("max_lambda".to_string(), u(h.max_lambda())),
             ("nuclei".to_string(), u(h.nucleus_count() as u64)),
@@ -500,7 +502,7 @@ mod tests {
         assert_eq!(real(&v, "density"), density, "{kind:?} {a}");
 
         let mut profile = vec![0u64; h.max_lambda() as usize + 1];
-        for node in &h.nodes()[1..] {
+        for node in h.nodes().skip(1) {
             for k in h.node(node.parent).lambda + 1..=node.lambda {
                 profile[k as usize] += 1;
             }

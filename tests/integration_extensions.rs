@@ -39,7 +39,7 @@ fn dynamic_cores_replay_matches_batch() {
         assert_eq!(dg.apply(&[EdgeOp::Insert(u, v)]).applied, 1);
     }
     let expect = decompose(&g, Kind::Core, Algorithm::Fnd).unwrap();
-    assert_eq!(dg.core_numbers(), Some(expect.peeling.lambda.as_slice()));
+    assert_eq!(dg.core_numbers(), Some(&expect.peeling.lambda[..]));
     // and removal back to empty
     for (_, u, v) in g.edges() {
         assert_eq!(dg.apply(&[EdgeOp::Delete(u, v)]).applied, 1);
