@@ -1,5 +1,5 @@
 //! Simple recursive k-clique enumeration — the brute-force reference
-//! implementation used by tests and dataset statistics. Correct for any
+//! the triangle and K4 kernels are tested against. Correct for any
 //! `k >= 1`; intended for small/medium graphs (it carries no pivoting
 //! optimizations on purpose, to stay obviously correct).
 

@@ -24,8 +24,8 @@
 //! * [`four_cliques`] — per-triangle K4 degrees (the ω₄ values peeled by
 //!   the (3,4) decomposition; the serial three-way-intersection
 //!   reference) and per-edge ones for (2,4);
-//! * [`kclique`] — a simple recursive k-clique enumerator used as the
-//!   brute-force reference in tests and for Table 3 statistics;
+//! * [`kclique`] — a simple recursive k-clique enumerator, the
+//!   brute-force reference the kernels above are tested against;
 //! * [`parallel`] — scoped-thread parallel twins for every counting and
 //!   enumeration pass (triangle counts, edge supports, vertex triangle
 //!   counts, per-triangle and per-edge K4 degrees), plus the

@@ -16,4 +16,3 @@ pub mod hypo;
 pub mod lcps;
 pub mod naive;
 pub mod tcp;
-pub mod variants;

@@ -54,9 +54,8 @@ pub fn dft<S: PeelSpace>(space: &S, peeling: &Peeling) -> (Hierarchy, DftStats) 
 
 /// The traversal proper: discovers every maximal sub-nucleus in
 /// decreasing-λ order and wires the hierarchy-skeleton, without the
-/// final contraction. Exposed for skeleton analytics
-/// ([`crate::analytics`]); most callers want [`dft`].
-pub fn dft_skeleton<B: PeelBackend>(space: &B, peeling: &Peeling) -> (Skeleton, DftStats) {
+/// final contraction.
+fn dft_skeleton<B: PeelBackend>(space: &B, peeling: &Peeling) -> (Skeleton, DftStats) {
     let n = space.cell_count();
     let mut sk = Skeleton::new(n);
     let mut visited = vec![false; n];
@@ -169,8 +168,11 @@ mod tests {
         let (g, reps) = nucleus_gen::paper::fig4_chained_towers();
         let vs = VertexSpace::new(&g);
         let p = peel(&vs);
-        let (h, _) = dft(&vs, &p);
+        let (h, stats) = dft(&vs, &p);
         h.validate().expect("valid");
+        // three λ=3 towers + two λ=2 bridges = 5 T₁,₂s, but only 4 nuclei
+        assert_eq!(stats.subnuclei, 5);
+        assert_eq!(h.nucleus_count(), 4);
         // the two bridges (λ=2) live in the same 2-core node even though
         // they are separated by λ=3 towers
         let a_node = h.node_of_cell(reps[3]);

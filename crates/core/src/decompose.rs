@@ -193,12 +193,12 @@ impl Backend {
 
     /// The single home of the policy: `Lazy` never materializes,
     /// `Materialized` always does, `Auto` iff the estimated index fits
-    /// [`Backend::AUTO_BYTE_CAP`]. `estimate` is only invoked for `Auto`.
-    pub(crate) fn wants_index(self, estimate: impl FnOnce() -> usize) -> bool {
+    /// [`Backend::AUTO_BYTE_CAP`].
+    pub(crate) fn wants_index(self, est_bytes: usize) -> bool {
         match self {
             Backend::Lazy => false,
             Backend::Materialized => true,
-            Backend::Auto => estimate() <= Self::AUTO_BYTE_CAP,
+            Backend::Auto => est_bytes <= Self::AUTO_BYTE_CAP,
         }
     }
 
@@ -386,11 +386,11 @@ mod tests {
     fn auto_backend_materializes_small_spaces() {
         let g = test_graphs::nested_cores();
         let vs = VertexSpace::new(&g);
-        let est = || ContainerIndex::estimate_bytes_from(vs.r(), vs.s(), &vs.degrees());
+        let est = ContainerIndex::estimate_bytes_from(vs.r(), vs.s(), &vs.degrees());
         assert!(Backend::Auto.wants_index(est));
         assert!(!Backend::Lazy.wants_index(est));
         assert!(Backend::Materialized.wants_index(est));
-        assert!(!Backend::Auto.wants_index(|| Backend::AUTO_BYTE_CAP + 1));
+        assert!(!Backend::Auto.wants_index(Backend::AUTO_BYTE_CAP + 1));
         assert_eq!(format!("{}", Backend::Auto), "auto");
         assert_eq!(Backend::default(), Backend::Auto);
     }

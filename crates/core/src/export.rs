@@ -1,14 +1,9 @@
 //! Hierarchy export: GraphViz DOT (the visualization use case of
-//! Alvarez-Hamelin et al. / Zhao & Tung cited in §3) and nucleus
-//! subgraph extraction for downstream processing.
+//! Alvarez-Hamelin et al. / Zhao & Tung cited in §3).
 
 use std::fmt::Write as _;
 
-use nucleus_graph::CsrGraph;
-
 use crate::hierarchy::Hierarchy;
-use crate::report::nucleus_vertices;
-use crate::space::PeelSpace;
 
 /// Renders the hierarchy as a GraphViz DOT tree. Each node is labeled
 /// `k=λ (members)`; node area hints at subtree size. Limits output to
@@ -52,43 +47,6 @@ pub fn hierarchy_to_dot(h: &Hierarchy, max_nodes: usize) -> String {
     out
 }
 
-/// An extracted nucleus as a standalone graph: vertices are re-labeled
-/// densely; `original` maps new ids back to the source graph.
-#[derive(Clone, Debug)]
-pub struct ExtractedSubgraph {
-    /// The induced subgraph on the nucleus's vertex span.
-    pub graph: CsrGraph,
-    /// `original[new_id] = old_id`.
-    pub original: Vec<u32>,
-}
-
-/// Extracts the subgraph induced by the vertices spanned by the nucleus
-/// rooted at `node`.
-pub fn extract_nucleus<S: PeelSpace>(
-    g: &CsrGraph,
-    space: &S,
-    h: &Hierarchy,
-    node: u32,
-) -> ExtractedSubgraph {
-    let verts = nucleus_vertices(space, h, node);
-    let mut new_id = vec![u32::MAX; g.n()];
-    for (i, &v) in verts.iter().enumerate() {
-        new_id[v as usize] = i as u32;
-    }
-    let mut edges = Vec::new();
-    for &v in &verts {
-        for &w in g.neighbors(v) {
-            if v < w && new_id[w as usize] != u32::MAX {
-                edges.push((new_id[v as usize], new_id[w as usize]));
-            }
-        }
-    }
-    ExtractedSubgraph {
-        graph: CsrGraph::from_edges(verts.len(), &edges),
-        original: verts,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,31 +76,5 @@ mod tests {
         let (h, _) = dft(&vs, &p);
         let dot = hierarchy_to_dot(&h, 1);
         assert!(dot.contains("more nuclei"));
-    }
-
-    #[test]
-    fn extracted_nucleus_is_the_k5() {
-        let g = test_graphs::nested_cores();
-        let vs = VertexSpace::new(&g);
-        let p = peel(&vs);
-        let (h, _) = dft(&vs, &p);
-        let deep = h.nuclei_at(4)[0];
-        let sub = extract_nucleus(&g, &vs, &h, deep);
-        assert_eq!(sub.graph.n(), 5);
-        assert_eq!(sub.graph.m(), 10); // K5
-        assert_eq!(sub.original.len(), 5);
-        // mapping points at real vertices of the original K5 (ids 0..5)
-        assert!(sub.original.iter().all(|&v| v < 5));
-    }
-
-    #[test]
-    fn extraction_of_root_returns_whole_graph() {
-        let g = test_graphs::nested_cores();
-        let vs = VertexSpace::new(&g);
-        let p = peel(&vs);
-        let (h, _) = dft(&vs, &p);
-        let sub = extract_nucleus(&g, &vs, &h, Hierarchy::ROOT);
-        assert_eq!(sub.graph.n(), g.n());
-        assert_eq!(sub.graph.m(), g.m());
     }
 }

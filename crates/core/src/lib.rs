@@ -4,9 +4,10 @@
 //!
 //! A faithful implementation of *"Fast Hierarchy Construction for Dense
 //! Subgraphs"* (Sarıyüce & Pinar, PVLDB 10(3), VLDB 2016): nucleus
-//! decompositions — k-core = (1,2), k-truss community = (2,3) and the
-//! (3,4) four-clique nuclei — **with the full containment hierarchy**,
-//! not just the peeling numbers.
+//! decompositions — k-core = (1,2), vertices by triangles (1,3),
+//! k-truss community = (2,3), edges by four-cliques (2,4) and the (3,4)
+//! four-clique nuclei — **with the full containment hierarchy**, not
+//! just the peeling numbers.
 //!
 //! ## Glossary (Table 2 of the paper)
 //!
@@ -42,7 +43,6 @@
 //! over one prepared space (see [`session`]).
 
 pub mod algo;
-pub mod analytics;
 pub mod decompose;
 pub mod error;
 pub mod export;
@@ -78,11 +78,10 @@ pub mod prelude {
     };
     pub use crate::algo::lcps::lcps;
     pub use crate::algo::tcp::{tcp_query, TcpIndex};
-    pub use crate::analytics::{skeleton_profile, SkeletonProfile};
     pub use crate::decompose::{
         decompose, hypo_baseline, Algorithm, Backend, Decomposition, Kind, PhaseTimes,
     };
-    pub use crate::export::{extract_nucleus, hierarchy_to_dot, ExtractedSubgraph};
+    pub use crate::export::hierarchy_to_dot;
     pub use crate::hierarchy::{Hierarchy, HierarchyNode};
     pub use crate::peel::{peel, Peeling};
     pub use crate::persist::PreparedIndex;

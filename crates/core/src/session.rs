@@ -48,7 +48,6 @@
 //! `plan`/`run` time, since one `Prepared` may serve different
 //! algorithms.
 
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use nucleus_graph::CsrGraph;
@@ -186,26 +185,14 @@ impl<'g> NucleusBuilder<'g> {
         let threads = effective_threads(threads);
         let t0 = Instant::now();
         let space = AnySpace::build(g, kind, threads);
-        let cells = with_space!(space, s => s.cell_count());
-        // Explicit-lazy sessions never touch `degrees()` here: peeling
-        // computes ω itself per run, so doing it eagerly would double a
-        // lazy run's setup cost. The space facts defer to first use
-        // instead (`Prepared::facts`).
-        let (facts, backend_reason, index) = if backend == Backend::Lazy {
-            (OnceLock::new(), "explicitly requested".to_string(), None)
-        } else {
-            with_space!(space, s => {
-                let counts = s.degrees();
-                let containers: u64 = counts.iter().map(|&c| c as u64).sum();
-                let est = ContainerIndex::estimate_bytes_from(s.r(), s.s(), &counts);
-                let (materialize, reason) = resolve_backend(backend, est);
-                let index =
-                    materialize.then(|| ContainerIndex::build_with_counts(s, counts, threads));
-                let facts = OnceLock::new();
-                let _ = facts.set((containers, est));
-                (facts, reason, index)
-            })
-        };
+        let (cells, containers, index_bytes, backend_reason, index) = with_space!(space, s => {
+            let counts = s.degrees();
+            let containers: u64 = counts.iter().map(|&c| c as u64).sum();
+            let est = ContainerIndex::estimate_bytes_from(s.r(), s.s(), &counts);
+            let (materialize, reason) = resolve_backend(backend, est);
+            let index = materialize.then(|| ContainerIndex::build_with_counts(s, counts, threads));
+            (s.cell_count(), containers, est, reason, index)
+        });
         Ok(Prepared {
             g,
             kind,
@@ -218,7 +205,8 @@ impl<'g> NucleusBuilder<'g> {
             space,
             index,
             cells,
-            facts,
+            containers,
+            index_bytes,
             backend_reason,
             enumeration: enumeration_mode(kind, threads),
             prep_time: t0.elapsed(),
@@ -282,10 +270,8 @@ impl<'g> NucleusBuilder<'g> {
         }
         let backend_reason = format!("loaded index from {}", index.path());
         let containers = index.containers();
-        let bytes = index.bytes();
+        let index_bytes = index.bytes();
         let container_index = index.into_container_index();
-        let facts = OnceLock::new();
-        let _ = facts.set((containers, bytes));
         Ok(Prepared {
             g,
             kind,
@@ -294,7 +280,8 @@ impl<'g> NucleusBuilder<'g> {
             space,
             index: Some(container_index),
             cells,
-            facts,
+            containers,
+            index_bytes,
             backend_reason,
             enumeration: "skipped (persisted index)".to_string(),
             prep_time: t0.elapsed(),
@@ -315,7 +302,7 @@ fn effective_threads(threads: usize) -> usize {
 /// decision plus the human-readable "why" that [`Plan::explain`]
 /// reports.
 fn resolve_backend(backend: Backend, est_bytes: usize) -> (bool, String) {
-    let materialize = backend.wants_index(|| est_bytes);
+    let materialize = backend.wants_index(est_bytes);
     let reason = match backend {
         Backend::Lazy | Backend::Materialized => "explicitly requested".to_string(),
         Backend::Auto => {
@@ -345,10 +332,10 @@ pub struct Prepared<'g> {
     space: AnySpace<'g>,
     index: Option<ContainerIndex>,
     cells: usize,
-    /// `(Σ ω, estimated index bytes)` — filled at prepare time whenever
-    /// the ω counts were computed anyway (auto/materialized sessions),
-    /// deferred to first use on explicit-lazy ones.
-    facts: OnceLock<(u64, usize)>,
+    /// Σ ω over all cells.
+    containers: u64,
+    /// Estimated (or, for a loaded index, actual) index bytes.
+    index_bytes: usize,
     backend_reason: String,
     /// How prepare ran its cell enumeration (see `enumeration_mode`).
     enumeration: String,
@@ -377,32 +364,15 @@ impl<'g> Prepared<'g> {
         self.cells
     }
 
-    /// Total containers (Σ ω over all cells). On explicit-lazy
-    /// sessions the first call performs one container enumeration (the
-    /// counts are not kept around otherwise — that is what "lazy"
-    /// means); auto/materialized sessions recorded it during `prepare`.
+    /// Total containers (Σ ω over all cells), counted at prepare time.
     pub fn containers(&self) -> u64 {
-        self.facts().0
+        self.containers
     }
 
     /// Estimated [`ContainerIndex`] footprint in bytes (allocated only
-    /// on materialized sessions). Same deferral as
-    /// [`Prepared::containers`] on explicit-lazy sessions.
+    /// on materialized sessions).
     pub fn estimated_index_bytes(&self) -> usize {
-        self.facts().1
-    }
-
-    /// `(Σ ω, estimated index bytes)`, computing them on first use for
-    /// explicit-lazy sessions.
-    fn facts(&self) -> (u64, usize) {
-        *self.facts.get_or_init(|| {
-            with_space!(self.space, s => {
-                let counts = s.degrees();
-                let containers: u64 = counts.iter().map(|&c| c as u64).sum();
-                let est = ContainerIndex::estimate_bytes_from(s.r(), s.s(), &counts);
-                (containers, est)
-            })
-        })
+        self.index_bytes
     }
 
     /// Wall time spent in [`NucleusBuilder::prepare`] (space build, ω

@@ -70,16 +70,6 @@ impl DisjointSets {
         r
     }
 
-    /// Representative without mutation (no compression); useful for
-    /// read-only queries on shared structures.
-    pub fn find_immutable(&self, x: u32) -> u32 {
-        let mut r = x;
-        while self.parent[r as usize] != r {
-            r = self.parent[r as usize];
-        }
-        r
-    }
-
     /// Merges the sets of `x` and `y`. Returns the new representative,
     /// or `None` if they were already in the same set.
     pub fn union(&mut self, x: u32, y: u32) -> Option<u32> {
@@ -158,14 +148,5 @@ mod tests {
             ds.union(i, i + 1);
         }
         assert!(ds.rank.iter().all(|&r| r <= 10));
-    }
-
-    #[test]
-    fn find_immutable_matches_find() {
-        let mut ds = DisjointSets::new(10);
-        ds.union(2, 7);
-        ds.union(7, 9);
-        let frozen = ds.clone();
-        assert_eq!(frozen.find_immutable(9), ds.find(9));
     }
 }

@@ -137,15 +137,6 @@ impl RootedForest {
         self.parent[x as usize] = new_parent;
         self.root[x as usize] = new_parent;
     }
-
-    /// Iterates all node ids whose skeleton parent is unassigned.
-    pub fn orphans(&self) -> impl Iterator<Item = u32> + '_ {
-        self.parent
-            .iter()
-            .enumerate()
-            .filter(|(_, &p)| p == NONE)
-            .map(|(i, _)| i as u32)
-    }
 }
 
 #[cfg(test)]
@@ -214,18 +205,6 @@ mod tests {
         }
         assert_eq!(with_parent, 2); // two losers, one overall top
         assert!(f.parent(w2).is_none());
-    }
-
-    #[test]
-    fn orphans_lists_unparented() {
-        let mut f = RootedForest::new();
-        let a = f.push();
-        let b = f.push();
-        let c = f.push();
-        f.union_r(a, b);
-        let orphans: Vec<u32> = f.orphans().collect();
-        assert_eq!(orphans.len(), 2); // surviving top + c
-        assert!(orphans.contains(&c));
     }
 
     #[test]

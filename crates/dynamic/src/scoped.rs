@@ -116,14 +116,6 @@ impl ScopedState {
         *self = ScopedState::new(g, self.kind);
     }
 
-    /// λ of the cell with (unsorted) vertex set `vertices`, if present.
-    pub fn lambda_of(&self, vertices: &[u32]) -> Option<u32> {
-        if vertices.len() != self.kind.rs().0 as usize {
-            return None;
-        }
-        self.lambda.get(&cell_key(vertices)).copied()
-    }
-
     /// Re-peels the components of `snapshot` (the *post-batch* graph)
     /// containing any endpoint in `touched`, replacing their cells' λ
     /// and dropping entries of cells those components no longer have.

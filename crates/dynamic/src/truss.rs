@@ -17,7 +17,7 @@
 //! λ is keyed by endpoint pair, not edge id, so it survives the id
 //! renumbering that any snapshot/rebuild would imply.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use nucleus_core::peel::peel;
 use nucleus_core::space::EdgeSpace;
@@ -218,7 +218,7 @@ impl TrussState {
         // A destroyed triangle seeds edge g at g's own level k only if
         // the triangle counted toward g's support there: both partners
         // (the deleted edge and the third edge) had λ ≥ k.
-        let mut seeds_by_level: HashMap<u32, Vec<(u32, u32)>> = HashMap::new();
+        let mut seeds_by_level: BTreeMap<u32, Vec<(u32, u32)>> = BTreeMap::new();
         for &w in witnesses {
             let (lu, lv) = (self.lambda[&pair_key(u, w)], self.lambda[&pair_key(v, w)]);
             if le >= lu && lv >= lu && lu > 0 {
@@ -229,7 +229,9 @@ impl TrussState {
             }
         }
         // Levels are independent: a level-k demotion lands at k-1, which
-        // crosses no other seeded level's λ ≥ k' threshold.
+        // crosses no other seeded level's λ ≥ k' threshold. The scope a
+        // level examines does depend on what earlier levels demoted, so
+        // they run in ascending order to keep that count deterministic.
         for (level, seeds) in seeds_by_level {
             let (dropped, scope) = self.demote_level(adj, &seeds, level);
             stats.changed += dropped;

@@ -19,7 +19,7 @@
 //! * [`persist_io`] — the versioned, checksummed on-disk encoding of a
 //!   flat record store plus the graph fingerprint that invalidates it;
 //!   loading decodes a file back into a [`FlatRecords`];
-//! * [`traversal`] — BFS and connected components;
+//! * [`traversal`] — connected components;
 //! * [`order`] — degree and degeneracy orderings;
 //! * [`io`] — whitespace edge-list text format.
 //!
@@ -33,7 +33,6 @@ pub mod csr;
 pub mod error;
 pub mod flat;
 pub mod io;
-pub mod metrics;
 pub mod order;
 pub mod persist_io;
 pub mod traversal;

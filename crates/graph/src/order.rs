@@ -22,12 +22,6 @@ impl VertexOrder {
         }
         VertexOrder { order, rank }
     }
-
-    /// True if `u` precedes `v`.
-    #[inline]
-    pub fn precedes(&self, u: u32, v: u32) -> bool {
-        self.rank[u as usize] < self.rank[v as usize]
-    }
 }
 
 /// Non-decreasing degree order, ties broken by vertex id (a sort of the
@@ -105,7 +99,5 @@ mod tests {
         for v in g.vertices() {
             assert_eq!(ord.order[ord.rank[v as usize] as usize], v);
         }
-        // precedes is a strict total order
-        assert!(ord.precedes(ord.order[0], ord.order[5]));
     }
 }

@@ -245,18 +245,6 @@ pub fn write_index<W: Write>(
     Ok(())
 }
 
-/// Writes [`encode_index`]'s image to a file at `path`.
-pub fn write_index_file<P: AsRef<Path>>(
-    path: P,
-    r: u32,
-    s: u32,
-    fp: GraphFingerprint,
-    flat: &FlatRecords,
-) -> Result<(), GraphError> {
-    std::fs::write(path, encode_index(r, s, fp, flat))?;
-    Ok(())
-}
-
 /// A fully validated index file, decoded.
 ///
 /// Construction ([`IndexImage::from_bytes`]) is the trust boundary: it
@@ -612,7 +600,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("rt-{}.nidx", std::process::id()));
         let flat = sample_flat();
-        write_index_file(&path, 2, 3, graph_fingerprint(&sample_graph()), &flat).unwrap();
+        let mut file = std::fs::File::create(&path).unwrap();
+        write_index(&mut file, 2, 3, graph_fingerprint(&sample_graph()), &flat).unwrap();
         let img = IndexImage::read_file(&path).unwrap();
         assert_eq!(img.into_records(), flat);
         std::fs::remove_file(&path).ok();

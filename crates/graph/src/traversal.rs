@@ -1,4 +1,4 @@
-//! Breadth-first traversal and connected components.
+//! Connected components.
 
 use crate::csr::CsrGraph;
 
@@ -34,36 +34,6 @@ pub fn connected_components(g: &CsrGraph) -> (Vec<u32>, usize) {
     (labels, next as usize)
 }
 
-/// BFS visit order from `start` (only the reachable component).
-pub fn bfs_order(g: &CsrGraph, start: u32) -> Vec<u32> {
-    let mut visited = vec![false; g.n()];
-    let mut queue = vec![start];
-    visited[start as usize] = true;
-    let mut head = 0;
-    while head < queue.len() {
-        let v = queue[head];
-        head += 1;
-        for &w in g.neighbors(v) {
-            if !visited[w as usize] {
-                visited[w as usize] = true;
-                queue.push(w);
-            }
-        }
-    }
-    queue
-}
-
-/// Single full sweep over all vertices and arcs, touching every adjacency
-/// entry exactly once. This is the "hypothetical best possible traversal"
-/// cost model for the (1,2) case (the paper's *Hypo* baseline does
-/// peeling + exactly this).
-///
-/// Returns the number of connected components, so the optimizer cannot
-/// discard the work.
-pub fn full_sweep_component_count(g: &CsrGraph) -> usize {
-    connected_components(g).1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,17 +61,8 @@ mod tests {
     }
 
     #[test]
-    fn bfs_covers_component() {
-        let g = CsrGraph::from_edges(5, &[(0, 1), (0, 2), (1, 2), (3, 4)]);
-        let mut order = bfs_order(&g, 0);
-        order.sort_unstable();
-        assert_eq!(order, vec![0, 1, 2]);
-        assert_eq!(bfs_order(&g, 3).len(), 2);
-    }
-
-    #[test]
     fn empty_graph_has_zero_components() {
         let g = CsrGraph::from_edges(0, &[]);
-        assert_eq!(full_sweep_component_count(&g), 0);
+        assert_eq!(connected_components(&g).1, 0);
     }
 }

@@ -18,11 +18,7 @@ impl Client {
     /// Connects and applies the standard socket options (nodelay, 30 s
     /// read timeout).
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Client> {
-        Client::from_stream(TcpStream::connect(addr)?)
-    }
-
-    /// Wraps an already-connected stream.
-    pub fn from_stream(stream: TcpStream) -> std::io::Result<Client> {
+        let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(30)))?;
         Ok(Client {

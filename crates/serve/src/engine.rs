@@ -104,10 +104,9 @@ impl<'g> ServeState<'g> {
         self.default_algo
     }
 
-    /// Resolves a request's algorithm field against the prepared
-    /// session: the kind must support it.
-    pub fn resolve_algo(&self, requested: Option<Algorithm>) -> Result<Algorithm, ProtocolError> {
-        let algo = requested.unwrap_or(self.default_algo);
+    /// Checks a request's algorithm against the prepared session: the
+    /// kind must support it.
+    fn check_algo(&self, algo: Algorithm) -> Result<(), ProtocolError> {
         if !Algorithm::for_kind(self.prepared.kind()).contains(&algo) {
             return Err(ProtocolError::new(
                 ErrorCode::Unsupported,
@@ -118,14 +117,14 @@ impl<'g> ServeState<'g> {
                 ),
             ));
         }
-        Ok(algo)
+        Ok(())
     }
 
     /// The hierarchy, built by `algo` if no request built it before.
     /// An algorithm the session cannot run is rejected before the
     /// cache is touched, so it never leaves an error there.
     pub fn hierarchy(&self, algo: Algorithm) -> Result<&Arc<Hierarchy>, ProtocolError> {
-        self.resolve_algo(Some(algo))?;
+        self.check_algo(algo)?;
         let res = self.hierarchy.get_or_init(|| {
             self.prepared
                 .run(algo)
@@ -307,7 +306,7 @@ impl<'g> ServeState<'g> {
     /// builds if no request built it before: scanned once over every
     /// non-root node; ties keep the first (lowest-id) node.
     pub fn densest(&self, algo: Algorithm) -> Result<DensestAnswer, ProtocolError> {
-        self.resolve_algo(Some(algo))?;
+        self.check_algo(algo)?;
         let res = self.densest.get_or_init(|| {
             let h = self.hierarchy(algo)?;
             let mut best: Option<DensestAnswer> = None;

@@ -4,9 +4,10 @@
 //!
 //! Umbrella crate for the workspace reproducing **"Fast Hierarchy
 //! Construction for Dense Subgraphs"** (Sarıyüce & Pinar, VLDB 2016):
-//! k-core, k-truss-community and (3,4)-nucleus decompositions *with
-//! their full containment hierarchies*, built by the paper's DFT and FND
-//! algorithms plus every baseline the paper compares against.
+//! k-core (1,2), (1,3), k-truss-community (2,3), (2,4) and
+//! (3,4)-nucleus decompositions *with their full containment
+//! hierarchies*, built by the paper's DFT and FND algorithms plus every
+//! baseline the paper compares against.
 //!
 //! The heavy lifting lives in the member crates, re-exported here:
 //!

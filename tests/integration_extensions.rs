@@ -1,10 +1,8 @@
 //! Integration coverage for the extension modules: weighted cores,
-//! dynamic maintenance, skeleton analytics, export, truss variants and
-//! the extra (1,3)/(2,4) spaces — all driven through the public API on
+//! dynamic maintenance, DOT export, the extra (1,3)/(2,4) spaces and the
+//! parallel edge supports — all driven through the public API on
 //! surrogate data.
 
-use nucleus_hierarchy::core::algo::variants;
-use nucleus_hierarchy::core::analytics::skeleton_profile;
 use nucleus_hierarchy::core::space::{EdgeK4Space, VertexTriangleSpace};
 use nucleus_hierarchy::core::weighted::weighted_core_decomposition;
 use nucleus_hierarchy::gen::{dataset, Scale};
@@ -49,21 +47,6 @@ fn dynamic_cores_replay_matches_batch() {
 }
 
 #[test]
-fn skeleton_profiles_match_decomposition_stats() {
-    let g = dataset("stanford3-s", Scale::Small);
-    let vs = VertexSpace::new(&g);
-    let p = peel(&vs);
-    let prof = skeleton_profile(&vs, &p);
-    let d = decompose(&g, Kind::Core, Algorithm::Dft).unwrap();
-    assert_eq!(prof.count(), d.stats.subnuclei);
-    // total cells across sub-nuclei + unassigned == all cells
-    let total: u64 = prof.sub_nuclei.iter().map(|s| s.size as u64).sum();
-    assert_eq!(total as usize + prof.unassigned_cells, g.n());
-    // per-level counts sum to the total count
-    assert_eq!(prof.per_level().iter().sum::<usize>(), prof.count());
-}
-
-#[test]
 fn dot_export_is_parseable_shape() {
     let g = dataset("mit-s", Scale::Small);
     let d = decompose(&g, Kind::Truss, Algorithm::Fnd).unwrap();
@@ -76,45 +59,6 @@ fn dot_export_is_parseable_shape() {
             assert!(dot.contains(&format!("{a} [")), "undeclared {a}");
             assert!(dot.contains(&format!("{} [", b)), "undeclared {b}");
         }
-    }
-}
-
-#[test]
-fn extracted_nuclei_are_densest_at_leaves() {
-    let g = dataset("berkeley13-s", Scale::Small);
-    let d = decompose(&g, Kind::Core, Algorithm::Fnd).unwrap();
-    let vs = VertexSpace::new(&g);
-    let deepest = d
-        .hierarchy
-        .leaves()
-        .into_iter()
-        .max_by_key(|&id| d.hierarchy.node(id).lambda)
-        .unwrap();
-    let sub = extract_nucleus(&g, &vs, &d.hierarchy, deepest);
-    // the extracted subgraph's min degree is ≥ the nucleus level
-    let k = d.hierarchy.node(deepest).lambda as usize;
-    for v in sub.graph.vertices() {
-        assert!(sub.graph.degree(v) >= k);
-    }
-    // extraction is a real induced subgraph: re-decomposition of it has
-    // max core ≥ k
-    let inner = decompose(&sub.graph, Kind::Core, Algorithm::Fnd).unwrap();
-    assert!(inner.hierarchy.max_lambda() >= k as u32);
-}
-
-#[test]
-fn truss_variants_are_consistent_on_surrogates() {
-    let g = dataset("texas84-s", Scale::Small);
-    let es = EdgeSpace::new(&g);
-    let truss = peel(&es);
-    let d = decompose(&g, Kind::Truss, Algorithm::Dft).unwrap();
-    for k in [1, 2, truss.max_lambda.max(1)] {
-        let dense = variants::k_dense(&truss, k);
-        let trusses = variants::k_trusses_connected(&g, &truss, k);
-        let comms = variants::k_truss_communities(&d.hierarchy, k);
-        assert_eq!(dense.len(), trusses.iter().map(|t| t.len()).sum::<usize>());
-        assert_eq!(dense.len(), comms.iter().map(|c| c.len()).sum::<usize>());
-        assert!(comms.len() >= trusses.len());
     }
 }
 
