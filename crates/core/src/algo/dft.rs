@@ -168,11 +168,8 @@ mod tests {
         let (g, reps) = nucleus_gen::paper::fig4_chained_towers();
         let vs = VertexSpace::new(&g);
         let p = peel(&vs);
-        let (h, stats) = dft(&vs, &p);
+        let (h, _) = dft(&vs, &p);
         h.validate().expect("valid");
-        // three λ=3 towers + two λ=2 bridges = 5 T₁,₂s, but only 4 nuclei
-        assert_eq!(stats.subnuclei, 5);
-        assert_eq!(h.nucleus_count(), 4);
         // the two bridges (λ=2) live in the same 2-core node even though
         // they are separated by λ=3 towers
         let a_node = h.node_of_cell(reps[3]);
@@ -181,6 +178,33 @@ mod tests {
         assert_eq!(h.node(a_node).lambda, 2);
         // three distinct 3-cores under it
         assert_eq!(h.nuclei_at(3).len(), 3);
+    }
+
+    #[test]
+    fn fig4_has_five_sub_nuclei() {
+        // three λ=3 towers + two λ=2 bridges = 5 T₁,₂s, but only 4 nuclei
+        let (g, _) = nucleus_gen::paper::fig4_chained_towers();
+        let vs = VertexSpace::new(&g);
+        let p = peel(&vs);
+        let (sk, stats) = dft_skeleton(&vs, &p);
+        assert_eq!(stats.subnuclei, 5);
+        assert_eq!(sk.len(), 5);
+        let mut per_level = vec![0usize; p.max_lambda as usize + 1];
+        for &k in &sk.lambda {
+            per_level[k as usize] += 1;
+        }
+        assert_eq!(per_level[2], 2);
+        assert_eq!(per_level[3], 3);
+        // every cell lands in some sub-nucleus; the largest holds 4 cells
+        assert!(sk.comp.iter().all(|&c| c != NO_NODE));
+        let mut sizes = vec![0usize; sk.len()];
+        for &c in &sk.comp {
+            sizes[c as usize] += 1;
+        }
+        assert_eq!(sizes.iter().max(), Some(&4));
+        assert_eq!(sizes.iter().sum::<usize>(), 16);
+        let (h, _) = dft(&vs, &p);
+        assert_eq!(h.nucleus_count(), 4);
     }
 
     #[test]
