@@ -700,10 +700,27 @@ fn cmd_query<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     {
         return cmd_query_engine(args, out);
     }
+    // All three are required: a default would answer a query nobody
+    // asked.
+    let required = |name: &str| -> Result<u32, String> {
+        let value = args.need(name)?;
+        value
+            .parse()
+            .map_err(|_| format!("--{name}: bad number {value:?}"))
+    };
+    let (u, v, k) = (required("u")?, required("v")?, required("k")?);
     let g = load_graph(args)?;
-    let u: u32 = args.num("u", 0u32)?;
-    let v: u32 = args.num("v", 0u32)?;
-    let k: u32 = args.num("k", 1u32)?;
+    for (name, w) in [("u", u), ("v", v)] {
+        if w as usize >= g.n() {
+            return Err(format!(
+                "--{name}: vertex {w} is not in the graph ({} vertices)",
+                g.n()
+            ));
+        }
+    }
+    if g.edge_id(u.min(v), u.max(v)).is_none() {
+        return Err(format!("--u/--v: ({u},{v}) is not an edge of the graph"));
+    }
     let es = EdgeSpace::new(&g);
     let truss = peel(&es);
     let idx = TcpIndex::build(&g, &truss);
@@ -926,6 +943,60 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("community"), "got: {out}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The legacy lookup's failures, each on the karate club: an error
+    /// naming the cause, not a panic and not an answer for edge (0,0).
+    fn karate_query_error(path: &str, flags: &[&str]) -> String {
+        let mut argv = vec!["query", "--input", path];
+        argv.extend_from_slice(flags);
+        run_to_string(&argv).unwrap_err()
+    }
+
+    fn karate_graph(name: &str) -> String {
+        let path = tmp(name);
+        run_to_string(&["generate", "--model", "karate", "--out", &path]).unwrap();
+        path
+    }
+
+    #[test]
+    fn query_requires_u_v_and_k() {
+        let path = karate_graph("query-missing.txt");
+        for (flags, missing) in [
+            (&["--k", "2"][..], "--u"),
+            (&["--u", "0", "--k", "2"][..], "--v"),
+            (&["--u", "0", "--v", "1"][..], "--k"),
+        ] {
+            let err = karate_query_error(&path, flags);
+            assert!(
+                err.contains(&format!("missing required {missing}")),
+                "{err}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn query_refuses_vertices_outside_the_graph() {
+        let path = karate_graph("query-range.txt");
+        let err = karate_query_error(&path, &["--u", "99", "--v", "100", "--k", "2"]);
+        assert!(
+            err.contains("--u: vertex 99 is not in the graph (34 vertices)"),
+            "{err}"
+        );
+        let err = karate_query_error(&path, &["--u", "0", "--v", "99", "--k", "2"]);
+        assert!(err.contains("--v: vertex 99"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn query_refuses_non_edges() {
+        let path = karate_graph("query-non-edge.txt");
+        let err = karate_query_error(&path, &["--u", "0", "--v", "33", "--k", "2"]);
+        assert!(err.contains("(0,33) is not an edge"), "{err}");
+        let err = karate_query_error(&path, &["--u", "5", "--v", "5", "--k", "2"]);
+        assert!(err.contains("(5,5) is not an edge"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1295,6 +1366,13 @@ mod tests {
         "decompose --input /tmp/ci-smoke.txt --index /tmp/ci-smoke.nidx --explain --depth 2",
         "generate --model er --n 100 --p 0.05 --out /tmp/ci-other.txt",
         "decompose --input /tmp/ci-other.txt --index /tmp/ci-smoke.nidx",
+        "generate --model rmat --scale 8 --out /tmp/ci-rmat.txt",
+        "prepare --input /tmp/ci-rmat.txt --kind core --threads 1 --out /tmp/ci-rmat-core-t1.nidx",
+        "decompose --input /tmp/ci-rmat.txt --index /tmp/ci-rmat-core-t1.nidx --explain --depth 2 \
+         --json /tmp/ci-rmat-core-index.json",
+        "decompose --input /tmp/ci-rmat.txt --kind core --json /tmp/ci-rmat-core-fresh.json",
+        "generate --model karate --out /tmp/ci-karate.txt",
+        "query --input /tmp/ci-karate.txt --u 99 --v 100 --k 2",
         "serve --graph /tmp/ci-smoke.txt --index /tmp/ci-smoke.nidx --port 0 --workers 2 \
          --addr-file /tmp/ci-serve.addr",
         "query --connect 127.0.0.1:7077 --request {}",

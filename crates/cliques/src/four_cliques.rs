@@ -74,9 +74,13 @@ pub fn k4_edge_degrees(g: &CsrGraph, index: &TriangleIndex) -> Vec<u32> {
     deg
 }
 
-/// Total number of K4s in `g` (each K4 contains 4 triangles).
+/// Total number of K4s in `g`, whose triangles are `tris` (each K4
+/// contains 4 triangles). Counts with the (3,4) prepare's ω kernel,
+/// [`crate::parallel::k4_degrees_indexed`], on one thread.
 pub fn k4_count(g: &CsrGraph, tris: &TriangleList) -> u64 {
-    let total: u64 = k4_degrees(g, tris).iter().map(|&d| d as u64).sum();
+    let index = TriangleIndex::build(g, tris);
+    let degrees = crate::parallel::k4_degrees_indexed(g, tris, &index, 1);
+    let total: u64 = degrees.iter().map(|&d| d as u64).sum();
     debug_assert_eq!(total % 4, 0);
     total / 4
 }

@@ -21,9 +21,11 @@
 //!   kernels read: the apexes of a triangle's K4s are the vertices all
 //!   three of its edges' lists hold, each entry carrying the id of the
 //!   face through that apex;
-//! * [`four_cliques`] — per-triangle K4 degrees (the ω₄ values peeled by
-//!   the (3,4) decomposition; the serial three-way-intersection
-//!   reference) and per-edge ones for (2,4);
+//! * [`four_cliques`] — serial references for per-triangle K4 degrees
+//!   (the ω₄ values peeled by the (3,4) decomposition, by three-way
+//!   intersection) and per-edge ones for (2,4), and the graph's K4
+//!   total, [`four_cliques::k4_count`], which sums the indexed kernel's
+//!   degrees;
 //! * [`kclique`] — a simple recursive k-clique enumerator, the
 //!   brute-force reference the kernels above are tested against;
 //! * [`parallel`] — scoped-thread parallel twins for every counting and
@@ -33,7 +35,10 @@
 //!   [`fill_ranges_scoped`]/[`fill_ranges_pair_scoped`] disjoint-chunk
 //!   fill helpers they (and the materialized peeling backend in
 //!   `nucleus-core`) share. Workers count into private tallies or fill
-//!   disjoint slices, never shared atomic counters. Four kernels feed
+//!   disjoint slices, never shared atomic counters. The peeling spaces
+//!   of `nucleus-core` call a twin at every thread count (one range at
+//!   one thread); the serial functions stay as the references the
+//!   twins are tested against. Four kernels feed
 //!   the fused prepare of `nucleus-core`: for (2,3),
 //!   [`SupportTallies::count`] lists each triangle once over the
 //!   orientation and [`edge_companion_records`] lists them again to

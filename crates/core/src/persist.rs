@@ -16,9 +16,12 @@
 //! # Trust and invalidation
 //!
 //! Loading never trusts the bytes: [`PreparedIndex::load`] verifies the
-//! magic, format version, whole-file and per-section checksums, section
-//! bounds, record-structure invariants, that every record names a cell
-//! the index covers, and that the stored (r, s) pair names a supported
+//! magic, format version, whole-file and per-section checksums, that
+//! the file is exactly as long as its header implies with zero
+//! padding, that the per-cell ω counts sum to the header's record
+//! count (the record offsets are rebuilt from them, never read),
+//! record-structure invariants, that every record names a cell the
+//! index covers, and that the stored (r, s) pair names a supported
 //! [`Kind`] whose record arity matches. Binding the
 //! index to a graph additionally checks the stored *fingerprint*
 //! (vertex count, edge count, hash of the canonical edge list) against
@@ -54,7 +57,7 @@
 
 use std::path::Path;
 
-use nucleus_graph::persist_io::{graph_fingerprint, IndexImage};
+use nucleus_graph::persist_io::{encode_index, graph_fingerprint, IndexImage};
 use nucleus_graph::{CsrGraph, GraphError};
 
 use crate::decompose::Kind;
@@ -165,7 +168,7 @@ impl PreparedIndex {
 
     /// Size of the index file in bytes.
     pub fn bytes(&self) -> usize {
-        self.image.len()
+        self.image.bytes()
     }
 
     /// Where the index was loaded from (a path, or the label given to
@@ -240,23 +243,12 @@ impl Prepared<'_> {
                      prepare with Backend::Materialized (or Auto on a graph under the cap)"
                     .to_string(),
             })?;
-        let label = path.as_ref().display().to_string();
         let (r, s) = self.kind().rs();
-        let fp = graph_fingerprint(self.graph());
-        let file = std::fs::File::create(path.as_ref()).map_err(|e| CoreError::IndexIo {
-            path: label.clone(),
+        let image = encode_index(r, s, graph_fingerprint(self.graph()), index.records());
+        std::fs::write(path.as_ref(), image).map_err(|e| CoreError::IndexIo {
+            path: path.as_ref().display().to_string(),
             reason: e.to_string(),
-        })?;
-        let mut w = std::io::BufWriter::new(file);
-        index
-            .write_to(&mut w, r, s, fp)
-            .map_err(|e| map_graph_error(&label, e))?;
-        use std::io::Write as _;
-        w.flush().map_err(|e| CoreError::IndexIo {
-            path: label,
-            reason: e.to_string(),
-        })?;
-        Ok(())
+        })
     }
 }
 

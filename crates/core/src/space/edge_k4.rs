@@ -7,7 +7,7 @@
 
 use std::sync::OnceLock;
 
-use nucleus_cliques::{k4_edge_degrees, k4_edge_degrees_parallel, TriangleIndex, TriangleList};
+use nucleus_cliques::{k4_edge_degrees_parallel, TriangleIndex, TriangleList};
 use nucleus_graph::CsrGraph;
 
 use super::{PeelBackend, PeelSpace};
@@ -87,12 +87,7 @@ impl PeelBackend for EdgeK4Space<'_> {
             .get_or_init(|| {
                 // counts exactly what `for_each_k4_of_edge` enumerates:
                 // adjacent pairs in each edge's third-vertex list
-                let index = self.index();
-                if self.threads <= 1 {
-                    k4_edge_degrees(self.g, index)
-                } else {
-                    k4_edge_degrees_parallel(self.g, index, self.threads)
-                }
+                k4_edge_degrees_parallel(self.g, self.index(), self.threads)
             })
             .clone()
     }

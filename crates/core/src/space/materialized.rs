@@ -15,12 +15,8 @@
 //! decodes into the same [`FlatRecords`], so built and loaded sessions
 //! peel through one code path.
 
-use std::io::Write;
-
 use nucleus_cliques::{balanced_ranges, fill_ranges_scoped};
 use nucleus_graph::flat::{offsets_from_counts, FlatRecords};
-use nucleus_graph::persist_io::{self, GraphFingerprint};
-use nucleus_graph::GraphError;
 
 use super::{PeelBackend, PeelSpace};
 
@@ -132,6 +128,11 @@ impl ContainerIndex {
         ContainerIndex { records }
     }
 
+    /// The record store, for the persisted-index encoder.
+    pub(crate) fn records(&self) -> &FlatRecords {
+        &self.records
+    }
+
     /// Number of cells indexed.
     pub fn cell_count(&self) -> usize {
         self.records.cells()
@@ -161,18 +162,6 @@ impl ContainerIndex {
     /// Heap footprint of the index in bytes.
     pub fn bytes(&self) -> usize {
         self.records.bytes()
-    }
-
-    /// Serializes the index in the persisted format for the `(r, s)`
-    /// family of a graph with fingerprint `fp`.
-    pub fn write_to<W: Write>(
-        &self,
-        w: &mut W,
-        r: u32,
-        s: u32,
-        fp: GraphFingerprint,
-    ) -> Result<(), GraphError> {
-        persist_io::write_index(w, r, s, fp, &self.records)
     }
 
     /// Estimated index footprint for an (r, s) space with ω degrees

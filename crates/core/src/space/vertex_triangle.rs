@@ -52,13 +52,7 @@ impl PeelBackend for VertexTriangleSpace<'_> {
 
     fn degrees(&self) -> Vec<u32> {
         self.degrees
-            .get_or_init(|| {
-                if self.threads <= 1 {
-                    nucleus_cliques::vertex_triangle_counts(self.g)
-                } else {
-                    nucleus_cliques::vertex_triangle_counts_parallel(self.g, self.threads)
-                }
-            })
+            .get_or_init(|| nucleus_cliques::vertex_triangle_counts_parallel(self.g, self.threads))
             .clone()
     }
 

@@ -8,7 +8,7 @@ use nucleus_core::decompose::{Algorithm, Backend, Kind};
 use nucleus_core::error::CoreError;
 use nucleus_core::persist::PreparedIndex;
 use nucleus_core::session::Nucleus;
-use nucleus_graph::persist_io::{hash64, FILE_HASH_RANGE, FORMAT_VERSION, MAX_ARITY};
+use nucleus_graph::persist_io::{hash64, FILE_HASH_RANGE, FORMAT_VERSION, HEADER_LEN, MAX_ARITY};
 use nucleus_graph::CsrGraph;
 use rand::{Rng, SeedableRng};
 
@@ -49,42 +49,53 @@ fn reseal(bytes: &mut [u8]) {
     bytes[FILE_HASH_RANGE].copy_from_slice(&h.to_le_bytes());
 }
 
-/// Byte range of section `i` (0 counts, 1 offsets, 2 data), read off
-/// the section table.
-fn section(bytes: &[u8], i: usize) -> std::ops::Range<usize> {
-    let entry = 80 + i * 32;
-    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-    let start = word(entry + 8);
-    start..start + word(entry + 16)
+/// Header field `at` (the u64 fields: cells at 56, records at 64).
+fn header_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
 
-/// [`reseal`], after re-stamping every section hash: tampering inside a
-/// section then gets past both checksums and meets the loader's
-/// structural checks.
+/// Byte ranges of the counts and data sections, where the header puts
+/// them: the counts from byte 88, the data from the padded end of the
+/// counts.
+fn sections(bytes: &[u8]) -> [std::ops::Range<usize>; 2] {
+    let arity = u32::from_le_bytes(bytes[28..32].try_into().unwrap()) as usize;
+    let counts = HEADER_LEN..HEADER_LEN + 4 * header_u64(bytes, 56) as usize;
+    let data_start = counts.end.next_multiple_of(8);
+    let data = data_start..data_start + 4 * arity * header_u64(bytes, 64) as usize;
+    [counts, data]
+}
+
+/// [`reseal`], after re-stamping both section hashes (header bytes 72
+/// and 80): tampering inside a section then gets past every checksum
+/// and meets the loader's structural checks. A section the header
+/// places past the end of the file keeps its stale hash; the loader
+/// refuses such a file on its length first.
 fn reseal_sections(bytes: &mut [u8]) {
-    for i in 0..3 {
-        let h = hash64(&bytes[section(bytes, i)]);
-        let at = 80 + i * 32 + 24;
-        bytes[at..at + 8].copy_from_slice(&h.to_le_bytes());
+    for (i, section) in sections(bytes).into_iter().enumerate() {
+        if let Some(body) = bytes.get(section) {
+            let h = hash64(body);
+            let at = 72 + 8 * i;
+            bytes[at..at + 8].copy_from_slice(&h.to_le_bytes());
+        }
     }
     reseal(bytes);
 }
 
-/// Offset `j` of the offsets section.
-fn offset(bytes: &[u8], j: usize) -> u64 {
-    let at = section(bytes, 1).start + j * 8;
-    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+/// `u32` word `j` of section `i` (0 counts, 1 data).
+fn word(bytes: &[u8], i: usize, j: usize) -> u32 {
+    let at = sections(bytes)[i].start + j * 4;
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
 }
 
-fn set_offset(bytes: &mut [u8], j: usize, value: u64) {
-    let at = section(bytes, 1).start + j * 8;
-    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
-}
-
-/// Overwrites `u32` word `j` of section `i` (0 counts, 2 data).
+/// Overwrites `u32` word `j` of section `i` (0 counts, 1 data).
 fn set_word(bytes: &mut [u8], i: usize, j: usize, value: u32) {
-    let at = section(bytes, i).start + j * 4;
+    let at = sections(bytes)[i].start + j * 4;
     bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+}
+
+/// Index of the first cell with a nonzero count.
+fn first_counted_cell(bytes: &[u8]) -> usize {
+    (0..).find(|&j| word(bytes, 0, j) > 0).unwrap()
 }
 
 fn expect_corrupt(bytes: Vec<u8>, what: &str) {
@@ -99,6 +110,16 @@ fn expect_corrupt(bytes: Vec<u8>, what: &str) {
 fn valid_image_loads_for_every_kind() {
     for kind in Kind::all() {
         let (g, bytes) = valid_image(kind);
+        // The 88-byte header, then the counts and the data, each padded
+        // to 8 bytes: nothing else.
+        let pad8 = |len: u64| len.next_multiple_of(8) as usize;
+        let arity = u64::from(u32::from_le_bytes(bytes[28..32].try_into().unwrap()));
+        let (cells, records) = (header_u64(&bytes, 56), header_u64(&bytes, 64));
+        assert_eq!(
+            bytes.len(),
+            88 + pad8(4 * cells) + pad8(4 * arity * records),
+            "{kind}"
+        );
         let index = PreparedIndex::from_bytes(bytes, "valid").unwrap();
         assert_eq!(index.kind(), kind);
         index.matches(&g).unwrap();
@@ -129,17 +150,21 @@ fn future_version_is_corrupt_and_names_the_version() {
 }
 
 /// Version 1 stamped a degree-sequence hash, which cannot vouch for
-/// the edge list: such files are refused, not reinterpreted.
+/// the edge list, and version 2 stored ω twice behind a section table:
+/// such files are refused, not reinterpreted.
 #[test]
 fn version_one_files_are_rejected() {
-    let (_, mut bytes) = valid_image(Kind::Truss);
-    bytes[16..20].copy_from_slice(&1u32.to_le_bytes());
-    reseal(&mut bytes);
-    match PreparedIndex::from_bytes(bytes, "version 1") {
-        Err(CoreError::IndexCorrupt { reason, .. }) => {
-            assert!(reason.contains("unsupported index version 1"), "{reason}");
+    for version in [1u32, 2] {
+        let (_, mut bytes) = valid_image(Kind::Truss);
+        bytes[16..20].copy_from_slice(&version.to_le_bytes());
+        reseal(&mut bytes);
+        match PreparedIndex::from_bytes(bytes, "old version") {
+            Err(CoreError::IndexCorrupt { reason, .. }) => {
+                let named = format!("unsupported index version {version}");
+                assert!(reason.contains(&named), "{reason}");
+            }
+            other => panic!("expected IndexCorrupt naming version {version}, got {other:?}"),
         }
-        other => panic!("expected IndexCorrupt naming version 1, got {other:?}"),
     }
 }
 
@@ -267,44 +292,31 @@ fn unsupported_family_is_a_mismatch() {
 }
 
 /// Damage inside a section, with every checksum re-stamped, reaches the
-/// record validator, the counts cross-check or the cell-id bound and is
-/// refused there with a reason naming what is wrong. Header arities
-/// outside `1..=MAX_ARITY` are refused before any section is read.
+/// counts-sum check or the cell-id bound and is refused there with a
+/// reason naming what is wrong. Header arities outside `1..=MAX_ARITY`
+/// are refused before any section is read.
 #[test]
 fn resealed_record_damage_is_refused_by_its_own_check() {
     type Edit = fn(&mut [u8]);
-    let data_length = "data length must be record_count * arity".to_string();
     let cases: Vec<(String, Edit)> = vec![
         // A record naming a cell past the header's count used to load,
         // then panic inside FND on an out-of-bounds bucket lookup.
         ("a record names cell 4294967040".into(), |b| {
-            set_word(b, 2, 0, 0xFFFF_FF00)
+            set_word(b, 1, 0, 0xFFFF_FF00)
         }),
         ("invalid arity 0".into(), |b| b[28..32].fill(0)),
         (format!("invalid arity {}", MAX_ARITY + 1), |b| {
             b[28..32].copy_from_slice(&(MAX_ARITY as u32 + 1).to_le_bytes())
         }),
-        ("offsets must start at 0".into(), |b| set_offset(b, 0, 1)),
-        ("offsets must be monotone".into(), |b| {
-            set_offset(b, 1, u64::MAX)
+        // Counts summing to one record past the header's count, then
+        // one short of it.
+        ("counts sum to".into(), |b| {
+            let j = first_counted_cell(b);
+            set_word(b, 0, j, word(b, 0, j) + 1)
         }),
-        // Offsets ending one record short of the data, then one past it.
-        (data_length.clone(), |b| {
-            let cells = section(b, 1).len() / 8 - 1;
-            let last = offset(b, cells);
-            for j in 1..=cells {
-                let o = offset(b, j).min(last - 1);
-                set_offset(b, j, o);
-            }
-        }),
-        (data_length, |b| {
-            let cells = section(b, 1).len() / 8 - 1;
-            let last = offset(b, cells);
-            set_offset(b, cells, last + 1);
-        }),
-        ("counts section says".into(), |b| {
-            let count = offset(b, 1) as u32;
-            set_word(b, 0, 0, count + 1)
+        ("counts sum to".into(), |b| {
+            let j = first_counted_cell(b);
+            set_word(b, 0, j, word(b, 0, j) - 1)
         }),
     ];
     for kind in [Kind::Core, Kind::Truss, Kind::Nucleus34] {
@@ -323,48 +335,50 @@ fn resealed_record_damage_is_refused_by_its_own_check() {
     }
 }
 
-/// The writer emits one layout for given records: every section at the
-/// padded end of the one before, zero reserved words and padding, and
-/// the file ending at the padded end of the data section. Bytes that
-/// differ from it anywhere, with every checksum re-stamped, are refused
-/// with a reason naming the spot, so every accepted file re-saves to its
-/// own bytes. All five edits used to load.
+/// The writer emits one layout for given records: the counts from byte
+/// 88, the data at the padded end of the counts, zero padding, and the
+/// file ending at the padded end of the data. Bytes that differ from it
+/// anywhere, with every checksum re-stamped, are refused with a reason
+/// naming the spot, so every accepted file re-saves to its own bytes.
 #[test]
 fn resealed_non_canonical_layouts_are_refused() {
     type Edit = fn(&mut Vec<u8>);
     let cases: Vec<(&str, &str, Edit)> = vec![
-        ("16 bytes appended", "file is 1272 bytes", |b| {
-            b.extend([0xAB; 16])
-        }),
         (
-            "header reserved byte 76 set",
-            "header reserved word byte 76 is 0x01",
-            |b| b[76] = 1,
+            "16 bytes appended",
+            "file is 816 bytes, its header puts the end at 800",
+            |b| b.extend([0xAB; 16]),
         ),
         (
-            "section 0 entry reserved byte 84 set",
-            "section reserved word byte 84 is 0x01",
-            |b| b[84] = 1,
-        ),
-        ("padding byte 356 set", "padding byte 356 is 0xff", |b| {
-            // 45 cells × 4 bytes of counts end at 356, 4 bytes short of
-            // the 8-aligned start of the offsets section
-            assert_eq!((section(b, 0).end, section(b, 1).start), (356, 360));
-            b[356] = 0xFF
-        }),
-        (
-            "data section moved 8 bytes later over a zero gap",
-            "section 2: offset",
+            "one record more in the header than in the file",
+            "file is 800 bytes, its header puts the end at 816",
             |b| {
-                let start = section(b, 2).start;
-                b.splice(start..start, [0; 8]);
-                let at = 80 + 2 * 32 + 8;
-                b[at..at + 8].copy_from_slice(&(start as u64 + 8).to_le_bytes());
+                let records = header_u64(b, 64) + 1;
+                b[64..72].copy_from_slice(&records.to_le_bytes());
             },
         ),
+        ("padding byte 268 set", "padding byte 268 is 0xff", |b| {
+            // 45 cells × 4 bytes of counts end at 268, 4 bytes short of
+            // the 8-aligned start of the data
+            let [counts, data] = sections(b);
+            assert_eq!((counts.end, data.start), (268, 272));
+            b[268] = 0xFF
+        }),
+        ("padding byte 788 set", "padding byte 788 is 0xff", |b| {
+            // Every kind writes an even number of data words (2m, 3T × 2
+            // twice, 6K × 5, 4K × 3), so drop one of the 44 records to
+            // leave 43 × 3 words ending at 788, 4 bytes short of the end
+            b[64..72].copy_from_slice(&43u64.to_le_bytes());
+            let j = first_counted_cell(b);
+            let count = word(b, 0, j);
+            set_word(b, 0, j, count - 1);
+            b.truncate(792);
+            assert_eq!(sections(b)[1].end, 788);
+            b[788] = 0xFF
+        }),
     ];
     let (_, original) = valid_image(Kind::Nucleus34);
-    assert_eq!(original.len(), 1256, "karate (3,4) image");
+    assert_eq!(original.len(), 800, "karate (3,4) image");
     let mut accepted = vec![];
     for (what, reason_part, edit) in &cases {
         let mut bytes = original.clone();

@@ -153,14 +153,10 @@ impl FlatRecords {
             + self.offsets.len() * std::mem::size_of::<usize>()
     }
 
-    /// Raw offsets array (record units, length `cells + 1`). Exposed for
-    /// serializers; pairs with [`FlatRecords::try_from_parts`].
-    pub fn offsets(&self) -> &[usize] {
-        &self.offsets
-    }
-
     /// Raw record words, `record_count() * arity` long. Exposed for
-    /// serializers; pairs with [`FlatRecords::try_from_parts`].
+    /// serializers, which store [`FlatRecords::counts`] beside it:
+    /// [`FlatRecords::try_from_parts`] rebuilds the store from the two,
+    /// through [`offsets_from_counts`].
     pub fn data(&self) -> &[u32] {
         &self.data
     }
@@ -249,8 +245,8 @@ mod tests {
     #[test]
     fn raw_accessors_round_trip() {
         let f = sample();
-        let f2 = FlatRecords::try_from_parts(f.offsets().to_vec(), f.data().to_vec(), f.arity())
-            .unwrap();
+        let offsets = offsets_from_counts(&f.counts());
+        let f2 = FlatRecords::try_from_parts(offsets, f.data().to_vec(), f.arity()).unwrap();
         assert_eq!(f, f2);
     }
 }

@@ -1,21 +1,22 @@
 //! On-disk encoding of a persisted container index.
 //!
 //! A persisted index file stores one [`crate::flat::FlatRecords`] (the
-//! materialized (r,s) container incidence built by the core crate) plus
-//! the per-cell ω counts, behind a header that pins down *which* graph
-//! and *which* decomposition kind the bytes belong to. Everything is
-//! little-endian and 8-byte aligned. [`IndexImage::from_bytes`] checks
-//! the bytes and decodes them into the same `FlatRecords` a fresh build
-//! produces, so a loaded index and a built one are served alike.
+//! materialized (r,s) container incidence built by the core crate) as
+//! its per-cell ω counts and its record words, behind a header that
+//! pins down *which* graph and *which* decomposition kind the bytes
+//! belong to. Everything is little-endian and 8-byte aligned.
+//! [`IndexImage::from_bytes`] checks the bytes and decodes them into
+//! the same `FlatRecords` a fresh build produces, so a loaded index and
+//! a built one are served alike.
 //!
-//! # Layout (version 2)
+//! # Layout (version 3)
 //!
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"NUCINDX1"
 //!      8     8  file hash: [`hash64`] over the whole file with these
 //!               8 bytes zeroed (detects any single flipped byte)
-//!     16     4  format version (u32, currently 2)
+//!     16     4  format version (u32, currently 3)
 //!     20     4  r (u32)        — nucleus family parameter
 //!     24     4  s (u32)        — nucleus family parameter
 //!     28     4  arity (u32)    — words per record, C(s,r) - 1
@@ -24,38 +25,41 @@
 //!     48     8  edge hash      — [`edge_list_hash`]   ┘
 //!     56     8  cells (u64)    — number of peeling cells
 //!     64     8  records (u64)  — total container records
-//!     72     4  section count (u32, currently 3)
-//!     76     4  reserved (u32, 0)
-//!     80    96  3 × 32-byte section entries:
-//!               { tag u32, reserved u32, offset u64, len u64, hash u64 }
-//!    176     …  payload sections, 8-byte aligned, zero padding between
+//!     72     8  counts hash    — [`hash64`] of the counts section
+//!     80     8  data hash      — [`hash64`] of the data section
+//!     88     …  counts: cells × u32 ω, zero-padded to 8 bytes
+//!      …     …  data: records × arity × u32 words, zero-padded to 8 bytes
 //! ```
 //!
-//! Sections appear in tag order: `COUNTS` (cells × u32 ω counts),
-//! `OFFSETS` ((cells + 1) × u64 record offsets), `DATA`
-//! (records × arity × u32 words). Each entry carries its own
-//! [`hash64`] so a loader can localize corruption. The layout is
-//! canonical: each section starts at the end of the one before (the
-//! header, for the first) padded to 8 bytes, the file ends at the
-//! padded end of `DATA`, and the reserved words and padding bytes are
-//! zero. The loader checks all of it, so a file it accepts re-saves to
-//! its own bytes.
+//! Each fact is stored once. ω is the counts section; the record
+//! offsets a `FlatRecords` indexes by are their prefix sum, which the
+//! loader rebuilds. The header places every section: the counts start
+//! at byte 88, the data at the padded end of the counts, and the file
+//! ends at the padded end of the data, so there is no section table.
+//! The section hashes are redundant with the file hash; they are kept
+//! so that a reader can name the corrupt section.
+//!
+//! The loader checks all of it (see [`IndexImage::from_bytes`]), so
+//! every file it accepts is the one [`encode_index`] writes for the
+//! decoded records: it re-saves to its own bytes.
 //!
 //! # Compatibility policy
 //!
 //! Any change to the header layout, section encoding, or the meaning of
 //! an existing field bumps [`FORMAT_VERSION`]; loaders reject files with
 //! a different version outright (no migration shims at this stage).
-//! Adding a *new* section tag also bumps the version, because the
-//! section count is validated exactly.
+//! Adding a section also bumps the version, because the header, not a
+//! table, says where each section sits.
 //!
 //! The fingerprint hashes `n`, `m` and the canonical edge list, so any
 //! change to the edge set, a degree-preserving rewire included, gives a
 //! different fingerprint (up to a 64-bit hash collision). Version 1
-//! hashed the degree sequence instead and missed such rewires; its
-//! files are rejected as an unsupported version.
+//! hashed the degree sequence instead and missed such rewires; version
+//! 2 stored ω twice (counts and record offsets) behind a section table.
+//! Files of either are rejected as an unsupported version: re-run
+//! `nucleus prepare`.
 
-use std::io::Write;
+use std::ops::Range;
 use std::path::Path;
 
 use crate::csr::CsrGraph;
@@ -65,20 +69,15 @@ use crate::flat::FlatRecords;
 /// Magic bytes opening every persisted index file.
 pub const MAGIC: [u8; 8] = *b"NUCINDX1";
 /// Current format version; see the module docs for the bump rule.
-pub const FORMAT_VERSION: u32 = 2;
-/// Fixed header length in bytes (magic through the section table).
-pub const HEADER_LEN: usize = 176;
+pub const FORMAT_VERSION: u32 = 3;
+/// Fixed header length in bytes (magic through the data hash); the
+/// counts section starts here.
+pub const HEADER_LEN: usize = 88;
 /// Byte range of the whole-file hash, zeroed while hashing.
-pub const FILE_HASH_RANGE: std::ops::Range<usize> = 8..16;
-
-/// Section tag: per-cell ω counts, `cells` × u32.
-pub const SEC_COUNTS: u32 = 1;
-/// Section tag: record offsets, `(cells + 1)` × u64.
-pub const SEC_OFFSETS: u32 = 2;
-/// Section tag: record words, `records * arity` × u32.
-pub const SEC_DATA: u32 = 3;
-const SECTION_COUNT: usize = 3;
-const SECTION_ENTRY_LEN: usize = 32;
+pub const FILE_HASH_RANGE: Range<usize> = 8..16;
+/// Header offsets of the counts and data section hashes.
+const COUNTS_HASH_AT: usize = 72;
+const DATA_HASH_AT: usize = 80;
 
 /// Largest record arity a header may state. The nucleus families store
 /// `C(s,r) - 1` co-cell ids per record, which for the supported `s ≤ 4`
@@ -171,61 +170,53 @@ pub struct IndexHeader {
     pub records: u64,
 }
 
-fn pad8(len: usize) -> usize {
-    len.div_ceil(8) * 8
+/// Where the header puts the sections of an image with `cells` cells
+/// and `words` record words: the counts range, the data range, and the
+/// file length. The counts start at [`HEADER_LEN`], the data at the
+/// padded end of the counts, and the file ends at the padded end of the
+/// data. `None` when a size overflows the address space.
+fn layout(cells: u64, words: u64) -> Option<(Range<usize>, Range<usize>, usize)> {
+    let counts_end = cells.checked_mul(4)?.checked_add(HEADER_LEN as u64)?;
+    let data_start = counts_end.checked_next_multiple_of(8)?;
+    let data_end = words.checked_mul(4)?.checked_add(data_start)?;
+    let file_len = data_end.checked_next_multiple_of(8)?;
+    let at = |x: u64| usize::try_from(x).ok();
+    Some((
+        HEADER_LEN..at(counts_end)?,
+        at(data_start)?..at(data_end)?,
+        at(file_len)?,
+    ))
 }
 
-/// Encodes `flat` (plus its per-cell counts) into the version-2 byte
-/// image for the `(r, s)` family of a graph with fingerprint `fp`.
+/// Encodes `flat` into the version-3 byte image for the `(r, s)` family
+/// of a graph with fingerprint `fp`.
 pub fn encode_index(r: u32, s: u32, fp: GraphFingerprint, flat: &FlatRecords) -> Vec<u8> {
     let cells = flat.cells();
-    let records = flat.record_count();
-    let arity = flat.arity();
-
-    let counts: Vec<u8> = flat.counts().iter().flat_map(|c| c.to_le_bytes()).collect();
-    let offsets: Vec<u8> = flat
-        .offsets()
-        .iter()
-        .flat_map(|&o| (o as u64).to_le_bytes())
-        .collect();
-    let data: Vec<u8> = flat.data().iter().flat_map(|w| w.to_le_bytes()).collect();
-    let sections: [(u32, &[u8]); SECTION_COUNT] = [
-        (SEC_COUNTS, &counts),
-        (SEC_OFFSETS, &offsets),
-        (SEC_DATA, &data),
-    ];
-
-    let mut total = HEADER_LEN;
-    for (_, body) in &sections {
-        total = pad8(total) + body.len();
-    }
-    let mut buf = vec![0u8; pad8(total)];
+    let (counts, data, len) = layout(cells as u64, flat.data().len() as u64)
+        .expect("an in-memory record store fits the address space");
+    let mut buf = vec![0u8; len];
 
     buf[0..8].copy_from_slice(&MAGIC);
     // bytes 8..16 (file hash) stay zero until the end
     buf[16..20].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
     buf[20..24].copy_from_slice(&r.to_le_bytes());
     buf[24..28].copy_from_slice(&s.to_le_bytes());
-    buf[28..32].copy_from_slice(&(arity as u32).to_le_bytes());
+    buf[28..32].copy_from_slice(&(flat.arity() as u32).to_le_bytes());
     buf[32..40].copy_from_slice(&fp.n.to_le_bytes());
     buf[40..48].copy_from_slice(&fp.m.to_le_bytes());
     buf[48..56].copy_from_slice(&fp.edge_hash.to_le_bytes());
     buf[56..64].copy_from_slice(&(cells as u64).to_le_bytes());
-    buf[64..72].copy_from_slice(&(records as u64).to_le_bytes());
-    buf[72..76].copy_from_slice(&(SECTION_COUNT as u32).to_le_bytes());
-    // bytes 76..80 reserved, zero
+    buf[64..72].copy_from_slice(&(flat.record_count() as u64).to_le_bytes());
 
-    let mut cursor = HEADER_LEN;
-    for (i, (tag, body)) in sections.iter().enumerate() {
-        cursor = pad8(cursor);
-        let e = 80 + i * SECTION_ENTRY_LEN;
-        buf[e..e + 4].copy_from_slice(&tag.to_le_bytes());
-        // entry reserved u32 stays zero
-        buf[e + 8..e + 16].copy_from_slice(&(cursor as u64).to_le_bytes());
-        buf[e + 16..e + 24].copy_from_slice(&(body.len() as u64).to_le_bytes());
-        buf[e + 24..e + 32].copy_from_slice(&hash64(body).to_le_bytes());
-        buf[cursor..cursor + body.len()].copy_from_slice(body);
-        cursor += body.len();
+    for (slot, cell) in buf[counts.clone()].chunks_exact_mut(4).zip(0..) {
+        slot.copy_from_slice(&flat.count(cell).to_le_bytes());
+    }
+    for (slot, w) in buf[data.clone()].chunks_exact_mut(4).zip(flat.data()) {
+        slot.copy_from_slice(&w.to_le_bytes());
+    }
+    for (at, section) in [(COUNTS_HASH_AT, counts), (DATA_HASH_AT, data)] {
+        let h = hash64(&buf[section]);
+        buf[at..at + 8].copy_from_slice(&h.to_le_bytes());
     }
 
     let hash = hash64(&buf);
@@ -233,30 +224,18 @@ pub fn encode_index(r: u32, s: u32, fp: GraphFingerprint, flat: &FlatRecords) ->
     buf
 }
 
-/// Streams [`encode_index`]'s image to `w`.
-pub fn write_index<W: Write>(
-    w: &mut W,
-    r: u32,
-    s: u32,
-    fp: GraphFingerprint,
-    flat: &FlatRecords,
-) -> Result<(), GraphError> {
-    w.write_all(&encode_index(r, s, fp, flat))?;
-    Ok(())
-}
-
 /// A fully validated index file, decoded.
 ///
 /// Construction ([`IndexImage::from_bytes`]) is the trust boundary: it
-/// verifies the magic, version, whole-file and per-section checksums,
-/// section-table bounds, the structural invariants of the flat records
-/// and the counts section against them, then keeps the header and the
-/// decoded [`FlatRecords`] and drops the file bytes.
+/// verifies the magic, version, header, layout and checksums, rebuilds
+/// the record offsets from the counts and checks the record structure,
+/// then keeps the header and the decoded [`FlatRecords`] and drops the
+/// file bytes.
 #[derive(Clone, Debug)]
 pub struct IndexImage {
     header: IndexHeader,
     records: FlatRecords,
-    len: usize,
+    bytes: usize,
 }
 
 fn bad(msg: impl Into<String>) -> GraphError {
@@ -275,13 +254,12 @@ fn u64_at(buf: &[u8], i: usize) -> u64 {
     u64::from_le_bytes(w)
 }
 
-/// Refuses `bytes`, which start at file offset `at` and which the
-/// writer leaves zero (`what`: a reserved word or padding), unless all
-/// are zero.
-fn check_zero(bytes: &[u8], at: usize, what: &str) -> Result<(), GraphError> {
+/// Refuses `bytes`, padding that starts at file offset `at` and that
+/// the writer leaves zero, unless all are zero.
+fn check_zero_padding(bytes: &[u8], at: usize) -> Result<(), GraphError> {
     match bytes.iter().position(|&b| b != 0) {
         Some(i) => Err(bad(format!(
-            "{what} byte {} is {:#04x}, must be 0",
+            "padding byte {} is {:#04x}, must be 0",
             at + i,
             bytes[i]
         ))),
@@ -290,16 +268,15 @@ fn check_zero(bytes: &[u8], at: usize, what: &str) -> Result<(), GraphError> {
 }
 
 impl IndexImage {
-    /// Validates `buf` as a version-2 index image and decodes its
+    /// Validates `buf` as a version-3 index image and decodes its
     /// records.
     ///
     /// Returns [`GraphError::Format`] (or [`GraphError::Records`] from
     /// [`FlatRecords::try_from_parts`]) on any violation — truncation,
-    /// bad magic, unsupported version, checksum mismatch, a section
-    /// that does not start at the padded end of the one before, a
-    /// nonzero reserved word or padding byte, bytes past the padded end
-    /// of the last section, malformed record structure, or counts that
-    /// disagree with the offsets. So every image it accepts is the one
+    /// bad magic, unsupported version, checksum mismatch, an invalid
+    /// header, a file length other than the one the header implies, a
+    /// nonzero padding byte, or counts that do not sum to the header's
+    /// record count. So every image it accepts is the one
     /// [`encode_index`] writes for the decoded records. Never panics on
     /// untrusted bytes.
     pub fn from_bytes(mut buf: Vec<u8>) -> Result<Self, GraphError> {
@@ -358,120 +335,57 @@ impl IndexImage {
         if header.cells > u32::MAX as u64 {
             return Err(bad(format!("cell count {} exceeds u32 ids", header.cells)));
         }
-        let section_count = u32_at(&buf, 72) as usize;
-        if section_count != SECTION_COUNT {
-            return Err(bad(format!(
-                "expected {SECTION_COUNT} sections, header says {section_count}"
-            )));
-        }
-        check_zero(&buf[76..80], 76, "header reserved word")?;
 
-        let expected_lens: [u64; SECTION_COUNT] = [
-            header
-                .cells
-                .checked_mul(4)
-                .ok_or_else(|| bad("counts size overflows"))?,
-            (header.cells + 1)
-                .checked_mul(8)
-                .ok_or_else(|| bad("offsets size overflows"))?,
-            header
-                .records
-                .checked_mul(header.arity as u64)
-                .and_then(|w| w.checked_mul(4))
-                .ok_or_else(|| bad("data size overflows"))?,
-        ];
-        let expected_tags = [SEC_COUNTS, SEC_OFFSETS, SEC_DATA];
-        let mut ranges = [0..0, 0..0, 0..0];
-        let mut prev_end = HEADER_LEN as u64;
-        for i in 0..SECTION_COUNT {
-            let e = 80 + i * SECTION_ENTRY_LEN;
-            let tag = u32_at(&buf, e);
-            if tag != expected_tags[i] {
-                return Err(bad(format!(
-                    "section {i}: expected tag {}, found {tag}",
-                    expected_tags[i]
-                )));
-            }
-            check_zero(&buf[e + 4..e + 8], e + 4, "section reserved word")?;
-            // Each section starts where the writer puts it: at the end
-            // of the one before, padded to 8 bytes.
-            let off = u64_at(&buf, e + 8);
-            let len = u64_at(&buf, e + 16);
-            let start = prev_end.next_multiple_of(8);
-            if off != start {
-                return Err(bad(format!(
-                    "section {i}: offset {off}, the layout puts it at {start}"
-                )));
-            }
-            let end = off
-                .checked_add(len)
-                .ok_or_else(|| bad(format!("section {i}: bounds overflow")))?;
-            if end > buf.len() as u64 {
-                return Err(bad(format!(
-                    "section {i}: extends to {end}, file is {} bytes",
-                    buf.len()
-                )));
-            }
-            let gap = prev_end as usize..off as usize;
-            check_zero(&buf[gap.clone()], gap.start, "padding")?;
-            if len != expected_lens[i] {
-                return Err(bad(format!(
-                    "section {i}: length {len} does not match header (expected {})",
-                    expected_lens[i]
-                )));
-            }
-            let range = off as usize..end as usize;
-            let stored = u64_at(&buf, e + 24);
-            let actual = hash64(&buf[range.clone()]);
-            if actual != stored {
-                return Err(bad(format!(
-                    "section {i}: checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
-                )));
-            }
-            ranges[i] = range;
-            prev_end = end;
-        }
-        let [counts, offsets, data] = ranges;
-        let file_end = pad8(data.end);
-        if buf.len() != file_end {
+        let (counts, data, len) = header
+            .records
+            .checked_mul(u64::from(header.arity))
+            .and_then(|words| layout(header.cells, words))
+            .ok_or_else(|| bad("section sizes overflow"))?;
+        if buf.len() != len {
             return Err(bad(format!(
-                "file is {} bytes, its last section ends it at {file_end}",
+                "file is {} bytes, its header puts the end at {len}",
                 buf.len()
             )));
         }
-        check_zero(&buf[data.end..], data.end, "padding")?;
-
-        // Structural validation of the record store itself.
-        let offsets = buf[offsets]
-            .chunks_exact(8)
-            .map(|w| usize::try_from(u64_at(w, 0)))
-            .collect::<Result<Vec<usize>, _>>()
-            .map_err(|_| bad("record offset exceeds the address space"))?;
-        let data = buf[data].chunks_exact(4).map(|w| u32_at(w, 0)).collect();
-        let records = FlatRecords::try_from_parts(offsets, data, header.arity as usize)?;
-        if records.record_count() as u64 != header.records {
-            return Err(bad(format!(
-                "offsets imply {} records, header says {}",
-                records.record_count(),
-                header.records
-            )));
-        }
-        // Cross-check the counts section against the offsets: a loaded
-        // index must never disagree with itself about ω.
-        let implied = records.offsets().windows(2).map(|w| w[1] - w[0]);
-        let stored = buf[counts].chunks_exact(4).map(|w| u32_at(w, 0));
-        for (cell, (expect, stored)) in implied.zip(stored).enumerate() {
-            if stored as usize != expect {
+        check_zero_padding(&buf[counts.end..data.start], counts.end)?;
+        check_zero_padding(&buf[data.end..], data.end)?;
+        for (name, at, section) in [
+            ("counts", COUNTS_HASH_AT, &counts),
+            ("data", DATA_HASH_AT, &data),
+        ] {
+            let stored = u64_at(&buf, at);
+            let actual = hash64(&buf[section.clone()]);
+            if actual != stored {
                 return Err(bad(format!(
-                    "cell {cell}: counts section says {stored}, offsets imply {expect}"
+                    "{name} section checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
                 )));
             }
         }
+
+        // The record offsets are the prefix sum of the counts, which
+        // must reach the header's record count: the data was sized by it.
+        let mut offsets = Vec::with_capacity(counts.len() / 4 + 1);
+        let mut total = 0usize;
+        offsets.push(total);
+        for w in buf[counts].chunks_exact(4) {
+            total = total
+                .checked_add(u32_at(w, 0) as usize)
+                .ok_or_else(|| bad("counts overflow the address space"))?;
+            offsets.push(total);
+        }
+        if total as u64 != header.records {
+            return Err(bad(format!(
+                "counts sum to {total} records, header says {}",
+                header.records
+            )));
+        }
+        let data = buf[data].chunks_exact(4).map(|w| u32_at(w, 0)).collect();
+        let records = FlatRecords::try_from_parts(offsets, data, header.arity as usize)?;
 
         Ok(IndexImage {
             header,
             records,
-            len: buf.len(),
+            bytes: buf.len(),
         })
     }
 
@@ -496,13 +410,8 @@ impl IndexImage {
     }
 
     /// Size of the file the image was decoded from, in bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when the file held no bytes (never, for a valid image).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    pub fn bytes(&self) -> usize {
+        self.bytes
     }
 }
 
@@ -600,8 +509,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("rt-{}.nidx", std::process::id()));
         let flat = sample_flat();
-        let mut file = std::fs::File::create(&path).unwrap();
-        write_index(&mut file, 2, 3, graph_fingerprint(&sample_graph()), &flat).unwrap();
+        std::fs::write(&path, sample_image_bytes()).unwrap();
         let img = IndexImage::read_file(&path).unwrap();
         assert_eq!(img.into_records(), flat);
         std::fs::remove_file(&path).ok();
