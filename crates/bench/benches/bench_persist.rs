@@ -1,16 +1,22 @@
 //! Persisted-index round trips: what `nucleus prepare --out` costs once
-//! and what `nucleus decompose --index` saves on every later run.
+//! and what `nucleus decompose --index` and `nucleus serve --index` save
+//! on every later run.
 //!
-//! For each graph and each of the (2,3)/(3,4) families, five costs:
+//! For each graph and each of the (2,3)/(3,4) families, six costs:
 //!
 //! * `prepare/…` — the full materialized session build (clique
 //!   enumeration + ω counts + container index) that `save` snapshots;
-//! * `save/…` — serializing the prepared index to disk;
-//! * `load/…` — reading + validating the image (checksums, fingerprint);
+//! * `save/…` — one FND run over the prepared index, for the hierarchy
+//!   the image stores, then serializing both to disk;
+//! * `load/…` — reading + validating the image (checksums, records, the
+//!   stored hierarchy rebuilt and checked against ω);
 //! * `fresh/…` — a cold `decompose` call, rebuilding everything;
-//! * `indexed/…` — the persisted path end to end: load the file,
-//!   `prepare_from_index`, run FND. The acceptance bar is ≥5× under
-//!   `fresh/…` on the largest input.
+//! * `indexed/…` — the persisted path of `decompose --index` end to end:
+//!   load the file, `prepare_from_index`, run FND (which also compares
+//!   its tree with the stored one);
+//! * `serve-ready/…` — the persisted path of `serve --index`: load the
+//!   file and `prepare_from_index`, after which the stored hierarchy
+//!   answers with no peel.
 //!
 //! Both paths produce bit-identical hierarchies (pinned by the persist
 //! round-trip proptests). JSON results land in
@@ -87,6 +93,17 @@ fn bench_kind(c: &mut Criterion, kind: Kind, group_name: &str) {
                     .run(Algorithm::Fnd)
                     .unwrap()
                     .hierarchy
+                    .nucleus_count()
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("serve-ready", name), g, |b, g| {
+            b.iter(|| {
+                let index = PreparedIndex::load(&path).unwrap();
+                Nucleus::builder(g)
+                    .prepare_from_index(index)
+                    .unwrap()
+                    .stored_hierarchy()
+                    .expect("a loaded session stores its hierarchy")
                     .nucleus_count()
             });
         });

@@ -5,8 +5,8 @@
 //! Subcommands:
 //!
 //! * `generate` — emit a synthetic graph as an edge list;
-//! * `prepare` — build a materialized container index once and persist
-//!   it to disk;
+//! * `prepare` — build a materialized container index and its
+//!   hierarchy once and persist both to disk;
 //! * `decompose` — run a nucleus decomposition, print the hierarchy,
 //!   optionally export it as JSON; `--index` skips preparation by
 //!   loading a persisted index;
@@ -201,7 +201,9 @@ examples:
 
 With --index, --kind is optional (the index file stores the family) and
 must agree with the file when given; the index is rejected if the graph
-changed since `prepare`.
+changed since `prepare`. `serve` and `query` answer from the hierarchy
+the index stores, with no peel; `decompose` peels and refuses an index
+whose stored hierarchy differs from its own.
 
 `update` reads OPS as one op per line (`+ U V`, `- U V`, `#` comments),
 applies it in `--batch`-sized batches (0 = one batch) with exact

@@ -203,6 +203,18 @@ mod tests {
     }
 
     #[test]
+    fn query_outside_the_graph_is_none() {
+        let g = nucleus_gen::paper::fig3_bowtie();
+        let truss = truss_of(&g);
+        let idx = TcpIndex::build(&g, &truss);
+        let n = g.n() as u32;
+        assert!(tcp_query(&g, &truss, &idx, n, 0, 1).is_none());
+        assert!(tcp_query(&g, &truss, &idx, n, n + 1, 1).is_none());
+        assert!(tcp_query(&g, &truss, &idx, u32::MAX, 0, 1).is_none());
+        assert!(!g.has_edge(n, 0));
+    }
+
+    #[test]
     fn matches_hierarchy_nuclei() {
         // TCP communities must equal the (2,3) nuclei from the hierarchy.
         let g = nucleus_gen::karate::karate_club();

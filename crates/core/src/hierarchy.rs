@@ -17,6 +17,11 @@
 //!   which algorithm produced them. A parent's id is always below its
 //!   children's.
 //!
+//! So the node table (λ and parent per node) and the owner of every
+//! cell determine the whole tree. A persisted index stores just those,
+//! and [`Hierarchy::from_table`] checks them and rebuilds the tree
+//! through the same canonicalizer.
+//!
 //! # Layout
 //!
 //! A [`Hierarchy`] is flat, immutable data, built once. Every cell id is
@@ -152,6 +157,12 @@ impl Hierarchy {
         self.cell_node[cell as usize]
     }
 
+    /// The owning node of every cell ([`Hierarchy::node_of_cell`] for
+    /// all of them).
+    pub fn owners(&self) -> &[u32] {
+        &self.cell_node
+    }
+
     /// All member cells of the nucleus rooted at `id` (its subtree), as
     /// an owned copy of [`Hierarchy::nucleus_cells_slice`].
     pub fn nucleus_cells(&self, id: u32) -> Vec<u32> {
@@ -239,93 +250,115 @@ impl Hierarchy {
     }
 
     /// Structural invariant check; returns a description of the first
-    /// violation, never panics. Every delta cell must have its node's λ,
-    /// and the hierarchy must be exactly what the canonicalizer builds
-    /// from its own nodes' λ, parents and deltas, bounds-checked: a tree
-    /// in canonical order, runs in pre-order holding every cell once,
-    /// and owners, children, counts and the level profile that agree
-    /// with them. Cheap enough to run in tests on every result.
+    /// violation, never panics. The hierarchy must be exactly what
+    /// [`Hierarchy::from_table`] builds from its own nodes' λ and parents
+    /// and its owners: a tree in canonical order, runs in pre-order
+    /// holding every cell once, and λ, children, counts and the level
+    /// profile that agree with them. Cheap enough to run in tests on
+    /// every result.
     pub fn validate(&self) -> Result<(), String> {
-        let mut nodes = Vec::with_capacity(self.nodes.len());
-        for (id, node) in self.nodes.iter().enumerate() {
-            let delta = self
-                .cells
-                .get(node.start as usize..)
-                .and_then(|run| run.get(..node.delta as usize))
-                .ok_or_else(|| format!("node {id}: delta out of range"))?;
-            let other_lambda = |c: &&u32| self.lambda.get(**c as usize) != Some(&node.lambda);
-            if let Some(c) = delta.iter().find(other_lambda) {
-                return Err(format!("node {id}: cell {c} of another λ"));
-            }
-            nodes.push((node.lambda, node.parent, delta));
-        }
-        if self.max_lambda != self.lambda.iter().copied().max().unwrap_or(0) {
-            return Err(format!("max λ {} is not the largest λ", self.max_lambda));
-        }
-        let lambda = Arc::clone(&self.lambda);
-        if Self::rebuild(self.r, self.s, lambda, self.max_lambda, &nodes)? != *self {
+        let table: Vec<(u32, u32)> = self.nodes.iter().map(|n| (n.lambda, n.parent)).collect();
+        if Self::from_table(self.r, self.s, &table, &self.cell_node)? != *self {
             return Err("not the canonical layout of its own nodes".into());
         }
         Ok(())
     }
 
-    /// The hierarchy of nodes given in canonical id order as (λ, parent,
-    /// delta), checked for everything the canonicalizer assumes: node 0
-    /// is a λ = 0 root, every other node names an earlier parent of
-    /// smaller λ, has a λ of at most `max_lambda` and a delta of cells
-    /// in range, and no cell is in two of these deltas. The root's
-    /// delta is not read: it is every cell no other node holds.
-    fn rebuild<C: AsRef<[u32]>>(
+    /// The hierarchy whose node table is `nodes`, (λ, parent) per node by
+    /// canonical id, and whose cell `c` belongs to node `owners[c]`: what
+    /// [`Hierarchy::node`] and [`Hierarchy::node_of_cell`] read back. A
+    /// cell's λ is its owner's.
+    ///
+    /// Returns a description of the first problem, never panics. Node 0
+    /// must be a λ = 0 root; every other node must name an earlier parent
+    /// of smaller λ and own at least one cell; every owner must be a node;
+    /// and max λ must not exceed the most containers a cell of an (r, s)
+    /// space of this many cells can lie in, which bounds the per-level
+    /// arrays by the input. The table then goes through the
+    /// canonicalizer once, and the result's node table and owners must be
+    /// the input's: that equality is the check that the input is
+    /// canonical.
+    pub fn from_table(
         r: u32,
         s: u32,
-        lambda: Arc<[u32]>,
-        max_lambda: u32,
-        nodes: &[(u32, u32, C)],
+        nodes: &[(u32, u32)],
+        owners: &[u32],
     ) -> Result<Hierarchy, String> {
-        // A cell of λ = k has k containers, each with a co-cell of its
-        // own, so k is below the cell count; this bounds the per-level
-        // arrays by the input's size.
-        if max_lambda as usize > lambda.len() {
-            return Err(format!("max λ {max_lambda} above the cell count"));
-        }
-        if !matches!(nodes.first(), Some((0, NO_NODE, _))) {
+        if nodes.first() != Some(&(0, NO_NODE)) {
             return Err("node 0 is not a λ=0 root".into());
         }
-        let mut raw = RawHierarchy::new(lambda.len());
-        for (id, (l, parent, cells)) in nodes.iter().enumerate().skip(1) {
+        // Raw ids are canonical ids minus one, so the root (0) maps to
+        // NO_NODE, as a raw parent and as a raw owner.
+        let mut raw_nodes = Vec::with_capacity(nodes.len() - 1);
+        for (id, &(lambda, parent)) in nodes.iter().enumerate().skip(1) {
             // A parent before its child, with a smaller λ: no cycles.
-            let parent_node = nodes
-                .get(*parent as usize)
-                .filter(|_| (*parent as usize) < id);
-            if parent_node.is_none_or(|p| p.0 >= *l) || *l > max_lambda {
-                return Err(format!("node {id}: bad parent {parent} or λ {l}"));
+            match nodes.get(parent as usize) {
+                Some(&(above, _)) if (parent as usize) < id && above < lambda => {}
+                _ => return Err(format!("node {id}: bad parent {parent} for λ {lambda}")),
             }
-            if cells.as_ref().is_empty() {
-                return Err(format!("node {id}: empty delta"));
-            }
-            let raw_id = raw.push(*l, parent.checked_sub(1).unwrap_or(NO_NODE));
-            for &c in cells.as_ref() {
-                match raw.owner.get_mut(c as usize) {
-                    Some(owner) if *owner == NO_NODE => *owner = raw_id,
-                    Some(_) => return Err(format!("cell {c} in two nodes")),
-                    None => return Err(format!("node {id}: cell {c} out of range")),
-                }
+            raw_nodes.push(RawNode {
+                lambda,
+                parent: parent.wrapping_sub(1),
+            });
+        }
+        let mut owns_a_cell = vec![false; nodes.len()];
+        for (c, &o) in owners.iter().enumerate() {
+            match owns_a_cell.get_mut(o as usize) {
+                Some(owns) => *owns = true,
+                None => return Err(format!("cell {c}: owner {o} is not a node")),
             }
         }
-        Ok(raw.into_hierarchy(r, s, lambda, max_lambda))
+        if let Some(id) = (1..nodes.len()).find(|&id| !owns_a_cell[id]) {
+            return Err(format!("node {id} owns no cell"));
+        }
+        // A cell of λ = k lies in k containers. A container is the cell
+        // plus s - r vertices, which ⌈s/r⌉ - 1 of its co-cells cover, so
+        // k is below cells^(⌈s/r⌉ - 1): the cell count, or its square in
+        // the (1,3) family, where a container is a pair of co-cells.
+        let max_lambda = nodes.iter().map(|&(l, _)| l).max().unwrap_or(0);
+        let covering = s.div_ceil(r.max(1)).saturating_sub(1);
+        if u64::from(max_lambda) > (owners.len() as u64).saturating_pow(covering) {
+            return Err(format!(
+                "max λ {max_lambda} above what {} cells allow",
+                owners.len()
+            ));
+        }
+        let raw = RawHierarchy {
+            nodes: raw_nodes,
+            owner: owners.iter().map(|o| o.wrapping_sub(1)).collect(),
+        };
+        let lambda = owners.iter().map(|&o| nodes[o as usize].0).collect();
+        let h = raw.into_hierarchy(r, s, lambda, max_lambda);
+        let same_nodes = h
+            .nodes
+            .iter()
+            .zip(nodes)
+            .all(|(n, &t)| (n.lambda, n.parent) == t);
+        if !same_nodes || h.cell_node != owners {
+            return Err("nodes out of canonical (λ, first cell) order".into());
+        }
+        Ok(h)
     }
 }
 
 /// Nuclei per level: a node is the k-(r,s) nucleus of its cells for
-/// every k in (its parent's λ, its λ].
+/// every k in (its parent's λ, its λ]. One pass over the nodes marks
+/// where each such span starts and ends, and a running sum over the
+/// levels counts the spans open at each, in O(nodes + max λ).
 fn level_counts(nodes: &[Node], max_lambda: u32) -> Vec<usize> {
-    let mut profile = vec![0usize; max_lambda as usize + 1];
+    let mut starts = vec![0usize; max_lambda as usize + 2];
+    let mut ends = vec![0usize; max_lambda as usize + 2];
     for node in &nodes[1..] {
-        for k in nodes[node.parent as usize].lambda + 1..=node.lambda {
-            profile[k as usize] += 1;
-        }
+        starts[nodes[node.parent as usize].lambda as usize + 1] += 1;
+        ends[node.lambda as usize + 1] += 1;
     }
-    profile
+    let mut open = 0;
+    (0..=max_lambda as usize)
+        .map(|k| {
+            open = open + starts[k] - ends[k];
+            open
+        })
+        .collect()
 }
 
 fn ids(xs: &[u32]) -> Value {
@@ -366,33 +399,29 @@ impl Serialize for Hierarchy {
 
 impl Deserialize for Hierarchy {
     /// Accepts exactly what [`Serialize`] writes, and returns an error
-    /// for anything else. The nodes' λ, parents and deltas are rebuilt,
-    /// bounds-checked, through the canonicalizer; the result must pass
-    /// [`Hierarchy::validate`] and serialize back to the very same value,
-    /// which checks every field the rebuild does not read.
+    /// for anything else. The nodes' λ and parents and the owners go
+    /// through [`Hierarchy::from_table`]; the result must serialize back
+    /// to the very same value, which checks every field it does not read.
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         let bad = |what: String| serde::Error(format!("invalid hierarchy: {what}"));
         let Value::Array(items) = v.field("nodes")? else {
             return Err(bad("`nodes` is not an array".into()));
         };
-        let mut nodes: Vec<(u32, u32, Vec<u32>)> = Vec::with_capacity(items.len());
+        let mut nodes = Vec::with_capacity(items.len());
         for node in items {
             nodes.push((
                 Deserialize::from_value(node.field("lambda")?)?,
                 Deserialize::from_value(node.field("parent")?)?,
-                Deserialize::from_value(node.field("cells")?)?,
             ));
         }
-        let lambda: Vec<u32> = Deserialize::from_value(v.field("lambda")?)?;
-        let h = Self::rebuild(
+        let owners: Vec<u32> = Deserialize::from_value(v.field("cell_node")?)?;
+        let h = Self::from_table(
             Deserialize::from_value(v.field("r")?)?,
             Deserialize::from_value(v.field("s")?)?,
-            lambda.into(),
-            Deserialize::from_value(v.field("max_lambda")?)?,
             &nodes,
+            &owners,
         )
         .map_err(bad)?;
-        h.validate().map_err(bad)?;
         if h.to_value() != *v {
             return Err(bad("not the canonical form of its own nodes".into()));
         }
@@ -766,6 +795,24 @@ mod tests {
                 r#""lambda":[1,1,1,2,2,4,3,3,2,1,5,5,0,0],"max_lambda":5}"#
             )
         );
+    }
+
+    /// In the (1,3) family a cell lies in up to (cells - 1)(cells - 2)/2
+    /// containers, so λ may exceed the cell count: K5's five vertices
+    /// each have λ = 6. Such a tree validates and reads back from JSON,
+    /// while the same λ over five (2,3) cells, each in at most four
+    /// containers, is refused.
+    #[test]
+    fn lambda_may_exceed_the_cell_count_only_where_the_family_allows() {
+        let k5 = raw_of(5, &[(6, NO_NODE, &[0, 1, 2, 3, 4])]);
+        let h = k5.into_hierarchy(1, 3, vec![6; 5].into(), 6);
+        h.validate().expect("valid (1,3)");
+        let back: Hierarchy = serde_json::from_str(&serde_json::to_string(&h).unwrap()).unwrap();
+        assert_eq!(back, h);
+        let table = [(0, NO_NODE), (6, 0)];
+        let err = Hierarchy::from_table(2, 3, &table, &[1; 5]).unwrap_err();
+        assert!(err.contains("above what 5 cells allow"), "{err}");
+        assert_eq!(Hierarchy::from_table(1, 3, &table, &[1; 5]), Ok(h));
     }
 
     #[test]

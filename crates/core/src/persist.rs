@@ -5,13 +5,15 @@
 //! enumeration plus the [`ContainerIndex`] build) dominates end-to-end
 //! decomposition time, yet a process restart used to throw that work
 //! away. This module persists a materialized [`Prepared`] session's
-//! index in the format of [`nucleus_graph::persist_io`] (see its module
-//! docs for the exact byte layout and the version-bump policy) and
-//! loads it back as a [`PreparedIndex`]: a fully *validated* image,
-//! decoded into the same [`FlatRecords`](nucleus_graph::FlatRecords)
-//! that a fresh prepare builds, which
+//! index, with its canonical hierarchy, in the format of
+//! [`nucleus_graph::persist_io`] (see its module docs for the exact byte
+//! layout and the version-bump policy) and loads it back as a
+//! [`PreparedIndex`]: a fully *validated* image, decoded into the same
+//! [`FlatRecords`] that a fresh prepare builds and the [`Hierarchy`]
+//! every algorithm builds, which
 //! [`NucleusBuilder::prepare_from_index`](crate::session::NucleusBuilder::prepare_from_index)
-//! then peels through like any built index.
+//! hands to the session. A server on such a session answers from the
+//! stored tree without peeling; [`Prepared::run`] still peels.
 //!
 //! # Trust and invalidation
 //!
@@ -35,33 +37,52 @@
 //! rewires included (up to a 64-bit hash collision). It hashes vertex
 //! ids, so the same graph relabeled is a different graph to it.
 //!
+//! The stored hierarchy is checked against ω, then rebuilt in one pass
+//! through [`Hierarchy::from_table`]. A cell with λ = k lies in at least
+//! k containers, and a cell in any container has λ ≥ 1, so the loader
+//! requires λ(c) ≤ ω(c) for every cell, and λ(c) = 0 exactly when
+//! ω(c) = 0; the rebuild refuses a node table or owners that are out of
+//! range, not a tree, or not in canonical order. A failure is
+//! [`CoreError::IndexCorrupt`] naming the hierarchy section.
+//!
+//! These checks cannot prove that the tree is the one peeling builds:
+//! a resealed file can hold a canonical tree that agrees with ω and is
+//! still wrong, for example with two sibling nuclei of one λ merged
+//! into one. Such a file loads and serves its tree. Proving the tree
+//! costs a peel, which is what the stored tree saves, so the proof is
+//! left to [`Prepared::run`]: on a loaded session it peels anyway and
+//! returns [`CoreError::IndexCorrupt`] naming the hierarchy section when
+//! its tree differs from the stored one (`nucleus decompose --index`
+//! exits 1 on such a file).
+//!
 //! ```no_run
 //! use nucleus_core::prelude::*;
 //!
 //! # fn demo(g: &nucleus_graph::CsrGraph) -> Result<(), nucleus_core::CoreError> {
-//! // Pay for preparation once …
+//! // Pay for preparation and one FND run once …
 //! let prepared = Nucleus::builder(g)
 //!     .kind(Kind::Truss)
 //!     .backend(Backend::Materialized)
 //!     .prepare()?;
 //! prepared.save("graph.truss.nidx")?;
 //!
-//! // … and skip it on every later run (usually another process).
+//! // … and skip both on every later run (usually another process).
 //! let index = PreparedIndex::load("graph.truss.nidx")?;
 //! let restored = Nucleus::builder(g).prepare_from_index(index)?;
-//! let d = restored.run(Algorithm::Dft)?;
-//! # let _ = d;
+//! let tree = restored.stored_hierarchy().expect("a loaded session has one");
+//! # let _ = tree;
 //! # Ok(())
 //! # }
 //! ```
 
 use std::path::Path;
 
-use nucleus_graph::persist_io::{encode_index, graph_fingerprint, IndexImage};
-use nucleus_graph::{CsrGraph, GraphError};
+use nucleus_graph::persist_io::{encode_index, graph_fingerprint, IndexHeader, IndexImage};
+use nucleus_graph::{CsrGraph, FlatRecords, GraphError};
 
-use crate::decompose::Kind;
+use crate::decompose::{Algorithm, Kind};
 use crate::error::CoreError;
+use crate::hierarchy::Hierarchy;
 use crate::session::Prepared;
 use crate::space::materialized::record_arity;
 use crate::space::ContainerIndex;
@@ -87,10 +108,13 @@ fn map_graph_error(path: &str, e: GraphError) -> CoreError {
 /// Produced by [`PreparedIndex::load`]; consumed by
 /// [`NucleusBuilder::prepare_from_index`](crate::session::NucleusBuilder::prepare_from_index),
 /// which checks the fingerprint against the builder's graph and then
-/// serves containers from the decoded records.
+/// serves containers from the decoded records and the stored hierarchy.
 #[derive(Clone, Debug)]
 pub struct PreparedIndex {
-    image: IndexImage,
+    header: IndexHeader,
+    records: FlatRecords,
+    hierarchy: Hierarchy,
+    bytes: usize,
     kind: Kind,
     path: String,
 }
@@ -148,7 +172,18 @@ impl PreparedIndex {
                 ),
             });
         }
-        Ok(PreparedIndex { image, kind, path })
+        let hierarchy = load_hierarchy(&image).map_err(|reason| CoreError::IndexCorrupt {
+            path: path.clone(),
+            reason: format!("hierarchy section: {reason}"),
+        })?;
+        Ok(PreparedIndex {
+            header: h,
+            bytes: image.bytes(),
+            records: image.into_records(),
+            hierarchy,
+            kind,
+            path,
+        })
     }
 
     /// The (r, s) family the index was built for.
@@ -158,17 +193,17 @@ impl PreparedIndex {
 
     /// Number of peeling cells the index covers.
     pub fn cells(&self) -> usize {
-        self.image.header().cells as usize
+        self.header.cells as usize
     }
 
     /// Total container records (Σ ω over all cells).
     pub fn containers(&self) -> u64 {
-        self.image.header().records
+        self.header.records
     }
 
     /// Size of the index file in bytes.
     pub fn bytes(&self) -> usize {
-        self.image.bytes()
+        self.bytes
     }
 
     /// Where the index was loaded from (a path, or the label given to
@@ -197,7 +232,7 @@ impl PreparedIndex {
         &self,
         live: &nucleus_graph::persist_io::GraphFingerprint,
     ) -> Result<(), CoreError> {
-        let stored = self.image.header().fingerprint;
+        let stored = self.header.fingerprint;
         let reason = if stored.n != live.n {
             format!(
                 "index was built for n = {}, graph has n = {}",
@@ -219,17 +254,43 @@ impl PreparedIndex {
         })
     }
 
-    /// Converts into the [`ContainerIndex`] a session peels through.
-    pub(crate) fn into_container_index(self) -> ContainerIndex {
-        ContainerIndex::from_records(self.image.into_records())
+    /// Converts into the [`ContainerIndex`] a session peels through and
+    /// the stored hierarchy.
+    pub(crate) fn into_parts(self) -> (ContainerIndex, Hierarchy) {
+        (ContainerIndex::from_records(self.records), self.hierarchy)
     }
 }
 
+/// The image's hierarchy, checked against ω and rebuilt through
+/// [`Hierarchy::from_table`] (see the [module docs](self)); the error
+/// says what is wrong. ω is checked first, so that it bounds the
+/// per-level arrays the rebuild allocates; an owner that names no node
+/// is left for the rebuild to report.
+fn load_hierarchy(image: &IndexImage) -> Result<Hierarchy, String> {
+    let (nodes, records) = (image.nodes(), image.records());
+    for (cell, &owner) in (0..).zip(image.owners()) {
+        let Some(&(lambda, _)) = nodes.get(owner as usize) else {
+            continue;
+        };
+        let omega = records.count(cell);
+        if lambda > omega || (lambda == 0) != (omega == 0) {
+            return Err(format!(
+                "cell {cell} has λ {lambda} but lies in {omega} containers"
+            ));
+        }
+    }
+    let h = image.header();
+    Hierarchy::from_table(h.r, h.s, nodes, image.owners())
+}
+
 impl Prepared<'_> {
-    /// Writes this session's [`ContainerIndex`] to `path` in the
-    /// persisted format, stamped with the graph's fingerprint, so a
-    /// later process can [`PreparedIndex::load`] it instead of
-    /// re-preparing.
+    /// Writes this session's [`ContainerIndex`] and its canonical
+    /// hierarchy to `path` in the persisted format, stamped with the
+    /// graph's fingerprint, so a later process can
+    /// [`PreparedIndex::load`] it instead of re-preparing and serve it
+    /// without peeling. A session loaded from a file saves the tree it
+    /// loaded, so every accepted file re-saves to its own bytes; any
+    /// other session runs FND over its own index to get the tree.
     ///
     /// # Errors
     /// [`CoreError::InvalidOptions`] on lazy sessions (there is no
@@ -243,8 +304,18 @@ impl Prepared<'_> {
                      prepare with Backend::Materialized (or Auto on a graph under the cap)"
                     .to_string(),
             })?;
+        let peeled;
+        let tree = match self.stored_hierarchy() {
+            Some(tree) => tree.as_ref(),
+            None => {
+                peeled = self.run(Algorithm::Fnd)?.hierarchy;
+                &peeled
+            }
+        };
+        let nodes: Vec<(u32, u32)> = tree.nodes().map(|n| (n.lambda, n.parent)).collect();
         let (r, s) = self.kind().rs();
-        let image = encode_index(r, s, graph_fingerprint(self.graph()), index.records());
+        let fp = graph_fingerprint(self.graph());
+        let image = encode_index(r, s, fp, index.records(), &nodes, tree.owners());
         std::fs::write(path.as_ref(), image).map_err(|e| CoreError::IndexIo {
             path: path.as_ref().display().to_string(),
             reason: e.to_string(),

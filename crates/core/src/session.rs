@@ -48,6 +48,7 @@
 //! `plan`/`run` time, since one `Prepared` may serve different
 //! algorithms.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nucleus_graph::CsrGraph;
@@ -59,6 +60,7 @@ use crate::algo::lcps::lcps;
 use crate::algo::naive::naive;
 use crate::decompose::{Algorithm, Backend, Decomposition, Kind, PhaseTimes, SkeletonStats};
 use crate::error::CoreError;
+use crate::hierarchy::Hierarchy;
 use crate::peel::peel;
 use crate::plan::{self, format_bytes, Plan};
 use crate::space::{
@@ -204,6 +206,7 @@ impl<'g> NucleusBuilder<'g> {
             threads,
             space,
             index,
+            stored: None,
             cells,
             containers,
             index_bytes,
@@ -219,7 +222,9 @@ impl<'g> NucleusBuilder<'g> {
     /// `nucleus decompose --index`. Only the cheap parts of preparation
     /// remain: the lazy space is still constructed (it answers identity
     /// queries like `cell_vertices`), but clique-per-cell enumeration
-    /// and the index build are skipped.
+    /// and the index build are skipped. The session keeps the index's
+    /// stored hierarchy ([`Prepared::stored_hierarchy`]), so a server
+    /// over it answers without a peel.
     ///
     /// The session's kind is taken **from the index** — the stored
     /// (r, s) pair is authoritative; a kind set on the builder is
@@ -269,9 +274,10 @@ impl<'g> NucleusBuilder<'g> {
             });
         }
         let backend_reason = format!("loaded index from {}", index.path());
+        let path = index.path().to_string();
         let containers = index.containers();
         let index_bytes = index.bytes();
-        let container_index = index.into_container_index();
+        let (container_index, hierarchy) = index.into_parts();
         Ok(Prepared {
             g,
             kind,
@@ -279,6 +285,7 @@ impl<'g> NucleusBuilder<'g> {
             threads,
             space,
             index: Some(container_index),
+            stored: Some((Arc::new(hierarchy), path)),
             cells,
             containers,
             index_bytes,
@@ -331,6 +338,9 @@ pub struct Prepared<'g> {
     threads: usize,
     space: AnySpace<'g>,
     index: Option<ContainerIndex>,
+    /// On a session loaded from a persisted index: the hierarchy it
+    /// stored, and the index's path.
+    stored: Option<(Arc<Hierarchy>, String)>,
     cells: usize,
     /// Σ ω over all cells.
     containers: u64,
@@ -393,6 +403,13 @@ impl<'g> Prepared<'g> {
         self.index.as_ref()
     }
 
+    /// On a session loaded from a persisted index, the hierarchy the
+    /// index stored: the canonical tree every algorithm builds, there to
+    /// read without a peel. `None` on a freshly prepared session.
+    pub fn stored_hierarchy(&self) -> Option<&Arc<Hierarchy>> {
+        self.stored.as_ref().map(|(tree, _)| tree)
+    }
+
     /// Resolves — without running — exactly what [`Prepared::run`]
     /// would do for `algorithm`: the concrete backend and why, the
     /// thread count and space sizes.
@@ -421,18 +438,33 @@ impl<'g> Prepared<'g> {
     /// order and hierarchy — with the preparation cost amortized across
     /// calls. The reported peel phase includes [`Prepared::prep_time`]
     /// so phase splits stay comparable with [`mod@crate::decompose`].
+    /// It always peels, stored hierarchy or not; on a session loaded
+    /// from a persisted index it then compares its tree with the stored
+    /// one.
     ///
     /// # Errors
-    /// See [`crate::plan::validate`].
+    /// See [`crate::plan::validate`]; and [`CoreError::IndexCorrupt`]
+    /// naming the hierarchy section when the stored tree is not the one
+    /// the peel builds.
     pub fn run(&self, algorithm: Algorithm) -> Result<Decomposition, CoreError> {
         plan::validate(self.kind, algorithm)?;
-        if algorithm == Algorithm::Lcps {
-            return Ok(self.run_lcps());
+        let d = if algorithm == Algorithm::Lcps {
+            self.run_lcps()
+        } else {
+            with_space!(self.space, s => match &self.index {
+                Some(index) => self.run_algo(&IndexedSpace::new(s, index), algorithm),
+                None => self.run_algo(s, algorithm),
+            })
+        };
+        match &self.stored {
+            Some((tree, path)) if **tree != d.hierarchy => Err(CoreError::IndexCorrupt {
+                path: path.clone(),
+                reason: format!(
+                    "hierarchy section: the stored tree is not the one {algorithm} builds"
+                ),
+            }),
+            _ => Ok(d),
         }
-        Ok(with_space!(self.space, s => match &self.index {
-            Some(index) => self.run_algo(&IndexedSpace::new(s, index), algorithm),
-            None => self.run_algo(s, algorithm),
-        }))
     }
 
     /// LCPS: peel over the cached backend, then the Matula–Beck

@@ -6,9 +6,12 @@
 
 use nucleus_core::decompose::{Algorithm, Backend, Kind};
 use nucleus_core::error::CoreError;
+use nucleus_core::hierarchy::NO_NODE;
 use nucleus_core::persist::PreparedIndex;
 use nucleus_core::session::Nucleus;
-use nucleus_graph::persist_io::{hash64, FILE_HASH_RANGE, FORMAT_VERSION, HEADER_LEN, MAX_ARITY};
+use nucleus_graph::persist_io::{
+    hash64, FILE_HASH_RANGE, FORMAT_VERSION, HEADER_LEN, MAX_ARITY, SECTIONS,
+};
 use nucleus_graph::CsrGraph;
 use rand::{Rng, SeedableRng};
 
@@ -49,45 +52,49 @@ fn reseal(bytes: &mut [u8]) {
     bytes[FILE_HASH_RANGE].copy_from_slice(&h.to_le_bytes());
 }
 
-/// Header field `at` (the u64 fields: cells at 56, records at 64).
+/// Header field `at` (the u64 fields: cells at 56, records at 64,
+/// nodes at 72).
 fn header_u64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
 
-/// Byte ranges of the counts and data sections, where the header puts
-/// them: the counts from byte 88, the data from the padded end of the
-/// counts.
-fn sections(bytes: &[u8]) -> [std::ops::Range<usize>; 2] {
+/// Byte ranges of the counts, data, hierarchy nodes and hierarchy owners
+/// sections, where the header puts them: the counts from byte 112, each
+/// later section from the padded end of the one before.
+fn sections(bytes: &[u8]) -> [std::ops::Range<usize>; 4] {
     let arity = u32::from_le_bytes(bytes[28..32].try_into().unwrap()) as usize;
-    let counts = HEADER_LEN..HEADER_LEN + 4 * header_u64(bytes, 56) as usize;
-    let data_start = counts.end.next_multiple_of(8);
-    let data = data_start..data_start + 4 * arity * header_u64(bytes, 64) as usize;
-    [counts, data]
+    let [cells, records, nodes] = [56, 64, 72].map(|at| header_u64(bytes, at) as usize);
+    let mut at = HEADER_LEN;
+    [4 * cells, 4 * arity * records, 8 * nodes, 4 * cells].map(|len| {
+        let section = at..at + len;
+        at = section.end.next_multiple_of(8);
+        section
+    })
 }
 
-/// [`reseal`], after re-stamping both section hashes (header bytes 72
-/// and 80): tampering inside a section then gets past every checksum
-/// and meets the loader's structural checks. A section the header
-/// places past the end of the file keeps its stale hash; the loader
-/// refuses such a file on its length first.
+/// [`reseal`], after re-stamping every section hash (header bytes 80 to
+/// 104): tampering inside a section then gets past every checksum and
+/// meets the loader's structural checks. A section the header places
+/// past the end of the file keeps its stale hash; the loader refuses
+/// such a file on its length first.
 fn reseal_sections(bytes: &mut [u8]) {
-    for (i, section) in sections(bytes).into_iter().enumerate() {
+    for ((_, at), section) in SECTIONS.into_iter().zip(sections(bytes)) {
         if let Some(body) = bytes.get(section) {
             let h = hash64(body);
-            let at = 72 + 8 * i;
             bytes[at..at + 8].copy_from_slice(&h.to_le_bytes());
         }
     }
     reseal(bytes);
 }
 
-/// `u32` word `j` of section `i` (0 counts, 1 data).
+/// `u32` word `j` of section `i` (0 counts, 1 data, 2 nodes, 3 owners).
 fn word(bytes: &[u8], i: usize, j: usize) -> u32 {
     let at = sections(bytes)[i].start + j * 4;
     u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
 }
 
-/// Overwrites `u32` word `j` of section `i` (0 counts, 1 data).
+/// Overwrites `u32` word `j` of section `i` (0 counts, 1 data, 2 nodes,
+/// 3 owners).
 fn set_word(bytes: &mut [u8], i: usize, j: usize, value: u32) {
     let at = sections(bytes)[i].start + j * 4;
     bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
@@ -110,21 +117,25 @@ fn expect_corrupt(bytes: Vec<u8>, what: &str) {
 fn valid_image_loads_for_every_kind() {
     for kind in Kind::all() {
         let (g, bytes) = valid_image(kind);
-        // The 88-byte header, then the counts and the data, each padded
-        // to 8 bytes: nothing else.
+        // The 112-byte header, then the counts, the data, the node table
+        // and the owners, each padded to 8 bytes: nothing else.
         let pad8 = |len: u64| len.next_multiple_of(8) as usize;
         let arity = u64::from(u32::from_le_bytes(bytes[28..32].try_into().unwrap()));
-        let (cells, records) = (header_u64(&bytes, 56), header_u64(&bytes, 64));
+        let [cells, records, nodes] = [56, 64, 72].map(|at| header_u64(&bytes, at));
         assert_eq!(
             bytes.len(),
-            88 + pad8(4 * cells) + pad8(4 * arity * records),
+            112 + pad8(4 * cells) + pad8(4 * arity * records) + pad8(8 * nodes) + pad8(4 * cells),
             "{kind}"
         );
         let index = PreparedIndex::from_bytes(bytes, "valid").unwrap();
         assert_eq!(index.kind(), kind);
         index.matches(&g).unwrap();
         let restored = Nucleus::builder(&g).prepare_from_index(index).unwrap();
-        assert!(restored.run(Algorithm::Dft).is_ok(), "{kind}");
+        let stored = restored
+            .stored_hierarchy()
+            .expect("a loaded session stores its tree");
+        assert_eq!(stored.len() as u64, nodes, "{kind}");
+        assert_eq!(**stored, restored.run(Algorithm::Dft).unwrap().hierarchy);
     }
 }
 
@@ -150,11 +161,12 @@ fn future_version_is_corrupt_and_names_the_version() {
 }
 
 /// Version 1 stamped a degree-sequence hash, which cannot vouch for
-/// the edge list, and version 2 stored ω twice behind a section table:
-/// such files are refused, not reinterpreted.
+/// the edge list, version 2 stored ω twice behind a section table, and
+/// version 3 stored no hierarchy: such files are refused, not
+/// reinterpreted.
 #[test]
 fn version_one_files_are_rejected() {
-    for version in [1u32, 2] {
+    for version in [1u32, 2, 3] {
         let (_, mut bytes) = valid_image(Kind::Truss);
         bytes[16..20].copy_from_slice(&version.to_le_bytes());
         reseal(&mut bytes);
@@ -335,50 +347,57 @@ fn resealed_record_damage_is_refused_by_its_own_check() {
     }
 }
 
-/// The writer emits one layout for given records: the counts from byte
-/// 88, the data at the padded end of the counts, zero padding, and the
-/// file ending at the padded end of the data. Bytes that differ from it
-/// anywhere, with every checksum re-stamped, are refused with a reason
-/// naming the spot, so every accepted file re-saves to its own bytes.
+/// The writer emits one layout for given records and hierarchy: the
+/// counts from byte 112, each later section at the padded end of the
+/// one before, zero padding, and the file ending at the padded end of
+/// the owners. Bytes that differ from it anywhere, with every checksum
+/// re-stamped, are refused with a reason naming the spot, so every
+/// accepted file re-saves to its own bytes.
 #[test]
 fn resealed_non_canonical_layouts_are_refused() {
     type Edit = fn(&mut Vec<u8>);
     let cases: Vec<(&str, &str, Edit)> = vec![
         (
             "16 bytes appended",
-            "file is 816 bytes, its header puts the end at 800",
+            "file is 1056 bytes, its header puts the end at 1040",
             |b| b.extend([0xAB; 16]),
         ),
         (
             "one record more in the header than in the file",
-            "file is 800 bytes, its header puts the end at 816",
+            "file is 1040 bytes, its header puts the end at 1056",
             |b| {
                 let records = header_u64(b, 64) + 1;
                 b[64..72].copy_from_slice(&records.to_le_bytes());
             },
         ),
-        ("padding byte 268 set", "padding byte 268 is 0xff", |b| {
-            // 45 cells × 4 bytes of counts end at 268, 4 bytes short of
+        ("padding byte 292 set", "padding byte 292 is 0xff", |b| {
+            // 45 cells × 4 bytes of counts end at 292, 4 bytes short of
             // the 8-aligned start of the data
-            let [counts, data] = sections(b);
-            assert_eq!((counts.end, data.start), (268, 272));
-            b[268] = 0xFF
+            let [counts, data, ..] = sections(b);
+            assert_eq!((counts.end, data.start), (292, 296));
+            b[292] = 0xFF
         }),
-        ("padding byte 788 set", "padding byte 788 is 0xff", |b| {
+        ("padding byte 812 set", "padding byte 812 is 0xff", |b| {
             // Every kind writes an even number of data words (2m, 3T × 2
-            // twice, 6K × 5, 4K × 3), so drop one of the 44 records to
-            // leave 43 × 3 words ending at 788, 4 bytes short of the end
+            // twice, 6K × 5, 4K × 3), so drop the last of the 44 records
+            // to leave 43 × 3 words ending at 812, 4 bytes short of the
+            // node table, which moves 8 bytes earlier
             b[64..72].copy_from_slice(&43u64.to_le_bytes());
             let j = first_counted_cell(b);
             let count = word(b, 0, j);
             set_word(b, 0, j, count - 1);
-            b.truncate(792);
-            assert_eq!(sections(b)[1].end, 788);
-            b[788] = 0xFF
+            b.drain(812..820);
+            assert_eq!(sections(b)[1].end, 812);
+            b[812] = 0xFF
+        }),
+        ("padding byte 1036 set", "padding byte 1036 is 0xff", |b| {
+            // 45 owners end 4 bytes short of the end of the file
+            assert_eq!(sections(b)[3].end, 1036);
+            b[1036] = 0xFF
         }),
     ];
     let (_, original) = valid_image(Kind::Nucleus34);
-    assert_eq!(original.len(), 800, "karate (3,4) image");
+    assert_eq!(original.len(), 1040, "karate (3,4) image");
     let mut accepted = vec![];
     for (what, reason_part, edit) in &cases {
         let mut bytes = original.clone();
@@ -393,6 +412,126 @@ fn resealed_non_canonical_layouts_are_refused() {
         }
     }
     assert!(accepted.is_empty(), "accepted: {accepted:?}");
+}
+
+/// `(λ, parent)` of node `k`, read off the node table section.
+fn node_row(bytes: &[u8], k: usize) -> (u32, u32) {
+    (word(bytes, 2, 2 * k), word(bytes, 2, 2 * k + 1))
+}
+
+/// λ of `cell`: its owner's λ.
+fn cell_lambda(bytes: &[u8], cell: usize) -> u32 {
+    node_row(bytes, word(bytes, 3, cell) as usize).0
+}
+
+/// A hierarchy section that the format accepts, every checksum
+/// re-stamped, but that is no canonical tree consistent with ω, is
+/// refused with [`CoreError::IndexCorrupt`] naming the hierarchy section
+/// and the check that caught it. Each kind here stores at least three
+/// nodes, two children of the root as nodes 1 and 2, which the swap
+/// case exchanges.
+#[test]
+fn resealed_hierarchy_damage_is_refused() {
+    type Edit = fn(&mut Vec<u8>);
+    let cases: Vec<(&str, &str, Edit)> = vec![
+        ("an owner past the node table", "is not a node", |b| {
+            let nodes = header_u64(b, 72) as u32;
+            set_word(b, 3, 0, nodes)
+        }),
+        ("a parent at or after its child", "bad parent", |b| {
+            let last = header_u64(b, 72) as usize - 1;
+            set_word(b, 2, 2 * last + 1, last as u32)
+        }),
+        ("a child λ not above its parent's", "bad parent", |b| {
+            // The last node moves under node 1 and takes its λ, which
+            // is no larger than its own and at least 1: ω still holds
+            let (last, lambda) = (header_u64(b, 72) as usize - 1, node_row(b, 1).0);
+            set_word(b, 2, 2 * last, lambda);
+            set_word(b, 2, 2 * last + 1, 1)
+        }),
+        ("a node that owns no cell", "owns no cell", |b| {
+            // The last node's cells move to node 1, whose λ is no larger
+            // and at least 1: ω still holds
+            let last = header_u64(b, 72) as u32 - 1;
+            for cell in 0..header_u64(b, 56) as usize {
+                if word(b, 3, cell) == last {
+                    set_word(b, 3, cell, 1);
+                }
+            }
+        }),
+        ("two nodes swapped", "canonical", |b| {
+            // Nodes 1 and 2 trade ids in the table, the parents and the
+            // owners: the same tree, out of canonical order
+            let (one, two) = (node_row(b, 1), node_row(b, 2));
+            assert_eq!(
+                (one.1, two.1),
+                (0, 0),
+                "nodes 1 and 2 are children of the root"
+            );
+            for (k, (lambda, parent)) in [(1, two), (2, one)] {
+                set_word(b, 2, 2 * k, lambda);
+                set_word(b, 2, 2 * k + 1, parent);
+            }
+            let swap = |id: u32| match id {
+                1 => 2,
+                2 => 1,
+                id => id,
+            };
+            for k in 3..header_u64(b, 72) as usize {
+                let parent = node_row(b, k).1;
+                set_word(b, 2, 2 * k + 1, swap(parent));
+            }
+            for cell in 0..header_u64(b, 56) as usize {
+                let owner = word(b, 3, cell);
+                set_word(b, 3, cell, swap(owner));
+            }
+        }),
+        ("a cell with λ above ω", "but lies in", |b| {
+            // One container moves from a cell whose λ equals its ω to
+            // another cell in a container: the counts still sum to the
+            // header's records, and every record still names a cell
+            let cells = header_u64(b, 56) as usize;
+            let c = (0..cells)
+                .find(|&c| word(b, 0, c) >= 1 && cell_lambda(b, c) == word(b, 0, c))
+                .expect("a cell whose λ is its ω");
+            let d = (0..cells).find(|&d| d != c && word(b, 0, d) >= 1).unwrap();
+            let (omega_c, omega_d) = (word(b, 0, c), word(b, 0, d));
+            set_word(b, 0, c, omega_c - 1);
+            set_word(b, 0, d, omega_d + 1);
+        }),
+        (
+            "a root-only tree over cells in containers",
+            "has λ 0 but lies in",
+            |b| {
+                // One node row, the root, and every cell its own
+                let [.., nodes, owners] = sections(b);
+                let owners_len = owners.len().next_multiple_of(8);
+                b.truncate(nodes.start);
+                b.extend(0u32.to_le_bytes());
+                b.extend(NO_NODE.to_le_bytes());
+                b.extend(vec![0; owners_len]);
+                b[72..80].copy_from_slice(&1u64.to_le_bytes());
+            },
+        ),
+    ];
+    for kind in [Kind::Truss, Kind::EdgeK4, Kind::Nucleus34] {
+        let (_, original) = valid_image(kind);
+        for (what, reason_part, edit) in &cases {
+            let mut bytes = original.clone();
+            edit(&mut bytes);
+            reseal_sections(&mut bytes);
+            match PreparedIndex::from_bytes(bytes, "resealed tree") {
+                Err(CoreError::IndexCorrupt { reason, .. }) => {
+                    assert!(
+                        reason.contains("hierarchy section"),
+                        "{kind}, {what}: {reason}"
+                    );
+                    assert!(reason.contains(reason_part), "{kind}, {what}: {reason}");
+                }
+                other => panic!("{kind}, {what}: expected IndexCorrupt, got {other:?}"),
+            }
+        }
+    }
 }
 
 /// Byte-level fuzz: random flips, truncations, extensions and zeroed

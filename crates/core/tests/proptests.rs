@@ -59,6 +59,23 @@ fn per_cell_records<S: PeelSpace>(space: &S) -> FlatRecords {
     FlatRecords::from_parts(offsets_from_counts(&counts), data, arity)
 }
 
+/// The image `encode_index` writes for `records` and the hierarchy DFT
+/// builds over the lazy `space` of `g`: what `Prepared::save` must write
+/// for that space.
+fn reference_image<S: PeelSpace>(g: &CsrGraph, space: &S, records: &FlatRecords) -> Vec<u8> {
+    let (tree, _) = dft(space, &peel(space));
+    let nodes: Vec<(u32, u32)> = tree.nodes().map(|n| (n.lambda, n.parent)).collect();
+    let fingerprint = graph_fingerprint(g);
+    encode_index(
+        space.r(),
+        space.s(),
+        fingerprint,
+        records,
+        &nodes,
+        tree.owners(),
+    )
+}
+
 /// The bytes `Prepared::save` writes for a materialized `kind` session
 /// prepared on `threads` threads.
 fn saved_index_bytes(g: &CsrGraph, kind: Kind, threads: usize) -> Vec<u8> {
@@ -108,7 +125,8 @@ fn check_prepare_equivalence(g: &CsrGraph) {
     let supports = edge_supports(g);
     let truss_records = per_cell_records(&EdgeSpace::new(g));
     let n34_records = per_cell_records(&TriangleSpace::new(g));
-    let fingerprint = graph_fingerprint(g);
+    let truss_image = reference_image(g, &EdgeSpace::new(g), &truss_records);
+    let n34_image = reference_image(g, &TriangleSpace::new(g), &n34_records);
     for threads in [1usize, 2, 8] {
         assert_eq!(
             k4t,
@@ -135,13 +153,9 @@ fn check_prepare_equivalence(g: &CsrGraph) {
             )),
             "(3,4) records at t={threads}"
         );
-        for (kind, records) in [
-            (Kind::Truss, &truss_records),
-            (Kind::Nucleus34, &n34_records),
-        ] {
-            let (r, s) = kind.rs();
+        for (kind, image) in [(Kind::Truss, &truss_image), (Kind::Nucleus34, &n34_image)] {
             assert!(
-                saved_index_bytes(g, kind, threads) == encode_index(r, s, fingerprint, records),
+                saved_index_bytes(g, kind, threads) == *image,
                 "{kind} saved image at t={threads}"
             );
         }
@@ -511,9 +525,13 @@ fn check_persist_round_trip(g: &CsrGraph, kind: Kind) {
         .threads(2)
         .prepare_from_index(index)
         .expect("prepare_from_index");
+    let stored = restored
+        .stored_hierarchy()
+        .expect("a loaded session stores its tree");
     for &algo in Algorithm::for_kind(kind) {
         let label = format!("{kind}/{algo}");
         let fresh = prepared.run(algo).expect(&label);
+        assert_eq!(**stored, fresh.hierarchy, "{label} stored hierarchy");
         let loaded = restored.run(algo).expect(&label);
         assert_eq!(fresh.peeling.lambda, loaded.peeling.lambda, "{label} λ");
         assert_eq!(fresh.peeling.order, loaded.peeling.order, "{label} order");

@@ -189,20 +189,23 @@ impl CsrGraph {
         &self.endpoints
     }
 
-    /// Whether the edge `{u, v}` exists.
+    /// Whether the edge `{u, v}` exists; `false` when `u` is not a
+    /// vertex of the graph.
     #[inline]
     pub fn has_edge(&self, u: u32, v: u32) -> bool {
-        self.neighbors(u).binary_search(&v).is_ok()
+        self.edge_id(u, v).is_some()
     }
 
-    /// Id of the edge `{u, v}`, if present.
+    /// Id of the edge `{u, v}`, if present; `None` when `u` is not a
+    /// vertex of the graph.
     #[inline]
     pub fn edge_id(&self, u: u32, v: u32) -> Option<EdgeId> {
-        let s = self.offsets[u as usize];
-        self.neighbors(u)
-            .binary_search(&v)
-            .ok()
-            .map(|i| self.edge_ids[s + i])
+        let (start, end) = (
+            *self.offsets.get(u as usize)?,
+            *self.offsets.get(u as usize + 1)?,
+        );
+        let i = self.neighbors[start..end].binary_search(&v).ok()?;
+        Some(self.edge_ids[start + i])
     }
 
     /// Iterator over all vertex ids.

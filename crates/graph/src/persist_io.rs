@@ -1,22 +1,25 @@
-//! On-disk encoding of a persisted container index.
+//! On-disk encoding of a persisted container index and its hierarchy.
 //!
 //! A persisted index file stores one [`crate::flat::FlatRecords`] (the
 //! materialized (r,s) container incidence built by the core crate) as
-//! its per-cell ω counts and its record words, behind a header that
-//! pins down *which* graph and *which* decomposition kind the bytes
-//! belong to. Everything is little-endian and 8-byte aligned.
-//! [`IndexImage::from_bytes`] checks the bytes and decodes them into
-//! the same `FlatRecords` a fresh build produces, so a loaded index and
-//! a built one are served alike.
+//! its per-cell ω counts and its record words, then the canonical
+//! hierarchy of nuclei as a node table and the owning node of every
+//! cell, behind a header that pins down *which* graph and *which*
+//! decomposition kind the bytes belong to. Everything is little-endian
+//! and 8-byte aligned. [`IndexImage::from_bytes`] checks the bytes and
+//! decodes the records into the same `FlatRecords` a fresh build
+//! produces, so a loaded index and a built one are served alike, and the
+//! hierarchy sections into the plain tables the core crate rebuilds its
+//! `Hierarchy` from.
 //!
-//! # Layout (version 3)
+//! # Layout (version 4)
 //!
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"NUCINDX1"
 //!      8     8  file hash: [`hash64`] over the whole file with these
 //!               8 bytes zeroed (detects any single flipped byte)
-//!     16     4  format version (u32, currently 3)
+//!     16     4  format version (u32, currently 4)
 //!     20     4  r (u32)        — nucleus family parameter
 //!     24     4  s (u32)        — nucleus family parameter
 //!     28     4  arity (u32)    — words per record, C(s,r) - 1
@@ -25,23 +28,34 @@
 //!     48     8  edge hash      — [`edge_list_hash`]   ┘
 //!     56     8  cells (u64)    — number of peeling cells
 //!     64     8  records (u64)  — total container records
-//!     72     8  counts hash    — [`hash64`] of the counts section
-//!     80     8  data hash      — [`hash64`] of the data section
-//!     88     …  counts: cells × u32 ω, zero-padded to 8 bytes
+//!     72     8  nodes (u64)    — hierarchy nodes, the root included
+//!     80     8  counts hash    ┐
+//!     88     8  data hash      │ [`hash64`] of each section
+//!     96     8  nodes hash     │
+//!    104     8  owners hash    ┘
+//!    112     …  counts: cells × u32 ω, zero-padded to 8 bytes
 //!      …     …  data: records × arity × u32 words, zero-padded to 8 bytes
+//!      …     …  nodes: nodes × (λ u32, parent u32), by canonical id; the
+//!               root is node 0 with parent u32::MAX
+//!      …     …  owners: cells × u32 node ids, zero-padded to 8 bytes
 //! ```
 //!
 //! Each fact is stored once. ω is the counts section; the record
 //! offsets a `FlatRecords` indexes by are their prefix sum, which the
-//! loader rebuilds. The header places every section: the counts start
-//! at byte 88, the data at the padded end of the counts, and the file
-//! ends at the padded end of the data, so there is no section table.
-//! The section hashes are redundant with the file hash; they are kept
-//! so that a reader can name the corrupt section.
+//! loader rebuilds. A cell's λ is its owner's λ, and the hierarchy's
+//! children, pre-order cell runs and level counts follow from the node
+//! table and the owners, so none of them is stored. The header places
+//! every section: the counts start at byte 112, each later section at
+//! the padded end of the one before, and the file ends at the padded end
+//! of the owners, so there is no section table. The section hashes are
+//! redundant with the file hash; they are kept so that a reader can name
+//! the corrupt section.
 //!
-//! The loader checks all of it (see [`IndexImage::from_bytes`]), so
-//! every file it accepts is the one [`encode_index`] writes for the
-//! decoded records: it re-saves to its own bytes.
+//! The loader checks all of the layout (see [`IndexImage::from_bytes`]),
+//! so every file it accepts is the one [`encode_index`] writes for the
+//! decoded records and tables: it re-saves to its own bytes. Whether the
+//! tables form a canonical hierarchy that agrees with ω is the core
+//! crate's check, since only it knows what a hierarchy is.
 //!
 //! # Compatibility policy
 //!
@@ -53,11 +67,17 @@
 //!
 //! The fingerprint hashes `n`, `m` and the canonical edge list, so any
 //! change to the edge set, a degree-preserving rewire included, gives a
-//! different fingerprint (up to a 64-bit hash collision). Version 1
-//! hashed the degree sequence instead and missed such rewires; version
-//! 2 stored ω twice (counts and record offsets) behind a section table.
-//! Files of either are rejected as an unsupported version: re-run
-//! `nucleus prepare`.
+//! different fingerprint (up to a 64-bit hash collision). Earlier
+//! versions, each rejected as an unsupported version (re-run
+//! `nucleus prepare`):
+//!
+//! * version 1 hashed the degree sequence instead and missed such
+//!   rewires;
+//! * version 2 stored ω twice (counts and record offsets) behind a
+//!   section table;
+//! * version 3 stored the counts and records only, so every loaded
+//!   session peeled before it could answer; version 4 adds the node
+//!   table and the owners.
 
 use std::ops::Range;
 use std::path::Path;
@@ -69,15 +89,20 @@ use crate::flat::FlatRecords;
 /// Magic bytes opening every persisted index file.
 pub const MAGIC: [u8; 8] = *b"NUCINDX1";
 /// Current format version; see the module docs for the bump rule.
-pub const FORMAT_VERSION: u32 = 3;
-/// Fixed header length in bytes (magic through the data hash); the
+pub const FORMAT_VERSION: u32 = 4;
+/// Fixed header length in bytes (magic through the owners hash); the
 /// counts section starts here.
-pub const HEADER_LEN: usize = 88;
+pub const HEADER_LEN: usize = 112;
 /// Byte range of the whole-file hash, zeroed while hashing.
 pub const FILE_HASH_RANGE: Range<usize> = 8..16;
-/// Header offsets of the counts and data section hashes.
-const COUNTS_HASH_AT: usize = 72;
-const DATA_HASH_AT: usize = 80;
+/// The sections in file order, by the name errors give them, with the
+/// header offset of each one's hash.
+pub const SECTIONS: [(&str, usize); 4] = [
+    ("counts", 80),
+    ("data", 88),
+    ("hierarchy nodes", 96),
+    ("hierarchy owners", 104),
+];
 
 /// Largest record arity a header may state. The nucleus families store
 /// `C(s,r) - 1` co-cell ids per record, which for the supported `s ≤ 4`
@@ -168,32 +193,52 @@ pub struct IndexHeader {
     pub cells: u64,
     /// Total container records.
     pub records: u64,
+    /// Hierarchy nodes, the root included.
+    pub nodes: u64,
 }
 
-/// Where the header puts the sections of an image with `cells` cells
-/// and `words` record words: the counts range, the data range, and the
-/// file length. The counts start at [`HEADER_LEN`], the data at the
-/// padded end of the counts, and the file ends at the padded end of the
-/// data. `None` when a size overflows the address space.
-fn layout(cells: u64, words: u64) -> Option<(Range<usize>, Range<usize>, usize)> {
-    let counts_end = cells.checked_mul(4)?.checked_add(HEADER_LEN as u64)?;
-    let data_start = counts_end.checked_next_multiple_of(8)?;
-    let data_end = words.checked_mul(4)?.checked_add(data_start)?;
-    let file_len = data_end.checked_next_multiple_of(8)?;
-    let at = |x: u64| usize::try_from(x).ok();
-    Some((
-        HEADER_LEN..at(counts_end)?,
-        at(data_start)?..at(data_end)?,
-        at(file_len)?,
-    ))
+/// Where the header puts the sections of an image with `cells` cells,
+/// `words` record words and `nodes` hierarchy nodes: the byte range of
+/// each section of [`SECTIONS`], and the file length. The counts start at
+/// [`HEADER_LEN`], each later section at the padded end of the one
+/// before, and the file ends at the padded end of the last. `None` when
+/// a size overflows the address space.
+fn layout(cells: u64, words: u64, nodes: u64) -> Option<([Range<usize>; 4], usize)> {
+    let lens = [
+        cells.checked_mul(4)?,
+        words.checked_mul(4)?,
+        nodes.checked_mul(8)?,
+        cells.checked_mul(4)?,
+    ];
+    let mut ranges: [Range<usize>; 4] = Default::default();
+    let mut at = HEADER_LEN as u64;
+    for (range, len) in ranges.iter_mut().zip(lens) {
+        let end = at.checked_add(len)?;
+        *range = usize::try_from(at).ok()?..usize::try_from(end).ok()?;
+        at = end.checked_next_multiple_of(8)?;
+    }
+    Some((ranges, usize::try_from(at).ok()?))
 }
 
-/// Encodes `flat` into the version-3 byte image for the `(r, s)` family
-/// of a graph with fingerprint `fp`.
-pub fn encode_index(r: u32, s: u32, fp: GraphFingerprint, flat: &FlatRecords) -> Vec<u8> {
+/// Encodes `flat` and a hierarchy into the version-4 byte image for the
+/// `(r, s)` family of a graph with fingerprint `fp`. The hierarchy is
+/// `nodes`, (λ, parent) per node by canonical id, and `owners`, the
+/// owning node of every cell.
+///
+/// # Panics
+/// When `owners` does not hold one node per cell of `flat`.
+pub fn encode_index(
+    r: u32,
+    s: u32,
+    fp: GraphFingerprint,
+    flat: &FlatRecords,
+    nodes: &[(u32, u32)],
+    owners: &[u32],
+) -> Vec<u8> {
     let cells = flat.cells();
-    let (counts, data, len) = layout(cells as u64, flat.data().len() as u64)
-        .expect("an in-memory record store fits the address space");
+    assert_eq!(owners.len(), cells, "one owner per cell");
+    let (sections, len) = layout(cells as u64, flat.data().len() as u64, nodes.len() as u64)
+        .expect("an in-memory image fits the address space");
     let mut buf = vec![0u8; len];
 
     buf[0..8].copy_from_slice(&MAGIC);
@@ -207,14 +252,17 @@ pub fn encode_index(r: u32, s: u32, fp: GraphFingerprint, flat: &FlatRecords) ->
     buf[48..56].copy_from_slice(&fp.edge_hash.to_le_bytes());
     buf[56..64].copy_from_slice(&(cells as u64).to_le_bytes());
     buf[64..72].copy_from_slice(&(flat.record_count() as u64).to_le_bytes());
+    buf[72..80].copy_from_slice(&(nodes.len() as u64).to_le_bytes());
 
-    for (slot, cell) in buf[counts.clone()].chunks_exact_mut(4).zip(0..) {
-        slot.copy_from_slice(&flat.count(cell).to_le_bytes());
-    }
-    for (slot, w) in buf[data.clone()].chunks_exact_mut(4).zip(flat.data()) {
-        slot.copy_from_slice(&w.to_le_bytes());
-    }
-    for (at, section) in [(COUNTS_HASH_AT, counts), (DATA_HASH_AT, data)] {
+    let [counts, data, node_table, owner_ids] = sections.clone();
+    put_words(&mut buf[counts], (0..cells as u32).map(|c| flat.count(c)));
+    put_words(&mut buf[data], flat.data().iter().copied());
+    put_words(
+        &mut buf[node_table],
+        nodes.iter().flat_map(|&(lambda, parent)| [lambda, parent]),
+    );
+    put_words(&mut buf[owner_ids], owners.iter().copied());
+    for ((_, at), section) in SECTIONS.into_iter().zip(sections) {
         let h = hash64(&buf[section]);
         buf[at..at + 8].copy_from_slice(&h.to_le_bytes());
     }
@@ -224,17 +272,26 @@ pub fn encode_index(r: u32, s: u32, fp: GraphFingerprint, flat: &FlatRecords) ->
     buf
 }
 
+/// Writes `words` little-endian into `section`, one per 4 bytes.
+fn put_words(section: &mut [u8], words: impl Iterator<Item = u32>) {
+    for (slot, w) in section.chunks_exact_mut(4).zip(words) {
+        slot.copy_from_slice(&w.to_le_bytes());
+    }
+}
+
 /// A fully validated index file, decoded.
 ///
-/// Construction ([`IndexImage::from_bytes`]) is the trust boundary: it
-/// verifies the magic, version, header, layout and checksums, rebuilds
-/// the record offsets from the counts and checks the record structure,
-/// then keeps the header and the decoded [`FlatRecords`] and drops the
-/// file bytes.
+/// Construction ([`IndexImage::from_bytes`]) is the trust boundary for
+/// the layout: it verifies the magic, version, header, layout and
+/// checksums, rebuilds the record offsets from the counts and checks the
+/// record structure, then keeps the header, the decoded [`FlatRecords`]
+/// and the hierarchy tables as stored, and drops the file bytes.
 #[derive(Clone, Debug)]
 pub struct IndexImage {
     header: IndexHeader,
     records: FlatRecords,
+    nodes: Vec<(u32, u32)>,
+    owners: Vec<u32>,
     bytes: usize,
 }
 
@@ -246,6 +303,11 @@ fn u32_at(buf: &[u8], i: usize) -> u32 {
     let mut w = [0u8; 4];
     w.copy_from_slice(&buf[i..i + 4]);
     u32::from_le_bytes(w)
+}
+
+/// The little-endian `u32` words of `bytes`.
+fn words(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes.chunks_exact(4).map(|w| u32_at(w, 0))
 }
 
 fn u64_at(buf: &[u8], i: usize) -> u64 {
@@ -268,8 +330,8 @@ fn check_zero_padding(bytes: &[u8], at: usize) -> Result<(), GraphError> {
 }
 
 impl IndexImage {
-    /// Validates `buf` as a version-3 index image and decodes its
-    /// records.
+    /// Validates `buf` as a version-4 index image and decodes its
+    /// records and hierarchy tables.
     ///
     /// Returns [`GraphError::Format`] (or [`GraphError::Records`] from
     /// [`FlatRecords::try_from_parts`]) on any violation — truncation,
@@ -277,8 +339,8 @@ impl IndexImage {
     /// header, a file length other than the one the header implies, a
     /// nonzero padding byte, or counts that do not sum to the header's
     /// record count. So every image it accepts is the one
-    /// [`encode_index`] writes for the decoded records. Never panics on
-    /// untrusted bytes.
+    /// [`encode_index`] writes for the decoded records and tables. Never
+    /// panics on untrusted bytes.
     pub fn from_bytes(mut buf: Vec<u8>) -> Result<Self, GraphError> {
         if buf.len() < 16 {
             return Err(bad(format!("truncated file: {} bytes", buf.len())));
@@ -286,18 +348,22 @@ impl IndexImage {
         if buf[0..8] != MAGIC {
             return Err(bad("bad magic (not a nucleus index file)"));
         }
-        if buf.len() < HEADER_LEN {
-            return Err(bad(format!(
-                "truncated header: {} bytes, need {HEADER_LEN}",
-                buf.len()
-            )));
+        if buf.len() < 20 {
+            return Err(bad(format!("truncated header: {} bytes", buf.len())));
         }
-        // Version before checksums, so a future-version file reports
-        // "unsupported version" rather than a checksum mismatch.
+        // Version before the header length and the checksums, so an
+        // older or future file reports "unsupported version" rather than
+        // a short header or a checksum mismatch.
         let version = u32_at(&buf, 16);
         if version != FORMAT_VERSION {
             return Err(bad(format!(
                 "unsupported index version {version} (this build reads {FORMAT_VERSION})"
+            )));
+        }
+        if buf.len() < HEADER_LEN {
+            return Err(bad(format!(
+                "truncated header: {} bytes, need {HEADER_LEN}",
+                buf.len()
             )));
         }
         // The hash covers the file with its own field zeroed; the
@@ -322,6 +388,7 @@ impl IndexImage {
             },
             cells: u64_at(&buf, 56),
             records: u64_at(&buf, 64),
+            nodes: u64_at(&buf, 72),
         };
         if header.r == 0 || header.r >= header.s {
             return Err(bad(format!(
@@ -336,10 +403,10 @@ impl IndexImage {
             return Err(bad(format!("cell count {} exceeds u32 ids", header.cells)));
         }
 
-        let (counts, data, len) = header
+        let (sections, len) = header
             .records
             .checked_mul(u64::from(header.arity))
-            .and_then(|words| layout(header.cells, words))
+            .and_then(|words| layout(header.cells, words, header.nodes))
             .ok_or_else(|| bad("section sizes overflow"))?;
         if buf.len() != len {
             return Err(bad(format!(
@@ -347,12 +414,11 @@ impl IndexImage {
                 buf.len()
             )));
         }
-        check_zero_padding(&buf[counts.end..data.start], counts.end)?;
-        check_zero_padding(&buf[data.end..], data.end)?;
-        for (name, at, section) in [
-            ("counts", COUNTS_HASH_AT, &counts),
-            ("data", DATA_HASH_AT, &data),
-        ] {
+        let padding_ends = sections.iter().skip(1).map(|next| next.start).chain([len]);
+        for (section, padding_end) in sections.iter().zip(padding_ends) {
+            check_zero_padding(&buf[section.end..padding_end], section.end)?;
+        }
+        for ((name, at), section) in SECTIONS.into_iter().zip(&sections) {
             let stored = u64_at(&buf, at);
             let actual = hash64(&buf[section.clone()]);
             if actual != stored {
@@ -361,6 +427,7 @@ impl IndexImage {
                 )));
             }
         }
+        let [counts, data, nodes, owners] = sections;
 
         // The record offsets are the prefix sum of the counts, which
         // must reach the header's record count: the data was sized by it.
@@ -379,12 +446,19 @@ impl IndexImage {
                 header.records
             )));
         }
-        let data = buf[data].chunks_exact(4).map(|w| u32_at(w, 0)).collect();
+        let data = words(&buf[data]).collect();
         let records = FlatRecords::try_from_parts(offsets, data, header.arity as usize)?;
+        let nodes = buf[nodes]
+            .chunks_exact(8)
+            .map(|w| (u32_at(w, 0), u32_at(w, 4)))
+            .collect();
+        let owners = words(&buf[owners]).collect();
 
         Ok(IndexImage {
             header,
             records,
+            nodes,
+            owners,
             bytes: buf.len(),
         })
     }
@@ -404,7 +478,18 @@ impl IndexImage {
         &self.records
     }
 
-    /// Takes the decoded record store.
+    /// The stored hierarchy's node table: (λ, parent) per node, by
+    /// canonical id, as the file holds it.
+    pub fn nodes(&self) -> &[(u32, u32)] {
+        &self.nodes
+    }
+
+    /// The stored owning node of every cell, as the file holds it.
+    pub fn owners(&self) -> &[u32] {
+        &self.owners
+    }
+
+    /// Takes the decoded record store, dropping the hierarchy tables.
     pub fn into_records(self) -> FlatRecords {
         self.records
     }
@@ -430,8 +515,21 @@ mod tests {
         CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
     }
 
+    /// A root and one λ = 1 node owning three of the four cells: the
+    /// format does not check the tree, so any tables of the right sizes
+    /// do.
+    const SAMPLE_NODES: [(u32, u32); 2] = [(0, u32::MAX), (1, 0)];
+    const SAMPLE_OWNERS: [u32; 4] = [1, 0, 1, 1];
+
     fn sample_image_bytes() -> Vec<u8> {
-        encode_index(2, 3, graph_fingerprint(&sample_graph()), &sample_flat())
+        encode_index(
+            2,
+            3,
+            graph_fingerprint(&sample_graph()),
+            &sample_flat(),
+            &SAMPLE_NODES,
+            &SAMPLE_OWNERS,
+        )
     }
 
     #[test]
@@ -499,8 +597,13 @@ mod tests {
         assert_eq!(h.arity as usize, flat.arity());
         assert_eq!(h.cells as usize, flat.cells());
         assert_eq!(h.records as usize, flat.record_count());
+        assert_eq!(h.nodes as usize, SAMPLE_NODES.len());
         assert_eq!(h.fingerprint, graph_fingerprint(&sample_graph()));
         assert_eq!(img.records(), &flat);
+        assert_eq!(img.nodes(), SAMPLE_NODES);
+        assert_eq!(img.owners(), SAMPLE_OWNERS);
+        // header, 4 counts, 12 data words, 2 node rows, 4 owners
+        assert_eq!(img.bytes(), HEADER_LEN + 16 + 48 + 16 + 16);
     }
 
     #[test]
@@ -570,9 +673,25 @@ mod tests {
     #[test]
     fn empty_store_round_trips() {
         let flat = FlatRecords::from_parts(vec![0], vec![], 2);
-        let bytes = encode_index(2, 3, graph_fingerprint(&sample_graph()), &flat);
+        let fp = graph_fingerprint(&sample_graph());
+        let bytes = encode_index(2, 3, fp, &flat, &SAMPLE_NODES[..1], &[]);
         let img = IndexImage::from_bytes(bytes).unwrap();
         assert_eq!(img.header().cells, 0);
         assert_eq!(img.records().record_count(), 0);
+        assert_eq!(img.nodes(), &SAMPLE_NODES[..1]);
+    }
+
+    /// A file of an older version is refused naming its version, even
+    /// when it is shorter than this version's header.
+    #[test]
+    fn rejects_older_versions_by_number() {
+        for version in 1..FORMAT_VERSION {
+            let mut bytes = sample_image_bytes();
+            bytes[16..20].copy_from_slice(&version.to_le_bytes());
+            bytes.truncate(88);
+            let err = IndexImage::from_bytes(bytes).unwrap_err();
+            let named = format!("unsupported index version {version}");
+            assert!(err.to_string().contains(&named), "{err}");
+        }
     }
 }

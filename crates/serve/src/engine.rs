@@ -1,12 +1,16 @@
 //! The query engine: answers typed requests over a shared, immutable
-//! [`Prepared`] session and its lazily-built hierarchy.
+//! [`Prepared`] session and its hierarchy.
 //!
 //! [`ServeState`] owns the prepared space, one [`OnceLock`] slot for the
-//! hierarchy and one for the densest node. Every algorithm builds the
+//! hierarchy and one for the densest node. On a session loaded from a
+//! persisted index ([`Prepared::stored_hierarchy`]), [`ServeState::new`]
+//! fills the hierarchy slot with the stored tree, so the server answers
+//! its first query without a peel. Otherwise every algorithm builds the
 //! identical canonical hierarchy, so a request's `algo` only picks which
-//! one runs (`Prepared::run`) on first use; the result is cached as an
-//! `Arc<Hierarchy>`, and every later query — from any thread, naming any
-//! algorithm the kind supports — is a lock-free read of the same tree.
+//! one runs (`Prepared::run`) on first use. Either way the tree is
+//! cached as an `Arc<Hierarchy>`, and every later query — from any
+//! thread, naming any algorithm the kind supports — is a lock-free read
+//! of the same tree.
 //! That tree is plain immutable data, complete once built: a nucleus's
 //! members are one contiguous run of its cell array
 //! (`Hierarchy::nucleus_cells_slice`), and the per-level nucleus counts
@@ -64,6 +68,10 @@ pub struct DensestAnswer {
     pub density: f64,
 }
 
+/// What `stats` names as the source of a hierarchy a persisted index
+/// stored, where a built one names its algorithm.
+const FROM_INDEX: &str = "index";
+
 /// Shared immutable query state: a prepared space plus its hierarchy
 /// and densest node, each built once on first use.
 pub struct ServeState<'g> {
@@ -71,19 +79,26 @@ pub struct ServeState<'g> {
     /// Set in place by [`crate::DynamicServeState::with_default_algo`]
     /// on an epoch nothing shares yet.
     pub(crate) default_algo: Algorithm,
-    /// The hierarchy, with the algorithm that built it.
-    hierarchy: OnceLock<Result<(Algorithm, Arc<Hierarchy>), ProtocolError>>,
+    /// The hierarchy, with its source: the name of the algorithm that
+    /// built it, or [`FROM_INDEX`].
+    hierarchy: OnceLock<Result<(&'static str, Arc<Hierarchy>), ProtocolError>>,
     densest: OnceLock<Result<DensestAnswer, ProtocolError>>,
 }
 
 impl<'g> ServeState<'g> {
     /// Wraps a prepared session. The default algorithm is FND (the
-    /// paper's fastest construction, supported by every kind).
+    /// paper's fastest construction, supported by every kind). A session
+    /// loaded from a persisted index brings its stored hierarchy, which
+    /// fills the hierarchy slot here, so no query peels.
     pub fn new(prepared: Prepared<'g>) -> ServeState<'g> {
+        let hierarchy = match prepared.stored_hierarchy() {
+            Some(tree) => OnceLock::from(Ok((FROM_INDEX, Arc::clone(tree)))),
+            None => OnceLock::new(),
+        };
         ServeState {
             prepared,
             default_algo: Algorithm::Fnd,
-            hierarchy: OnceLock::new(),
+            hierarchy,
             densest: OnceLock::new(),
         }
     }
@@ -120,15 +135,16 @@ impl<'g> ServeState<'g> {
         Ok(())
     }
 
-    /// The hierarchy, built by `algo` if no request built it before.
-    /// An algorithm the session cannot run is rejected before the
-    /// cache is touched, so it never leaves an error there.
+    /// The hierarchy: the stored one on a session loaded from a
+    /// persisted index, otherwise built by `algo` if no request built it
+    /// before. An algorithm the session cannot run is rejected before
+    /// the cache is touched, so it never leaves an error there.
     pub fn hierarchy(&self, algo: Algorithm) -> Result<&Arc<Hierarchy>, ProtocolError> {
         self.check_algo(algo)?;
         let res = self.hierarchy.get_or_init(|| {
             self.prepared
                 .run(algo)
-                .map(|d| (algo, Arc::new(d.hierarchy)))
+                .map(|d| (algo.name(), Arc::new(d.hierarchy)))
                 .map_err(|e| ProtocolError::new(ErrorCode::Internal, e.to_string()))
         });
         res.as_ref().map(|(_, h)| h).map_err(Clone::clone)
@@ -352,7 +368,7 @@ impl<'g> ServeState<'g> {
     pub fn stats_value(&self, metrics: Option<Value>) -> Value {
         let (r, s) = self.prepared.kind().rs();
         let built: Vec<Value> = match self.hierarchy.get() {
-            Some(Ok((algo, _))) => vec![Value::Str(algo.name().to_string())],
+            Some(Ok((source, _))) => vec![Value::Str(source.to_string())],
             _ => Vec::new(),
         };
         Value::Object(vec![
@@ -588,6 +604,45 @@ mod tests {
                             "{kind:?} first {a}: {line}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// A state over a session loaded from a persisted index answers
+    /// with the stored tree: `stats` names the index as the source
+    /// before any query, and the full request list answers
+    /// byte-identically to a freshly prepared state.
+    #[test]
+    fn index_backed_state_answers_like_a_fresh_one() {
+        let graphs = [
+            nucleus_gen::planted::planted_cliques(6, &[8, 7, 6, 5], 42),
+            nucleus_gen::karate::karate_club(),
+        ];
+        let dir = std::env::temp_dir().join("nucleus-serve-engine");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (i, g) in graphs.iter().enumerate() {
+            for kind in [Kind::Core, Kind::Truss] {
+                let fresh = || Nucleus::builder(g).kind(kind).prepare().unwrap();
+                let path = dir.join(format!("{}-{i}-{}.nidx", std::process::id(), kind.name()));
+                fresh().save(&path).unwrap();
+                let index = nucleus_core::PreparedIndex::load(&path).unwrap();
+                std::fs::remove_file(&path).ok();
+                let loaded =
+                    ServeState::new(Nucleus::builder(g).prepare_from_index(index).unwrap());
+                let stats = answer_bytes(&loaded, r#"{"query":"stats"}"#);
+                assert!(
+                    stats.contains(r#""hierarchies_built":["index"]"#),
+                    "{stats}"
+                );
+                let reference = ServeState::new(fresh());
+                let nodes = reference.hierarchy(Algorithm::Fnd).unwrap().len();
+                for line in request_list(reference.prepared().cells(), nodes) {
+                    assert_eq!(
+                        answer_bytes(&loaded, &line),
+                        answer_bytes(&reference, &line),
+                        "{kind:?}: {line}"
+                    );
                 }
             }
         }

@@ -9,9 +9,10 @@
 //! layer, in two pieces:
 //!
 //! * **[`ServeState`]** — the query engine. Wraps a
-//!   [`Prepared`](nucleus_core::Prepared) session, lazily runs each
-//!   hierarchy algorithm at most once (cached as `Arc<Hierarchy>`
-//!   behind a `OnceLock`), and answers typed requests — λ lookups,
+//!   [`Prepared`](nucleus_core::Prepared) session, takes the hierarchy
+//!   a persisted index stored or else builds it once on first use
+//!   (cached as `Arc<Hierarchy>` behind a `OnceLock`), and answers
+//!   typed requests — λ lookups,
 //!   containing-nuclei chains, members, subtree structure, per-node
 //!   density, the densest node, level profiles and stats — as
 //!   lock-free reads over immutable state. Usable directly from a

@@ -5,6 +5,8 @@
 
 use std::path::PathBuf;
 
+use nucleus_hierarchy::graph::persist_io::{encode_index, IndexImage};
+
 fn cli(argv: &[&str]) -> Result<String, String> {
     let mut out = Vec::new();
     nucleus_cli::run(argv.iter().map(|s| s.to_string()).collect(), &mut out)?;
@@ -84,6 +86,31 @@ fn prepare_then_decompose_matches_fresh_decompose() {
         .unwrap();
         assert_eq!(body(&fresh), body(&with_kind));
 
+        // One-shot queries answer from the stored tree, byte for byte
+        // as from a fresh prepare, and `stats` names the index.
+        for query in [
+            &["--type", "level_profile"][..],
+            &["--type", "subtree", "--node", "1"],
+        ] {
+            let from = |source: &[&str]| {
+                let argv = [&["query", "--input", graph_s][..], source, query].concat();
+                cli(&argv).unwrap()
+            };
+            assert_eq!(
+                from(&["--index", index_s]),
+                from(&["--kind", kind]),
+                "{query:?}"
+            );
+        }
+        let stats = cli(&[
+            "query", "--input", graph_s, "--index", index_s, "--type", "stats",
+        ])
+        .unwrap();
+        assert!(
+            stats.contains(r#""hierarchies_built":["index"]"#),
+            "{stats}"
+        );
+
         // The plan must attribute the backend to the loaded index.
         let explained = cli(&[
             "decompose",
@@ -139,6 +166,61 @@ fn index_for_a_changed_graph_exits_with_an_error() {
     assert!(err.contains("conflicts"), "{err}");
 
     for p in [&graph, &index, &other] {
+        std::fs::remove_file(p).ok();
+    }
+}
+
+/// A resealed image whose hierarchy is canonical and agrees with ω, but
+/// is not the tree peeling builds: two sibling nuclei of one λ merged
+/// into one. The loader cannot tell without the peel the stored tree
+/// saves, so the image loads and serves its tree; `decompose --index`
+/// peels anyway, compares, and refuses it.
+#[test]
+fn a_wrong_canonical_tree_serves_but_decompose_refuses_it() {
+    let graph = tmp("karate-merged.txt");
+    let graph_s = graph.to_str().unwrap();
+    cli(&["generate", "--model", "karate", "--out", graph_s]).unwrap();
+    let index = tmp("karate-merged.truss.nidx");
+    let index_s = index.to_str().unwrap();
+    cli(&[
+        "prepare", "--input", graph_s, "--kind", "truss", "--out", index_s,
+    ])
+    .unwrap();
+
+    let image = IndexImage::from_bytes(std::fs::read(&index).unwrap()).unwrap();
+    let (mut nodes, mut owners) = (image.nodes().to_vec(), image.owners().to_vec());
+    let (a, b) = (1..nodes.len())
+        .flat_map(|a| (a + 1..nodes.len()).map(move |b| (a, b)))
+        .find(|&(a, b)| nodes[a] == nodes[b])
+        .expect("karate's truss tree has two sibling nuclei of one λ");
+    // Node b's cells and children go to node a, and later ids close up.
+    let merge = |id: u32| match id as usize {
+        id if id == b => a as u32,
+        id if id > b => id as u32 - 1,
+        id => id as u32,
+    };
+    nodes.remove(b);
+    for node in &mut nodes[1..] {
+        node.1 = merge(node.1);
+    }
+    for owner in &mut owners {
+        *owner = merge(*owner);
+    }
+    let h = image.header();
+    let merged = encode_index(h.r, h.s, h.fingerprint, image.records(), &nodes, &owners);
+    std::fs::write(&index, merged).unwrap();
+
+    let query = |source: &[&str], ty: &str| {
+        let argv = [&["query", "--input", graph_s][..], source, &["--type", ty]].concat();
+        cli(&argv).unwrap()
+    };
+    let served = query(&["--index", index_s], "level_profile");
+    assert!(served.contains(r#""ok":true"#), "{served}");
+    assert_ne!(served, query(&["--kind", "truss"], "level_profile"));
+    let err = cli(&["decompose", "--input", graph_s, "--index", index_s]).unwrap_err();
+    assert!(err.contains("hierarchy section"), "{err}");
+
+    for p in [&graph, &index] {
         std::fs::remove_file(p).ok();
     }
 }
