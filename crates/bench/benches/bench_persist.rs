@@ -13,7 +13,8 @@
 //! * `fresh/…` — a cold `decompose` call, rebuilding everything;
 //! * `indexed/…` — the persisted path of `decompose --index` end to end:
 //!   load the file, `prepare_from_index`, run FND (which also compares
-//!   its tree with the stored one);
+//!   its tree with the stored one). The acceptance bar is ≥5× under
+//!   `fresh/…` on the largest input;
 //! * `serve-ready/…` — the persisted path of `serve --index`: load the
 //!   file and `prepare_from_index`, after which the stored hierarchy
 //!   answers with no peel.

@@ -269,14 +269,17 @@ impl Hierarchy {
     /// [`Hierarchy::node`] and [`Hierarchy::node_of_cell`] read back. A
     /// cell's λ is its owner's.
     ///
-    /// Returns a description of the first problem, never panics. Node 0
-    /// must be a λ = 0 root; every other node must name an earlier parent
-    /// of smaller λ and own at least one cell; every owner must be a node;
-    /// and max λ must not exceed the most containers a cell of an (r, s)
-    /// space of this many cells can lie in, which bounds the per-level
-    /// arrays by the input. The table then goes through the
-    /// canonicalizer once, and the result's node table and owners must be
-    /// the input's: that equality is the check that the input is
+    /// Returns a description of the first problem, never panics. (r, s)
+    /// must be one of the five supported families; node 0 must be a λ = 0
+    /// root; every other node must name an earlier parent of smaller λ and
+    /// own at least one cell; every owner must be a node; and max λ must
+    /// not exceed the most containers a cell of that family can lie in
+    /// over this many cells. That bound sizes the per-level arrays (the
+    /// level profile has max λ + 1 entries): it is the cell count in four
+    /// families but C(cells − 1, 2) in (1,3), so there a table can still
+    /// ask for arrays quadratic in its cells. The table then goes through
+    /// the canonicalizer once, and the result's node table and owners must
+    /// be the input's: that equality is the check that the input is
     /// canonical.
     pub fn from_table(
         r: u32,
@@ -311,17 +314,20 @@ impl Hierarchy {
         if let Some(id) = (1..nodes.len()).find(|&id| !owns_a_cell[id]) {
             return Err(format!("node {id} owns no cell"));
         }
-        // A cell of λ = k lies in k containers. A container is the cell
-        // plus s - r vertices, which ⌈s/r⌉ - 1 of its co-cells cover, so
-        // k is below cells^(⌈s/r⌉ - 1): the cell count, or its square in
-        // the (1,3) family, where a container is a pair of co-cells.
+        // A cell of λ = k lies in k containers. In (1,2), (2,3), (2,4)
+        // and (3,4) each of them has a co-cell that spans it with the
+        // cell, which no other one has, so k is below the cell count. A
+        // (1,3) container takes a pair of other cells, so k ≤ C(cells - 1, 2).
         let max_lambda = nodes.iter().map(|&(l, _)| l).max().unwrap_or(0);
-        let covering = s.div_ceil(r.max(1)).saturating_sub(1);
-        if u64::from(max_lambda) > (owners.len() as u64).saturating_pow(covering) {
-            return Err(format!(
-                "max λ {max_lambda} above what {} cells allow",
-                owners.len()
-            ));
+        let cells = owners.len() as u64;
+        let others = cells.saturating_sub(1);
+        let most = match (r, s) {
+            (1, 3) => others.saturating_mul(others.saturating_sub(1)) / 2,
+            (1, 2) | (2, 3) | (2, 4) | (3, 4) => cells,
+            _ => return Err(format!("({r},{s}) is not a supported family")),
+        };
+        if u64::from(max_lambda) > most {
+            return Err(format!("max λ {max_lambda} above what {cells} cells allow"));
         }
         let raw = RawHierarchy {
             nodes: raw_nodes,
@@ -342,23 +348,15 @@ impl Hierarchy {
 }
 
 /// Nuclei per level: a node is the k-(r,s) nucleus of its cells for
-/// every k in (its parent's λ, its λ]. One pass over the nodes marks
-/// where each such span starts and ends, and a running sum over the
-/// levels counts the spans open at each, in O(nodes + max λ).
+/// every k in (its parent's λ, its λ].
 fn level_counts(nodes: &[Node], max_lambda: u32) -> Vec<usize> {
-    let mut starts = vec![0usize; max_lambda as usize + 2];
-    let mut ends = vec![0usize; max_lambda as usize + 2];
+    let mut profile = vec![0usize; max_lambda as usize + 1];
     for node in &nodes[1..] {
-        starts[nodes[node.parent as usize].lambda as usize + 1] += 1;
-        ends[node.lambda as usize + 1] += 1;
+        for k in nodes[node.parent as usize].lambda + 1..=node.lambda {
+            profile[k as usize] += 1;
+        }
     }
-    let mut open = 0;
-    (0..=max_lambda as usize)
-        .map(|k| {
-            open = open + starts[k] - ends[k];
-            open
-        })
-        .collect()
+    profile
 }
 
 fn ids(xs: &[u32]) -> Value {
@@ -800,8 +798,9 @@ mod tests {
     /// In the (1,3) family a cell lies in up to (cells - 1)(cells - 2)/2
     /// containers, so λ may exceed the cell count: K5's five vertices
     /// each have λ = 6. Such a tree validates and reads back from JSON,
-    /// while the same λ over five (2,3) cells, each in at most four
-    /// containers, is refused.
+    /// while λ = 7 over five (1,3) cells, the same λ = 6 over five (2,3)
+    /// cells (each in at most four containers) and any (r, s) outside the
+    /// five families are refused.
     #[test]
     fn lambda_may_exceed_the_cell_count_only_where_the_family_allows() {
         let k5 = raw_of(5, &[(6, NO_NODE, &[0, 1, 2, 3, 4])]);
@@ -810,9 +809,14 @@ mod tests {
         let back: Hierarchy = serde_json::from_str(&serde_json::to_string(&h).unwrap()).unwrap();
         assert_eq!(back, h);
         let table = [(0, NO_NODE), (6, 0)];
-        let err = Hierarchy::from_table(2, 3, &table, &[1; 5]).unwrap_err();
-        assert!(err.contains("above what 5 cells allow"), "{err}");
         assert_eq!(Hierarchy::from_table(1, 3, &table, &[1; 5]), Ok(h));
+        let err = Hierarchy::from_table(2, 3, &table, &[1; 5]).unwrap_err();
+        assert!(err.contains("max λ 6 above what 5 cells allow"), "{err}");
+        let err = Hierarchy::from_table(1, 3, &[(0, NO_NODE), (7, 0)], &[1; 5]).unwrap_err();
+        assert!(err.contains("max λ 7 above what 5 cells allow"), "{err}");
+        let err =
+            Hierarchy::from_table(1, 64, &[(0, NO_NODE), (u32::MAX, 0)], &[1; 2]).unwrap_err();
+        assert!(err.contains("(1,64) is not a supported family"), "{err}");
     }
 
     #[test]

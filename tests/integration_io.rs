@@ -98,9 +98,33 @@ fn swapped_siblings() -> String {
     serde_json::to_string(&v).unwrap()
 }
 
+/// A one-nucleus hierarchy over `cells` cells, all of them the
+/// nucleus's with λ = `lambda`, in the export format.
+fn one_nucleus(r: u32, s: u32, cells: u32, lambda: u32) -> String {
+    let ids: Vec<String> = (0..cells).map(|c| c.to_string()).collect();
+    let each = |x: String| vec![x; cells as usize].join(",");
+    format!(
+        concat!(
+            r#"{{"r":{r},"s":{s},"nodes":[{{"lambda":0,"parent":4294967295,"children":[1],"#,
+            r#""cells":[],"subtree_cells":{cells}}},{{"lambda":{lambda},"parent":0,"#,
+            r#""children":[],"cells":[{ids}],"subtree_cells":{cells}}}],"#,
+            r#""cell_node":[{owners}],"lambda":[{lambdas}],"max_lambda":{lambda}}}"#
+        ),
+        r = r,
+        s = s,
+        cells = cells,
+        lambda = lambda,
+        ids = ids.join(","),
+        owners = each("1".into()),
+        lambdas = each(lambda.to_string()),
+    )
+}
+
 /// Damaged hierarchy JSON gets an error, never a panic: ids past the end,
 /// broken tree links, counts and owners that disagree with the deltas,
-/// and nodes out of canonical order.
+/// nodes out of canonical order, an (r, s) outside the five families and
+/// a λ above what the family allows over its cells — the last two would
+/// otherwise size per-level arrays by a λ of 2³² - 1.
 #[test]
 fn corrupt_hierarchy_json_is_rejected() {
     let cases = [
@@ -145,10 +169,18 @@ fn corrupt_hierarchy_json_is_rejected() {
             damaged(r#""max_lambda":3"#, r#""max_lambda":4000000000"#),
         ),
         ("nodes out of canonical order", swapped_siblings()),
+        ("(1,64) is not a family", one_nucleus(1, 64, 2, u32::MAX)),
+        (
+            "(1,3) λ above C(65535, 2)",
+            one_nucleus(1, 3, 65_536, u32::MAX),
+        ),
     ];
     for (what, json) in cases {
         assert!(serde_json::from_str::<Hierarchy>(&json).is_err(), "{what}");
     }
+    // The same shape within bounds reads back: K5's (1,3) tree.
+    let k5: Hierarchy = serde_json::from_str(&one_nucleus(1, 3, 5, 6)).expect("K5, (1,3)");
+    assert_eq!((k5.max_lambda(), k5.nucleus_count()), (6, 1));
 }
 
 #[test]
