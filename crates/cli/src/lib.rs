@@ -1368,6 +1368,9 @@ mod tests {
         "decompose --input /tmp/ci-smoke.txt --index /tmp/ci-smoke.nidx --explain --depth 2",
         "generate --model er --n 100 --p 0.05 --out /tmp/ci-other.txt",
         "decompose --input /tmp/ci-other.txt --index /tmp/ci-smoke.nidx",
+        "generate --model hk --n 20000 --m 5 --p 0.5 --out /tmp/ci-hk.txt",
+        "decompose --input /tmp/ci-hk-mixed.txt --kind truss --json /tmp/ci-hk-mixed.json",
+        "stats --input /tmp/ci-hk-mixed.txt",
         "generate --model rmat --scale 8 --out /tmp/ci-rmat.txt",
         "prepare --input /tmp/ci-rmat.txt --kind core --threads 1 --out /tmp/ci-rmat-core-t1.nidx",
         "decompose --input /tmp/ci-rmat.txt --index /tmp/ci-rmat-core-t1.nidx --explain --depth 2 \

@@ -105,10 +105,12 @@ impl CsrGraph {
             cursor[v as usize] += 1;
         }
         // Each adjacency list must be sorted for binary-search lookups.
-        // Edges were inserted in sorted order of (min, max); the arcs of a
-        // vertex toward *larger* neighbors arrive sorted, but arcs toward
-        // smaller neighbors are interleaved, so sort each list with its
-        // parallel edge-id array.
+        // For edges that meet the contract every list already is: a
+        // vertex's arcs toward smaller neighbours come first, in the order
+        // of those neighbours, then its arcs toward larger ones, in order.
+        // The check repairs the lists of a caller that breaks the contract
+        // in a release build, where the `debug_assert`s are off, by
+        // sorting each unsorted list with its parallel edge-id array.
         let mut scratch: Vec<(u32, u32)> = Vec::new();
         for v in 0..n {
             let (s, e) = (offsets[v], offsets[v + 1]);

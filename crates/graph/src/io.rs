@@ -36,9 +36,9 @@ const READ_BUFFER: usize = 1 << 16;
 /// through one general line parser, which is the grammar above. A line
 /// cut by a block's end is completed in a carry buffer, so the reader
 /// holds one block plus one partial line of text, never the whole input.
-/// Reading build-truss's 2.5 MB graph (`holme_kim(40000, 6, 0.6)`,
-/// 239,979 lines) takes about 20–24 ms on a 2-CPU host, parse, relabel
-/// and CSR build included.
+/// Reading the 2.5 MB graph of perfbench's build-truss workload
+/// (`holme_kim(40000, 6, 0.6)`, 239,979 lines) takes 18–25 ms on a
+/// shared 2-CPU host, parse, relabel and CSR build included.
 ///
 /// When every label is below `4 × lines + 1024`, counting edge lines,
 /// labels are remapped through a table indexed by label, so its memory
@@ -88,6 +88,7 @@ struct LabelPairs {
     // holds vertex ids, assigned as each line is read.
     ids: Option<HashMap<u64, u32>>,
     max_label: u32,
+    // Lines parsed so far: the number an error names.
     lines: usize,
 }
 
@@ -100,29 +101,17 @@ impl LabelPairs {
             self.lines += 1;
             if ascii {
                 if let Some((a, b, next)) = scan_pair(text, at) {
-                    self.push_u32(a, b)?;
+                    self.push(a.into(), b.into())?;
                     at = next;
                     continue;
                 }
             }
-            let end = text[at..]
-                .iter()
-                .position(|&b| b == b'\n')
-                .map_or(text.len(), |i| at + i + 1);
+            let end = line_end(text, at);
             if let Some((a, b)) = parse_line(&text[at..end], self.lines)? {
                 self.push(a, b)?;
             }
             at = end;
         }
-        Ok(())
-    }
-
-    fn push_u32(&mut self, a: u32, b: u32) -> Result<(), GraphError> {
-        if self.ids.is_some() {
-            return self.push(a.into(), b.into());
-        }
-        self.max_label = self.max_label.max(a).max(b);
-        self.pairs.push((a, b));
         Ok(())
     }
 
@@ -179,14 +168,19 @@ fn scan_pair(text: &[u8], at: usize) -> Option<(u32, u32, usize)> {
     let next = match text.get(i) {
         None => i,
         Some(b'\n') => i + 1,
-        Some(b'\r') if text.get(i + 1) == Some(&b'\n') => i + 2,
-        Some(&c) if is_blank(c) || c == b',' => text[i..]
-            .iter()
-            .position(|&b| b == b'\n')
-            .map_or(text.len(), |k| i + k + 1),
+        Some(&c) if is_blank(c) || c == b',' => line_end(text, i),
         Some(_) => return None,
     };
     Some((a, b, next))
+}
+
+/// Where the line of `text` holding byte `at` ends: just past its `\n`,
+/// or at the end of `text`.
+fn line_end(text: &[u8], at: usize) -> usize {
+    text[at..]
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(text.len(), |i| at + i + 1)
 }
 
 /// One to nine decimal digits from `*i`, which moves past them; `None`
