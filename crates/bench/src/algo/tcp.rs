@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use nucleus_dsf::DisjointSets;
 use nucleus_graph::CsrGraph;
 
-use crate::peel::Peeling;
+use nucleus_core::peel::Peeling;
 
 /// The per-vertex maximum-spanning-forest index.
 #[derive(Debug)]
@@ -165,8 +165,8 @@ pub fn tcp_query(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::peel::peel;
-    use crate::space::EdgeSpace;
+    use nucleus_core::peel::peel;
+    use nucleus_core::space::EdgeSpace;
 
     fn truss_of(g: &CsrGraph) -> Peeling {
         peel(&EdgeSpace::new(g))
@@ -221,7 +221,7 @@ mod tests {
         let es = EdgeSpace::new(&g);
         let truss = peel(&es);
         let idx = TcpIndex::build(&g, &truss);
-        let (h, _) = crate::algo::dft::dft(&es, &truss);
+        let (h, _) = nucleus_core::algo::dft::dft(&es, &truss);
         for k in 1..=h.max_lambda() {
             for node in h.nuclei_at(k) {
                 let mut cells = h.nucleus_cells(node);

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Benchmark harness for regenerating the paper's evaluation
 //! (Tables 1, 3, 4, 5 and Figure 6) on the offline surrogate datasets.
@@ -11,13 +12,19 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use nucleus_core::algo::tcp::TcpIndex;
 use nucleus_core::prelude::*;
 use nucleus_gen::{dataset, Scale};
 use nucleus_graph::CsrGraph;
 
 pub mod experiments;
 pub mod stats;
+
+/// The comparators the tables time beside the hierarchy algorithms.
+pub mod algo {
+    pub mod tcp;
+}
+
+use algo::tcp::TcpIndex;
 
 /// The three datasets Table 1 headlines (surrogate names).
 pub const TABLE1_DATASETS: [&str; 3] = ["stanford3-s", "twitter-hb-s", "uk2005-s"];

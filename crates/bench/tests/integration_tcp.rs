@@ -1,9 +1,9 @@
 //! TCP index (the paper's (2,3) comparator) answers k-truss-community
 //! queries identically to the hierarchy, across surrogate datasets.
 
-use nucleus_hierarchy::core::algo::tcp::{tcp_query, TcpIndex};
-use nucleus_hierarchy::gen::{dataset, Scale};
-use nucleus_hierarchy::prelude::*;
+use nucleus_bench::algo::tcp::{tcp_query, TcpIndex};
+use nucleus_core::prelude::*;
+use nucleus_gen::{dataset, Scale};
 
 #[test]
 fn tcp_queries_equal_hierarchy_nuclei() {

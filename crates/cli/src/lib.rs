@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Implementation of the `nucleus` command-line tool.
 //!
@@ -19,9 +20,10 @@
 //!   `--mutable` serves a dynamic graph that accepts `mutate` requests
 //!   and swaps epochs;
 //! * `query` — either the legacy k-truss-community lookup of an edge
-//!   via the TCP index (`--u/--v/--k`), or a one-shot protocol query
-//!   answered by the same engine the server uses (`--type ...`),
-//!   locally or against a running server (`--connect`).
+//!   (`--u/--v/--k`), answered from the (2,3) hierarchy FND builds, or
+//!   a one-shot protocol query answered by the same engine the server
+//!   uses (`--type ...`), locally or against a running server
+//!   (`--connect`).
 //!
 //! Argument parsing is hand-rolled (no external CLI dependency): flags
 //! are `--name value` pairs, collected into [`Args`]. Each subcommand
@@ -31,7 +33,6 @@
 use std::collections::HashMap;
 use std::io::Write;
 
-use nucleus_core::algo::tcp::{tcp_query, TcpIndex};
 use nucleus_core::prelude::*;
 use nucleus_dynamic::{DynamicGraph, EdgeOp, UpdateReport};
 use nucleus_gen::rmat::RmatParams;
@@ -180,7 +181,7 @@ USAGE:
                     [--mutable] [--bind ADDR] [--port P] [--workers N] [--algo A]
                     [--queue-depth N] [--timeout-ms MS] [--max-line-bytes B]
                     [--signal-file FILE] [--addr-file FILE] [--threads N]
-  nucleus query     --input FILE --u U --v V --k K        (k-truss edge lookup)
+  nucleus query     --input FILE --u U --v V --k K        (k-truss edge lookup, K >= 1)
   nucleus query     ( --type <lambda|nuclei-of|members|subtree|density|
                               densest|level-profile|stats>
                       [--cell C] [--node N] [--limit L] [--algo A] [--id I]
@@ -474,7 +475,7 @@ fn cmd_stats<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
 /// graph and any explicit `--kind`), otherwise `--kind` prepares from
 /// scratch with the materialized backend (the right default for a
 /// read-mostly serving workload).
-fn prepare_for_engine<'g>(g: &'g CsrGraph, args: &Args) -> Result<Prepared<'g>, String> {
+fn prepare_for_engine(g: &CsrGraph, args: &Args) -> Result<Prepared, String> {
     let builder = Nucleus::builder(g).threads(args.num("threads", 0usize)?);
     match load_index(args)? {
         Some(index) => builder.prepare_from_index(index),
@@ -711,6 +712,9 @@ fn cmd_query<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
             .map_err(|_| format!("--{name}: bad number {value:?}"))
     };
     let (u, v, k) = (required("u")?, required("v")?, required("k")?);
+    if k == 0 {
+        return Err("--k: must be at least 1 (every community is a nucleus of λ ≥ 1)".to_string());
+    }
     let g = load_graph(args)?;
     for (name, w) in [("u", u), ("v", v)] {
         if w as usize >= g.n() {
@@ -720,30 +724,28 @@ fn cmd_query<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
             ));
         }
     }
-    if g.edge_id(u.min(v), u.max(v)).is_none() {
-        return Err(format!("--u/--v: ({u},{v}) is not an edge of the graph"));
-    }
-    let es = EdgeSpace::new(&g);
-    let truss = peel(&es);
-    let idx = TcpIndex::build(&g, &truss);
-    match tcp_query(&g, &truss, &idx, u, v, k) {
+    let edge = g
+        .edge_id(u.min(v), u.max(v))
+        .ok_or_else(|| format!("--u/--v: ({u},{v}) is not an edge of the graph"))?;
+    let prepared = Nucleus::builder(&g)
+        .kind(Kind::Truss)
+        .threads(args.num("threads", 0usize)?)
+        .prepare()
+        .map_err(|e| e.to_string())?;
+    let tree = prepared
+        .run(Algorithm::Fnd)
+        .map_err(|e| e.to_string())?
+        .hierarchy;
+    match tree.nucleus_of_cell_at(edge, k) {
         None => {
             let _ = writeln!(out, "no {k}-truss community contains edge ({u},{v})");
         }
-        Some(edges) => {
-            let mut verts: Vec<u32> = edges
-                .iter()
-                .flat_map(|&e| {
-                    let (a, b) = g.endpoints(e);
-                    [a, b]
-                })
-                .collect();
-            verts.sort_unstable();
-            verts.dedup();
+        Some(node) => {
+            let verts = prepared.nucleus_vertices(&tree, node);
             let _ = writeln!(
                 out,
                 "{k}-truss community of ({u},{v}): {} edges over {} vertices",
-                edges.len(),
+                tree.nucleus_cells_slice(node).len(),
                 verts.len()
             );
             let _ = writeln!(out, "vertices: {verts:?}");
@@ -945,6 +947,30 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("community"), "got: {out}");
+        std::fs::remove_file(&path).ok();
+        // Karate's communities of edge (0,1) at each level; the TCP
+        // index (nucleus_bench::algo::tcp) gives the same edge sets.
+        let path = karate_graph("query-karate.txt");
+        let six = "14 edges over 6 vertices\nvertices: [0, 1, 2, 3, 7, 12]\n";
+        for (k, want) in [
+            (
+                "1",
+                "1-truss community of (0,1): 54 edges over 25 vertices\n".to_string(),
+            ),
+            ("2", format!("2-truss community of (0,1): {six}")),
+            ("3", format!("3-truss community of (0,1): {six}")),
+            (
+                "4",
+                "no 4-truss community contains edge (0,1)\n".to_string(),
+            ),
+        ] {
+            let argv = ["query", "--input", &path, "--u", "0", "--v", "1", "--k", k];
+            let out = run_to_string(&argv).unwrap();
+            assert!(out.starts_with(&want), "k = {k}: {out}");
+        }
+        // k = 0 names no nucleus: the root is the whole graph
+        let err = karate_query_error(&path, &["--u", "0", "--v", "1", "--k", "0"]);
+        assert!(err.starts_with("--k: must be at least 1"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

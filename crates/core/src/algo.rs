@@ -7,7 +7,6 @@
 //!   peeling (the paper's headline contribution);
 //! * [`lcps`] — Matula & Beck's Level Component Priority Search, adapted
 //!   with a bucket priority queue (k-core only, §5.1);
-//! * [`tcp`] — Huang et al.'s TCP index (the (2,3) comparator, §5.2);
 //! * [`hypo`] — the hypothetical best traversal-based baseline.
 
 pub mod dft;
@@ -15,4 +14,3 @@ pub mod fnd;
 pub mod hypo;
 pub mod lcps;
 pub mod naive;
-pub mod tcp;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # nucleus-core — fast hierarchy construction for dense subgraphs
 //!
@@ -77,7 +78,6 @@ pub mod prelude {
         build_hierarchy, fnd, fnd_classify, FndClassified, FndOptions, FrontierOptions,
     };
     pub use crate::algo::lcps::lcps;
-    pub use crate::algo::tcp::{tcp_query, TcpIndex};
     pub use crate::decompose::{
         decompose, hypo_baseline, Algorithm, Backend, Decomposition, Kind, PhaseTimes,
     };

@@ -23,11 +23,12 @@
 //! padding, that the per-cell ω counts sum to the header's record
 //! count (the record offsets are rebuilt from them, never read),
 //! record-structure invariants, that every record names a cell the
-//! index covers, and that the stored (r, s) pair names a supported
-//! [`Kind`] whose record arity matches. Binding the
-//! index to a graph additionally checks the stored *fingerprint*
-//! (vertex count, edge count, hash of the canonical edge list) against
-//! the live graph. Each failure mode maps to a typed error:
+//! index covers other than the cell it belongs to, and that the stored
+//! (r, s) pair names a supported [`Kind`] whose record arity matches.
+//! Binding the index to a graph additionally checks the stored
+//! *fingerprint* (vertex count, edge count, hash of the canonical edge
+//! list) against the live graph. Each failure mode maps to a typed
+//! error:
 //!
 //! * [`CoreError::IndexCorrupt`] — the bytes are structurally bad;
 //! * [`CoreError::IndexMismatch`] — valid bytes, wrong graph or kind;
@@ -45,15 +46,16 @@
 //! range, not a tree, or not in canonical order. A failure is
 //! [`CoreError::IndexCorrupt`] naming the hierarchy section.
 //!
-//! These checks cannot prove that the tree is the one peeling builds:
-//! a resealed file can hold a canonical tree that agrees with ω and is
-//! still wrong, for example with two sibling nuclei of one λ merged
-//! into one. Such a file loads and serves its tree. Proving the tree
-//! costs a peel, which is what the stored tree saves, so the proof is
-//! left to [`Prepared::run`]: on a loaded session it peels anyway and
-//! returns [`CoreError::IndexCorrupt`] naming the hierarchy section when
-//! its tree differs from the stored one (`nucleus decompose --index`
-//! exits 1 on such a file).
+//! These checks cannot prove that the records or the tree are the ones
+//! the graph gives. A co-cell swapped for another valid cell passes
+//! every local check, and so does a resealed canonical tree that agrees
+//! with ω and is still wrong, for example with two sibling nuclei of
+//! one λ merged into one. Such a file loads and serves its tree. Only a
+//! peel catches either, and a peel is what the stored tree saves, so
+//! the proof is left to [`Prepared::run`]: on a loaded session it peels
+//! anyway and returns [`CoreError::IndexCorrupt`] naming the hierarchy
+//! section when its tree differs from the stored one (`nucleus
+//! decompose --index` exits 1 on such a file).
 //!
 //! ```no_run
 //! use nucleus_core::prelude::*;
@@ -161,16 +163,25 @@ impl PreparedIndex {
             });
         }
         // Records are container records here: every word is a co-cell
-        // id, and peeling indexes per-cell arrays with it.
-        let top = image.records().data().iter().copied().max();
-        if let Some(id) = top.filter(|&id| u64::from(id) >= h.cells) {
-            return Err(CoreError::IndexCorrupt {
-                path,
-                reason: format!(
+        // id, and peeling indexes per-cell arrays with it. A container
+        // holds each of its cells once, so no record of a cell names the
+        // cell itself; FND would union it with itself. The counts'
+        // prefix sum delimits each cell's records.
+        let records = image.records();
+        for cell in 0..records.cells() as u32 {
+            let bad = records
+                .slice_of(cell)
+                .iter()
+                .find(|&&id| id == cell || u64::from(id) >= h.cells);
+            let reason = match bad {
+                None => continue,
+                Some(&id) if id == cell => format!("a record of cell {cell} names the cell itself"),
+                Some(&id) => format!(
                     "a record names cell {id}, but the index covers {} cells",
                     h.cells
                 ),
-            });
+            };
+            return Err(CoreError::IndexCorrupt { path, reason });
         }
         let hierarchy = load_hierarchy(&image).map_err(|reason| CoreError::IndexCorrupt {
             path: path.clone(),
@@ -283,7 +294,7 @@ fn load_hierarchy(image: &IndexImage) -> Result<Hierarchy, String> {
     Hierarchy::from_table(h.r, h.s, nodes, image.owners())
 }
 
-impl Prepared<'_> {
+impl Prepared {
     /// Writes this session's [`ContainerIndex`] and its canonical
     /// hierarchy to `path` in the persisted format, stamped with the
     /// graph's fingerprint, so a later process can

@@ -70,16 +70,16 @@ use crate::space::{
 
 /// The five lazy spaces behind one door, so [`Prepared`] can own any of
 /// them by value while the algorithms stay monomorphized per space.
-enum AnySpace<'g> {
-    Vertex(VertexSpace<'g>),
-    VertexTriangle(VertexTriangleSpace<'g>),
-    Edge(EdgeSpace<'g>),
-    EdgeK4(EdgeK4Space<'g>),
-    Triangle(TriangleSpace<'g>),
+enum AnySpace {
+    Vertex(VertexSpace),
+    VertexTriangle(VertexTriangleSpace),
+    Edge(EdgeSpace),
+    EdgeK4(EdgeK4Space),
+    Triangle(TriangleSpace),
 }
 
-impl<'g> AnySpace<'g> {
-    fn build(g: &'g CsrGraph, kind: Kind, threads: usize) -> Self {
+impl AnySpace {
+    fn build(g: &CsrGraph, kind: Kind, threads: usize) -> Self {
         match kind {
             Kind::Core => AnySpace::Vertex(VertexSpace::with_threads(g, threads)),
             Kind::VertexTriangle => {
@@ -177,7 +177,7 @@ impl<'g> NucleusBuilder<'g> {
     /// (`prepare()?`, `.prepare().and_then(..)`) unchanged. The one
     /// algorithm-dependent rejection surfaces from [`Prepared::run`] /
     /// [`Prepared::plan`].
-    pub fn prepare(self) -> Result<Prepared<'g>, CoreError> {
+    pub fn prepare(self) -> Result<Prepared, CoreError> {
         let NucleusBuilder {
             g,
             kind,
@@ -196,7 +196,6 @@ impl<'g> NucleusBuilder<'g> {
             (s.cell_count(), containers, est, reason, index)
         });
         Ok(Prepared {
-            g,
             kind,
             backend: if index.is_some() {
                 Backend::Materialized
@@ -239,7 +238,7 @@ impl<'g> NucleusBuilder<'g> {
     pub fn prepare_from_index(
         self,
         index: crate::persist::PreparedIndex,
-    ) -> Result<Prepared<'g>, CoreError> {
+    ) -> Result<Prepared, CoreError> {
         let NucleusBuilder {
             g,
             kind: _,
@@ -279,7 +278,6 @@ impl<'g> NucleusBuilder<'g> {
         let index_bytes = index.bytes();
         let (container_index, hierarchy) = index.into_parts();
         Ok(Prepared {
-            g,
             kind,
             backend: Backend::Materialized,
             threads,
@@ -329,14 +327,14 @@ fn resolve_backend(backend: Backend, est_bytes: usize) -> (bool, String) {
 /// its [`ContainerIndex`]) built once, ready to serve any number of
 /// [`Prepared::run`] calls. Runs never mutate the prepared state, so a
 /// `Prepared` behaves like an immutable snapshot of the graph's
-/// (r, s) structure.
-pub struct Prepared<'g> {
-    g: &'g CsrGraph,
+/// (r, s) structure. Its space holds a handle to the graph (an O(1)
+/// [`CsrGraph`] clone), so the session owns everything it reads.
+pub struct Prepared {
     kind: Kind,
     /// Resolved: `Lazy` or `Materialized`, never `Auto`.
     backend: Backend,
     threads: usize,
-    space: AnySpace<'g>,
+    space: AnySpace,
     index: Option<ContainerIndex>,
     /// On a session loaded from a persisted index: the hierarchy it
     /// stored, and the index's path.
@@ -352,7 +350,7 @@ pub struct Prepared<'g> {
     prep_time: Duration,
 }
 
-impl<'g> Prepared<'g> {
+impl Prepared {
     /// The family this session decomposes.
     pub fn kind(&self) -> Kind {
         self.kind
@@ -393,8 +391,8 @@ impl<'g> Prepared<'g> {
     }
 
     /// The underlying graph.
-    pub fn graph(&self) -> &'g CsrGraph {
-        self.g
+    pub fn graph(&self) -> &CsrGraph {
+        with_space!(self.space, s => s.graph())
     }
 
     /// The session's [`ContainerIndex`], when materialized — what
@@ -478,7 +476,7 @@ impl<'g> Prepared<'g> {
         });
         let peel_t = self.prep_time + t0.elapsed();
         let t1 = Instant::now();
-        let hierarchy = lcps(self.g, &peeling);
+        let hierarchy = lcps(self.graph(), &peeling);
         let post_t = t1.elapsed();
         Decomposition {
             kind: self.kind,
@@ -747,6 +745,10 @@ mod tests {
         assert_eq!(prepared.cells(), g.m());
         assert!(prepared.containers() > 0);
         assert!(prepared.estimated_index_bytes() > 0);
-        assert!(std::ptr::eq(prepared.graph(), &g));
+        // the session shares the caller's arrays instead of copying them
+        assert!(std::ptr::eq(
+            prepared.graph().edge_endpoints(),
+            g.edge_endpoints()
+        ));
     }
 }

@@ -15,8 +15,8 @@ use super::{PeelBackend, PeelSpace};
 /// backend instead fills every edge's containers at once, from the
 /// oriented triangle listing that counted the supports
 /// ([`PeelSpace::fused_records`]).
-pub struct EdgeSpace<'g> {
-    g: &'g CsrGraph,
+pub struct EdgeSpace {
+    g: CsrGraph,
     supports: OnceLock<Vec<u32>>,
     /// The support count's per-worker tallies, with the degeneracy
     /// orientation and root ranges they were counted over, parked until
@@ -28,21 +28,21 @@ pub struct EdgeSpace<'g> {
     threads: usize,
 }
 
-impl<'g> EdgeSpace<'g> {
+impl EdgeSpace {
     /// Wraps `g`. The triangle enumeration computing edge supports (the
     /// "enumerate all K_r's / find their ω" step of Alg. 1) is deferred
     /// to the first [`PeelBackend::degrees`] call, so sessions whose ω
     /// counts come from a persisted index never pay for it.
-    pub fn new(g: &'g CsrGraph) -> Self {
+    pub fn new(g: &CsrGraph) -> Self {
         Self::with_threads(g, 1)
     }
 
     /// Like [`EdgeSpace::new`], but the deferred support enumeration
     /// runs on `threads` worker threads (per-worker partial counts
     /// summed in order — identical output to the serial pass).
-    pub fn with_threads(g: &'g CsrGraph, threads: usize) -> Self {
+    pub fn with_threads(g: &CsrGraph, threads: usize) -> Self {
         EdgeSpace {
-            g,
+            g: g.clone(),
             supports: OnceLock::new(),
             tallies: Mutex::new(None),
             threads,
@@ -51,7 +51,7 @@ impl<'g> EdgeSpace<'g> {
 
     /// The underlying graph.
     pub fn graph(&self) -> &CsrGraph {
-        self.g
+        &self.g
     }
 
     fn parked(&self) -> MutexGuard<'_, Option<SupportTallies>> {
@@ -61,7 +61,7 @@ impl<'g> EdgeSpace<'g> {
     }
 }
 
-impl PeelBackend for EdgeSpace<'_> {
+impl PeelBackend for EdgeSpace {
     fn cell_count(&self) -> usize {
         self.g.m()
     }
@@ -69,7 +69,8 @@ impl PeelBackend for EdgeSpace<'_> {
     fn degrees(&self) -> Vec<u32> {
         self.supports
             .get_or_init(|| {
-                let tallies = SupportTallies::count(OrientedAdjacency::build(self.g), self.threads);
+                let tallies =
+                    SupportTallies::count(OrientedAdjacency::build(&self.g), self.threads);
                 let supports = tallies.supports();
                 *self.parked() = Some(tallies);
                 supports
@@ -99,7 +100,7 @@ impl PeelBackend for EdgeSpace<'_> {
     }
 }
 
-impl PeelSpace for EdgeSpace<'_> {
+impl PeelSpace for EdgeSpace {
     fn r(&self) -> u32 {
         2
     }
@@ -117,8 +118,8 @@ impl PeelSpace for EdgeSpace<'_> {
     fn fused_records(&self, offsets: &[usize], threads: usize) -> Option<Vec<u32>> {
         let parked = self.parked().take();
         let tallies = parked
-            .unwrap_or_else(|| SupportTallies::count(OrientedAdjacency::build(self.g), threads));
-        Some(edge_companion_records(self.g, tallies, offsets, threads))
+            .unwrap_or_else(|| SupportTallies::count(OrientedAdjacency::build(&self.g), threads));
+        Some(edge_companion_records(&self.g, tallies, offsets, threads))
     }
 }
 

@@ -25,19 +25,19 @@ use super::{PeelBackend, PeelSpace};
 /// all at once, from [`triangle_companion_records`]
 /// ([`PeelSpace::fused_records`]); neither merges lists or searches a
 /// triangle id.
-pub struct TriangleSpace<'g> {
-    g: &'g CsrGraph,
+pub struct TriangleSpace {
+    g: CsrGraph,
     tris: TriangleList,
     index: OnceLock<TriangleIndex>,
     k4deg: OnceLock<Vec<u32>>,
     threads: usize,
 }
 
-impl<'g> TriangleSpace<'g> {
+impl TriangleSpace {
     /// Builds the space: enumerates triangles eagerly; the per-edge
     /// index and K4 degrees (the "enumerate K_r's + set ω" part of
     /// Alg. 1) follow lazily on first use.
-    pub fn new(g: &'g CsrGraph) -> Self {
+    pub fn new(g: &CsrGraph) -> Self {
         Self::with_threads(g, 1)
     }
 
@@ -48,9 +48,9 @@ impl<'g> TriangleSpace<'g> {
     /// [`nucleus_cliques::parallel::triangle_count_parallel`]). All
     /// three parallel builders are bit-identical to their serial twins,
     /// so the space's observable state never depends on `threads`.
-    pub fn with_threads(g: &'g CsrGraph, threads: usize) -> Self {
+    pub fn with_threads(g: &CsrGraph, threads: usize) -> Self {
         TriangleSpace {
-            g,
+            g: g.clone(),
             tris: TriangleList::build_with_threads(g, threads),
             index: OnceLock::new(),
             k4deg: OnceLock::new(),
@@ -60,17 +60,17 @@ impl<'g> TriangleSpace<'g> {
 
     fn index(&self) -> &TriangleIndex {
         self.index
-            .get_or_init(|| TriangleIndex::build_with_threads(self.g, &self.tris, self.threads))
+            .get_or_init(|| TriangleIndex::build_with_threads(&self.g, &self.tris, self.threads))
     }
 
     fn k4deg(&self) -> &[u32] {
         self.k4deg
-            .get_or_init(|| k4_degrees_indexed(self.g, &self.tris, self.index(), self.threads))
+            .get_or_init(|| k4_degrees_indexed(&self.g, &self.tris, self.index(), self.threads))
     }
 
     /// The underlying graph.
     pub fn graph(&self) -> &CsrGraph {
-        self.g
+        &self.g
     }
 
     /// The materialized triangle list (cells of this space).
@@ -84,7 +84,7 @@ impl<'g> TriangleSpace<'g> {
     }
 }
 
-impl PeelBackend for TriangleSpace<'_> {
+impl PeelBackend for TriangleSpace {
     fn cell_count(&self) -> usize {
         self.tris.len()
     }
@@ -122,7 +122,7 @@ impl PeelBackend for TriangleSpace<'_> {
     }
 }
 
-impl PeelSpace for TriangleSpace<'_> {
+impl PeelSpace for TriangleSpace {
     fn r(&self) -> u32 {
         3
     }
@@ -137,7 +137,7 @@ impl PeelSpace for TriangleSpace<'_> {
 
     fn fused_records(&self, offsets: &[usize], threads: usize) -> Option<Vec<u32>> {
         Some(triangle_companion_records(
-            self.g,
+            &self.g,
             &self.tris,
             self.index(),
             offsets,

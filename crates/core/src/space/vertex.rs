@@ -5,31 +5,31 @@ use nucleus_graph::CsrGraph;
 use super::{PeelBackend, PeelSpace};
 
 /// The k-core peeling space over a graph: `ω₂(v) = deg(v)`.
-pub struct VertexSpace<'g> {
-    g: &'g CsrGraph,
+pub struct VertexSpace {
+    g: CsrGraph,
 }
 
-impl<'g> VertexSpace<'g> {
+impl VertexSpace {
     /// Wraps `g`. O(1).
-    pub fn new(g: &'g CsrGraph) -> Self {
-        VertexSpace { g }
+    pub fn new(g: &CsrGraph) -> Self {
+        VertexSpace { g: g.clone() }
     }
 
     /// Accepts (and ignores) a thread count, for constructor symmetry
     /// with the other spaces: ω here is a vertex's degree, a single
     /// O(n) read of the CSR offsets with no enumeration to parallelize
     /// — spawning workers could only ever slow it down.
-    pub fn with_threads(g: &'g CsrGraph, _threads: usize) -> Self {
+    pub fn with_threads(g: &CsrGraph, _threads: usize) -> Self {
         Self::new(g)
     }
 
     /// The underlying graph.
     pub fn graph(&self) -> &CsrGraph {
-        self.g
+        &self.g
     }
 }
 
-impl PeelBackend for VertexSpace<'_> {
+impl PeelBackend for VertexSpace {
     fn cell_count(&self) -> usize {
         self.g.n()
     }
@@ -48,7 +48,7 @@ impl PeelBackend for VertexSpace<'_> {
     }
 }
 
-impl PeelSpace for VertexSpace<'_> {
+impl PeelSpace for VertexSpace {
     fn r(&self) -> u32 {
         1
     }

@@ -14,26 +14,26 @@ use nucleus_graph::CsrGraph;
 use super::{PeelBackend, PeelSpace};
 
 /// The (1,3) peeling space: `ω₃(v)` = number of triangles containing `v`.
-pub struct VertexTriangleSpace<'g> {
-    g: &'g CsrGraph,
+pub struct VertexTriangleSpace {
+    g: CsrGraph,
     degrees: OnceLock<Vec<u32>>,
     threads: usize,
 }
 
-impl<'g> VertexTriangleSpace<'g> {
+impl VertexTriangleSpace {
     /// Wraps `g`; the triangle enumeration for the ω values runs on the
     /// first [`PeelBackend::degrees`] call (never, for sessions fed
     /// counts by a persisted index).
-    pub fn new(g: &'g CsrGraph) -> Self {
+    pub fn new(g: &CsrGraph) -> Self {
         Self::with_threads(g, 1)
     }
 
     /// Like [`VertexTriangleSpace::new`], but the deferred triangle
     /// enumeration runs on `threads` worker threads (per-worker partial
     /// counts summed in order — identical output to the serial pass).
-    pub fn with_threads(g: &'g CsrGraph, threads: usize) -> Self {
+    pub fn with_threads(g: &CsrGraph, threads: usize) -> Self {
         VertexTriangleSpace {
-            g,
+            g: g.clone(),
             degrees: OnceLock::new(),
             threads,
         }
@@ -41,18 +41,18 @@ impl<'g> VertexTriangleSpace<'g> {
 
     /// The underlying graph.
     pub fn graph(&self) -> &CsrGraph {
-        self.g
+        &self.g
     }
 }
 
-impl PeelBackend for VertexTriangleSpace<'_> {
+impl PeelBackend for VertexTriangleSpace {
     fn cell_count(&self) -> usize {
         self.g.n()
     }
 
     fn degrees(&self) -> Vec<u32> {
         self.degrees
-            .get_or_init(|| nucleus_cliques::vertex_triangle_counts_parallel(self.g, self.threads))
+            .get_or_init(|| nucleus_cliques::vertex_triangle_counts_parallel(&self.g, self.threads))
             .clone()
     }
 
@@ -81,7 +81,7 @@ impl PeelBackend for VertexTriangleSpace<'_> {
     }
 }
 
-impl PeelSpace for VertexTriangleSpace<'_> {
+impl PeelSpace for VertexTriangleSpace {
     fn r(&self) -> u32 {
         1
     }

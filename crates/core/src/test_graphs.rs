@@ -1,23 +1,18 @@
 //! Shared fixtures for this crate's unit tests.
 
-use nucleus_graph::{CsrGraph, GraphBuilder};
+use nucleus_graph::CsrGraph;
 
 /// K5 (λ₂ = 4) ⊂ 2-core ring ⊂ whole graph, plus a pendant (λ₂ = 1):
 /// a three-level (1,2) hierarchy. Mirrors
 /// `nucleus_gen::paper::three_level_core_hierarchy` without the dev-dep
 /// cycle.
 pub fn nested_cores() -> CsrGraph {
-    let mut b = GraphBuilder::new();
+    let mut edges = vec![];
     for u in 0..5u32 {
         for v in u + 1..5 {
-            b.add_edge(u, v);
+            edges.push((u, v));
         }
     }
-    b.add_edge(0, 5);
-    b.add_edge(5, 6);
-    b.add_edge(6, 7);
-    b.add_edge(7, 8);
-    b.add_edge(8, 1);
-    b.add_edge(5, 9);
-    b.build()
+    edges.extend([(0, 5), (5, 6), (6, 7), (7, 8), (8, 1), (5, 9)]);
+    CsrGraph::from_edges(10, &edges)
 }

@@ -304,7 +304,7 @@ fn unsupported_family_is_a_mismatch() {
 }
 
 /// Damage inside a section, with every checksum re-stamped, reaches the
-/// counts-sum check or the cell-id bound and is refused there with a
+/// counts-sum check or the record checks and is refused there with a
 /// reason naming what is wrong. Header arities outside `1..=MAX_ARITY`
 /// are refused before any section is read.
 #[test]
@@ -315,6 +315,12 @@ fn resealed_record_damage_is_refused_by_its_own_check() {
         // then panic inside FND on an out-of-bounds bucket lookup.
         ("a record names cell 4294967040".into(), |b| {
             set_word(b, 1, 0, 0xFFFF_FF00)
+        }),
+        // A record naming its own cell used to load, then panic inside
+        // FND's forest union. The first data word is the first record
+        // of the first cell with any.
+        ("names the cell itself".into(), |b| {
+            set_word(b, 1, 0, first_counted_cell(b) as u32)
         }),
         ("invalid arity 0".into(), |b| b[28..32].fill(0)),
         (format!("invalid arity {}", MAX_ARITY + 1), |b| {
@@ -331,7 +337,7 @@ fn resealed_record_damage_is_refused_by_its_own_check() {
             set_word(b, 0, j, word(b, 0, j) - 1)
         }),
     ];
-    for kind in [Kind::Core, Kind::Truss, Kind::Nucleus34] {
+    for kind in Kind::all() {
         let (_, original) = valid_image(kind);
         for (reason_part, edit) in &cases {
             let mut bytes = original.clone();
@@ -490,13 +496,22 @@ fn resealed_hierarchy_damage_is_refused() {
             // One container moves from a cell whose λ equals its ω to
             // another cell in a container: the counts still sum to the
             // header's records, and every record still names a cell
+            // other than the one it now belongs to
             let cells = header_u64(b, 56) as usize;
             let c = (0..cells)
                 .find(|&c| word(b, 0, c) >= 1 && cell_lambda(b, c) == word(b, 0, c))
                 .expect("a cell whose λ is its ω");
-            let d = (0..cells).find(|&d| d != c && word(b, 0, d) >= 1).unwrap();
-            let (omega_c, omega_d) = (word(b, 0, c), word(b, 0, d));
+            let omega_c = word(b, 0, c);
             set_word(b, 0, c, omega_c - 1);
+            let d = (0..cells)
+                .filter(|&d| d != c && word(b, 0, d) >= 1)
+                .find(|&d| {
+                    let mut moved = b.clone();
+                    set_word(&mut moved, 0, d, word(b, 0, d) + 1);
+                    !some_record_names_its_cell(&moved)
+                })
+                .expect("a cell that can take the container");
+            let omega_d = word(b, 0, d);
             set_word(b, 0, d, omega_d + 1);
         }),
         (
@@ -584,5 +599,80 @@ fn fuzzed_mutations_never_panic_and_never_load() {
             ) => {}
             Err(other) => panic!("iteration {iter}: untyped error {other}"),
         }
+    }
+}
+
+/// The cell whose records hold word `j` of the data section: the
+/// counts' prefix sum, in words, against `j`.
+fn cell_of_data_word(bytes: &[u8], j: usize) -> u32 {
+    let arity = u32::from_le_bytes(bytes[28..32].try_into().unwrap()) as usize;
+    let mut end = 0;
+    (0..)
+        .find(|&c| {
+            end += arity * word(bytes, 0, c as usize) as usize;
+            j < end
+        })
+        .unwrap()
+}
+
+/// Whether some record names the cell it belongs to.
+fn some_record_names_its_cell(bytes: &[u8]) -> bool {
+    let words = sections(bytes)[1].len() / 4;
+    (0..words).any(|j| word(bytes, 1, j) == cell_of_data_word(bytes, j))
+}
+
+/// Resealed fuzz of the records: one to three words of the data section
+/// set to another cell, the word's own cell or a cell past the end,
+/// with every checksum re-stamped, so each image meets the loader's
+/// structural checks. None may panic, in the loader or in FND. An image
+/// that loads runs to its stored tree, or `run` refuses it when its
+/// tree differs.
+#[test]
+fn resealed_record_fuzz_never_panics() {
+    let images = if cfg!(debug_assertions) { 300 } else { 3000 };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_da7a);
+    for kind in Kind::all() {
+        let (g, original) = valid_image(kind);
+        let words = sections(&original)[1].len() / 4;
+        let cells = header_u64(&original, 56) as u32;
+        let (mut refused, mut loaded, mut caught) = (0, 0, 0);
+        for iter in 0..images {
+            let mut bytes = original.clone();
+            for _ in 0..rng.gen_range(1..=3u32) {
+                let j = rng.gen_range(0..words);
+                let value = match rng.gen_range(0..4u32) {
+                    0 => cell_of_data_word(&bytes, j),
+                    1 => cells + rng.gen_range(0..3u32),
+                    _ => rng.gen_range(0..cells),
+                };
+                set_word(&mut bytes, 1, j, value);
+            }
+            reseal_sections(&mut bytes);
+            let index = match PreparedIndex::from_bytes(bytes, "resealed fuzz") {
+                Ok(index) => index,
+                Err(CoreError::IndexCorrupt { .. }) => {
+                    refused += 1;
+                    continue;
+                }
+                Err(other) => panic!("{kind}, image {iter}: expected IndexCorrupt, got {other}"),
+            };
+            loaded += 1;
+            let restored = Nucleus::builder(&g).prepare_from_index(index).unwrap();
+            match restored.run(Algorithm::Fnd) {
+                Ok(d) => assert_eq!(
+                    Some(&d.hierarchy),
+                    restored.stored_hierarchy().map(|t| &**t),
+                    "{kind}, image {iter}"
+                ),
+                Err(CoreError::IndexCorrupt { .. }) => caught += 1,
+                Err(other) => panic!("{kind}, image {iter}: expected IndexCorrupt, got {other}"),
+            }
+        }
+        // Every outcome occurs: the loader refuses some images, and of
+        // those it loads, some run to the stored tree and some not.
+        assert!(
+            refused > 0 && caught > 0 && loaded > caught,
+            "{kind}: {refused} refused, {loaded} loaded, {caught} caught by run"
+        );
     }
 }

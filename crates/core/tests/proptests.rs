@@ -8,7 +8,6 @@ use nucleus_core::algo::dft::dft;
 use nucleus_core::algo::fnd::{build_hierarchy, fnd, fnd_classify, FndOptions, FndOutcome};
 use nucleus_core::algo::lcps::lcps;
 use nucleus_core::algo::naive::naive;
-use nucleus_core::algo::tcp::{tcp_query, TcpIndex};
 use nucleus_core::decompose::{Algorithm, Backend, Decomposition, Kind};
 use nucleus_core::hierarchy::{Hierarchy, NO_NODE};
 use nucleus_core::peel::{peel, peel_reference, Peeling};
@@ -779,23 +778,6 @@ proptest! {
     #[test]
     fn algorithms_agree_on_nucleus34(g in graph_strategy(12, 50)) {
         check_space_agreement(&TriangleSpace::new(&g));
-    }
-
-    #[test]
-    fn tcp_queries_match_hierarchy(g in graph_strategy(12, 40)) {
-        let es = EdgeSpace::new(&g);
-        let truss = peel(&es);
-        let idx = TcpIndex::build(&g, &truss);
-        let (h, _) = dft(&es, &truss);
-        for k in 1..=h.max_lambda() {
-            for node in h.nuclei_at(k) {
-                let mut cells = h.nucleus_cells(node);
-                cells.sort_unstable();
-                let (u, v) = g.endpoints(cells[0]);
-                let got = tcp_query(&g, &truss, &idx, u, v, k).expect("community exists");
-                prop_assert_eq!(&got, &cells, "k={} node={}", k, node);
-            }
-        }
     }
 
     #[test]

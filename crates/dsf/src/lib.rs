@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Disjoint-set forests for dense-subgraph hierarchy construction.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # nucleus-dynamic — batched incremental maintenance for mutable graphs
 //!

@@ -1,6 +1,6 @@
 //! Deterministic classic graphs used by tests, examples and docs.
 
-use nucleus_graph::{CsrGraph, GraphBuilder};
+use nucleus_graph::CsrGraph;
 
 /// Complete graph K_n.
 pub fn complete(n: u32) -> CsrGraph {
@@ -47,58 +47,56 @@ pub fn complete_bipartite(a: u32, b: u32) -> CsrGraph {
 /// rows × cols grid graph.
 pub fn grid(rows: u32, cols: u32) -> CsrGraph {
     let id = |r: u32, c: u32| r * cols + c;
-    let mut b = GraphBuilder::new();
+    let mut edges = vec![];
     for r in 0..rows {
         for c in 0..cols {
             if c + 1 < cols {
-                b.add_edge(id(r, c), id(r, c + 1));
+                edges.push((id(r, c), id(r, c + 1)));
             }
             if r + 1 < rows {
-                b.add_edge(id(r, c), id(r + 1, c));
+                edges.push((id(r, c), id(r + 1, c)));
             }
         }
     }
-    b.build_with_n((rows * cols) as usize)
+    CsrGraph::from_edges((rows * cols) as usize, &edges)
 }
 
 /// Two K_k cliques joined by a path with `bridge` interior vertices.
 pub fn barbell(k: u32, bridge: u32) -> CsrGraph {
     assert!(k >= 2);
-    let mut b = GraphBuilder::new();
-    let add_clique = |b: &mut GraphBuilder, base: u32| {
+    let mut edges = vec![];
+    for base in [0, k] {
         for u in 0..k {
             for v in u + 1..k {
-                b.add_edge(base + u, base + v);
+                edges.push((base + u, base + v));
             }
         }
-    };
-    add_clique(&mut b, 0);
-    add_clique(&mut b, k);
+    }
     // Path from vertex k-1 (first clique) to vertex k (second clique).
     let mut prev = k - 1;
     for i in 0..bridge {
         let mid = 2 * k + i;
-        b.add_edge(prev, mid);
+        edges.push((prev, mid));
         prev = mid;
     }
-    b.add_edge(prev, k);
-    b.build_with_n((2 * k + bridge) as usize)
+    edges.push((prev, k));
+    CsrGraph::from_edges((2 * k + bridge) as usize, &edges)
 }
 
 /// K_k with a path of `tail` vertices hanging off vertex 0.
 pub fn lollipop(k: u32, tail: u32) -> CsrGraph {
-    let mut b = GraphBuilder::new();
+    let mut edges = vec![];
     for u in 0..k {
         for v in u + 1..k {
-            b.add_edge(u, v);
+            edges.push((u, v));
         }
     }
     let mut prev = 0;
     for i in 0..tail {
-        b.add_edge(prev, k + i);
+        edges.push((prev, k + i));
         prev = k + i;
     }
-    b.build_with_n((k + tail) as usize)
+    CsrGraph::from_edges((k + tail) as usize, &edges)
 }
 
 #[cfg(test)]

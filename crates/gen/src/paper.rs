@@ -3,7 +3,7 @@
 //! we build the smallest graph exhibiting the property the figure
 //! illustrates (documented per function).
 
-use nucleus_graph::{CsrGraph, GraphBuilder};
+use nucleus_graph::CsrGraph;
 
 /// Figure 2: a graph whose 2-core contains **two distinct 3-cores**,
 /// indistinguishable from λ values alone.
@@ -13,18 +13,16 @@ use nucleus_graph::{CsrGraph, GraphBuilder};
 /// have λ₂ = 3; the whole (connected) graph is the single 2-core and
 /// the K4s are the two 3-cores inside it.
 pub fn fig2_two_three_cores() -> CsrGraph {
-    let mut b = GraphBuilder::new();
+    let mut edges = vec![];
     for base in [0u32, 4u32] {
         for u in 0..4 {
             for v in u + 1..4 {
-                b.add_edge(base + u, base + v);
+                edges.push((base + u, base + v));
             }
         }
     }
-    b.add_edge(3, 8);
-    b.add_edge(8, 9);
-    b.add_edge(9, 4);
-    b.build()
+    edges.extend([(3, 8), (8, 9), (9, 4)]);
+    CsrGraph::from_edges(10, &edges)
 }
 
 /// Figure 3's point: connectivity semantics split k-truss variants.
@@ -47,25 +45,21 @@ pub fn fig3_bowtie() -> CsrGraph {
 /// Returns `(graph, [f, d, g, a, e])` where the array holds one
 /// representative vertex per region.
 pub fn fig4_chained_towers() -> (CsrGraph, [u32; 5]) {
-    let mut b = GraphBuilder::new();
+    let mut edges = vec![];
     // K4 towers at bases 0, 4, 8.
     for base in [0u32, 4, 8] {
         for u in 0..4 {
             for v in u + 1..4 {
-                b.add_edge(base + u, base + v);
+                edges.push((base + u, base + v));
             }
         }
     }
     // Bridge A: vertices 12, 13 linking tower F (0..4) and tower D
     // (4..8); bridge vertices have degree exactly 2, so λ₂ = 2.
-    b.add_edge(0, 12);
-    b.add_edge(12, 13);
-    b.add_edge(13, 4);
+    edges.extend([(0, 12), (12, 13), (13, 4)]);
     // Bridge E: vertices 14, 15 linking tower D (4..8) and tower G (8..12).
-    b.add_edge(6, 14);
-    b.add_edge(14, 15);
-    b.add_edge(15, 8);
-    (b.build(), [0, 4, 8, 12, 14])
+    edges.extend([(6, 14), (14, 15), (15, 8)]);
+    (CsrGraph::from_edges(16, &edges), [0, 4, 8, 12, 14])
 }
 
 /// A small graph with a 3-level (1,2) hierarchy: K5 inside a 2-core ring
@@ -75,21 +69,17 @@ pub fn fig4_chained_towers() -> (CsrGraph, [u32; 5]) {
 /// Layout: vertices 0–4 form K5 (λ=4); vertices 5–8 form a cycle attached
 /// to the K5 at 0 and 1 (λ=2); vertex 9 hangs off vertex 5 (λ=1).
 pub fn three_level_core_hierarchy() -> CsrGraph {
-    let mut b = GraphBuilder::new();
+    let mut edges = vec![];
     for u in 0..5u32 {
         for v in u + 1..5 {
-            b.add_edge(u, v);
+            edges.push((u, v));
         }
     }
     // cycle 0-5-6-7-8-1 closing through K5 edge (0,1)
-    b.add_edge(0, 5);
-    b.add_edge(5, 6);
-    b.add_edge(6, 7);
-    b.add_edge(7, 8);
-    b.add_edge(8, 1);
+    edges.extend([(0, 5), (5, 6), (6, 7), (7, 8), (8, 1)]);
     // pendant
-    b.add_edge(5, 9);
-    b.build()
+    edges.push((5, 9));
+    CsrGraph::from_edges(10, &edges)
 }
 
 /// Figure 1-style example: a graph where triangle-based and
@@ -102,11 +92,11 @@ pub fn three_level_core_hierarchy() -> CsrGraph {
 /// Octahedron vertices: 0–5 with antipodal (non-adjacent) pairs
 /// (0,3), (1,4), (2,5). K5 vertices: {0, 1, 6, 7, 8}.
 pub fn fig1_nucleus_contrast() -> CsrGraph {
-    let mut b = GraphBuilder::new();
+    let mut edges = vec![];
     for u in 0..6u32 {
         for v in u + 1..6 {
             if !matches!((u, v), (0, 3) | (1, 4) | (2, 5)) {
-                b.add_edge(u, v);
+                edges.push((u, v));
             }
         }
     }
@@ -114,11 +104,11 @@ pub fn fig1_nucleus_contrast() -> CsrGraph {
     for i in 0..5 {
         for j in i + 1..5 {
             if (k5[i], k5[j]) != (0, 1) {
-                b.add_edge(k5[i], k5[j]);
+                edges.push((k5[i], k5[j]));
             }
         }
     }
-    b.build()
+    CsrGraph::from_edges(9, &edges)
 }
 
 #[cfg(test)]

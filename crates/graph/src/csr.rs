@@ -1,6 +1,6 @@
 //! Immutable undirected graph in compressed-sparse-row (CSR) form.
 
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Vertex identifier. Dense in `0..n`.
 pub type VertexId = u32;
@@ -15,8 +15,18 @@ pub type EdgeId = u32;
 /// sorted slice and `edge_id(u, v)` is a binary search. Edge ids are the
 /// peeling *cells* of the (2,3)-nucleus decomposition, which is why they
 /// are first-class here rather than an afterthought.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// The arrays sit behind one [`Arc`] and are never mutated, so `clone`
+/// is O(1) and every clone reads the same memory: a session, a space or
+/// a served epoch holds a handle of its own instead of borrowing one.
+#[derive(Clone, Debug)]
 pub struct CsrGraph {
+    csr: Arc<Csr>,
+}
+
+/// The arrays a [`CsrGraph`] shares between its clones.
+#[derive(Debug)]
+struct Csr {
     /// `offsets[v]..offsets[v+1]` indexes `neighbors`/`edge_ids` for `v`.
     offsets: Vec<usize>,
     /// Concatenated sorted adjacency lists (both directions).
@@ -133,41 +143,43 @@ impl CsrGraph {
         }
         debug_assert_eq!(edges.len(), m);
         CsrGraph {
-            offsets,
-            neighbors,
-            edge_ids,
-            endpoints: edges,
+            csr: Arc::new(Csr {
+                offsets,
+                neighbors,
+                edge_ids,
+                endpoints: edges,
+            }),
         }
     }
 
     /// Number of vertices.
     #[inline]
     pub fn n(&self) -> usize {
-        self.offsets.len() - 1
+        self.csr.offsets.len() - 1
     }
 
     /// Number of undirected edges.
     #[inline]
     pub fn m(&self) -> usize {
-        self.endpoints.len()
+        self.csr.endpoints.len()
     }
 
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: u32) -> usize {
-        self.offsets[v as usize + 1] - self.offsets[v as usize]
+        self.csr.offsets[v as usize + 1] - self.csr.offsets[v as usize]
     }
 
     /// Sorted neighbor slice of `v`.
     #[inline]
     pub fn neighbors(&self, v: u32) -> &[u32] {
-        &self.neighbors[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+        &self.csr.neighbors[self.csr.offsets[v as usize]..self.csr.offsets[v as usize + 1]]
     }
 
     /// Undirected edge ids parallel to [`Self::neighbors`].
     #[inline]
     pub fn neighbor_edge_ids(&self, v: u32) -> &[u32] {
-        &self.edge_ids[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+        &self.csr.edge_ids[self.csr.offsets[v as usize]..self.csr.offsets[v as usize + 1]]
     }
 
     /// Iterates `(neighbor, edge_id)` pairs of `v` in sorted neighbor order.
@@ -182,13 +194,13 @@ impl CsrGraph {
     /// Endpoints `(u, v)` with `u < v` of the undirected edge `e`.
     #[inline]
     pub fn endpoints(&self, e: EdgeId) -> (u32, u32) {
-        self.endpoints[e as usize]
+        self.csr.endpoints[e as usize]
     }
 
     /// All edges as an endpoint slice, indexed by edge id.
     #[inline]
     pub fn edge_endpoints(&self) -> &[(u32, u32)] {
-        &self.endpoints
+        &self.csr.endpoints
     }
 
     /// Whether the edge `{u, v}` exists; `false` when `u` is not a
@@ -203,11 +215,11 @@ impl CsrGraph {
     #[inline]
     pub fn edge_id(&self, u: u32, v: u32) -> Option<EdgeId> {
         let (start, end) = (
-            *self.offsets.get(u as usize)?,
-            *self.offsets.get(u as usize + 1)?,
+            *self.csr.offsets.get(u as usize)?,
+            *self.csr.offsets.get(u as usize + 1)?,
         );
-        let i = self.neighbors[start..end].binary_search(&v).ok()?;
-        Some(self.edge_ids[start + i])
+        let i = self.csr.neighbors[start..end].binary_search(&v).ok()?;
+        Some(self.csr.edge_ids[start + i])
     }
 
     /// Iterator over all vertex ids.
@@ -217,7 +229,8 @@ impl CsrGraph {
 
     /// Iterator over `(edge_id, u, v)` with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (EdgeId, u32, u32)> + '_ {
-        self.endpoints
+        self.csr
+            .endpoints
             .iter()
             .enumerate()
             .map(|(e, &(u, v))| (e as u32, u, v))
@@ -422,10 +435,10 @@ mod tests {
             canon.dedup();
             let got = CsrGraph::from_edges(n as usize, &edges);
             let want = CsrGraph::from_sorted_unique_edges(n as usize, canon);
-            assert_eq!(got.offsets, want.offsets, "n={n}");
-            assert_eq!(got.neighbors, want.neighbors, "n={n}");
-            assert_eq!(got.edge_ids, want.edge_ids, "n={n}");
-            assert_eq!(got.endpoints, want.endpoints, "n={n}");
+            assert_eq!(got.csr.offsets, want.csr.offsets, "n={n}");
+            assert_eq!(got.csr.neighbors, want.csr.neighbors, "n={n}");
+            assert_eq!(got.csr.edge_ids, want.csr.edge_ids, "n={n}");
+            assert_eq!(got.csr.endpoints, want.csr.endpoints, "n={n}");
         }
     }
 

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Compact undirected-graph substrate for nucleus decompositions.
 //!
@@ -7,9 +8,8 @@
 //!
 //! * [`CsrGraph`] — an immutable, simple, undirected graph in compressed
 //!   sparse row form with *stable undirected edge ids* (needed because the
-//!   (2,3)-nucleus decomposition peels edges, not vertices);
-//! * [`GraphBuilder`] — mutable edge accumulator that deduplicates,
-//!   removes self-loops and produces a [`CsrGraph`];
+//!   (2,3)-nucleus decomposition peels edges, not vertices); `clone`
+//!   shares its arrays, so every holder can own a handle;
 //! * [`bucket`] — the two bucket-queue variants used by the paper:
 //!   the Batagelj–Zaversnik min-bucket layout for peeling and a
 //!   max-bucket cursor queue for the LCPS traversal;
@@ -20,7 +20,7 @@
 //!   flat record store plus the graph fingerprint that invalidates it;
 //!   loading decodes a file back into a [`FlatRecords`];
 //! * [`traversal`] — connected components;
-//! * [`order`] — degree and degeneracy orderings;
+//! * [`order`] — the degeneracy ordering;
 //! * [`io`] — whitespace edge-list text format.
 //!
 //! Vertices and edges are identified by `u32`, which bounds graphs at
@@ -28,7 +28,6 @@
 //! decomposition can hold anyway, and half the memory of `usize` ids.
 
 pub mod bucket;
-pub mod builder;
 pub mod csr;
 pub mod error;
 pub mod flat;
@@ -37,7 +36,6 @@ pub mod order;
 pub mod persist_io;
 pub mod traversal;
 
-pub use builder::GraphBuilder;
 pub use csr::{CsrGraph, EdgeId, VertexId};
 pub use error::GraphError;
 pub use flat::FlatRecords;

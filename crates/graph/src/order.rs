@@ -1,5 +1,5 @@
-//! Vertex orderings: degree order and the degeneracy (smallest-last)
-//! order of Matula & Beck, used to orient clique enumeration.
+//! The degeneracy (smallest-last) vertex order of Matula & Beck, used to
+//! orient clique enumeration.
 
 use crate::bucket::PeelBuckets;
 use crate::csr::CsrGraph;
@@ -22,14 +22,6 @@ impl VertexOrder {
         }
         VertexOrder { order, rank }
     }
-}
-
-/// Non-decreasing degree order, ties broken by vertex id (a sort of the
-/// `(degree, id)` pairs).
-pub fn degree_order(g: &CsrGraph) -> VertexOrder {
-    let mut verts: Vec<u32> = (0..g.n() as u32).collect();
-    verts.sort_by_key(|&v| (g.degree(v), v));
-    VertexOrder::from_order(verts)
 }
 
 /// Smallest-last (degeneracy) order and the graph's degeneracy.
@@ -58,17 +50,6 @@ pub fn degeneracy_order(g: &CsrGraph) -> (VertexOrder, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn degree_order_is_sorted() {
-        let g = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2)]);
-        let ord = degree_order(&g);
-        let degs: Vec<usize> = ord.order.iter().map(|&v| g.degree(v)).collect();
-        assert!(degs.windows(2).all(|w| w[0] <= w[1]));
-        for v in g.vertices() {
-            assert_eq!(ord.order[ord.rank[v as usize] as usize], v);
-        }
-    }
 
     #[test]
     fn degeneracy_of_clique() {

@@ -7,7 +7,9 @@
 //!   a mutex, fed by `mutate` requests (which batch, coalesce and
 //!   count ops exactly like [`DynamicGraph::apply`]);
 //! * the **current epoch** — an immutable [`ServeState`] prepared over
-//!   a snapshot of the source, behind an `RwLock<Arc<_>>`.
+//!   a snapshot of the source, behind an `RwLock<Arc<_>>`. Its session
+//!   holds the snapshot graph, so an epoch is one value that owns all
+//!   it reads.
 //!
 //! Queries clone the current epoch's `Arc` under a read lock and
 //! answer from it lock-free, exactly as on an immutable server. A
@@ -35,35 +37,23 @@ use serde::Value;
 use crate::engine::{QueryAnswerer, ServeState};
 use crate::protocol::{ErrorCode, ProtocolError, Query, Request};
 
-/// One immutable generation of the served space.
-///
-/// Drop order is load-bearing: `state` borrows `_graph` (see
-/// [`Epoch::build`]), so `state` is declared first and therefore
-/// dropped first.
+/// One immutable generation of the served space: a session prepared
+/// over a snapshot of the source graph, which the session holds a
+/// handle to.
 struct Epoch {
-    state: ServeState<'static>,
+    state: ServeState,
     epoch: u64,
-    _graph: Box<CsrGraph>,
 }
 
 impl Epoch {
     /// Prepares a fresh epoch over `graph`.
-    ///
-    /// The `'static` is a private fiction: `state` really borrows the
-    /// boxed graph, whose heap address is stable and which outlives
-    /// `state` by field order. Neither field is ever moved out or
-    /// replaced, and the borrow never escapes the `Epoch` (queries
-    /// go through `&self.state`), so the unsafe lifetime extension
-    /// cannot dangle.
     fn build(
-        graph: CsrGraph,
+        graph: &CsrGraph,
         epoch: u64,
         kind: Kind,
         default_algo: Option<Algorithm>,
     ) -> Result<Epoch, ProtocolError> {
-        let boxed = Box::new(graph);
-        let gref: &'static CsrGraph = unsafe { &*(boxed.as_ref() as *const CsrGraph) };
-        let prepared = Nucleus::builder(gref)
+        let prepared = Nucleus::builder(graph)
             .kind(kind)
             .prepare()
             .map_err(|e| ProtocolError::new(ErrorCode::Internal, e.to_string()))?;
@@ -71,11 +61,7 @@ impl Epoch {
         if let Some(algo) = default_algo {
             state = state.with_default_algo(algo);
         }
-        Ok(Epoch {
-            state,
-            epoch,
-            _graph: boxed,
-        })
+        Ok(Epoch { state, epoch })
     }
 }
 
@@ -90,13 +76,15 @@ pub struct DynamicServeState {
 }
 
 impl DynamicServeState {
-    /// Prepares epoch 0 over a snapshot of `g` for `kind`.
+    /// Prepares epoch 0 over `g` for `kind`; the epoch shares `g`'s
+    /// arrays, and the source graph copies them into its own mutable
+    /// form.
     ///
     /// # Errors
     /// [`ProtocolError`] with [`ErrorCode::Internal`] when the initial
     /// prepare fails.
     pub fn new(g: &CsrGraph, kind: Kind) -> Result<DynamicServeState, ProtocolError> {
-        let epoch = Epoch::build(g.clone(), 0, kind, None)?;
+        let epoch = Epoch::build(g, 0, kind, None)?;
         Ok(DynamicServeState {
             kind,
             source: Mutex::new(DynamicGraph::topology(g)),
@@ -146,7 +134,7 @@ impl DynamicServeState {
                 let current = self.epoch_handle();
                 (current.epoch + 1, current.state.default_algo())
             };
-            let fresh = Epoch::build(source.to_graph(), next, self.kind, Some(default_algo))?;
+            let fresh = Epoch::build(&source.to_graph(), next, self.kind, Some(default_algo))?;
             *self.current.write().expect("epoch lock poisoned") = Arc::new(fresh);
             next
         } else {
@@ -276,6 +264,12 @@ mod tests {
     fn noop_mutate_does_not_bump_the_epoch() {
         let g = nucleus_gen::karate::karate_club();
         let state = DynamicServeState::new(&g, Kind::Core).unwrap();
+        let epoch0 = state.epoch_handle();
+        // epoch 0 reads the caller's arrays: no deep copy
+        assert!(std::ptr::eq(
+            epoch0.state.prepared().graph().edge_endpoints(),
+            g.edge_endpoints()
+        ));
         // {0,1} exists; inserting it is a skip. Insert+delete of an
         // absent pair cancel: both coalesce away.
         let v = answers_on(

@@ -74,8 +74,8 @@ const FROM_INDEX: &str = "index";
 
 /// Shared immutable query state: a prepared space plus its hierarchy
 /// and densest node, each built once on first use.
-pub struct ServeState<'g> {
-    prepared: Prepared<'g>,
+pub struct ServeState {
+    prepared: Prepared,
     /// Set in place by [`crate::DynamicServeState::with_default_algo`]
     /// on an epoch nothing shares yet.
     pub(crate) default_algo: Algorithm,
@@ -85,12 +85,12 @@ pub struct ServeState<'g> {
     densest: OnceLock<Result<DensestAnswer, ProtocolError>>,
 }
 
-impl<'g> ServeState<'g> {
+impl ServeState {
     /// Wraps a prepared session. The default algorithm is FND (the
     /// paper's fastest construction, supported by every kind). A session
     /// loaded from a persisted index brings its stored hierarchy, which
     /// fills the hierarchy slot here, so no query peels.
-    pub fn new(prepared: Prepared<'g>) -> ServeState<'g> {
+    pub fn new(prepared: Prepared) -> ServeState {
         let hierarchy = match prepared.stored_hierarchy() {
             Some(tree) => OnceLock::from(Ok((FROM_INDEX, Arc::clone(tree)))),
             None => OnceLock::new(),
@@ -110,7 +110,7 @@ impl<'g> ServeState<'g> {
     }
 
     /// The wrapped prepared session.
-    pub fn prepared(&self) -> &Prepared<'g> {
+    pub fn prepared(&self) -> &Prepared {
         &self.prepared
     }
 
@@ -397,7 +397,7 @@ impl<'g> ServeState<'g> {
     }
 }
 
-impl QueryAnswerer for ServeState<'_> {
+impl QueryAnswerer for ServeState {
     fn answer(&self, req: &Request) -> Result<Value, ProtocolError> {
         ServeState::answer(self, req)
     }
@@ -407,7 +407,7 @@ impl QueryAnswerer for ServeState<'_> {
     }
 }
 
-impl std::fmt::Debug for ServeState<'_> {
+impl std::fmt::Debug for ServeState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeState")
             .field("kind", &self.prepared.kind())
@@ -423,7 +423,7 @@ mod tests {
     use nucleus_core::{Kind, Nucleus};
     use nucleus_graph::CsrGraph;
 
-    fn ask(state: &ServeState<'_>, line: &str) -> Value {
+    fn ask(state: &ServeState, line: &str) -> Value {
         state
             .answer(&Request::parse(line).unwrap())
             .unwrap_or_else(|e| panic!("{line}: {} {}", e.code.as_str(), e.message))
@@ -476,7 +476,7 @@ mod tests {
     /// `level_profile` of one algorithm's hierarchy, checked against
     /// references computed from the hierarchy's nodes and the graph
     /// alone.
-    fn check_against_references(g: &CsrGraph, kind: Kind, state: &ServeState<'_>, algo: Algorithm) {
+    fn check_against_references(g: &CsrGraph, kind: Kind, state: &ServeState, algo: Algorithm) {
         let a = algo.name();
         let h = state.hierarchy(algo).unwrap();
         let endpoints: Vec<[u32; 2]> = g.edges().map(|(_, u, v)| [u, v]).collect();
@@ -562,7 +562,7 @@ mod tests {
         list
     }
 
-    fn answer_bytes(state: &ServeState<'_>, line: &str) -> String {
+    fn answer_bytes(state: &ServeState, line: &str) -> String {
         match state.answer(&Request::parse(line).unwrap()) {
             Ok(v) => serde_json::to_string(&v).unwrap(),
             Err(e) => format!("{} {}", e.code.as_str(), e.message),

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # nucleus-serve — a concurrent query service over prepared spaces
 //!

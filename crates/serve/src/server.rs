@@ -15,9 +15,9 @@
 //!   [`AtomicBool`]; the accept loop closes the queue and every worker
 //!   drains out. [`serve`] then returns a final [`ServerReport`].
 //!
-//! `std::thread::scope` is what lets workers borrow the answerer
-//! (which may itself borrow the caller's graph) with zero `Arc`:
-//! the compiler proves every worker exits before `serve` returns.
+//! `std::thread::scope` is what lets workers borrow the answerer with
+//! zero `Arc`: the compiler proves every worker exits before `serve`
+//! returns.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};

@@ -16,14 +16,14 @@ use nucleus_serve::{
 use rand::{Rng, SeedableRng};
 use serde::Value;
 
-fn prepared(g: &CsrGraph, kind: Kind) -> Prepared<'_> {
+fn prepared(g: &CsrGraph, kind: Kind) -> Prepared {
     Nucleus::builder(g).kind(kind).prepare().unwrap()
 }
 
 /// Renders the response the library itself would give for `line`:
 /// exactly the server's dispatch for every non-`stats`/`shutdown`
 /// request (those two depend on live server state).
-fn direct_answer(state: &ServeState<'_>, line: &str) -> String {
+fn direct_answer(state: &ServeState, line: &str) -> String {
     match Request::parse(line) {
         Err(e) => err_response(None, &e),
         Ok(req) => match state.answer(&req) {

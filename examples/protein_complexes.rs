@@ -11,20 +11,15 @@
 //! ```
 
 use nucleus_hierarchy::gen::er::gnp;
-use nucleus_hierarchy::graph::GraphBuilder;
 use nucleus_hierarchy::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Background interaction network with planted near-clique complexes.
-fn planted_complexes(seed: u64) -> (nucleus_hierarchy::graph::CsrGraph, Vec<Vec<u32>>) {
+fn planted_complexes(seed: u64) -> (CsrGraph, Vec<Vec<u32>>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let background = gnp(1500, 0.002, seed);
-    let mut b = GraphBuilder::new();
-    for (_, u, v) in background.edges() {
-        b.add_edge(u, v);
-    }
-    b.ensure_vertex(1499);
+    let mut edges = background.edge_endpoints().to_vec();
     // plant 6 complexes: near-cliques of sizes 8..=13 at 85% density
     let mut complexes = vec![];
     for c in 0..6u32 {
@@ -36,13 +31,13 @@ fn planted_complexes(seed: u64) -> (nucleus_hierarchy::graph::CsrGraph, Vec<Vec<
         for i in 0..members.len() {
             for j in i + 1..members.len() {
                 if rng.gen_bool(0.85) {
-                    b.add_edge(members[i], members[j]);
+                    edges.push((members[i], members[j]));
                 }
             }
         }
         complexes.push(members);
     }
-    (b.build_with_n(1500), complexes)
+    (CsrGraph::from_edges(1500, &edges), complexes)
 }
 
 fn main() {

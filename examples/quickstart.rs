@@ -10,17 +10,15 @@ use nucleus_hierarchy::prelude::*;
 fn main() {
     // A graph with visible structure: a K5 "core team", a 2-core ring
     // around it, and a pendant hanger-on.
-    let mut b = GraphBuilder::new();
+    let mut edges = vec![];
     for u in 0..5u32 {
         for v in u + 1..5 {
-            b.add_edge(u, v); // K5
+            edges.push((u, v)); // K5
         }
     }
-    for (u, v) in [(0, 5), (5, 6), (6, 7), (7, 8), (8, 1)] {
-        b.add_edge(u, v); // ring through the K5
-    }
-    b.add_edge(5, 9); // pendant
-    let g = b.build();
+    edges.extend([(0, 5), (5, 6), (6, 7), (7, 8), (8, 1)]); // ring through the K5
+    edges.push((5, 9)); // pendant
+    let g = CsrGraph::from_edges(10, &edges);
     println!("graph: {} vertices, {} edges", g.n(), g.m());
 
     // --- k-core (1,2) with the traversal-free FND algorithm ---

@@ -19,32 +19,31 @@ use rand::{Rng, SeedableRng};
 fn main() {
     // Planted structure: a large, loosely-connected community (many
     // weight-1 edges) and two small tight teams (weight 8–12 edges).
-    let mut b = GraphBuilder::new();
+    let mut edges = vec![];
     let mut rng = StdRng::seed_from_u64(17);
     // loose community: 40 vertices, ER-ish weight-1 edges
     for _ in 0..220 {
         let u = rng.gen_range(0..40u32);
         let v = rng.gen_range(0..40u32);
         if u != v {
-            b.add_edge(u, v);
+            edges.push((u, v));
         }
     }
     // tight team A: vertices 40..45, clique
     for u in 40..45u32 {
         for v in u + 1..45 {
-            b.add_edge(u, v);
+            edges.push((u, v));
         }
     }
     // tight team B: vertices 45..49, clique
     for u in 45..49u32 {
         for v in u + 1..49 {
-            b.add_edge(u, v);
+            edges.push((u, v));
         }
     }
     // bridges from teams into the loose community
-    b.add_edge(0, 40);
-    b.add_edge(1, 45);
-    let g = b.build();
+    edges.extend([(0, 40), (1, 45)]);
+    let g = CsrGraph::from_edges(49, &edges);
 
     let mut weights = vec![0u64; g.m()];
     for (e, u, v) in g.edges() {

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # nucleus-hierarchy
 //!
@@ -33,5 +34,5 @@ pub use nucleus_graph as graph;
 pub mod prelude {
     pub use nucleus_core::prelude::*;
     pub use nucleus_dynamic::{DynamicGraph, EdgeOp, UpdateReport};
-    pub use nucleus_graph::{CsrGraph, GraphBuilder};
+    pub use nucleus_graph::CsrGraph;
 }
