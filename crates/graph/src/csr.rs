@@ -16,25 +16,23 @@ pub type EdgeId = u32;
 /// peeling *cells* of the (2,3)-nucleus decomposition, which is why they
 /// are first-class here rather than an afterthought.
 ///
-/// The arrays sit behind one [`Arc`] and are never mutated, so `clone`
-/// is O(1) and every clone reads the same memory: a session, a space or
-/// a served epoch holds a handle of its own instead of borrowing one.
+/// Each array sits in an [`Arc`] of its own and is never mutated, so
+/// `clone` is O(1) and every clone reads the same memory: a session, a
+/// space or a served epoch holds a handle of its own instead of
+/// borrowing one. No small shared block sits beside the arrays: glibc
+/// caches a small block freed on another thread than the one that
+/// allocated it, and the cached block can keep the freed arrays around
+/// it resident.
 #[derive(Clone, Debug)]
 pub struct CsrGraph {
-    csr: Arc<Csr>,
-}
-
-/// The arrays a [`CsrGraph`] shares between its clones.
-#[derive(Debug)]
-struct Csr {
     /// `offsets[v]..offsets[v+1]` indexes `neighbors`/`edge_ids` for `v`.
-    offsets: Vec<usize>,
+    offsets: Arc<[usize]>,
     /// Concatenated sorted adjacency lists (both directions).
-    neighbors: Vec<u32>,
+    neighbors: Arc<[u32]>,
     /// `edge_ids[i]` is the undirected id of the arc `neighbors[i]`.
-    edge_ids: Vec<u32>,
+    edge_ids: Arc<[u32]>,
     /// Endpoints of every undirected edge, `u < v`.
-    endpoints: Vec<(u32, u32)>,
+    endpoints: Arc<[(u32, u32)]>,
 }
 
 impl CsrGraph {
@@ -61,47 +59,64 @@ impl CsrGraph {
         for u in 0..n {
             start[u + 1] += start[u];
         }
-        let mut canon = vec![(0u32, 0u32); start[n]];
+        // The sorted pairs are collected into the `Arc` the endpoints
+        // keep, so a list without repeats is never copied.
+        let mut canon: Arc<[(u32, u32)]> = std::iter::repeat_n((0, 0), start[n]).collect();
+        let pairs = Arc::get_mut(&mut canon).expect("not yet shared");
         let mut cursor = start.clone();
         for &(a, b) in edges {
             if a != b {
                 let (u, v) = (a.min(b), a.max(b));
-                canon[cursor[u as usize]] = (u, v);
+                pairs[cursor[u as usize]] = (u, v);
                 cursor[u as usize] += 1;
             }
         }
         drop(cursor);
         for u in 0..n {
-            canon[start[u]..start[u + 1]].sort_unstable_by_key(|&(_, v)| v);
+            pairs[start[u]..start[u + 1]].sort_unstable_by_key(|&(_, v)| v);
         }
         drop(start);
-        canon.dedup();
-        Self::from_sorted_unique_edges(n, canon)
+        if pairs.windows(2).any(|w| w[0] == w[1]) {
+            let mut unique = pairs.to_vec();
+            unique.dedup();
+            canon = unique.into();
+        }
+        Self::from_canonical(n, canon)
     }
 
     /// Builds from edges already canonicalized: `u < v`, sorted, unique.
     /// This is the fast path used by generators that produce clean lists.
     pub fn from_sorted_unique_edges(n: usize, edges: Vec<(u32, u32)>) -> Self {
+        Self::from_canonical(n, edges.into())
+    }
+
+    /// [`Self::from_sorted_unique_edges`] over edges already in the
+    /// `Arc` the graph keeps as its endpoints.
+    fn from_canonical(n: usize, edges: Arc<[(u32, u32)]>) -> Self {
         debug_assert!(
             edges.windows(2).all(|w| w[0] < w[1]),
             "edges not sorted/unique"
         );
         let m = edges.len();
         let mut degree = vec![0usize; n];
-        for &(u, v) in &edges {
+        for &(u, v) in edges.iter() {
             debug_assert!(u < v, "edge not canonical");
             degree[u as usize] += 1;
             degree[v as usize] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
+        // Each array is collected straight into its `Arc`: a
+        // fixed-length collect allocates once and copies nothing.
         let mut acc = 0usize;
-        offsets.push(0);
-        for d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut neighbors = vec![0u32; acc];
-        let mut edge_ids = vec![0u32; acc];
+        let offsets: Arc<[usize]> = std::iter::once(0)
+            .chain(degree.iter().map(|d| {
+                acc += d;
+                acc
+            }))
+            .collect();
+        let mut neighbors_arc: Arc<[u32]> = std::iter::repeat_n(0, acc).collect();
+        let mut edge_ids_arc: Arc<[u32]> = std::iter::repeat_n(0, acc).collect();
+        let neighbors = Arc::get_mut(&mut neighbors_arc).expect("not yet shared");
+        let edge_ids = Arc::get_mut(&mut edge_ids_arc).expect("not yet shared");
         let mut cursor: Vec<usize> = offsets[..n].to_vec();
         for (eid, &(u, v)) in edges.iter().enumerate() {
             let eid = eid as u32;
@@ -143,43 +158,41 @@ impl CsrGraph {
         }
         debug_assert_eq!(edges.len(), m);
         CsrGraph {
-            csr: Arc::new(Csr {
-                offsets,
-                neighbors,
-                edge_ids,
-                endpoints: edges,
-            }),
+            offsets,
+            neighbors: neighbors_arc,
+            edge_ids: edge_ids_arc,
+            endpoints: edges,
         }
     }
 
     /// Number of vertices.
     #[inline]
     pub fn n(&self) -> usize {
-        self.csr.offsets.len() - 1
+        self.offsets.len() - 1
     }
 
     /// Number of undirected edges.
     #[inline]
     pub fn m(&self) -> usize {
-        self.csr.endpoints.len()
+        self.endpoints.len()
     }
 
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: u32) -> usize {
-        self.csr.offsets[v as usize + 1] - self.csr.offsets[v as usize]
+        self.offsets[v as usize + 1] - self.offsets[v as usize]
     }
 
     /// Sorted neighbor slice of `v`.
     #[inline]
     pub fn neighbors(&self, v: u32) -> &[u32] {
-        &self.csr.neighbors[self.csr.offsets[v as usize]..self.csr.offsets[v as usize + 1]]
+        &self.neighbors[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 
     /// Undirected edge ids parallel to [`Self::neighbors`].
     #[inline]
     pub fn neighbor_edge_ids(&self, v: u32) -> &[u32] {
-        &self.csr.edge_ids[self.csr.offsets[v as usize]..self.csr.offsets[v as usize + 1]]
+        &self.edge_ids[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 
     /// Iterates `(neighbor, edge_id)` pairs of `v` in sorted neighbor order.
@@ -194,13 +207,13 @@ impl CsrGraph {
     /// Endpoints `(u, v)` with `u < v` of the undirected edge `e`.
     #[inline]
     pub fn endpoints(&self, e: EdgeId) -> (u32, u32) {
-        self.csr.endpoints[e as usize]
+        self.endpoints[e as usize]
     }
 
     /// All edges as an endpoint slice, indexed by edge id.
     #[inline]
     pub fn edge_endpoints(&self) -> &[(u32, u32)] {
-        &self.csr.endpoints
+        &self.endpoints
     }
 
     /// Whether the edge `{u, v}` exists; `false` when `u` is not a
@@ -215,11 +228,11 @@ impl CsrGraph {
     #[inline]
     pub fn edge_id(&self, u: u32, v: u32) -> Option<EdgeId> {
         let (start, end) = (
-            *self.csr.offsets.get(u as usize)?,
-            *self.csr.offsets.get(u as usize + 1)?,
+            *self.offsets.get(u as usize)?,
+            *self.offsets.get(u as usize + 1)?,
         );
-        let i = self.csr.neighbors[start..end].binary_search(&v).ok()?;
-        Some(self.csr.edge_ids[start + i])
+        let i = self.neighbors[start..end].binary_search(&v).ok()?;
+        Some(self.edge_ids[start + i])
     }
 
     /// Iterator over all vertex ids.
@@ -229,8 +242,7 @@ impl CsrGraph {
 
     /// Iterator over `(edge_id, u, v)` with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (EdgeId, u32, u32)> + '_ {
-        self.csr
-            .endpoints
+        self.endpoints
             .iter()
             .enumerate()
             .map(|(e, &(u, v))| (e as u32, u, v))
@@ -435,10 +447,10 @@ mod tests {
             canon.dedup();
             let got = CsrGraph::from_edges(n as usize, &edges);
             let want = CsrGraph::from_sorted_unique_edges(n as usize, canon);
-            assert_eq!(got.csr.offsets, want.csr.offsets, "n={n}");
-            assert_eq!(got.csr.neighbors, want.csr.neighbors, "n={n}");
-            assert_eq!(got.csr.edge_ids, want.csr.edge_ids, "n={n}");
-            assert_eq!(got.csr.endpoints, want.csr.endpoints, "n={n}");
+            assert_eq!(got.offsets, want.offsets, "n={n}");
+            assert_eq!(got.neighbors, want.neighbors, "n={n}");
+            assert_eq!(got.edge_ids, want.edge_ids, "n={n}");
+            assert_eq!(got.endpoints, want.endpoints, "n={n}");
         }
     }
 
